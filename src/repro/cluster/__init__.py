@@ -38,7 +38,6 @@ pieces:
 """
 
 from repro.cluster.codec import (
-    LEGACY_WIRE_VERSION,
     WIRE_ENCODING,
     WIRE_VERSION,
     AckFrame,
@@ -96,7 +95,6 @@ __all__ = [
     "DecisionRecord",
     "FrameReader",
     "HelloFrame",
-    "LEGACY_WIRE_VERSION",
     "StitchedTrace",
     "Transport",
     "WIRE_ENCODING",

@@ -14,77 +14,85 @@ without decoding the body — which is what lets the chaos proxy apply
 drop/delay policies to data frames while passing handshakes and acks
 through untouched.
 
-Bodies are serialised with msgpack when available and JSON otherwise
-(:data:`WIRE_ENCODING` names the active choice; the handshake carries it
-so mismatched peers fail loudly).  Envelope payloads reuse the exact
-JSONL payload codec of :mod:`repro.obs.sinks` — the same encoder that
+Bodies, one layout per kind (wire v3)::
+
+    data   link_seq  instance  env.seq  sender  recipient  ext len
+             8 B       8 B       8 B     2 B      2 B        2 B
+           + trace extension (ext len bytes of JSON, usually none)
+           + payload bytes (the rest of the body)
+    batch  complete data frames, headers included, back to back
+    ack    the cumulative link_seq as one signed 8-byte integer
+    hello  JSON object {"pid", "n", "enc"}
+    bye    JSON object {}
+
+Everything a link sends thousands of times per second is fixed-width;
+what stays JSON is either sent once per connection (hello, bye), rare
+(the trace extension rides on one frame in
+:data:`~repro.cluster.transport.DEFAULT_TRACE_SAMPLE`), or the payload.
+Payload bytes are exactly ``json(encode_payload(payload))`` — the JSONL
+payload codec of :mod:`repro.obs.sinks`, the same encoder that
 round-trips every protocol message type for traces — so the wire format
-and the trace format can never drift apart.
+and the trace format can never drift apart.  Keeping the payload an
+opaque byte string is also what makes it cheap: a sender encodes one
+broadcast's payload once and splices the same bytes into every
+recipient's frame (:func:`encode_payload_bytes`), and a receiver maps
+byte-identical payloads — every echo of one initial message — to one
+decoded message without parsing them again (the reader's intern table).
 """
 
 from __future__ import annotations
 
+import json
 import struct
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Iterator, Optional, Sequence, Union
 
 from repro.errors import ReproError
 from repro.net.message import Envelope
 from repro.obs.sinks import decode_payload, encode_payload
 
-try:  # pragma: no cover - exercised only where msgpack is installed
-    import msgpack  # type: ignore
+_JSON_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 
-    def _dumps(obj: Any) -> bytes:
-        return msgpack.packb(obj, use_bin_type=True)
 
-    def _loads(data: bytes) -> Any:
-        return msgpack.unpackb(data, raw=False)
+def _dumps(obj: Any) -> bytes:
+    return _JSON_ENCODER.encode(obj).encode("utf-8")
 
-    #: Body deserialisation failures the codec translates into
-    #: :class:`CodecError`; anything else is a programming error and
-    #: propagates (see the narrow except in :func:`_decode_body`).
-    _BODY_DECODE_ERRORS: tuple = (
-        ValueError,
-        UnicodeDecodeError,
-        msgpack.exceptions.UnpackException,
-        msgpack.exceptions.ExtraData,
-    )
 
-    WIRE_ENCODING = "msgpack"
-except ImportError:
-    import json
+def _loads(data: bytes) -> Any:
+    return json.loads(data.decode("utf-8"))
 
-    def _dumps(obj: Any) -> bytes:
-        return json.dumps(obj, separators=(",", ":"), sort_keys=True).encode(
-            "utf-8"
-        )
 
-    def _loads(data: bytes) -> Any:
-        return json.loads(data.decode("utf-8"))
+#: JSON deserialisation failures the codec translates into
+#: :class:`CodecError` (json.JSONDecodeError is a ValueError;
+#: UnicodeDecodeError covers non-UTF-8 bytes).  Anything else is a
+#: programming error and propagates (see :func:`_loads_wire`).
+_JSON_DECODE_ERRORS = (ValueError, UnicodeDecodeError)
 
-    #: json.JSONDecodeError is a ValueError; UnicodeDecodeError covers
-    #: non-UTF-8 bodies.
-    _BODY_DECODE_ERRORS = (ValueError, UnicodeDecodeError)
-
-    WIRE_ENCODING = "json"
+#: Name of the serialisation of everything that is not fixed-width on
+#: the wire; the handshake carries it so mismatched peers fail loudly.
+WIRE_ENCODING = "json"
 
 #: Wire protocol magic bytes ("Resilient Consensus").
 MAGIC = b"RC"
 #: Wire protocol revision; bumped on any incompatible frame/body change.
-#: v2 added the per-instance tag on data frames and the batch frame.
-WIRE_VERSION = 2
-#: The single-instance wire revision of PR 4.  Encoders always emit
-#: :data:`WIRE_VERSION`; a reader constructed with ``accept_legacy=True``
-#: also decodes v1 frames (instance-less data frames map to instance 0),
-#: which keeps recorded v1 byte streams replayable in tests.
-LEGACY_WIRE_VERSION = 1
+#: v2 added the per-instance tag and the batch frame; v3 replaced the
+#: JSON data/batch/ack bodies with the fixed-width layouts above.  A
+#: reader accepts exactly this revision.
+WIRE_VERSION = 3
 #: Upper bound on one frame's body — far above any protocol message, so
 #: hitting it means a corrupt or hostile length prefix, not a big payload.
 MAX_BODY = 1 << 20
 
 _HEADER = struct.Struct(">2sBBI")
 HEADER_SIZE = _HEADER.size
+
+#: Data frame body prefix: link_seq, instance, envelope seq, sender,
+#: recipient, trace-extension length.
+_DATA_PREFIX = struct.Struct(">QQQHHH")
+#: Header and prefix of a data frame in one pack call.
+_DATA_HEAD = struct.Struct(">2sBBIQQQHHH")
+#: Ack body; signed because "nothing received yet" acks -1.
+_ACK_BODY = struct.Struct(">q")
 
 #: Frame kind bytes.
 KIND_HELLO = 1
@@ -93,9 +101,20 @@ KIND_ACK = 3
 KIND_BYE = 4
 KIND_BATCH = 5
 
-#: Kinds a v1 peer may legally emit (v1 predates batching).
-_V1_KINDS = frozenset({KIND_HELLO, KIND_DATA, KIND_ACK, KIND_BYE})
-_V2_KINDS = frozenset({KIND_HELLO, KIND_DATA, KIND_ACK, KIND_BYE, KIND_BATCH})
+_KINDS = frozenset({KIND_HELLO, KIND_DATA, KIND_ACK, KIND_BYE, KIND_BATCH})
+
+#: Most payloads one decoding reader interns before the table is cleared
+#: wholesale.  The protocols' payload space is origin × value × phase ×
+#: kind — hundreds of entries, independent of how many instances run —
+#: so honest traffic never reaches the bound; a hostile peer streaming
+#: distinct payloads can grow only its own connection's table, and only
+#: to this many entries of at most :data:`INTERN_MAX_PAYLOAD` bytes.
+INTERN_TABLE_SIZE = 4096
+#: Payloads longer than this are decoded every time instead of interned
+#: (protocol messages encode to ~55 bytes).
+INTERN_MAX_PAYLOAD = 256
+
+_MISSING = object()
 
 
 class CodecError(ReproError):
@@ -127,14 +146,13 @@ class DataFrame:
     it is transport state, distinct from the envelope's global ``seq``.
     ``instance`` names the consensus instance the envelope belongs to;
     the receiving node's demultiplexer routes it to that instance's
-    protocol core (v1 frames carry no tag and decode as instance 0).
+    protocol core.
 
     ``trace`` is the optional causal-trace extension: ``(trace_id,
     span_id, hlc_physical_us, hlc_logical)`` stamped by a traced sender
-    (see :mod:`repro.obs.spans`).  It is carried only when present and
-    only on v2 frames — encoding at v1 silently drops it and untraced
-    frames omit the body key entirely, so v1 and untraced peers
-    interoperate with traced ones unchanged.
+    (see :mod:`repro.obs.spans`).  An untraced frame carries a
+    zero-length extension and decodes with ``trace is None``, so
+    untraced peers never pay for it and interoperate with traced ones.
     """
 
     link_seq: int
@@ -173,12 +191,17 @@ Frame = Union[HelloFrame, DataFrame, BatchFrame, AckFrame, ByeFrame]
 
 
 # ---------------------------------------------------------------------- #
-# Envelope body codec
+# Envelope record codec
 # ---------------------------------------------------------------------- #
 
 
 def encode_envelope(envelope: Envelope) -> dict:
-    """JSON/msgpack-safe dict form of one transport envelope."""
+    """JSON-safe dict form of one transport envelope.
+
+    Not the wire body (data frames carry the envelope's fields in their
+    fixed-width prefix); kept for callers that log or store envelopes
+    as records.
+    """
     return {
         "sender": envelope.sender,
         "recipient": envelope.recipient,
@@ -207,115 +230,109 @@ def decode_envelope(record: Any) -> Envelope:
 # ---------------------------------------------------------------------- #
 
 
-def _data_body(frame: DataFrame, version: int) -> dict:
-    """The body mapping of one data frame for the given wire revision."""
-    body = {"ls": frame.link_seq, "env": encode_envelope(frame.envelope)}
-    if version >= 2:
-        body["inst"] = frame.instance
-        if frame.trace is not None:
-            # Optional causal-trace extension; absent on untraced frames
-            # so untraced peers never see (or pay for) the key.
-            body["tr"] = list(frame.trace)
-    elif frame.instance != 0:
-        raise CodecError(
-            f"wire v1 cannot carry instance {frame.instance}; only the "
-            "implicit instance 0 predates the multi-instance revision"
-        )
-    # v1 predates tracing: the extension is dropped, not an error, so a
-    # traced node can still speak to a recorded-v1 replay peer.
-    return body
+def encode_payload_bytes(payload: Any) -> bytes:
+    """The wire form of one payload: ``json(encode_payload(payload))``.
 
-
-def _decode_data_body(record: Any) -> DataFrame:
-    if not isinstance(record, dict):
-        raise CodecError(f"data frame body is not a mapping: {record!r}")
-    trace = record.get("tr")
-    if trace is not None:
-        if not isinstance(trace, (list, tuple)) or len(trace) != 4:
-            raise CodecError(f"malformed trace extension: {trace!r}")
-        trace = tuple(trace)
-    return DataFrame(
-        link_seq=record["ls"],
-        envelope=decode_envelope(record["env"]),
-        # v1 bodies carry no tag: everything was instance 0.
-        instance=record.get("inst", 0),
-        trace=trace,
-    )
-
-
-def encode_frame(frame: Frame, version: int = WIRE_VERSION) -> bytes:
-    """Serialise one frame, header included.
-
-    ``version`` exists for compatibility tests: passing
-    :data:`LEGACY_WIRE_VERSION` produces the v1 byte layout (no batch
-    frames, no instance tags).  Production paths always encode the
-    current revision.
+    Exposed so a sender can encode one broadcast's payload once and
+    hand the same bytes to :func:`encode_frame` for every recipient.
     """
-    if version not in (WIRE_VERSION, LEGACY_WIRE_VERSION):
-        raise CodecError(f"cannot encode wire version {version}")
-    if isinstance(frame, HelloFrame):
-        kind = KIND_HELLO
-        body: Any = {"pid": frame.pid, "n": frame.n, "enc": frame.encoding}
-    elif isinstance(frame, DataFrame):
-        kind = KIND_DATA
-        body = _data_body(frame, version)
-    elif isinstance(frame, BatchFrame):
-        if version < 2:
-            raise CodecError("wire v1 has no batch frames")
-        if not frame.frames:
-            raise CodecError("refusing to encode an empty batch frame")
-        kind = KIND_BATCH
-        body = {"fs": [_data_body(inner, version) for inner in frame.frames]}
-    elif isinstance(frame, AckFrame):
-        kind = KIND_ACK
-        body = {"acked": frame.acked}
-    elif isinstance(frame, ByeFrame):
-        kind = KIND_BYE
-        body = {}
-    else:
-        raise CodecError(f"cannot encode frame of type {type(frame).__name__}")
-    encoded = _dumps(body)
-    if len(encoded) > MAX_BODY:
-        raise CodecError(f"frame body of {len(encoded)} bytes exceeds MAX_BODY")
-    return _HEADER.pack(MAGIC, version, kind, len(encoded)) + encoded
+    return _dumps(encode_payload(payload))
 
 
-def _decode_body(kind: int, body: bytes) -> Frame:
+def _loads_wire(data: bytes, what: str) -> Any:
     try:
-        record = _loads(body)
-    except _BODY_DECODE_ERRORS as exc:
+        return _loads(data)
+    except _JSON_DECODE_ERRORS as exc:
         # Narrow on purpose: only genuine deserialisation failures are
         # codec errors.  Anything else (AttributeError, RecursionError…)
         # is a programming bug and must surface as itself.
         raise CodecError(
-            f"undecodable frame body: {body[:64]!r} "
+            f"undecodable {what}: {data[:64]!r} "
             f"({type(exc).__name__}: {exc})"
         ) from exc
-    if not isinstance(record, dict):
-        raise CodecError(f"frame body is not a mapping: {record!r}")
+
+
+def _decode_payload_bytes(data: bytes) -> Any:
+    record = _loads_wire(data, "payload")
     try:
-        if kind == KIND_HELLO:
-            return HelloFrame(
-                pid=record["pid"], n=record["n"], encoding=record["enc"]
+        return decode_payload(record)
+    except (KeyError, ReproError) as exc:
+        raise CodecError(f"malformed payload record: {record!r}") from exc
+
+
+def _encode_data(frame: DataFrame, payload: Optional[bytes] = None) -> bytes:
+    envelope = frame.envelope
+    if payload is None:
+        payload = encode_payload_bytes(envelope.payload)
+    ext = b"" if frame.trace is None else _dumps(list(frame.trace))
+    length = _DATA_PREFIX.size + len(ext) + len(payload)
+    if length > MAX_BODY:
+        raise CodecError(f"frame body of {length} bytes exceeds MAX_BODY")
+    try:
+        head = _DATA_HEAD.pack(
+            MAGIC,
+            WIRE_VERSION,
+            KIND_DATA,
+            length,
+            frame.link_seq,
+            frame.instance,
+            envelope.seq,
+            envelope.sender,
+            envelope.recipient,
+            len(ext),
+        )
+    except struct.error as exc:
+        raise CodecError(
+            f"data frame field out of range for the wire prefix: {exc}"
+        ) from exc
+    return head + ext + payload
+
+
+def _framed(kind: int, body: bytes) -> bytes:
+    if len(body) > MAX_BODY:
+        raise CodecError(f"frame body of {len(body)} bytes exceeds MAX_BODY")
+    return _HEADER.pack(MAGIC, WIRE_VERSION, kind, len(body)) + body
+
+
+def encode_frame(
+    frame: Frame,
+    payload: Optional[bytes] = None,
+    parts: Optional[Sequence[bytes]] = None,
+) -> bytes:
+    """Serialise one frame, header included.
+
+    A caller that already holds encoded pieces passes them instead of
+    having them encoded again: ``payload`` is a data frame's payload as
+    :func:`encode_payload_bytes` produced it, ``parts`` are a batch's
+    inner frames as this function produced them, one per
+    ``frame.frames`` entry and in that order.
+    """
+    if isinstance(frame, DataFrame):
+        return _encode_data(frame, payload)
+    if isinstance(frame, BatchFrame):
+        if not frame.frames:
+            raise CodecError("refusing to encode an empty batch frame")
+        if parts is None:
+            parts = [_encode_data(inner) for inner in frame.frames]
+        elif len(parts) != len(frame.frames):
+            raise CodecError(
+                f"batch of {len(frame.frames)} frames given "
+                f"{len(parts)} encoded parts"
             )
-        if kind == KIND_DATA:
-            return _decode_data_body(record)
-        if kind == KIND_BATCH:
-            inner = record["fs"]
-            if not isinstance(inner, list):
-                raise CodecError(f"malformed batch body: {record!r}")
-            if not inner:
-                raise CodecError("empty batch frame")
-            return BatchFrame(
-                frames=tuple(_decode_data_body(item) for item in inner)
-            )
-        if kind == KIND_ACK:
-            return AckFrame(acked=record["acked"])
-        if kind == KIND_BYE:
-            return ByeFrame()
-    except KeyError as exc:
-        raise CodecError(f"frame body missing field {exc}") from exc
-    raise CodecError(f"unknown frame kind {kind}")
+        return _framed(KIND_BATCH, b"".join(parts))
+    if isinstance(frame, AckFrame):
+        try:
+            return _framed(KIND_ACK, _ACK_BODY.pack(frame.acked))
+        except struct.error as exc:
+            raise CodecError(f"ack out of range: {exc}") from exc
+    if isinstance(frame, HelloFrame):
+        return _framed(
+            KIND_HELLO,
+            _dumps({"pid": frame.pid, "n": frame.n, "enc": frame.encoding}),
+        )
+    if isinstance(frame, ByeFrame):
+        return _framed(KIND_BYE, b"{}")
+    raise CodecError(f"cannot encode frame of type {type(frame).__name__}")
 
 
 def frame_kind(data: bytes) -> int:
@@ -332,19 +349,19 @@ class FrameReader:
     body is even buffered.  :meth:`finish` flags truncation: end-of-stream
     in the middle of a frame raises :class:`CodecError`.
 
-    ``accept_legacy`` additionally admits v1 frames (the single-instance
-    revision): their data frames decode with ``instance=0``.  Live
-    transports keep the default strict mode — mixed-revision clusters
-    should fail at the first frame, not limp along — the legacy path
-    exists so recorded v1 streams stay replayable in tests.
+    A decoding reader interns payloads: byte-identical payload bytes
+    decode once and later frames share the decoded message (protocol
+    messages are frozen dataclasses, so sharing is unobservable).  The
+    table belongs to the reader — one per connection — and is bounded by
+    :data:`INTERN_TABLE_SIZE`.
     """
 
-    def __init__(self, raw: bool = False, accept_legacy: bool = False) -> None:
+    def __init__(self, raw: bool = False) -> None:
         self._buffer = bytearray()
         #: raw mode yields (kind, frame_bytes) without decoding bodies —
         #: the chaos proxy forwards frames it never needs to understand.
         self._raw = raw
-        self._accept_legacy = accept_legacy
+        self._interned: dict[bytes, Any] = {}
 
     def feed(self, data: bytes) -> None:
         """Append received bytes."""
@@ -355,11 +372,7 @@ class FrameReader:
         magic, version, kind, length = _HEADER.unpack_from(self._buffer)
         if magic != MAGIC:
             raise CodecError(f"bad frame magic {bytes(magic)!r}")
-        if version == WIRE_VERSION:
-            allowed = _V2_KINDS
-        elif version == LEGACY_WIRE_VERSION and self._accept_legacy:
-            allowed = _V1_KINDS
-        else:
+        if version != WIRE_VERSION:
             raise CodecError(
                 f"wire version mismatch: peer speaks v{version}, "
                 f"this node speaks v{WIRE_VERSION}"
@@ -368,7 +381,7 @@ class FrameReader:
             raise CodecError(
                 f"frame body length {length} exceeds MAX_BODY ({MAX_BODY})"
             )
-        if kind not in allowed:
+        if kind not in _KINDS:
             raise CodecError(f"unknown frame kind {kind} for wire v{version}")
         return HEADER_SIZE + length
 
@@ -383,7 +396,7 @@ class FrameReader:
             if self._raw:
                 yield frame_kind(raw), raw
             else:
-                yield _decode_body(raw[3], raw[HEADER_SIZE:])
+                yield self._decode(raw)
 
     def finish(self) -> None:
         """Assert end-of-stream cleanliness; raises on a partial frame."""
@@ -398,16 +411,124 @@ class FrameReader:
         """Bytes buffered but not yet parsed into a complete frame."""
         return len(self._buffer)
 
+    # ------------------------------------------------------------------ #
+    # Body decoding (``raw`` is one whole frame, header already checked)
+    # ------------------------------------------------------------------ #
 
-def decode_frame_bytes(data: bytes, accept_legacy: bool = False) -> list[Frame]:
+    def _decode(self, raw: bytes) -> Frame:
+        kind = raw[3]
+        if kind == KIND_DATA:
+            return self._decode_data(raw, HEADER_SIZE, len(raw))
+        if kind == KIND_BATCH:
+            return self._decode_batch(raw)
+        if kind == KIND_ACK:
+            if len(raw) != HEADER_SIZE + _ACK_BODY.size:
+                raise CodecError(
+                    f"ack body of {len(raw) - HEADER_SIZE} bytes, "
+                    f"expected {_ACK_BODY.size}"
+                )
+            return AckFrame(acked=_ACK_BODY.unpack_from(raw, HEADER_SIZE)[0])
+        record = _loads_wire(raw[HEADER_SIZE:], "frame body")
+        if not isinstance(record, dict):
+            raise CodecError(f"frame body is not a mapping: {record!r}")
+        if kind == KIND_BYE:
+            return ByeFrame()
+        try:
+            return HelloFrame(
+                pid=record["pid"], n=record["n"], encoding=record["enc"]
+            )
+        except KeyError as exc:
+            raise CodecError(f"frame body missing field {exc}") from exc
+
+    def _decode_batch(self, raw: bytes) -> BatchFrame:
+        """Split a batch body into its inner data frames, each validated
+        like a top-level one."""
+        end = len(raw)
+        offset = HEADER_SIZE
+        if offset == end:
+            raise CodecError("empty batch frame")
+        inner: list[DataFrame] = []
+        while offset < end:
+            if end - offset < HEADER_SIZE:
+                raise CodecError(
+                    f"batch ends with {end - offset} bytes of a frame header"
+                )
+            magic, version, kind, length = _HEADER.unpack_from(raw, offset)
+            if magic != MAGIC:
+                raise CodecError(f"bad frame magic {magic!r} inside a batch")
+            if version != WIRE_VERSION:
+                raise CodecError(
+                    f"wire version mismatch inside a batch: v{version}, "
+                    f"this node speaks v{WIRE_VERSION}"
+                )
+            if kind != KIND_DATA:
+                raise CodecError(
+                    f"frame kind {kind} inside a batch; only data frames "
+                    "are batched"
+                )
+            offset += HEADER_SIZE
+            if length > end - offset:
+                raise CodecError(
+                    f"inner frame body length {length} overruns the batch "
+                    f"body ({end - offset} bytes left)"
+                )
+            inner.append(self._decode_data(raw, offset, offset + length))
+            offset += length
+        return BatchFrame(frames=tuple(inner))
+
+    def _decode_data(self, raw: bytes, start: int, end: int) -> DataFrame:
+        """Decode the data frame body occupying ``raw[start:end]``."""
+        payload_start = start + _DATA_PREFIX.size
+        if payload_start > end:
+            raise CodecError(
+                f"data frame body of {end - start} bytes is shorter than "
+                f"its {_DATA_PREFIX.size}-byte prefix"
+            )
+        link_seq, instance, seq, sender, recipient, ext_len = (
+            _DATA_PREFIX.unpack_from(raw, start)
+        )
+        trace = None
+        if ext_len:
+            ext_start = payload_start
+            payload_start += ext_len
+            if payload_start > end:
+                raise CodecError(
+                    f"trace extension of {ext_len} bytes overruns the "
+                    "data frame body"
+                )
+            trace = _loads_wire(
+                raw[ext_start:payload_start], "trace extension"
+            )
+            if not isinstance(trace, list) or len(trace) != 4:
+                raise CodecError(f"malformed trace extension: {trace!r}")
+            trace = tuple(trace)
+        payload_bytes = raw[payload_start:end]
+        interned = self._interned
+        payload = interned.get(payload_bytes, _MISSING)
+        if payload is _MISSING:
+            payload = _decode_payload_bytes(payload_bytes)
+            if len(payload_bytes) <= INTERN_MAX_PAYLOAD:
+                if len(interned) >= INTERN_TABLE_SIZE:
+                    interned.clear()
+                interned[payload_bytes] = payload
+        return DataFrame(
+            link_seq=link_seq,
+            envelope=Envelope(
+                sender=sender, recipient=recipient, payload=payload, seq=seq
+            ),
+            instance=instance,
+            trace=trace,
+        )
+
+
+def decode_frame_bytes(data: bytes) -> list[Frame]:
     """Strict one-shot decode: parse ``data`` as whole frames.
 
     Raises :class:`CodecError` on any malformation, including trailing
     partial frames — the property tests use this to assert truncation is
-    always detected.  ``accept_legacy`` admits v1 frames, as on
-    :class:`FrameReader`.
+    always detected.
     """
-    reader = FrameReader(accept_legacy=accept_legacy)
+    reader = FrameReader()
     reader.feed(data)
     frames = list(reader.frames())
     reader.finish()
@@ -422,17 +543,13 @@ def decode_frame_bytes(data: bytes, accept_legacy: bool = False) -> list[Frame]:
 def encode_canonical(obj: Any) -> bytes:
     """Canonical bytes for replicated state: snapshots and digests.
 
-    Unlike the wire body encoder (msgpack when available — fast, but
-    its dict encoding follows insertion order), canonical encoding must
-    yield byte-identical output for semantically equal values no matter
-    how they were constructed: replicas compare state machines
-    byte-for-byte, and a snapshot restored on another node must compare
-    equal to the machine that wrote it.  JSON with sorted keys, compact
-    separators, and ASCII escapes is order-independent and available
-    everywhere.
+    Canonical encoding must yield byte-identical output for semantically
+    equal values no matter how they were constructed: replicas compare
+    state machines byte-for-byte, and a snapshot restored on another
+    node must compare equal to the machine that wrote it.  JSON with
+    sorted keys, compact separators, and ASCII escapes is
+    order-independent and available everywhere.
     """
-    import json
-
     return json.dumps(
         obj, separators=(",", ":"), sort_keys=True, ensure_ascii=True
     ).encode("ascii")
@@ -444,8 +561,6 @@ def decode_canonical(blob: bytes) -> Any:
     Raises :class:`CodecError` on malformed input — a torn snapshot
     must fail restore loudly, never restore partially.
     """
-    import json
-
     try:
         return json.loads(blob.decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:

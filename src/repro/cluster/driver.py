@@ -40,6 +40,8 @@ from repro.cluster.codec import WIRE_ENCODING
 from repro.cluster.node import ClusterNode, DecisionRecord
 from repro.cluster.trace import ClusterTraceWriter
 from repro.cluster.transport import DEFAULT_TRACE_SAMPLE, Transport
+from repro.core.fail_stop import FailStopConsensus
+from repro.core.malicious import MaliciousConsensus
 from repro.errors import ConfigurationError
 from repro.harness.provenance import provenance
 from repro.obs.spans import SpanTracer
@@ -49,6 +51,7 @@ from repro.faults.byzantine import (
     EquivocatingEchoByzantine,
     SilentByzantine,
 )
+from repro.faults.crash import CrashableProcess
 from repro.harness.builders import (
     build_failstop_processes,
     build_malicious_processes,
@@ -170,6 +173,36 @@ def build_processes(spec: ClusterSpec) -> list[Process]:
         crashes=crashes,
         exit_after_decide=spec.exit_after_decide,
     )
+
+
+def build_process(spec: ClusterSpec, pid: int) -> Process:
+    """Member ``pid`` of :func:`build_processes`'s ensemble, built alone.
+
+    A node opens one protocol core per instance; building the whole
+    ensemble to keep one member made every slot cost n constructions
+    per node.  The ensemble-level checks (input shape, fault count
+    against k) are :func:`build_processes`'s, which every cluster runs
+    once for instance 0 before any factory call.
+    """
+    value = spec.effective_inputs[pid]
+    if spec.protocol == "failstop":
+        process: Process = FailStopConsensus(pid, spec.n, spec.k, value)
+    elif pid >= spec.n - spec.byzantine_count:
+        process = BYZANTINE_KINDS[spec.byzantine_kind](
+            pid, spec.n, spec.k, value
+        )
+    else:
+        process = MaliciousConsensus(
+            pid,
+            spec.n,
+            spec.k,
+            value,
+            exit_after_decide=spec.exit_after_decide,
+        )
+    crash = spec.crashes.get(pid) if spec.crashes else None
+    if crash is not None:
+        process = CrashableProcess(process, **crash)
+    return process
 
 
 # ---------------------------------------------------------------------- #
@@ -430,9 +463,8 @@ async def run_cluster(
             transport.connect(dial_addrs)
 
             def factory(instance: int, pid: int = pid) -> Process:
-                # Fresh, identically-configured ensemble per instance;
-                # each node keeps only its own pid's process.
-                return build_processes(spec)[pid]
+                # A fresh, identically-configured process per instance.
+                return build_process(spec, pid)
 
             nodes.append(
                 ClusterNode(
@@ -466,6 +498,13 @@ async def run_cluster(
             await asyncio.sleep(0.005)
         wall = monotonic() - started
         if not timed_out:
+            # This task can resume in the very loop iteration the last
+            # node decided in, when callbacks that decision scheduled
+            # for "now" (a zero-linger instance GC) are due but have not
+            # run; the shutdown below would cancel them and the metrics
+            # snapshot miss them.  Timers fire in deadline order, so
+            # any positive sleep lets every already-due one go first.
+            await asyncio.sleep(0.001)
             # The poll above only bounds *when we noticed* completion;
             # the nodes' own decide timestamps give the exact wall to
             # the final decision, free of poll-granularity quantization

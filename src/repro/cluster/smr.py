@@ -60,6 +60,7 @@ from repro.cluster.codec import (
 from repro.cluster.driver import (
     ClusterSpec,
     _write_run_manifest,
+    build_process,
     build_processes,
     check_decision_records_by_instance,
     percentile,
@@ -111,7 +112,7 @@ class Command:
             )
 
     def to_wire(self) -> dict:
-        """JSON/msgpack-ready form (also the log-entry record)."""
+        """JSON-ready form (also the log-entry record)."""
         return {
             "session": self.session,
             "request_id": self.request_id,
@@ -594,9 +595,8 @@ class SMRCluster:
             transport.connect(dial_addrs)
 
             def factory(instance: int, pid: int = pid) -> Process:
-                # Fresh unanimous-1 ensemble per slot; each node keeps
-                # only its own pid's process.
-                return build_processes(spec)[pid]
+                # A fresh unanimous-1 process per slot.
+                return build_process(spec, pid)
 
             self._nodes.append(
                 ClusterNode(

@@ -25,7 +25,7 @@ LAN) TCP:
   outage, only latency — which is precisely the paper's "arbitrarily
   slow" envelope.
 
-Two additions serve sustained multi-instance traffic:
+Three additions serve sustained multi-instance traffic:
 
 * **Batching.**  When several envelopes are queued on one link, the
   sender coalesces them into a single
@@ -33,6 +33,12 @@ Two additions serve sustained multi-instance traffic:
   ``batch_bytes``), so k concurrent consensus instances cost one
   syscall per flush instead of k.  Each inner frame keeps its own
   per-link sequence, so the go-back-n layer never sees batching.
+* **Encode once.**  Every phase of the protocols is a fan-out of one
+  message to all n processes, so :meth:`Transport.send` encodes a
+  payload once per message object and every recipient's frame splices
+  the same bytes; a frame's bytes are built once, when its link
+  assigns the sequence number, and those bytes are what the batch
+  write and any retransmission send.
 * **Bounded queues.**  Per-peer outbound queues carry a configurable
   high-water mark (``queue_high_water``).  Crossing it is logged once
   per transport and exported as a gauge; with ``backpressure=True``,
@@ -62,6 +68,7 @@ from repro.cluster.codec import (
     FrameReader,
     HelloFrame,
     encode_frame,
+    encode_payload_bytes,
 )
 from repro.errors import ConfigurationError, TransportOverloadedError
 from repro.net.message import Envelope
@@ -85,6 +92,10 @@ NO_ENQUEUE_TS = 0.0
 #: and backpressure events are exact regardless; ``1`` records every
 #: message.
 DEFAULT_TRACE_SAMPLE = 64
+
+#: Initial value of the payload-encode memo: no payload is this object
+#: (``None`` is a legal payload).
+_NO_PAYLOAD = object()
 
 
 def backoff_delay(
@@ -138,7 +149,7 @@ class _PeerLink:
             self._run(), name=f"link-{self.transport.pid}->{self.peer}"
         )
 
-    def send(self, instance: int, envelope: Envelope) -> None:
+    def send(self, instance: int, envelope: Envelope, payload: bytes) -> None:
         transport = self.transport
         high_water = transport.queue_high_water
         if high_water is not None and self.backlog >= high_water:
@@ -163,7 +174,7 @@ class _PeerLink:
                     f"{producer_backlog} at its high-water mark "
                     f"({high_water})"
                 )
-        self.pending.put_nowait((instance, envelope))
+        self.pending.put_nowait((instance, envelope, payload))
 
     @property
     def backlog(self) -> int:
@@ -251,7 +262,7 @@ class _PeerLink:
         try:
             while not self._closed:
                 try:
-                    instance, envelope = await asyncio.wait_for(
+                    instance, envelope, payload = await asyncio.wait_for(
                         self.pending.get(),
                         timeout=transport.retransmit_interval,
                     )
@@ -273,6 +284,7 @@ class _PeerLink:
                 # write, stopping at the soft byte cap: k concurrent
                 # instances flush with one syscall, not k.
                 batch: list[DataFrame] = []
+                parts: list[bytes] = []
                 batch_bytes = 0
                 tracer = transport.tracer
                 sample = transport.trace_sample
@@ -301,8 +313,9 @@ class _PeerLink:
                         instance=instance,
                         trace=ext,
                     )
-                    frame_bytes = encode_frame(frame)
+                    frame_bytes = encode_frame(frame, payload)
                     batch.append(frame)
+                    parts.append(frame_bytes)
                     batch_bytes += len(frame_bytes)
                     self.unacked.append((self.next_seq, frame_bytes))
                     self.next_seq += 1
@@ -340,7 +353,9 @@ class _PeerLink:
                     ):
                         break
                     try:
-                        instance, envelope = self.pending.get_nowait()
+                        instance, envelope, payload = (
+                            self.pending.get_nowait()
+                        )
                     except asyncio.QueueEmpty:
                         break
                 self._stamp_count = stamp_count
@@ -349,9 +364,15 @@ class _PeerLink:
                     "cluster.transport.queue_depth", self.backlog
                 )
                 if len(batch) == 1:
-                    writer.write(self.unacked[-1][1])
+                    writer.write(parts[0])
                 else:
-                    writer.write(encode_frame(BatchFrame(frames=tuple(batch))))
+                    # The batch body is the frames just encoded, joined:
+                    # what retransmission keeps is what was written.
+                    writer.write(
+                        encode_frame(
+                            BatchFrame(frames=tuple(batch)), parts=parts
+                        )
+                    )
                     transport._inc("cluster.transport.batches")
                     transport._inc(
                         "cluster.transport.batched_frames", len(batch)
@@ -478,6 +499,13 @@ class Transport:
         #: peer's reconnects, which is what makes dedup work.
         self._rx_expected: dict[int, int] = {}
         self._serving_connections: set[asyncio.Task] = set()
+        #: One-entry payload-encode memo, keyed on *identity*: the n−1
+        #: remote sends of one broadcast carry the same message object
+        #: and share one encoding.  Holding the reference keeps its id
+        #: from being reused; an equivocating sender's per-recipient
+        #: payloads are distinct objects and miss.
+        self._memo_payload: Any = _NO_PAYLOAD
+        self._memo_bytes = b""
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -540,6 +568,9 @@ class Transport:
         The envelope's ``sender`` must be this node — the transport
         refuses to originate traffic on behalf of another identity.
         ``instance`` tags the frame for the receiver's demultiplexer.
+        The payload is encoded here, not when the link gets round to
+        writing it: the wire carries the message as of the atomic step
+        that sent it.
 
         Raises:
             TransportOverloadedError: the recipient link's backlog is at
@@ -555,7 +586,11 @@ class Transport:
             raise ConfigurationError(
                 f"no link from {self.pid} to peer {envelope.recipient}"
             )
-        link.send(instance, envelope)
+        payload = envelope.payload
+        if payload is not self._memo_payload:
+            self._memo_bytes = encode_payload_bytes(payload)
+            self._memo_payload = payload
+        link.send(instance, envelope, self._memo_bytes)
 
     def backlog(self) -> int:
         """Total frames queued or unacknowledged across all links."""

@@ -7,16 +7,17 @@ length prefixes) with :class:`CodecError` rather than garbled frames.
 """
 
 import random
+import struct
 
 import pytest
 
+import repro.cluster.codec as codec_module
 from repro.cluster.codec import (
     HEADER_SIZE,
     KIND_ACK,
     KIND_BATCH,
     KIND_DATA,
     KIND_HELLO,
-    LEGACY_WIRE_VERSION,
     MAGIC,
     MAX_BODY,
     WIRE_VERSION,
@@ -31,6 +32,7 @@ from repro.cluster.codec import (
     decode_frame_bytes,
     encode_envelope,
     encode_frame,
+    encode_payload_bytes,
     frame_kind,
 )
 from repro.core.messages import (
@@ -41,6 +43,7 @@ from repro.core.messages import (
     SimpleMessage,
 )
 from repro.net.message import Envelope
+from repro.obs.sinks import OpaquePayload
 
 pytestmark = pytest.mark.cluster
 
@@ -181,16 +184,78 @@ class TestInstanceTagging:
         assert decoded.instance == 0
 
 
+def header(kind: int, length: int, version: int = WIRE_VERSION) -> bytes:
+    """A hand-packed frame header."""
+    return struct.pack(">2sBBI", MAGIC, version, kind, length)
+
+
+#: One instance of every payload kind the protocols (or a trace of an
+#: unknown type) can put on the wire.
+PAYLOAD_KINDS = [
+    FailStopMessage(phaseno=3, value=1, cardinality=5),
+    InitialMessage(origin=2, value=0, phaseno=7),
+    InitialMessage(origin=2, value=1, phaseno=STAR),
+    EchoMessage(origin=4, value=1, phaseno=0),
+    EchoMessage(origin=4, value=0, phaseno=STAR),
+    SimpleMessage(phaseno=9, value=1),
+    None,
+    True,
+    17,
+    2.5,
+    "φ",
+    OpaquePayload(type_name="Mystery", text="Mystery(x=1)"),
+]
+
+
+class TestPayloadKinds:
+    @pytest.mark.parametrize(
+        "trace", [None, ("r-i4", "0:12", 1_700_000_000_000_000, 3)]
+    )
+    @pytest.mark.parametrize("payload", PAYLOAD_KINDS, ids=repr)
+    def test_every_payload_kind_round_trips(self, payload, trace):
+        frame = DataFrame(
+            link_seq=8,
+            envelope=Envelope(sender=1, recipient=2, payload=payload, seq=44),
+            instance=4,
+            trace=trace,
+        )
+        for blob in (encode_frame(frame), encode_frame(BatchFrame((frame,)))):
+            (decoded,) = decode_frame_bytes(blob)
+            if isinstance(decoded, BatchFrame):
+                (decoded,) = decoded.frames
+            assert decoded == frame
+            assert type(decoded.envelope.payload) is type(payload)
+            if getattr(payload, "phaseno", None) is STAR:
+                assert decoded.envelope.payload.phaseno is STAR
+
+    def test_payload_bytes_are_the_trace_payload_codec(self):
+        """The wire payload is exactly json(encode_payload(...)), and a
+        caller may hand it to encode_frame instead of the frame encoding
+        it again."""
+        import json
+
+        from repro.obs.sinks import encode_payload
+
+        for payload in PAYLOAD_KINDS:
+            encoded = encode_payload_bytes(payload)
+            assert json.loads(encoded) == encode_payload(payload)
+            frame = DataFrame(
+                link_seq=0, envelope=Envelope(0, 1, payload, seq=1)
+            )
+            assert encode_frame(frame, encoded) == encode_frame(frame)
+            assert encode_frame(frame).endswith(encoded)
+
+
 class TestBatchFrames:
+    def batch(self, rng: random.Random, count: int) -> BatchFrame:
+        return BatchFrame(
+            frames=tuple(random_data_frame(rng, seq) for seq in range(count))
+        )
+
     def test_batch_round_trips_under_arbitrary_chunking(self):
         rng = random.Random(13)
         for _ in range(20):
-            batch = BatchFrame(
-                frames=tuple(
-                    random_data_frame(rng, seq)
-                    for seq in range(rng.randrange(1, 10))
-                )
-            )
+            batch = self.batch(rng, rng.randrange(1, 10))
             blob = encode_frame(batch)
             reader = FrameReader()
             decoded = []
@@ -203,101 +268,197 @@ class TestBatchFrames:
             reader.finish()
             assert decoded == [batch]
 
-    def test_every_batch_truncation_is_detected(self):
-        rng = random.Random(14)
-        batch = BatchFrame(
-            frames=tuple(random_data_frame(rng, seq) for seq in range(3))
-        )
+    def test_batch_body_is_the_concatenated_data_frames(self):
+        batch = self.batch(random.Random(19), 4)
+        parts = [encode_frame(inner) for inner in batch.frames]
         blob = encode_frame(batch)
+        assert blob[HEADER_SIZE:] == b"".join(parts)
+        # Handing the parts over yields the same bytes without
+        # encoding any inner frame again.
+        assert encode_frame(batch, parts=parts) == blob
+        with pytest.raises(CodecError, match="parts"):
+            encode_frame(batch, parts=parts[:-1])
+
+    def test_raw_reader_yields_a_batch_as_one_unit(self):
+        """The chaos proxy drops or delays a batch whole: a raw reader
+        must not split the concatenated body into its inner frames."""
+        batch = self.batch(random.Random(20), 5)
+        blob = encode_frame(batch)
+        reader = FrameReader(raw=True)
+        reader.feed(blob + encode_frame(AckFrame(acked=4)))
+        assert list(reader.frames()) == [
+            (KIND_BATCH, blob),
+            (KIND_ACK, encode_frame(AckFrame(acked=4))),
+        ]
+
+    def test_every_batch_truncation_is_detected(self):
+        blob = encode_frame(self.batch(random.Random(14), 3))
         for cut in range(1, len(blob)):
             with pytest.raises(CodecError):
                 decode_frame_bytes(blob[:cut])
+
+    def test_batch_body_cut_short_inside_its_declared_length_rejected(self):
+        """A batch whose own header is consistent but whose body ends
+        inside an inner frame (at every offset) is rejected, not
+        mis-split; ending between inner frames is a shorter batch."""
+        batch = self.batch(random.Random(21), 3)
+        body = encode_frame(batch)[HEADER_SIZE:]
+        boundaries = {}  # body offset where inner frame #count ends
+        offset = 0
+        for count, inner in enumerate(batch.frames, start=1):
+            offset += len(encode_frame(inner))
+            boundaries[offset] = count
+        for cut in range(1, len(body) + 1):
+            blob = header(KIND_BATCH, cut) + body[:cut]
+            if cut in boundaries:
+                (decoded,) = decode_frame_bytes(blob)
+                assert decoded.frames == batch.frames[: boundaries[cut]]
+            else:
+                with pytest.raises(CodecError):
+                    decode_frame_bytes(blob)
 
     def test_empty_batch_rejected_on_encode(self):
         with pytest.raises(CodecError, match="empty"):
             encode_frame(BatchFrame(frames=()))
 
     def test_empty_batch_rejected_on_decode(self):
-        import struct
-
-        import json
-
-        body = json.dumps({"fs": []}).encode()
-        blob = (
-            struct.pack(
-                ">2sBBI", MAGIC, WIRE_VERSION, KIND_BATCH, len(body)
-            )
-            + body
-        )
         with pytest.raises(CodecError, match="empty"):
-            decode_frame_bytes(blob)
+            decode_frame_bytes(header(KIND_BATCH, 0))
+
+    def inner_and_tail(self):
+        rng = random.Random(22)
+        good = encode_frame(random_data_frame(rng, 0))
+        return bytearray(encode_frame(random_data_frame(rng, 1))), good
+
+    def wrap(self, *parts: bytes) -> bytes:
+        body = b"".join(parts)
+        return header(KIND_BATCH, len(body)) + body
+
+    def test_inner_frame_with_wrong_magic_rejected(self):
+        inner, good = self.inner_and_tail()
+        inner[0:2] = b"ZZ"
+        with pytest.raises(CodecError, match="magic"):
+            decode_frame_bytes(self.wrap(good, bytes(inner)))
+
+    def test_inner_frame_of_another_version_rejected(self):
+        for version in (WIRE_VERSION - 1, WIRE_VERSION + 1):
+            inner, good = self.inner_and_tail()
+            inner[2] = version
+            with pytest.raises(CodecError, match="version mismatch"):
+                decode_frame_bytes(self.wrap(good, bytes(inner)))
+
+    def test_inner_frame_of_non_data_kind_rejected(self):
+        ack = encode_frame(AckFrame(acked=1))
+        nested = encode_frame(self.batch(random.Random(23), 1))
+        _inner, good = self.inner_and_tail()
+        for other in (ack, nested, encode_frame(ByeFrame())):
+            with pytest.raises(CodecError, match="kind"):
+                decode_frame_bytes(self.wrap(good, other))
+
+    def test_inner_length_overrunning_the_batch_rejected(self):
+        inner, good = self.inner_and_tail()
+        length = struct.unpack_from(">I", inner, 4)[0]
+        struct.pack_into(">I", inner, 4, length + 1)
+        with pytest.raises(CodecError, match="overruns"):
+            decode_frame_bytes(self.wrap(good, bytes(inner)))
+
+    def test_assembled_batch_over_max_body_rejected(self):
+        """MAX_BODY holds for the assembled batch, not just its parts."""
+        payload = encode_payload_bytes("x" * (MAX_BODY // 2))
+        frame = DataFrame(link_seq=0, envelope=Envelope(0, 1, None, seq=0))
+        part = encode_frame(frame, payload)
+        with pytest.raises(CodecError, match="MAX_BODY"):
+            encode_frame(BatchFrame((frame, frame)), parts=[part, part])
 
 
 class TestLegacyWireVersion:
-    """v2 readers keep a gated decode path for v1 frames."""
-
-    def v1_data_blob(self, rng: random.Random) -> bytes:
-        return encode_frame(
-            DataFrame(link_seq=5, envelope=random_envelope(rng)),
-            version=LEGACY_WIRE_VERSION,
-        )
+    """There is one wire revision: older ones are refused outright."""
 
     def test_v1_frames_rejected_by_default(self):
-        blob = self.v1_data_blob(random.Random(15))
-        with pytest.raises(CodecError, match="version mismatch"):
-            decode_frame_bytes(blob)
-
-    def test_v1_frames_decode_when_legacy_accepted(self):
-        rng = random.Random(16)
-        envelope = random_envelope(rng)
         blob = encode_frame(
-            DataFrame(link_seq=5, envelope=envelope),
-            version=LEGACY_WIRE_VERSION,
+            DataFrame(link_seq=5, envelope=random_envelope(random.Random(15)))
         )
-        (decoded,) = decode_frame_bytes(blob, accept_legacy=True)
-        assert decoded.envelope == envelope
-        # v1 bodies carried no tag: everything was instance 0.
-        assert decoded.instance == 0
+        for version in range(WIRE_VERSION):
+            old = bytearray(blob)
+            old[2] = version
+            with pytest.raises(CodecError, match="version mismatch"):
+                decode_frame_bytes(bytes(old))
 
-    def test_v1_encoder_refuses_instances_and_batches(self):
-        rng = random.Random(17)
-        with pytest.raises(CodecError):
-            encode_frame(
-                DataFrame(
-                    link_seq=0, envelope=random_envelope(rng), instance=3
-                ),
-                version=LEGACY_WIRE_VERSION,
+
+class TestInterning:
+    """A decoding reader parses byte-identical payloads once."""
+
+    def echo_frames(self, count: int, recipient: int = 1):
+        message = EchoMessage(origin=2, value=1, phaseno=4)
+        return [
+            DataFrame(
+                link_seq=seq,
+                envelope=Envelope(0, recipient, message, seq=100 + seq),
+                instance=seq,
             )
-        with pytest.raises(CodecError):
-            encode_frame(
-                BatchFrame(frames=(random_data_frame(rng, 0),)),
-                version=LEGACY_WIRE_VERSION,
-            )
+            for seq in range(count)
+        ]
 
-    def test_batch_kind_is_unknown_to_v1(self):
-        """A v1 header carrying the batch kind is rejected even with
-        the legacy gate open — batches never existed at v1."""
-        import struct
-
-        import json
-
-        body = json.dumps({"fs": []}).encode()
-        blob = (
-            struct.pack(
-                ">2sBBI", MAGIC, LEGACY_WIRE_VERSION, KIND_BATCH, len(body)
-            )
-            + body
+    def test_identical_payload_bytes_share_one_decoded_message(self, monkeypatch):
+        decodes = []
+        real = codec_module.decode_payload
+        monkeypatch.setattr(
+            codec_module,
+            "decode_payload",
+            lambda record: decodes.append(record) or real(record),
         )
-        with pytest.raises(CodecError, match="kind"):
-            decode_frame_bytes(blob, accept_legacy=True)
+        frames = self.echo_frames(6)
+        reader = FrameReader()
+        reader.feed(encode_frame(frames[0]))
+        reader.feed(encode_frame(BatchFrame(tuple(frames[1:]))))
+        first, batch = reader.frames()
+        decoded = [first, *batch.frames]
+        assert decoded == frames
+        assert len(decodes) == 1
+        assert all(
+            frame.envelope.payload is first.envelope.payload
+            for frame in decoded
+        )
 
-    def test_unknown_version_rejected_on_encode(self):
-        rng = random.Random(18)
-        with pytest.raises(CodecError, match="version"):
-            encode_frame(
-                DataFrame(link_seq=0, envelope=random_envelope(rng)),
-                version=3,
+    def test_tables_are_per_reader(self):
+        blob = encode_frame(self.echo_frames(1)[0])
+        one, other = FrameReader(), FrameReader()
+        one.feed(blob)
+        list(one.frames())
+        assert len(one._interned) == 1
+        assert other._interned == {}
+
+    def test_table_is_cleared_wholesale_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(codec_module, "INTERN_TABLE_SIZE", 8)
+        reader = FrameReader()
+        for tag in range(100):
+            reader.feed(
+                encode_frame(
+                    DataFrame(link_seq=tag, envelope=Envelope(0, 1, tag, seq=tag))
+                )
             )
+            (decoded,) = reader.frames()
+            assert decoded.envelope.payload == tag
+            assert len(reader._interned) <= 8
+
+    def test_oversized_payloads_are_not_interned(self):
+        big = "x" * (codec_module.INTERN_MAX_PAYLOAD + 1)
+        reader = FrameReader()
+        reader.feed(
+            encode_frame(DataFrame(link_seq=0, envelope=Envelope(0, 1, big)))
+        )
+        (decoded,) = reader.frames()
+        assert decoded.envelope.payload == big
+        assert reader._interned == {}
+
+    def test_rejected_payloads_are_not_interned(self):
+        frame = DataFrame(link_seq=0, envelope=Envelope(0, 1, None, seq=0))
+        reader = FrameReader()
+        for _ in range(2):
+            reader.feed(encode_frame(frame, b'{"kind":"NoSuchMessage"}'))
+            with pytest.raises(CodecError, match="payload"):
+                list(reader.frames())
+        assert reader._interned == {}
 
 
 class TestRejection:
@@ -338,39 +499,105 @@ class TestRejection:
             decode_frame_bytes(bytes(blob))
 
     def test_hostile_length_prefix_rejected_before_buffering(self):
-        import struct
-
-        header = struct.pack(">2sBBI", MAGIC, WIRE_VERSION, KIND_DATA, MAX_BODY + 1)
         reader = FrameReader()
-        reader.feed(header)
+        reader.feed(header(KIND_DATA, MAX_BODY + 1))
         with pytest.raises(CodecError, match="MAX_BODY"):
             list(reader.frames())
 
     def test_undecodable_body_rejected_with_reason(self):
-        import struct
-
-        body = b"\xff\xfe\xfd"
-        blob = (
-            struct.pack(">2sBBI", MAGIC, WIRE_VERSION, KIND_ACK, len(body))
-            + body
-        )
         # Regression: the old blanket `except Exception` produced a bare
         # "undecodable" message; the narrowed handler names the cause.
-        with pytest.raises(CodecError, match="Error"):
-            decode_frame_bytes(blob)
+        # Every JSON part of the wire goes through it: a hello body, a
+        # data frame's payload, and its trace extension.
+        junk = b"\xff\xfe\xfd"
+        prefix = struct.pack(">QQQHHH", 0, 0, 0, 0, 1, 0)
+        traced = struct.pack(">QQQHHH", 0, 0, 0, 0, 1, len(junk))
+        for kind, body in (
+            (KIND_HELLO, junk),
+            (KIND_DATA, prefix + junk),
+            (KIND_DATA, traced + junk + encode_payload_bytes(None)),
+        ):
+            with pytest.raises(CodecError, match="UnicodeDecodeError"):
+                decode_frame_bytes(header(kind, len(body)) + body)
+        with pytest.raises(CodecError, match="JSONDecodeError"):
+            decode_frame_bytes(header(KIND_DATA, len(prefix) + 1) + prefix + b"{")
+
+    def test_malformed_fixed_width_bodies_rejected(self):
+        prefix = struct.pack(">QQQHHH", 0, 0, 0, 0, 1, 0)
+        payload = encode_payload_bytes(None)
+        for kind, body, reason in (
+            (KIND_ACK, b"\x00" * 7, "ack body"),
+            (KIND_ACK, b"\x00" * 9, "ack body"),
+            (KIND_DATA, prefix[:-1], "prefix"),
+            # The extension claims more bytes than the body has left.
+            (KIND_DATA, prefix[:-2] + b"\x00\x40" + payload, "overruns"),
+        ):
+            with pytest.raises(CodecError, match=reason):
+                decode_frame_bytes(header(kind, len(body)) + body)
+
+    def test_malformed_trace_extension_rejected(self):
+        payload = encode_payload_bytes(None)
+        for ext in (b'["r",1,2]', b'{"a":1}', b"7"):
+            body = struct.pack(">QQQHHH", 0, 0, 0, 0, 1, len(ext)) + ext + payload
+            with pytest.raises(CodecError, match="trace extension"):
+                decode_frame_bytes(header(KIND_DATA, len(body)) + body)
+
+    def test_out_of_range_prefix_fields_raise_codec_error(self):
+        """The prefix is fixed-width: a field that does not fit is a
+        CodecError from encode_frame, never a bare struct.error."""
+        def frame(link_seq=0, instance=0, sender=0, recipient=1, seq=0):
+            return DataFrame(
+                link_seq=link_seq,
+                envelope=Envelope(sender, recipient, None, seq=seq),
+                instance=instance,
+            )
+
+        for bad in (
+            frame(link_seq=-1),
+            frame(link_seq=1 << 64),
+            frame(instance=-1),
+            frame(instance=1 << 64),
+            frame(seq=-1),
+            frame(sender=1 << 16),
+            frame(recipient=-1),
+            frame(recipient=1 << 16),
+            frame(sender="0"),
+        ):
+            with pytest.raises(CodecError, match="out of range"):
+                encode_frame(bad)
+            with pytest.raises(CodecError, match="out of range"):
+                encode_frame(BatchFrame((frame(), bad)))
+        with pytest.raises(CodecError, match="out of range"):
+            encode_frame(AckFrame(acked=1 << 63))
+        # The extremes that do fit round-trip.
+        edge = frame(
+            link_seq=(1 << 64) - 1,
+            instance=(1 << 64) - 1,
+            seq=(1 << 64) - 1,
+            sender=(1 << 16) - 1,
+            recipient=(1 << 16) - 1,
+        )
+        assert decode_frame_bytes(encode_frame(edge)) == [edge]
+        for acked in (-1, (1 << 63) - 1):
+            ack = AckFrame(acked=acked)
+            assert decode_frame_bytes(encode_frame(ack)) == [ack]
 
     def test_non_decode_errors_propagate_as_themselves(self, monkeypatch):
-        # Regression for the blanket `except Exception` in _decode_body:
-        # a programming bug inside deserialisation must surface as
-        # itself, never be laundered into a CodecError.
-        import repro.cluster.codec as codec_module
-
+        # Regression for the blanket `except Exception` the body decoder
+        # once had: a programming bug inside deserialisation must
+        # surface as itself, never be laundered into a CodecError.
         def buggy_loads(data):
             raise AttributeError("harness bug, not a wire problem")
 
+        blobs = (
+            self.encoded(),
+            encode_frame(BatchFrame(decode_frame_bytes(self.encoded()))),
+            encode_frame(HelloFrame(pid=0, n=4)),
+        )
         monkeypatch.setattr(codec_module, "_loads", buggy_loads)
-        with pytest.raises(AttributeError, match="harness bug"):
-            decode_frame_bytes(self.encoded())
+        for blob in blobs:
+            with pytest.raises(AttributeError, match="harness bug"):
+                decode_frame_bytes(blob)
 
     def test_header_size_is_stable(self):
         # The chaos proxy and transports index into raw frames; the

@@ -1,11 +1,14 @@
 """Node-actor and driver tests: loopback clusters and record oracles."""
 
 import asyncio
+import pickle
 
 import pytest
 
 from repro.cluster.driver import (
     ClusterSpec,
+    build_process,
+    build_processes,
     check_decision_records,
     check_decision_records_by_instance,
     percentile,
@@ -172,6 +175,54 @@ class TestClusterSpecValidation:
     def test_byzantine_pids_are_highest(self):
         spec = ClusterSpec(n=5, k=1, byzantine_count=1)
         assert spec.byzantine_pids == (4,)
+
+
+class TestBuildProcess:
+    """A node's per-instance factory builds one member, not the whole
+    ensemble; the member must be the one the ensemble would contain."""
+
+    SPECS = [
+        ClusterSpec(
+            n=4, k=1, protocol="failstop", inputs="1011",
+            crashes={2: {"crash_at_step": 1, "keep_sends": 2}},
+        ),
+        ClusterSpec(n=4, k=1),
+        ClusterSpec(
+            n=7, k=2, inputs=[1, 0, 1, 0, 1, 0, 1], byzantine_count=2,
+            byzantine_kind="equivocating", exit_after_decide=True,
+        ),
+        ClusterSpec(n=4, k=1, byzantine_count=1, byzantine_kind="silent"),
+        ClusterSpec(n=4, k=1, crashes={0: {"crash_at_phase": 1}}),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=range(len(SPECS)))
+    def test_single_member_equals_the_ensemble_member(self, spec):
+        ensemble = build_processes(spec)
+        for pid in range(spec.n):
+            alone = build_process(spec, pid)
+            assert type(alone) is type(ensemble[pid])
+            assert alone.pid == pid
+            # Same class, same constructor inputs: identical state.
+            assert pickle.dumps(alone) == pickle.dumps(ensemble[pid])
+
+    def test_factory_builds_only_the_requested_process(self, monkeypatch):
+        import repro.cluster.driver as driver_module
+
+        built = []
+        real = driver_module.MaliciousConsensus
+
+        def counting(pid, *args, **kwargs):
+            built.append(pid)
+            return real(pid, *args, **kwargs)
+
+        monkeypatch.setattr(driver_module, "MaliciousConsensus", counting)
+        report = run_cluster_sync(
+            ClusterSpec(n=4, k=1, instances=3, seed=5), timeout=60
+        )
+        assert report.ok, report.problems
+        # Instance 0 comes from build_processes; every later instance
+        # costs each node exactly one construction, its own.
+        assert sorted(built) == [0, 0, 1, 1, 2, 2, 3, 3]
 
 
 class TestClusterNodeValidation:

@@ -9,12 +9,13 @@ are pure unit tests.
 import asyncio
 import json
 import os
+import struct
 
 import pytest
 
 from repro.cluster.chaos import ChaosConfig
 from repro.cluster.codec import (
-    LEGACY_WIRE_VERSION,
+    HEADER_SIZE,
     DataFrame,
     decode_frame_bytes,
     encode_frame,
@@ -146,21 +147,32 @@ class TestTraceExtensionInterop:
         )
 
     def test_v2_round_trips_the_trace_extension(self):
+        # The extension arrived with wire v2 and survives v3 unchanged.
         decoded, = decode_frame_bytes(encode_frame(self.frame()))
         assert decoded.trace == ("r-i0", "0:1", 123456, 0)
 
-    def test_v1_encoding_silently_drops_the_extension(self):
-        blob = encode_frame(self.frame(), version=LEGACY_WIRE_VERSION)
-        decoded, = decode_frame_bytes(blob, accept_legacy=True)
+    def test_untraced_frame_carries_a_zero_length_extension(self):
+        """Untraced and traced peers interoperate: the prefix always has
+        the extension-length field, an untraced frame sets it to 0 and
+        decodes with ``trace is None``."""
+        frame = DataFrame(link_seq=3, envelope=self.frame().envelope)
+        blob = encode_frame(frame)
+        ext_len = struct.unpack_from(">H", blob, HEADER_SIZE + 28)[0]
+        assert ext_len == 0
+        decoded, = decode_frame_bytes(blob)
         assert decoded.trace is None
         assert decoded.link_seq == 3
 
     def test_untraced_v2_body_carries_no_trace_key(self):
-        frame = DataFrame(link_seq=0, envelope=self.frame().envelope)
-        blob = encode_frame(frame)
-        assert b'"tr"' not in blob
-        decoded, = decode_frame_bytes(blob)
-        assert decoded.trace is None
+        # Untraced frames pay no bytes for tracing: the traced encoding
+        # of the same frame is longer by exactly the extension.
+        untraced = encode_frame(
+            DataFrame(link_seq=3, envelope=self.frame().envelope)
+        )
+        traced = encode_frame(self.frame())
+        extension = b'["r-i0","0:1",123456,0]'
+        assert extension in traced and b"r-i0" not in untraced
+        assert len(traced) - len(untraced) == len(extension)
 
 
 @pytest.mark.cluster

@@ -10,14 +10,23 @@ import random
 
 import pytest
 
+import repro.cluster.codec as codec_module
+import repro.cluster.transport as transport_module
 from repro.cluster.chaos import ChaosConfig, ChaosProxy
 from repro.cluster.codec import (
+    HEADER_SIZE,
+    KIND_BATCH,
+    KIND_DATA,
+    BatchFrame,
     DataFrame,
+    FrameReader,
     HelloFrame,
+    decode_frame_bytes,
     encode_frame,
+    encode_payload_bytes,
 )
 from repro.cluster.transport import Transport, backoff_delay
-from repro.core.messages import SimpleMessage
+from repro.core.messages import EchoMessage, SimpleMessage
 from repro.errors import ConfigurationError
 from repro.net.message import Envelope
 from repro.obs.metrics import MetricsRegistry
@@ -391,6 +400,287 @@ class TestBatching:
         # A 1-byte cap is crossed by the very first frame, so no batch
         # ever coalesces a second one.
         assert snapshot.counters.get("cluster.transport.batches", 0) == 0
+
+
+async def mesh(n: int, **kwargs) -> list[Transport]:
+    """n fully connected transports on ephemeral loopback ports."""
+    transports = [Transport(pid, n, seed=pid, **kwargs) for pid in range(n)]
+    peers = {t.pid: await t.serve() for t in transports}
+    for transport in transports:
+        transport.connect(peers)
+    return transports
+
+
+async def close_all(transports) -> None:
+    for transport in transports:
+        await transport.close()
+
+
+class TestEncodeOncePerBroadcast:
+    """Transport.send encodes a payload once per *object*: shared by
+    the sends of one broadcast, never across different messages."""
+
+    def counted_encoder(self, monkeypatch) -> list:
+        encoded = []
+
+        def counting(payload):
+            encoded.append(payload)
+            return encode_payload_bytes(payload)
+
+        monkeypatch.setattr(transport_module, "encode_payload_bytes", counting)
+        return encoded
+
+    def test_broadcast_encodes_its_payload_once(self, monkeypatch):
+        encoded = self.counted_encoder(monkeypatch)
+
+        async def scenario():
+            transports = await mesh(5)
+            try:
+                received = []
+                for phase in range(3):
+                    message = EchoMessage(origin=0, value=1, phaseno=phase)
+                    for recipient in range(1, 5):
+                        transports[0].send(
+                            Envelope(0, recipient, message), instance=phase
+                        )
+                for recipient in range(1, 5):
+                    received.append(await drain(transports[recipient], 3))
+                return received
+            finally:
+                await close_all(transports)
+
+        received = asyncio.run(scenario())
+        # Three broadcasts of n−1 = 4 sends each: three encodes.
+        assert [message.phaseno for message in encoded] == [0, 1, 2]
+        for items in received:
+            assert [env.payload.phaseno for env in envelopes(items)] == [0, 1, 2]
+            assert [instance for instance, _env, _ts in items] == [0, 1, 2]
+
+    def test_equivocating_sender_delivers_each_recipient_its_own_payload(
+        self, monkeypatch
+    ):
+        """One step pushing a different payload to every recipient —
+        the equivocating Byzantine's move — must never be served another
+        recipient's bytes from the memo, including when the payloads
+        compare equal or one object comes round again."""
+        encoded = self.counted_encoder(monkeypatch)
+        zero = EchoMessage(origin=0, value=0, phaseno=1)
+        one = EchoMessage(origin=0, value=1, phaseno=1)
+        twin = EchoMessage(origin=0, value=0, phaseno=1)  # == zero
+        assert twin == zero and twin is not zero
+        step = [(1, zero), (2, one), (3, zero), (1, twin), (2, zero), (3, one)]
+
+        async def scenario():
+            transports = await mesh(4)
+            try:
+                for recipient, message in step:
+                    transports[0].send(Envelope(0, recipient, message))
+                return [await drain(transports[r], 2) for r in (1, 2, 3)]
+            finally:
+                await close_all(transports)
+
+        received = asyncio.run(scenario())
+        for recipient, items in zip((1, 2, 3), received):
+            assert [env.payload for env in envelopes(items)] == [
+                message for to, message in step if to == recipient
+            ]
+        # No two consecutive sends shared an object, so none shared bytes.
+        assert len(encoded) == len(step)
+        assert all(
+            sent is message for sent, (_to, message) in zip(encoded, step)
+        )
+
+
+def data_bytes(units) -> bytes:
+    """The data frames inside raw ``(kind, bytes)`` wire units, back to
+    back: a single as written, a batch without its own header."""
+    return b"".join(
+        raw[HEADER_SIZE:] if kind == KIND_BATCH else raw
+        for kind, raw in units
+        if kind in (KIND_DATA, KIND_BATCH)
+    )
+
+
+def data_frame_count(units) -> int:
+    return len(decode_frame_bytes(data_bytes(units))) if units else 0
+
+
+class TestBytesWrittenOnce:
+    def test_batch_on_the_wire_is_one_raw_unit_of_concatenated_frames(self):
+        """What a transport writes for a backlog is one batch unit to a
+        raw reader (the chaos proxy's view), whose body is exactly the
+        data frames it would have written singly."""
+        COUNT = 40
+
+        async def scenario():
+            units = []
+            done = asyncio.Event()
+
+            async def peer(reader, writer):
+                frames = FrameReader(raw=True)
+                while data_frame_count(units) < COUNT:
+                    chunk = await reader.read(65536)
+                    if not chunk:
+                        break
+                    frames.feed(chunk)
+                    units.extend(frames.frames())
+                done.set()
+                writer.close()
+
+            server = await asyncio.start_server(peer, "127.0.0.1", 0)
+            sender = Transport(0, 2, seed=0)
+            await sender.serve()
+            try:
+                sender.connect({1: server.sockets[0].getsockname()[:2]})
+                for tag in range(COUNT):
+                    sender.send(envelope(0, 1, tag), instance=tag % 3)
+                await asyncio.wait_for(done.wait(), timeout=10)
+                return units
+            finally:
+                await sender.close()
+                server.close()
+                await server.wait_closed()
+
+        units = asyncio.run(scenario())
+        batches = [raw for kind, raw in units if kind == KIND_BATCH]
+        assert batches, [kind for kind, _ in units]
+        for raw in batches:
+            (batch,) = decode_frame_bytes(raw)
+            assert isinstance(batch, BatchFrame) and len(batch.frames) > 1
+            assert raw[HEADER_SIZE:] == b"".join(
+                encode_frame(inner) for inner in batch.frames
+            )
+        frames = decode_frame_bytes(data_bytes(units))
+        assert [frame.link_seq for frame in frames] == list(range(COUNT))
+
+    def test_retransmission_resends_the_first_transmission_bytes(self):
+        """A connection reset before any ack: on reconnect the sender
+        writes, frame for frame, the bytes it wrote the first time (no
+        re-encode), and the receiver delivers each exactly once."""
+        COUNT, LATER = 30, 5
+
+        async def scenario():
+            registry = MetricsRegistry()
+            receiver = Transport(1, 2, registry=registry, seed=1)
+            addr = await receiver.serve()
+            connections: list[list] = []
+
+            async def relay(reader, writer):
+                # Forwards frames to the receiver and records them.  The
+                # first connection withholds the acks and resets once
+                # every queued frame went through.
+                first = not connections
+                units: list = []
+                connections.append(units)
+                up_reader, up_writer = await asyncio.open_connection(*addr)
+
+                async def acks():
+                    while chunk := await up_reader.read(65536):
+                        writer.write(chunk)
+                        await writer.drain()
+
+                ack_task = None if first else asyncio.create_task(acks())
+                frames = FrameReader(raw=True)
+                try:
+                    while not (first and data_frame_count(units) >= COUNT):
+                        chunk = await reader.read(65536)
+                        if not chunk:
+                            break
+                        frames.feed(chunk)
+                        for kind, raw in frames.frames():
+                            units.append((kind, raw))
+                            up_writer.write(raw)
+                        await up_writer.drain()
+                finally:
+                    if ack_task is not None:
+                        ack_task.cancel()
+                    up_writer.close()
+                    writer.close()
+
+            proxy = await asyncio.start_server(relay, "127.0.0.1", 0)
+            sender = Transport(
+                0, 2, registry=registry, seed=0,
+                backoff_base=0.01, backoff_cap=0.05,
+            )
+            await sender.serve()
+            try:
+                sender.connect({1: proxy.sockets[0].getsockname()[:2]})
+                for tag in range(COUNT):
+                    sender.send(envelope(0, 1, tag))
+                received = await drain(receiver, COUNT)
+                for _ in range(500):
+                    if len(connections) > 1:
+                        break
+                    await asyncio.sleep(0.01)
+                for tag in range(COUNT, COUNT + LATER):
+                    sender.send(envelope(0, 1, tag))
+                received += await drain(receiver, LATER)
+                await asyncio.sleep(0.1)
+                extras = receiver.inbound.qsize()
+                return connections, received, extras, registry.snapshot()
+            finally:
+                await sender.close()
+                await receiver.close()
+                proxy.close()
+                await proxy.wait_closed()
+
+        connections, received, extras, snapshot = asyncio.run(scenario())
+        first = data_bytes(connections[0])
+        assert data_frame_count(connections[0]) == COUNT
+        assert data_bytes(connections[1])[: len(first)] == first
+        assert [env.payload.phaseno for env in envelopes(received)] == list(
+            range(COUNT + LATER)
+        )
+        assert extras == 0
+        assert snapshot.counters.get("cluster.transport.retransmits") == COUNT
+        assert snapshot.counters.get("cluster.transport.duplicates") == COUNT
+
+
+class TestInternTableBound:
+    def test_hostile_stream_bloats_only_its_own_bounded_table(
+        self, monkeypatch
+    ):
+        """A peer streaming 10× the intern bound of distinct payloads
+        leaves its connection's table at or under the bound, and another
+        connection's table exactly as it was."""
+        BOUND = 16
+        monkeypatch.setattr(codec_module, "INTERN_TABLE_SIZE", BOUND)
+        readers = []
+
+        class RecordedReader(FrameReader):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                readers.append(self)
+
+        monkeypatch.setattr(transport_module, "FrameReader", RecordedReader)
+        honest = [EchoMessage(origin=2, value=1, phaseno=p) for p in range(3)]
+        honest_keys = {encode_payload_bytes(message) for message in honest}
+
+        async def scenario():
+            transports = await mesh(3)
+            victim = transports[0]
+            try:
+                for message in honest * 4:
+                    transports[2].send(Envelope(2, 0, message))
+                await drain(victim, len(honest) * 4)
+                (honest_reader,) = [
+                    r for r in readers if set(r._interned) == honest_keys
+                ]
+                for tag in range(10 * BOUND):
+                    transports[1].send(envelope(1, 0, tag))
+                flood = await drain(victim, 10 * BOUND)
+                return honest_reader, flood
+            finally:
+                await close_all(transports)
+
+        honest_reader, flood = asyncio.run(scenario())
+        assert [env.payload.phaseno for env in envelopes(flood)] == list(
+            range(10 * BOUND)
+        )
+        assert set(honest_reader._interned) == honest_keys
+        hostile = [r for r in readers if len(r._interned) > len(honest)]
+        assert len(hostile) == 1
+        assert all(len(reader._interned) <= BOUND for reader in readers)
 
 
 class TestQueueHighWater:
