@@ -26,8 +26,9 @@ pieces:
 * :mod:`repro.cluster.chaos` — a frame-aware TCP chaos proxy injecting
   delay/drop/partition/reset schedules, the live-network analogue of the
   simulator's adversarial schedulers.
-* :mod:`repro.cluster.driver` — launches an n-node loopback cluster,
-  attaches :mod:`repro.obs` metrics and JSONL trace sinks (optionally
+* :mod:`repro.cluster.driver` — turns a spec into a running n-node
+  loopback mesh (:class:`~repro.cluster.driver.ClusterMesh`, the one
+  bring-up the SMR layer shares), attaches :mod:`repro.obs` metrics and JSONL trace sinks (optionally
   with per-node :class:`~repro.obs.spans.SpanTracer` causal tracing),
   checks the agreement/validity oracles over the collected decision
   records, and emits ``BENCH_cluster.json``.
@@ -47,13 +48,12 @@ from repro.cluster.codec import (
     DataFrame,
     FrameReader,
     HelloFrame,
-    decode_envelope,
     decode_frame_bytes,
-    encode_envelope,
     encode_frame,
 )
 from repro.cluster.chaos import ChaosConfig, ChaosProxy
 from repro.cluster.driver import (
+    ClusterMesh,
     ClusterReport,
     ClusterSpec,
     check_decision_records,
@@ -85,6 +85,7 @@ __all__ = [
     "ByeFrame",
     "ChaosConfig",
     "ChaosProxy",
+    "ClusterMesh",
     "ClusterNode",
     "ClusterReport",
     "ClusterSpec",
@@ -103,9 +104,7 @@ __all__ = [
     "check_decision_records",
     "check_decision_records_by_instance",
     "check_slos",
-    "decode_envelope",
     "decode_frame_bytes",
-    "encode_envelope",
     "encode_frame",
     "read_cluster_trace",
     "render_report_markdown",

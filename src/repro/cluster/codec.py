@@ -191,41 +191,6 @@ Frame = Union[HelloFrame, DataFrame, BatchFrame, AckFrame, ByeFrame]
 
 
 # ---------------------------------------------------------------------- #
-# Envelope record codec
-# ---------------------------------------------------------------------- #
-
-
-def encode_envelope(envelope: Envelope) -> dict:
-    """JSON-safe dict form of one transport envelope.
-
-    Not the wire body (data frames carry the envelope's fields in their
-    fixed-width prefix); kept for callers that log or store envelopes
-    as records.
-    """
-    return {
-        "sender": envelope.sender,
-        "recipient": envelope.recipient,
-        "seq": envelope.seq,
-        "payload": encode_payload(envelope.payload),
-    }
-
-
-def decode_envelope(record: Any) -> Envelope:
-    """Invert :func:`encode_envelope`."""
-    if not isinstance(record, dict):
-        raise CodecError(f"malformed envelope record: {record!r}")
-    try:
-        return Envelope(
-            sender=record["sender"],
-            recipient=record["recipient"],
-            payload=decode_payload(record["payload"]),
-            seq=record["seq"],
-        )
-    except (KeyError, ReproError) as exc:
-        raise CodecError(f"malformed envelope record: {record!r}") from exc
-
-
-# ---------------------------------------------------------------------- #
 # Frame codec
 # ---------------------------------------------------------------------- #
 

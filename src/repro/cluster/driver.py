@@ -181,8 +181,8 @@ def build_process(spec: ClusterSpec, pid: int) -> Process:
     A node opens one protocol core per instance; building the whole
     ensemble to keep one member made every slot cost n constructions
     per node.  The ensemble-level checks (input shape, fault count
-    against k) are :func:`build_processes`'s, which every cluster runs
-    once for instance 0 before any factory call.
+    against k) are :func:`build_processes`'s, which
+    :meth:`ClusterMesh.open` runs once before any factory call.
     """
     value = spec.effective_inputs[pid]
     if spec.protocol == "failstop":
@@ -368,6 +368,186 @@ def percentile(sorted_values: Sequence[float], q: float) -> float:
     return sorted_values[index]
 
 
+def latency_summary_ms(
+    sorted_seconds: Sequence[float], spread: bool = False
+) -> dict:
+    """p50/p99 of ascending-sorted latencies in seconds, reported in
+    milliseconds; ``spread`` adds the mean and the max."""
+    summary = {
+        "p50": percentile(sorted_seconds, 0.50) * 1000.0,
+        "p99": percentile(sorted_seconds, 0.99) * 1000.0,
+    }
+    if spread:
+        summary["mean"] = (
+            sum(sorted_seconds) / len(sorted_seconds) * 1000.0
+            if sorted_seconds
+            else 0.0
+        )
+        summary["max"] = sorted_seconds[-1] * 1000.0 if sorted_seconds else 0.0
+    return summary
+
+
+class ClusterMesh:
+    """How a :class:`ClusterSpec` becomes a running mesh (DESIGN.md §10).
+
+    The one place transports, chaos proxies and nodes are constructed;
+    :func:`run_cluster` and :class:`repro.cluster.smr.SMRCluster` both
+    stand on it.  :meth:`open` leaves ``nodes`` (one per pid, in pid
+    order) constructed but *not started*: the caller decides how many
+    instances to open and when its clock starts.  ``registry`` is the
+    registry every layer reports into, ``run_id`` the run's trace-id
+    prefix (``None`` untraced), ``correct_pids`` the pids whose process
+    is a correct one.
+    """
+
+    def __init__(
+        self,
+        spec: ClusterSpec,
+        registry: Optional[MetricsRegistry] = None,
+        trace_dir: Optional[str] = None,
+        trace_spans: bool = True,
+        trace_sample: int = DEFAULT_TRACE_SAMPLE,
+    ) -> None:
+        self.spec = spec
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self.trace_dir = trace_dir
+        self.trace_spans = trace_spans
+        self.trace_sample = trace_sample
+        self.run_id = (
+            uuid.uuid4().hex[:12] if trace_dir is not None else None
+        )
+        self.nodes: list[ClusterNode] = []
+        self.correct_pids: frozenset[int] = frozenset()
+        self._transports: list[Transport] = []
+        self._proxies: list[ChaosProxy] = []
+        self._writers: list[ClusterTraceWriter] = []
+
+    def open_shard(
+        self, label: Union[int, str], clock_pid: int
+    ) -> tuple[Optional[ClusterTraceWriter], Optional[SpanTracer]]:
+        """Open trace shard ``node-<label>.jsonl`` and, with spans on,
+        its tracer (HLC identity ``clock_pid``); ``(None, None)`` when
+        the run is untraced.  :meth:`close` closes the writer."""
+        if self.trace_dir is None:
+            return None, None
+        writer = ClusterTraceWriter(
+            os.path.join(self.trace_dir, f"node-{label}.jsonl"),
+            extra={"node": label},
+        )
+        self._writers.append(writer)
+        tracer = None
+        if self.trace_spans:
+            tracer = SpanTracer(writer, clock_pid, self.run_id)
+        return writer, tracer
+
+    async def open(self) -> None:
+        """Bring the mesh up; a failure part-way closes what was opened
+        before re-raising.
+
+        Per pid, in pid order: the trace shard and span tracer (only
+        with a ``trace_dir``), the :class:`Transport` with its derived
+        seed and the spec's optional ``batch_bytes``/``queue_high_water``
+        listening on an ephemeral port, and — when ``spec.chaos`` is
+        active — a :class:`ChaosProxy` in front of it with its own
+        derived seed.  Then every transport dials the full address map
+        and gets its :class:`ClusterNode`, whose per-instance factory is
+        :func:`build_process`.
+        """
+        spec = self.spec
+        # The ensemble-level checks (input shape and domain, fault count
+        # against k) live in the ensemble builders; the per-node
+        # factories below build single members and rely on this pass.
+        self.correct_pids = frozenset(
+            proc.pid for proc in build_processes(spec) if proc.is_correct
+        )
+        if self.trace_dir is not None:
+            os.makedirs(self.trace_dir, exist_ok=True)
+        chaos_active = spec.chaos is not None and spec.chaos.active
+        transport_kwargs: dict = {}
+        if spec.batch_bytes is not None:
+            transport_kwargs["batch_bytes"] = spec.batch_bytes
+        if spec.queue_high_water is not None:
+            transport_kwargs["queue_high_water"] = spec.queue_high_water
+        node_kwargs: dict = {}
+        if spec.instance_linger is not None:
+            node_kwargs["instance_linger"] = spec.instance_linger
+        try:
+            dial_addrs: dict[int, tuple] = {}
+            for pid in range(spec.n):
+                writer, tracer = self.open_shard(pid, pid)
+                transport = Transport(
+                    pid,
+                    spec.n,
+                    registry=self.registry,
+                    trace=writer,
+                    seed=spec.seed * 1_000_003 + pid,
+                    tracer=tracer,
+                    trace_sample=self.trace_sample,
+                    **transport_kwargs,
+                )
+                self._transports.append(transport)
+                addr = await transport.serve()
+                if chaos_active:
+                    # The proxy shares the fronted node's tracer: one HLC
+                    # per pid keeps same-host causality single-clocked.
+                    proxy = ChaosProxy(
+                        addr,
+                        replace(
+                            spec.chaos, seed=spec.chaos.seed + 7919 * pid
+                        ),
+                        registry=self.registry,
+                        trace=writer,
+                        label=pid,
+                        tracer=tracer,
+                    )
+                    self._proxies.append(proxy)
+                    dial_addrs[pid] = await proxy.serve()
+                else:
+                    dial_addrs[pid] = addr
+            for pid, transport in enumerate(self._transports):
+                transport.connect(dial_addrs)
+
+                def factory(instance: int, pid: int = pid) -> Process:
+                    # A fresh, identically-configured process per instance.
+                    return build_process(spec, pid)
+
+                self.nodes.append(
+                    ClusterNode(
+                        transport,
+                        factory,
+                        registry=self.registry,
+                        trace=transport.trace,
+                        seed=spec.seed * 9_973 + pid,
+                        tracer=transport.tracer,
+                        **node_kwargs,
+                    )
+                )
+        except BaseException:
+            await self.close()
+            raise
+
+    def records(self) -> tuple[DecisionRecord, ...]:
+        """Every decision observed so far, by node then instance."""
+        return tuple(
+            record
+            for node in self.nodes
+            for _, record in sorted(node.decision_records.items())
+        )
+
+    async def close(self) -> None:
+        """Tear down in reverse order of bring-up: nodes (each closes its
+        transport), transports that never got a node, proxies, trace
+        writers.  Idempotent."""
+        for node in self.nodes:
+            await node.shutdown()
+        for transport in self._transports[len(self.nodes):]:
+            await transport.close()
+        for proxy in self._proxies:
+            await proxy.close()
+        for writer in self._writers:
+            writer.close()
+
+
 async def run_cluster(
     spec: ClusterSpec,
     timeout: float = 60.0,
@@ -378,14 +558,13 @@ async def run_cluster(
 ) -> ClusterReport:
     """Run one loopback cluster to (attempted) consensus.
 
-    Every node gets its own server socket; when the spec carries an
-    active chaos config, a :class:`ChaosProxy` fronts each node and all
-    peer traffic dials the proxy.  With ``spec.instances > 1`` each node
-    hosts that many concurrent protocol cores (instance 0 from the shared
-    ensemble, the rest from a per-node factory building fresh but
-    identically-configured ensembles).  The run ends when every surviving
-    correct node has decided *every instance*, or after ``timeout``
-    wall-clock seconds.
+    The mesh is :class:`ClusterMesh`'s: every node gets its own server
+    socket; when the spec carries an active chaos config, a
+    :class:`ChaosProxy` fronts each node and all peer traffic dials the
+    proxy.  With ``spec.instances > 1`` each node hosts that many
+    concurrent protocol cores, each fresh from the node's factory.  The
+    run ends when every surviving correct node has decided *every
+    instance*, or after ``timeout`` wall-clock seconds.
 
     ``trace_dir`` turns on JSONL tracing (one shard per node plus a
     ``run.json`` manifest); ``trace_spans`` additionally gives every
@@ -398,86 +577,10 @@ async def run_cluster(
     rate.  With ``trace_dir=None`` everything is off and the hot paths
     run their historic, allocation-free untraced code.
     """
-    processes = build_processes(spec)
-    if registry is None:
-        registry = MetricsRegistry()
-    writers: dict[int, Optional[ClusterTraceWriter]] = {}
-    transports: list[Transport] = []
-    proxies: list[ChaosProxy] = []
-    nodes: list[ClusterNode] = []
-    if trace_dir is not None:
-        os.makedirs(trace_dir, exist_ok=True)
-    run_id = uuid.uuid4().hex[:12] if trace_dir is not None else None
-    chaos_active = spec.chaos is not None and spec.chaos.active
+    mesh = ClusterMesh(spec, registry, trace_dir, trace_spans, trace_sample)
+    await mesh.open()
+    nodes = mesh.nodes
     try:
-        dial_addrs: dict[int, tuple] = {}
-        tracers: dict[int, Optional[SpanTracer]] = {}
-        for pid in range(spec.n):
-            writer = None
-            tracer = None
-            if trace_dir is not None:
-                writer = ClusterTraceWriter(
-                    os.path.join(trace_dir, f"node-{pid}.jsonl"),
-                    extra={"node": pid},
-                )
-                if trace_spans:
-                    tracer = SpanTracer(writer, pid, run_id)
-            writers[pid] = writer
-            tracers[pid] = tracer
-            transport_kwargs: dict = {}
-            if spec.batch_bytes is not None:
-                transport_kwargs["batch_bytes"] = spec.batch_bytes
-            if spec.queue_high_water is not None:
-                transport_kwargs["queue_high_water"] = spec.queue_high_water
-            transport = Transport(
-                pid,
-                spec.n,
-                registry=registry,
-                trace=writer,
-                seed=spec.seed * 1_000_003 + pid,
-                tracer=tracer,
-                trace_sample=trace_sample,
-                **transport_kwargs,
-            )
-            transports.append(transport)
-            addr = await transport.serve()
-            if chaos_active:
-                # The proxy shares the fronted node's tracer: one HLC
-                # per pid keeps same-host causality single-clocked.
-                proxy = ChaosProxy(
-                    addr,
-                    replace(spec.chaos, seed=spec.chaos.seed + 7919 * pid),
-                    registry=registry,
-                    trace=writer,
-                    label=pid,
-                    tracer=tracer,
-                )
-                proxies.append(proxy)
-                dial_addrs[pid] = await proxy.serve()
-            else:
-                dial_addrs[pid] = addr
-        node_kwargs: dict = {}
-        if spec.instance_linger is not None:
-            node_kwargs["instance_linger"] = spec.instance_linger
-        for pid, transport in enumerate(transports):
-            transport.connect(dial_addrs)
-
-            def factory(instance: int, pid: int = pid) -> Process:
-                # A fresh, identically-configured process per instance.
-                return build_process(spec, pid)
-
-            nodes.append(
-                ClusterNode(
-                    processes[pid],
-                    transport,
-                    registry=registry,
-                    trace=writers[pid],
-                    process_factory=factory,
-                    seed=spec.seed * 9_973 + pid,
-                    tracer=tracers[pid],
-                    **node_kwargs,
-                )
-            )
         started = monotonic()
         for node in nodes:
             await node.start(instances=spec.instances)
@@ -514,14 +617,8 @@ async def run_cluster(
             )
             if decided_at > started:
                 wall = decided_at - started
-        records = tuple(
-            record
-            for node in nodes
-            for _, record in sorted(node.decision_records.items())
-        )
-        correct_pids = frozenset(
-            proc.pid for proc in processes if proc.is_correct
-        )
+        records = mesh.records()
+        correct_pids = mesh.correct_pids
         surviving_by_instance = {
             instance: frozenset(
                 node.pid
@@ -542,7 +639,8 @@ async def run_cluster(
         )
         if trace_dir is not None:
             _write_run_manifest(
-                trace_dir, run_id, spec, records, problems, wall, timed_out
+                trace_dir, mesh.run_id, spec, records, problems, wall,
+                timed_out,
             )
         return ClusterReport(
             spec=spec,
@@ -550,19 +648,10 @@ async def run_cluster(
             problems=problems,
             wall_seconds=wall,
             timed_out=timed_out,
-            metrics=registry.snapshot(),
+            metrics=mesh.registry.snapshot(),
         )
     finally:
-        for node in nodes:
-            await node.shutdown()
-        # Transports without nodes (early failure) still need closing.
-        for transport in transports[len(nodes):]:
-            await transport.close()
-        for proxy in proxies:
-            await proxy.close()
-        for writer in writers.values():
-            if writer is not None:
-                writer.close()
+        await mesh.close()
 
 
 def _write_run_manifest(
@@ -604,10 +693,7 @@ def _write_run_manifest(
         "problems": list(problems),
         "wall_seconds": round(wall, 6),
         "decisions": sum(1 for record in records if record.is_correct),
-        "decide_latency_ms": {
-            "p50": percentile(latencies, 0.50) * 1000.0,
-            "p99": percentile(latencies, 0.99) * 1000.0,
-        },
+        "decide_latency_ms": latency_summary_ms(latencies),
         "provenance": provenance(),
     }
     path = os.path.join(trace_dir, "run.json")
@@ -706,16 +792,9 @@ async def run_cluster_bench(
                 "problems": problems,
                 "wall_seconds": wall,
                 "decisions_per_sec": decisions / wall if wall > 0 else 0.0,
-                "decide_latency_ms": {
-                    "p50": percentile(latencies, 0.50) * 1000.0,
-                    "p99": percentile(latencies, 0.99) * 1000.0,
-                    "mean": (
-                        sum(latencies) / len(latencies) * 1000.0
-                        if latencies
-                        else 0.0
-                    ),
-                    "max": latencies[-1] * 1000.0 if latencies else 0.0,
-                },
+                "decide_latency_ms": latency_summary_ms(
+                    latencies, spread=True
+                ),
             }
         )
     return {
@@ -771,10 +850,7 @@ async def run_multi_instance_bench(
             "decisions_per_sec": report.decisions_per_sec(),
             "timed_out": report.timed_out,
             "problems": list(report.problems),
-            "decide_latency_ms": {
-                "p50": percentile(latencies, 0.50) * 1000.0,
-                "p99": percentile(latencies, 0.99) * 1000.0,
-            },
+            "decide_latency_ms": latency_summary_ms(latencies),
         }
         if 0 < count <= baseline_max:
             seq_decisions = 0

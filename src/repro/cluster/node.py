@@ -9,13 +9,14 @@ byte-for-byte by both backends.
 
 Since the multi-instance revision one node hosts many *consensus
 instances* concurrently: every inbound ``(instance, envelope)`` pair is
-demultiplexed to that instance's own protocol core, lazily instantiated
-from ``process_factory`` the first time traffic for an unknown instance
-arrives (taking its opening atomic step immediately, as the paper's
-processes do).  Instances are independent state machines sharing one
-transport mesh — exactly the composition van Renesse's protocol-core
-framing promises — and the transport batches their frames per link, so
-k instances do not multiply syscalls.
+demultiplexed to that instance's own protocol core.  ``process_factory``
+is the only source of cores: an instance gets its core from it when the
+client API opens the instance, or lazily the first time traffic for an
+unknown instance arrives (taking its opening atomic step immediately,
+as the paper's processes do).  Instances are independent state
+machines sharing one transport mesh — exactly the composition van
+Renesse's protocol-core framing promises — and the transport batches
+their frames per link, so k instances do not multiply syscalls.
 
 Atomicity holds by construction: a single consumer task performs each
 step synchronously between two awaits, so no other coroutine observes a
@@ -96,16 +97,6 @@ class DecisionRecord:
         }
 
 
-def _phase_of(process: Process):
-    """The protocol phase of a (possibly fault-wrapped) process."""
-    phase = getattr(process, "phaseno", None)
-    if phase is None:
-        inner = getattr(process, "inner", None)
-        if inner is not None:
-            phase = getattr(inner, "phaseno", None)
-    return phase
-
-
 class _InstanceState:
     """One live consensus instance at this node.
 
@@ -156,9 +147,13 @@ class ClusterNode:
     """One cluster member: multiplexed protocol cores plus a transport.
 
     Args:
-        process: instance 0's (unchanged) protocol state machine.
-        transport: this node's mesh endpoint; ``transport.pid`` must
-            match ``process.pid``.
+        transport: this node's mesh endpoint; the node's pid and n are
+            the transport's.
+        process_factory: instance id → fresh (unchanged) protocol core
+            for this node's pid — the one way the node obtains a core,
+            whether the client API opens the instance or traffic for an
+            unknown instance arrives.  Every core it builds must carry
+            the transport's ``(pid, n)``.
         registry: optional metrics registry (decide latency histogram,
             step counters, per-instance decision counters).
         trace: optional :class:`~repro.cluster.trace.ClusterTraceWriter`;
@@ -170,10 +165,6 @@ class ClusterNode:
             decide events carrying the latency decomposition.  ``None``
             keeps the consumer loop's untraced path free of clock reads
             and allocations.
-        process_factory: instance id → fresh protocol core for this
-            node's pid.  Required to host instances other than 0; the
-            factory is also what lazy instantiation uses when traffic
-            for an unknown instance arrives.
         instance_linger: seconds a decided instance's process state is
             kept before garbage collection.
         seed: seed for the delivery-order RNG.  The paper's message
@@ -188,32 +179,24 @@ class ClusterNode:
 
     def __init__(
         self,
-        process: Process,
         transport: Transport,
+        process_factory: InstanceFactory,
         registry: Optional[MetricsRegistry] = None,
         trace: Any = None,
         tracer: Any = None,
-        process_factory: Optional[InstanceFactory] = None,
         instance_linger: float = DEFAULT_INSTANCE_LINGER,
         seed: Optional[int] = None,
     ) -> None:
-        if transport.pid != process.pid or transport.n != process.n:
-            raise ConfigurationError(
-                f"transport is endpoint ({transport.pid}, n={transport.n}) "
-                f"but process is ({process.pid}, n={process.n})"
-            )
         if instance_linger < 0:
             raise ConfigurationError(
                 f"instance_linger must be >= 0, got {instance_linger}"
             )
-        self.process = process
         self.transport = transport
         self.registry = registry
         self.trace = trace
         self.tracer = tracer
         self.process_factory = process_factory
         self.instance_linger = instance_linger
-        self._bind_metrics(process)
         self._instances: Dict[int, _InstanceState] = {}
         #: Decision records survive instance GC.
         self._records: Dict[int, DecisionRecord] = {}
@@ -225,14 +208,13 @@ class ClusterNode:
         #: driver measure wall clock to the final decide event rather
         #: than to the completion-poll tick that noticed it.
         self.last_decide_at = 0.0
-        self._seed_used = False
         self.rng = random.Random(seed)
         self._task: Optional[asyncio.Task] = None
 
     @property
     def pid(self) -> int:
         """This node's process id (same as the wrapped processes')."""
-        return self.process.pid
+        return self.transport.pid
 
     # ------------------------------------------------------------------ #
     # Instance bookkeeping
@@ -283,22 +265,13 @@ class ClusterNode:
                 inner.metrics = self.registry
 
     def _create_instance(self, instance: int) -> _InstanceState:
-        if instance == 0 and not self._seed_used:
-            process = self.process
-            self._seed_used = True
-        else:
-            if self.process_factory is None:
-                raise ConfigurationError(
-                    f"node {self.pid} has no process_factory but was asked "
-                    f"to host instance {instance}"
-                )
-            process = self.process_factory(instance)
-            if process.pid != self.pid or process.n != self.transport.n:
-                raise ConfigurationError(
-                    f"process_factory built ({process.pid}, n={process.n}) "
-                    f"for node ({self.pid}, n={self.transport.n})"
-                )
-            self._bind_metrics(process)
+        process = self.process_factory(instance)
+        if process.pid != self.pid or process.n != self.transport.n:
+            raise ConfigurationError(
+                f"process_factory built ({process.pid}, n={process.n}) "
+                f"for node ({self.pid}, n={self.transport.n})"
+            )
+        self._bind_metrics(process)
         state = _InstanceState(process, monotonic())
         self._instances[instance] = state
         if self.registry is not None:
@@ -413,10 +386,6 @@ class ClusterNode:
                     # stands; the frame is deliberately dropped.
                     if registry is not None:
                         registry.inc("cluster.node.late_frames")
-                    continue
-                if self.process_factory is None:
-                    if registry is not None:
-                        registry.inc("cluster.node.unroutable_frames")
                     continue
                 # First sight of this instance at this node: instantiate
                 # and take the opening step, then deliver the envelope.

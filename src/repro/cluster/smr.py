@@ -44,34 +44,30 @@ cluster sizes under clean and chaos regimes for BENCH_cluster.json.
 from __future__ import annotations
 
 import asyncio
-import os
 import random
-import uuid
 from dataclasses import dataclass, replace
 from time import monotonic
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.chaos import ChaosConfig, ChaosProxy
+from repro.cluster.chaos import ChaosConfig
 from repro.cluster.codec import (
     WIRE_ENCODING,
     decode_canonical,
     encode_canonical,
 )
 from repro.cluster.driver import (
+    ClusterMesh,
     ClusterSpec,
     _write_run_manifest,
-    build_process,
-    build_processes,
     check_decision_records_by_instance,
-    percentile,
+    latency_summary_ms,
 )
 from repro.cluster.node import ClusterNode
 from repro.cluster.trace import ClusterTraceWriter
-from repro.cluster.transport import DEFAULT_TRACE_SAMPLE, Transport
+from repro.cluster.transport import DEFAULT_TRACE_SAMPLE
 from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanTracer
-from repro.procs.base import Process
 
 #: Operations the KV state machine executes.
 SMR_OPS = ("noop", "set", "get", "del", "add")
@@ -415,13 +411,14 @@ class SMRNode:
 class SMRCluster:
     """The replicated service: slot allocation, commit quorum, replicas.
 
-    Wiring mirrors :func:`repro.cluster.driver.run_cluster` — per-node
-    transports (behind chaos proxies when the spec carries an active
-    chaos config), optional JSONL trace shards with span tracers — but
-    instead of a fixed instance count the cluster opens one consensus
-    instance per submitted slot, pipelined: every submit broadcasts the
-    slot's opening step immediately, so many slots are in flight while
-    the appliers catch up in order.
+    The mesh underneath is :class:`repro.cluster.driver.ClusterMesh`,
+    the same bring-up :func:`~repro.cluster.driver.run_cluster` stands
+    on; what is added here is the client's own trace shard, the
+    replicas, the genesis slot and the commit quorum.  Instead of a
+    fixed instance count the cluster opens one consensus instance per
+    submitted slot, pipelined: every submit broadcasts the slot's
+    opening step immediately, so many slots are in flight while the
+    appliers catch up in order.
 
     Crash-fault injection is not supported in SMR v1: a crashed replica
     stops applying, and commit quorum over the *configured* correct set
@@ -476,17 +473,10 @@ class SMRCluster:
             ),
         )
         self.compact_every = compact_every
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.trace_dir = trace_dir
-        self.trace_spans = trace_spans
-        self.trace_sample = trace_sample
-        self.run_id = (
-            uuid.uuid4().hex[:12] if trace_dir is not None else None
+        self._mesh = ClusterMesh(
+            self.spec, registry, trace_dir, trace_spans, trace_sample
         )
-        self._nodes: List[ClusterNode] = []
-        self._transports: List[Transport] = []
-        self._proxies: List[ChaosProxy] = []
-        self._writers: Dict[Any, Optional[ClusterTraceWriter]] = {}
+        self.registry = self._mesh.registry
         self._client_writer: Optional[ClusterTraceWriter] = None
         self._client_tracer: Optional[SpanTracer] = None
         self._replicas: Dict[int, SMRNode] = {}
@@ -521,98 +511,19 @@ class SMRCluster:
         if self._started:
             raise ConfigurationError("SMR cluster already started")
         self._started = True
-        spec = self.spec
-        processes = build_processes(spec)
-        self.correct_pids = frozenset(
-            process.pid for process in processes if process.is_correct
-        )
+        mesh = self._mesh
+        await mesh.open()
+        self.correct_pids = mesh.correct_pids
         self.quorum = len(self.correct_pids) // 2 + 1
-        if self.trace_dir is not None:
-            os.makedirs(self.trace_dir, exist_ok=True)
-        chaos_active = spec.chaos is not None and spec.chaos.active
-        dial_addrs: dict = {}
-        tracers: Dict[int, Optional[SpanTracer]] = {}
-        for pid in range(spec.n):
-            writer = None
-            tracer = None
-            if self.trace_dir is not None:
-                writer = ClusterTraceWriter(
-                    os.path.join(self.trace_dir, f"node-{pid}.jsonl"),
-                    extra={"node": pid},
-                )
-                if self.trace_spans:
-                    tracer = SpanTracer(writer, pid, self.run_id)
-            self._writers[pid] = writer
-            tracers[pid] = tracer
-            transport_kwargs: dict = {}
-            if spec.batch_bytes is not None:
-                transport_kwargs["batch_bytes"] = spec.batch_bytes
-            if spec.queue_high_water is not None:
-                transport_kwargs["queue_high_water"] = (
-                    spec.queue_high_water
-                )
-            transport = Transport(
-                pid,
-                spec.n,
-                registry=self.registry,
-                trace=writer,
-                seed=spec.seed * 1_000_003 + pid,
-                tracer=tracer,
-                trace_sample=self.trace_sample,
-                **transport_kwargs,
-            )
-            self._transports.append(transport)
-            addr = await transport.serve()
-            if chaos_active:
-                proxy = ChaosProxy(
-                    addr,
-                    replace(
-                        spec.chaos, seed=spec.chaos.seed + 7919 * pid
-                    ),
-                    registry=self.registry,
-                    trace=writer,
-                    label=pid,
-                    tracer=tracer,
-                )
-                self._proxies.append(proxy)
-                dial_addrs[pid] = await proxy.serve()
-            else:
-                dial_addrs[pid] = addr
-        if self.trace_dir is not None:
-            # The commit boundary is a cluster-level (client-side)
-            # observation, so it gets its own shard; "node-client"
-            # matches the stitcher's shard glob.
-            self._client_writer = ClusterTraceWriter(
-                os.path.join(self.trace_dir, "node-client.jsonl"),
-                extra={"node": "client"},
-            )
-            self._writers["client"] = self._client_writer
-            if self.trace_spans:
-                self._client_tracer = SpanTracer(
-                    self._client_writer, spec.n, self.run_id
-                )
-        for pid, transport in enumerate(self._transports):
-            transport.connect(dial_addrs)
-
-            def factory(instance: int, pid: int = pid) -> Process:
-                # A fresh unanimous-1 process per slot.
-                return build_process(spec, pid)
-
-            self._nodes.append(
-                ClusterNode(
-                    processes[pid],
-                    transport,
-                    registry=self.registry,
-                    trace=self._writers[pid],
-                    process_factory=factory,
-                    instance_linger=spec.instance_linger,
-                    seed=spec.seed * 9_973 + pid,
-                    tracer=tracers[pid],
-                )
-            )
+        # The commit boundary is a cluster-level (client-side)
+        # observation, so it gets its own shard; "node-client" matches
+        # the stitcher's shard glob.
+        self._client_writer, self._client_tracer = mesh.open_shard(
+            "client", self.spec.n
+        )
         for pid in sorted(self.correct_pids):
             self._replicas[pid] = SMRNode(
-                self._nodes[pid], self, self.compact_every
+                mesh.nodes[pid], self, self.compact_every
             )
         # Genesis: slot 0 is committed at startup so the log never has
         # a hole before the first client slot.
@@ -623,7 +534,7 @@ class SMRCluster:
         for replica in self._replicas.values():
             replica.offer(0, genesis)
             replica.start()
-        for node in self._nodes:
+        for node in mesh.nodes:
             await node.start(instances=1)
 
     async def close(self) -> List[str]:
@@ -635,11 +546,7 @@ class SMRCluster:
         self._closed = True
         for replica in self._replicas.values():
             await replica.stop()
-        records = tuple(
-            record
-            for node in self._nodes
-            for _, record in sorted(node.decision_records.items())
-        )
+        records = self._mesh.records()
         # Oracle sweep: every slot any node decided is one independent
         # consensus execution; agreement/validity must hold per slot.
         # (Termination over *all* slots is only demanded of a drained
@@ -655,25 +562,17 @@ class SMRCluster:
         timed_out = any(
             not future.done() for future in self._commits.values()
         )
-        if self.trace_dir is not None:
+        if self._mesh.trace_dir is not None:
             _write_run_manifest(
-                self.trace_dir,
-                self.run_id,
+                self._mesh.trace_dir,
+                self._mesh.run_id,
                 replace(self.spec, instances=max(1, self._next_slot)),
                 records,
                 tuple(self.problems),
                 wall,
                 timed_out,
             )
-        for node in self._nodes:
-            await node.shutdown()
-        for transport in self._transports[len(self._nodes):]:
-            await transport.close()
-        for proxy in self._proxies:
-            await proxy.close()
-        for writer in self._writers.values():
-            if writer is not None:
-                writer.close()
+        await self._mesh.close()
         return list(self.problems)
 
     # ------------------------------------------------------------------ #
@@ -702,7 +601,7 @@ class SMRCluster:
         future = self._register_slot(slot)
         for replica in self._replicas.values():
             replica.offer(slot, command)
-        for node in self._nodes:
+        for node in self._mesh.nodes:
             node.start_instance(slot)
         self.registry.inc("cluster.smr.submitted")
         return slot, future
@@ -1039,16 +938,7 @@ async def run_smr_load(
         ),
         "wall_seconds": wall,
         "throughput_ops_per_sec": committed / wall,
-        "commit_latency_ms": {
-            "p50": percentile(latencies, 0.50) * 1000.0,
-            "p99": percentile(latencies, 0.99) * 1000.0,
-            "mean": (
-                sum(latencies) / len(latencies) * 1000.0
-                if latencies
-                else 0.0
-            ),
-            "max": latencies[-1] * 1000.0 if latencies else 0.0,
-        },
+        "commit_latency_ms": latency_summary_ms(latencies, spread=True),
         "problems": problems,
         "ok": not problems,
     }
@@ -1081,8 +971,8 @@ async def run_smr(
         trace_spans=trace_spans,
         trace_sample=trace_sample,
     )
-    await cluster.start()
     try:
+        await cluster.start()
         result = await run_smr_load(
             cluster,
             clients=clients,

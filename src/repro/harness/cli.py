@@ -28,6 +28,11 @@ Subcommands:
   schedules; ``--trace-out DIR`` writes causally-traced JSONL shards;
   ``--bench`` sweeps sizes and writes ``BENCH_cluster.json``
   (including the causal-tracing overhead section).
+* ``smr`` — the replicated KV service over the same mesh (see
+  :mod:`repro.cluster.smr`): open-loop client load, a commit-p99 SLO
+  gate, and ``--bench`` for the ``smr`` section of
+  ``BENCH_cluster.json``; shares ``cluster``'s mesh, chaos, tracing
+  and bench-sweep options.
 * ``report`` — stitch a traced cluster run's per-node shards into one
   HLC-ordered timeline and render the operational run report: decide
   latency decomposed into queue/transport/compute segments, chaos
@@ -541,37 +546,101 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    import asyncio
-    from dataclasses import replace
+def _add_mesh_options(
+    parser: argparse.ArgumentParser, **help_for: str
+) -> None:
+    """Declare the options ``cluster`` and ``smr`` share: mesh shape,
+    chaos schedule, tracing, bench sweep.  ``help_for`` carries the
+    wordings that differ between the two commands."""
+    from repro.cluster.transport import DEFAULT_TRACE_SAMPLE
 
-    from repro.cluster.chaos import ChaosConfig
-    from repro.cluster.driver import (
-        ClusterSpec,
-        run_cluster_bench,
-        run_cluster_sync,
-        run_multi_instance_bench,
-        write_bench_report,
+    parser.add_argument(
+        "--n", type=int, default=4, metavar="N",
+        help="cluster size (default: 4)",
     )
-    from repro.errors import ConfigurationError
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.report import render_metrics_summary
+    parser.add_argument(
+        "--k", type=int, default=1, metavar="K",
+        help="resilience parameter (default: 1)",
+    )
+    parser.add_argument(
+        "--protocol",
+        choices=("failstop", "malicious"),
+        default="malicious",
+        help=help_for["protocol"],
+    )
+    parser.add_argument(
+        "--byzantine", type=int, default=0, metavar="B",
+        help=help_for["byzantine"],
+    )
+    parser.add_argument(
+        "--byzantine-kind",
+        choices=("balancing", "equivocating", "anti-majority", "silent"),
+        default="balancing",
+        help="Byzantine behaviour (default: balancing)",
+    )
+    parser.add_argument(
+        "--chaos-delay-min", type=float, default=0.0, metavar="SECONDS",
+        help="minimum chaos-proxy delay per data frame (default: 0)",
+    )
+    parser.add_argument(
+        "--chaos-delay-max", type=float, default=0.0, metavar="SECONDS",
+        help="maximum chaos-proxy delay per data frame; > 0 enables "
+        "the proxies (default: 0)",
+    )
+    parser.add_argument(
+        "--chaos-drop", type=float, default=0.0, metavar="RATE",
+        help=help_for["chaos_drop"],
+    )
+    parser.add_argument(
+        "--chaos-reset-every", type=int, default=None, metavar="FRAMES",
+        help=help_for["chaos_reset_every"],
+    )
+    parser.add_argument(
+        "--seed", type=int, default=0, metavar="S", help=help_for["seed"],
+    )
+    parser.add_argument(
+        "--metrics", action="store_true", help=help_for["metrics"],
+    )
+    parser.add_argument(
+        "--trace-out", default=None, metavar="DIR", help=help_for["trace_out"],
+    )
+    parser.add_argument(
+        "--trace-sample",
+        type=int,
+        default=DEFAULT_TRACE_SAMPLE,
+        metavar="N",
+        help=help_for["trace_sample"],
+    )
+    parser.add_argument("--bench", action="store_true", help=help_for["bench"])
+    parser.add_argument(
+        "--bench-ns",
+        default="4:1,7:2",
+        metavar="N:K,...",
+        help="bench sweep as comma-separated n:k pairs (default: 4:1,7:2)",
+    )
+    parser.add_argument(
+        "--out",
+        default="BENCH_cluster.json",
+        metavar="PATH",
+        help=help_for["out"],
+    )
 
-    if args.timeout <= 0:
-        print(f"--timeout must be > 0, got {args.timeout}")
-        return 2
-    if args.rounds < 1:
-        print(f"--rounds must be >= 1, got {args.rounds}")
-        return 2
-    if args.instances < 1:
-        print(f"--instances must be >= 1, got {args.instances}")
-        return 2
-    if args.batch_bytes is not None and args.batch_bytes < 0:
-        print(f"--batch-bytes must be >= 0, got {args.batch_bytes}")
-        return 2
+
+def _mesh_spec(args: argparse.Namespace, what: str, **own):
+    """``(spec, None)`` from the shared options plus a command's ``own``
+    :class:`ClusterSpec` fields, the chaos schedule in ``spec.chaos`` —
+    or ``(None, message)``, the exit-2 line, when the configuration is
+    rejected."""
+    from repro.cluster.chaos import ChaosConfig
+    from repro.cluster.driver import ClusterSpec
+    from repro.errors import ConfigurationError
+
     chaos = None
+    # A positive minimum alone asks for chaos too: the maximum is lifted
+    # to it below.
     chaos_requested = (
-        args.chaos_delay_max > 0
+        args.chaos_delay_min > 0
+        or args.chaos_delay_max > 0
         or args.chaos_drop > 0
         or args.chaos_reset_every is not None
     )
@@ -588,36 +657,107 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             n=args.n,
             k=args.k,
             protocol=args.protocol,
-            inputs=args.inputs,
             byzantine_count=args.byzantine,
             byzantine_kind=args.byzantine_kind,
             chaos=chaos,
             seed=args.seed,
-            instances=args.instances,
-            batch_bytes=args.batch_bytes,
+            **own,
         )
     except ConfigurationError as exc:
-        print(f"bad cluster configuration: {exc}")
+        return None, f"bad {what} configuration: {exc}"
+    return spec, None
+
+
+def _bench_specs(args: argparse.Namespace, spec, **fixed):
+    """``(specs, None)``: one spec per ``--bench-ns`` pair — ``spec``
+    resized, its Byzantine count capped at the pair's k, ``fixed``
+    fields overridden — or ``(None, message)`` for a bad entry."""
+    from dataclasses import replace
+
+    from repro.errors import ConfigurationError
+
+    specs = []
+    try:
+        for pair in args.bench_ns.split(","):
+            n_text, sep, k_text = pair.strip().partition(":")
+            n_value = int(n_text)
+            k_value = int(k_text) if sep else spec.k
+            specs.append(
+                replace(
+                    spec,
+                    n=n_value,
+                    k=k_value,
+                    byzantine_count=min(args.byzantine, k_value),
+                    **fixed,
+                )
+            )
+    except (ValueError, ConfigurationError) as exc:
+        return None, f"bad --bench-ns entry: {exc}"
+    return specs, None
+
+
+def _mesh_notes(spec) -> str:
+    """The Byzantine and chaos clauses of a run's headline."""
+    byz_note = (
+        f", {spec.byzantine_count} Byzantine ({spec.byzantine_kind})"
+        if spec.byzantine_count
+        else ""
+    )
+    return byz_note + (" under chaos" if spec.chaos is not None else "")
+
+
+def _print_mesh_footer(args: argparse.Namespace, registry, title: str) -> None:
+    """The ``--metrics`` summary and ``--trace-out`` pointer of a run."""
+    from repro.obs.report import render_metrics_summary
+
+    if args.metrics:
+        print()
+        print(render_metrics_summary(registry.snapshot(), title=title))
+    if args.trace_out is not None:
+        print(f"traces in {args.trace_out}/")
+
+
+def _cmd_cluster(args: argparse.Namespace) -> int:
+    import asyncio
+    from dataclasses import replace
+
+    from repro.cluster.driver import (
+        run_cluster_bench,
+        run_cluster_sync,
+        run_multi_instance_bench,
+        write_bench_report,
+    )
+    from repro.errors import ConfigurationError
+    from repro.obs.metrics import MetricsRegistry
+
+    if args.timeout <= 0:
+        print(f"--timeout must be > 0, got {args.timeout}")
+        return 2
+    if args.rounds < 1:
+        print(f"--rounds must be >= 1, got {args.rounds}")
+        return 2
+    if args.instances < 1:
+        print(f"--instances must be >= 1, got {args.instances}")
+        return 2
+    if args.batch_bytes is not None and args.batch_bytes < 0:
+        print(f"--batch-bytes must be >= 0, got {args.batch_bytes}")
+        return 2
+    spec, error = _mesh_spec(
+        args,
+        "cluster",
+        inputs=args.inputs,
+        instances=args.instances,
+        batch_bytes=args.batch_bytes,
+    )
+    if error is not None:
+        print(error)
         return 2
 
     if args.bench:
-        specs = []
-        try:
-            for pair in args.bench_ns.split(","):
-                n_text, sep, k_text = pair.strip().partition(":")
-                n_value = int(n_text)
-                k_value = int(k_text) if sep else spec.k
-                specs.append(
-                    replace(
-                        spec,
-                        n=n_value,
-                        k=k_value,
-                        inputs=None,  # n varies; unanimous inputs scale
-                        byzantine_count=min(args.byzantine, k_value),
-                    )
-                )
-        except (ValueError, ConfigurationError) as exc:
-            print(f"bad --bench-ns entry: {exc}")
+        # n varies across the sweep; unanimous inputs scale with it.
+        specs, error = _bench_specs(args, spec, inputs=None)
+        if error is not None:
+            print(error)
             return 2
         try:
             instance_counts = tuple(
@@ -721,18 +861,12 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         print(f"bad cluster configuration: {exc}")
         return 2
-    byz_note = (
-        f", {spec.byzantine_count} Byzantine ({spec.byzantine_kind})"
-        if spec.byzantine_count
-        else ""
-    )
-    chaos_note = " under chaos" if chaos is not None else ""
     instance_note = (
         f" x{spec.instances} instances" if spec.instances > 1 else ""
     )
     print(
-        f"cluster n={spec.n} k={spec.k} {spec.protocol}{byz_note}"
-        f"{chaos_note}{instance_note}: "
+        f"cluster n={spec.n} k={spec.k} {spec.protocol}"
+        f"{_mesh_notes(spec)}{instance_note}: "
         f"{'DECIDED' if not report.timed_out else 'TIMED OUT'} "
         f"in {report.wall_seconds:.3f}s"
     )
@@ -757,15 +891,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 f"  oracles: agreement/validity/termination PASS "
                 f"(value {report.consensus_value()})"
             )
-    if args.metrics:
-        print()
-        print(
-            render_metrics_summary(
-                registry.snapshot(), title="cluster metrics"
-            )
-        )
-    if args.trace_out is not None:
-        print(f"traces in {args.trace_out}/")
+    _print_mesh_footer(args, registry, "cluster metrics")
     return 0 if report.ok else 1
 
 
@@ -773,14 +899,11 @@ def _cmd_smr(args: argparse.Namespace) -> int:
     import asyncio
     import json as json_module
     import os
-    from dataclasses import replace
 
-    from repro.cluster.chaos import ChaosConfig
-    from repro.cluster.driver import ClusterSpec, write_bench_report
+    from repro.cluster.driver import write_bench_report
     from repro.cluster.smr import run_smr, run_smr_bench
     from repro.errors import ConfigurationError
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.report import render_metrics_summary
 
     for name, value, floor in (
         ("--clients", args.clients, 1),
@@ -797,52 +920,16 @@ def _cmd_smr(args: argparse.Namespace) -> int:
     if args.commit_timeout <= 0:
         print(f"--commit-timeout must be > 0, got {args.commit_timeout}")
         return 2
-    chaos = None
-    chaos_requested = (
-        args.chaos_delay_max > 0
-        or args.chaos_drop > 0
-        or args.chaos_reset_every is not None
-    )
-    try:
-        if chaos_requested:
-            chaos = ChaosConfig(
-                delay_min=args.chaos_delay_min,
-                delay_max=max(args.chaos_delay_max, args.chaos_delay_min),
-                drop_rate=args.chaos_drop,
-                reset_every=args.chaos_reset_every,
-                seed=args.seed,
-            )
-        spec = ClusterSpec(
-            n=args.n,
-            k=args.k,
-            protocol=args.protocol,
-            byzantine_count=args.byzantine,
-            byzantine_kind=args.byzantine_kind,
-            chaos=chaos,
-            seed=args.seed,
-        )
-    except ConfigurationError as exc:
-        print(f"bad smr configuration: {exc}")
+    spec, error = _mesh_spec(args, "smr")
+    if error is not None:
+        print(error)
         return 2
 
     if args.bench:
-        specs = []
-        try:
-            for pair in args.bench_ns.split(","):
-                n_text, sep, k_text = pair.strip().partition(":")
-                n_value = int(n_text)
-                k_value = int(k_text) if sep else spec.k
-                specs.append(
-                    replace(
-                        spec,
-                        n=n_value,
-                        k=k_value,
-                        chaos=None,  # run_smr_bench supplies the regimes
-                        byzantine_count=min(args.byzantine, k_value),
-                    )
-                )
-        except (ValueError, ConfigurationError) as exc:
-            print(f"bad --bench-ns entry: {exc}")
+        # run_smr_bench supplies the chaos regimes itself.
+        specs, error = _bench_specs(args, spec, chaos=None)
+        if error is not None:
+            print(error)
             return 2
         try:
             smr_payload = asyncio.run(
@@ -855,7 +942,7 @@ def _cmd_smr(args: argparse.Namespace) -> int:
                     retry_every=args.retry_every,
                     compact_every=args.compact_every,
                     commit_timeout=args.commit_timeout,
-                    chaos=chaos,
+                    chaos=spec.chaos,
                 )
             )
         except ConfigurationError as exc:
@@ -910,15 +997,10 @@ def _cmd_smr(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         print(f"bad smr configuration: {exc}")
         return 2
-    byz_note = (
-        f", {spec.byzantine_count} Byzantine ({spec.byzantine_kind})"
-        if spec.byzantine_count
-        else ""
-    )
-    chaos_note = " under chaos" if chaos is not None else ""
     latency = result["commit_latency_ms"]
     print(
-        f"smr n={spec.n} k={spec.k} {spec.protocol}{byz_note}{chaos_note}: "
+        f"smr n={spec.n} k={spec.k} {spec.protocol}"
+        f"{_mesh_notes(spec)}: "
         f"{result['committed']}/{result['submitted_slots'] - 1} committed "
         f"({result['aborted']} aborted, {result['uncommitted']} "
         f"uncommitted) in {result['wall_seconds']:.3f}s"
@@ -953,13 +1035,7 @@ def _cmd_smr(args: argparse.Namespace) -> int:
                 f"  SLO: commit p99 {latency['p99']:.1f} ms within "
                 f"{args.slo_commit_p99_ms:.1f} ms"
             )
-    if args.metrics:
-        print()
-        print(
-            render_metrics_summary(registry.snapshot(), title="smr metrics")
-        )
-    if args.trace_out is not None:
-        print(f"traces in {args.trace_out}/")
+    _print_mesh_footer(args, registry, "smr metrics")
     return 0 if result["ok"] and not slo_failed else 1
 
 
@@ -1018,8 +1094,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point (also exposed as the ``repro-consensus`` script)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro-consensus`` parser: one subparser per subcommand."""
     parser = argparse.ArgumentParser(
         prog="repro-consensus",
         description=(
@@ -1227,56 +1303,33 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="run the protocols over real TCP: n-node loopback cluster "
         "with optional Byzantine nodes and chaos injection",
     )
-    cluster_parser.add_argument(
-        "--n", type=int, default=4, metavar="N",
-        help="cluster size (default: 4)",
-    )
-    cluster_parser.add_argument(
-        "--k", type=int, default=1, metavar="K",
-        help="resilience parameter (default: 1)",
-    )
-    cluster_parser.add_argument(
-        "--protocol",
-        choices=("failstop", "malicious"),
-        default="malicious",
-        help="which figure protocol to run (default: malicious)",
+    _add_mesh_options(
+        cluster_parser,
+        protocol="which figure protocol to run (default: malicious)",
+        byzantine="number of live Byzantine nodes, highest pids "
+        "(malicious protocol only; default: 0)",
+        chaos_drop="chaos-proxy drop probability per data frame; the "
+        "transport retransmits, so drops cost latency not safety "
+        "(default: 0)",
+        chaos_reset_every="kill connections after this many forwarded "
+        "data frames to exercise reconnects (default: never)",
+        seed="base seed for transport jitter and chaos schedules "
+        "(default: 0)",
+        metrics="print the merged transport/chaos/decision metrics",
+        trace_out="write one JSONL trace per node into DIR",
+        trace_sample="with --trace-out: stamp-and-span one wire frame in "
+        "N per link; 1 records every message (default: "
+        f"{DEFAULT_TRACE_SAMPLE}; decide segments, chaos windows and "
+        "backpressure are exact at any rate)",
+        bench="sweep --bench-ns configurations and write "
+        "BENCH_cluster.json",
+        out="bench report path (default: ./BENCH_cluster.json)",
     )
     cluster_parser.add_argument(
         "--inputs",
         default=None,
         metavar="BITS",
         help="per-node initial values, e.g. 1011 (default: unanimous 1s)",
-    )
-    cluster_parser.add_argument(
-        "--byzantine", type=int, default=0, metavar="B",
-        help="number of live Byzantine nodes, highest pids "
-        "(malicious protocol only; default: 0)",
-    )
-    cluster_parser.add_argument(
-        "--byzantine-kind",
-        choices=("balancing", "equivocating", "anti-majority", "silent"),
-        default="balancing",
-        help="Byzantine behaviour (default: balancing)",
-    )
-    cluster_parser.add_argument(
-        "--chaos-delay-min", type=float, default=0.0, metavar="SECONDS",
-        help="minimum chaos-proxy delay per data frame (default: 0)",
-    )
-    cluster_parser.add_argument(
-        "--chaos-delay-max", type=float, default=0.0, metavar="SECONDS",
-        help="maximum chaos-proxy delay per data frame; > 0 enables "
-        "the proxies (default: 0)",
-    )
-    cluster_parser.add_argument(
-        "--chaos-drop", type=float, default=0.0, metavar="RATE",
-        help="chaos-proxy drop probability per data frame; the "
-        "transport retransmits, so drops cost latency not safety "
-        "(default: 0)",
-    )
-    cluster_parser.add_argument(
-        "--chaos-reset-every", type=int, default=None, metavar="FRAMES",
-        help="kill connections after this many forwarded data frames "
-        "to exercise reconnects (default: never)",
     )
     cluster_parser.add_argument(
         "--instances", type=int, default=1, metavar="I",
@@ -1289,45 +1342,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "(default: transport default, 32 KiB)",
     )
     cluster_parser.add_argument(
-        "--seed", type=int, default=0, metavar="S",
-        help="base seed for transport jitter and chaos schedules "
-        "(default: 0)",
-    )
-    cluster_parser.add_argument(
         "--timeout", type=float, default=60.0, metavar="SECONDS",
         help="wall-clock budget per cluster run (default: 60)",
-    )
-    cluster_parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="print the merged transport/chaos/decision metrics",
-    )
-    cluster_parser.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="DIR",
-        help="write one JSONL trace per node into DIR",
-    )
-    cluster_parser.add_argument(
-        "--trace-sample",
-        type=int,
-        default=DEFAULT_TRACE_SAMPLE,
-        metavar="N",
-        help="with --trace-out: stamp-and-span one wire frame in N per "
-        "link; 1 records every message (default: "
-        f"{DEFAULT_TRACE_SAMPLE}; decide segments, chaos windows and "
-        "backpressure are exact at any rate)",
-    )
-    cluster_parser.add_argument(
-        "--bench",
-        action="store_true",
-        help="sweep --bench-ns configurations and write BENCH_cluster.json",
-    )
-    cluster_parser.add_argument(
-        "--bench-ns",
-        default="4:1,7:2",
-        metavar="N:K,...",
-        help="bench sweep as comma-separated n:k pairs (default: 4:1,7:2)",
     )
     cluster_parser.add_argument(
         "--rounds", type=int, default=1, metavar="R",
@@ -1340,12 +1356,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="bench: also sweep these concurrent-instance counts on the "
         "base --n/--k spec, with a sequential baseline for comparison; "
         "empty string skips the sweep (default: 1,8,64)",
-    )
-    cluster_parser.add_argument(
-        "--out",
-        default="BENCH_cluster.json",
-        metavar="PATH",
-        help="bench report path (default: ./BENCH_cluster.json)",
     )
     cluster_parser.add_argument(
         "--bench-observability",
@@ -1362,32 +1372,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "one consensus instance; open-loop Poisson client load with "
         "exactly-once sessions, snapshots, and commit-latency SLOs",
     )
-    smr_parser.add_argument(
-        "--n", type=int, default=4, metavar="N",
-        help="cluster size (default: 4)",
-    )
-    smr_parser.add_argument(
-        "--k", type=int, default=1, metavar="K",
-        help="resilience parameter (default: 1)",
-    )
-    smr_parser.add_argument(
-        "--protocol",
-        choices=("failstop", "malicious"),
-        default="malicious",
-        help="which figure protocol sequences the log (default: "
+    _add_mesh_options(
+        smr_parser,
+        protocol="which figure protocol sequences the log (default: "
         "malicious; the §3.3 exit device is enabled automatically)",
-    )
-    smr_parser.add_argument(
-        "--byzantine", type=int, default=0, metavar="B",
-        help="number of live Byzantine nodes, highest pids; they join "
+        byzantine="number of live Byzantine nodes, highest pids; they join "
         "consensus but host no state machine and do not count toward "
         "the commit quorum (default: 0)",
-    )
-    smr_parser.add_argument(
-        "--byzantine-kind",
-        choices=("balancing", "equivocating", "anti-majority", "silent"),
-        default="balancing",
-        help="Byzantine behaviour (default: balancing)",
+        chaos_drop="chaos-proxy drop probability per data frame "
+        "(default: 0)",
+        chaos_reset_every="kill connections after this many forwarded "
+        "data frames (default: never)",
+        seed="base seed for load, transport jitter, and chaos "
+        "(default: 0)",
+        metrics="print the merged smr/transport/decision metrics",
+        trace_out="write one JSONL trace per node (plus the client commit "
+        "shard) into DIR; feed it to 'report --check'",
+        trace_sample="with --trace-out: stamp-and-span one wire frame in "
+        f"N per link (default: {DEFAULT_TRACE_SAMPLE})",
+        bench="sweep --bench-ns under clean and chaos regimes and fold "
+        "the result into BENCH_cluster.json as its 'smr' section",
+        out="bench report path; an existing file is updated in place "
+        "(default: ./BENCH_cluster.json)",
     )
     smr_parser.add_argument(
         "--clients", type=int, default=4, metavar="N",
@@ -1417,71 +1423,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "(default: 30)",
     )
     smr_parser.add_argument(
-        "--chaos-delay-min", type=float, default=0.0, metavar="SECONDS",
-        help="minimum chaos-proxy delay per data frame (default: 0)",
-    )
-    smr_parser.add_argument(
-        "--chaos-delay-max", type=float, default=0.0, metavar="SECONDS",
-        help="maximum chaos-proxy delay per data frame; > 0 enables "
-        "the proxies (default: 0)",
-    )
-    smr_parser.add_argument(
-        "--chaos-drop", type=float, default=0.0, metavar="RATE",
-        help="chaos-proxy drop probability per data frame (default: 0)",
-    )
-    smr_parser.add_argument(
-        "--chaos-reset-every", type=int, default=None, metavar="FRAMES",
-        help="kill connections after this many forwarded data frames "
-        "(default: never)",
-    )
-    smr_parser.add_argument(
-        "--seed", type=int, default=0, metavar="S",
-        help="base seed for load, transport jitter, and chaos "
-        "(default: 0)",
-    )
-    smr_parser.add_argument(
         "--slo-commit-p99-ms", type=float, default=None, metavar="MS",
         help="gate: commit p99 must not exceed this; exit non-zero "
         "otherwise",
-    )
-    smr_parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="print the merged smr/transport/decision metrics",
-    )
-    smr_parser.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="DIR",
-        help="write one JSONL trace per node (plus the client commit "
-        "shard) into DIR; feed it to 'report --check'",
-    )
-    smr_parser.add_argument(
-        "--trace-sample",
-        type=int,
-        default=DEFAULT_TRACE_SAMPLE,
-        metavar="N",
-        help="with --trace-out: stamp-and-span one wire frame in N per "
-        f"link (default: {DEFAULT_TRACE_SAMPLE})",
-    )
-    smr_parser.add_argument(
-        "--bench",
-        action="store_true",
-        help="sweep --bench-ns under clean and chaos regimes and fold "
-        "the result into BENCH_cluster.json as its 'smr' section",
-    )
-    smr_parser.add_argument(
-        "--bench-ns",
-        default="4:1,7:2",
-        metavar="N:K,...",
-        help="bench sweep as comma-separated n:k pairs (default: 4:1,7:2)",
-    )
-    smr_parser.add_argument(
-        "--out",
-        default="BENCH_cluster.json",
-        metavar="PATH",
-        help="bench report path; an existing file is updated in place "
-        "(default: ./BENCH_cluster.json)",
     )
     smr_parser.set_defaults(func=_cmd_smr)
     report_parser = subparsers.add_parser(
@@ -1532,7 +1476,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "end-to-end p50 (default: 10)",
     )
     report_parser.set_defaults(func=_cmd_report)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """CLI entry point (also exposed as the ``repro-consensus`` script)."""
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

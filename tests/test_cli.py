@@ -1,6 +1,17 @@
 """Tests for the repro-consensus CLI."""
 
-from repro.harness.cli import main
+import argparse
+
+from repro.harness.cli import build_parser, main
+
+
+def _counter(out: str, name: str) -> int:
+    """One counter's value from a ``--metrics`` summary table."""
+    for line in out.splitlines():
+        fields = line.split()
+        if fields and fields[0] == name:
+            return int(fields[1])
+    return 0
 
 
 class TestCli:
@@ -215,3 +226,110 @@ class TestClusterCli:
     def test_bad_bench_ns_exits_2(self, capsys):
         assert main(["cluster", "--bench", "--bench-ns", "4:x"]) == 2
         assert "bad --bench-ns" in capsys.readouterr().out
+
+    def test_chaos_delay_min_alone_enables_chaos(self, capsys):
+        """Regression: a positive minimum delay is a chaos request even
+        with every other chaos option at its default."""
+        assert main([
+            "cluster", "--protocol", "failstop", "--chaos-delay-min", "0.002",
+            "--timeout", "45", "--seed", "4", "--metrics",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "under chaos" in out
+        assert _counter(out, "cluster.chaos.delayed") > 0
+
+
+class TestSmrCli:
+    pytestmark = __import__("pytest").mark.cluster
+
+    SMALL = [
+        "smr", "--protocol", "failstop", "--n", "4", "--k", "1",
+        "--clients", "2", "--rate", "200", "--ops", "12",
+        "--retry-every", "4", "--commit-timeout", "45", "--seed", "3",
+    ]
+
+    def test_failstop_smoke(self, capsys):
+        assert main(self.SMALL) == 0
+        out = capsys.readouterr().out
+        assert "smr n=4 k=1 failstop:" in out
+        assert "replicas byte-identical" in out
+
+    def test_unmeetable_slo_exits_1(self, capsys):
+        assert main(self.SMALL + ["--slo-commit-p99-ms", "0.001"]) == 1
+        assert "SLO FAIL" in capsys.readouterr().out
+
+    def test_bad_arguments_exit_2(self, capsys):
+        for argv, needle in (
+            (["smr", "--ops", "0"], "--ops"),
+            (["smr", "--rate", "0"], "--rate"),
+            (
+                ["smr", "--byzantine", "1", "--protocol", "failstop"],
+                "bad smr configuration",
+            ),
+            (["smr", "--bench", "--bench-ns", "4:x"], "bad --bench-ns"),
+        ):
+            assert main(argv) == 2
+            assert needle in capsys.readouterr().out
+
+    def test_trace_out_feeds_report_check(self, capsys, tmp_path):
+        import os
+        trace_dir = str(tmp_path / "traces")
+        assert main(self.SMALL + ["--trace-out", trace_dir]) == 0
+        assert sorted(os.listdir(trace_dir)) == [
+            f"node-{pid}.jsonl" for pid in range(4)
+        ] + ["node-client.jsonl", "run.json"]
+        capsys.readouterr()
+        assert main(["report", trace_dir, "--check"]) == 0
+        assert "SLO gates: all passed" in capsys.readouterr().out
+
+    def test_chaos_delay_min_alone_enables_chaos(self, capsys):
+        assert main(
+            self.SMALL + ["--chaos-delay-min", "0.002", "--metrics"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "under chaos" in out
+        assert _counter(out, "cluster.chaos.delayed") > 0
+
+
+class TestMeshOptionParity:
+    """``cluster`` and ``smr`` declare their shared options once; what
+    either command accepts for them must be what the other accepts."""
+
+    SHARED = {
+        "--n", "--k", "--protocol", "--byzantine", "--byzantine-kind",
+        "--chaos-delay-min", "--chaos-delay-max", "--chaos-drop",
+        "--chaos-reset-every", "--seed", "--metrics", "--trace-out",
+        "--trace-sample", "--bench", "--bench-ns", "--out",
+    }
+
+    def options(self, command):
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        return {
+            action.option_strings[0]: action
+            for action in subparsers.choices[command]._actions
+            if action.option_strings and action.dest != "help"
+        }
+
+    def test_shared_options_are_identical_on_both_commands(self):
+        cluster, smr = self.options("cluster"), self.options("smr")
+        assert set(cluster) & set(smr) == self.SHARED
+        for flag in sorted(self.SHARED):
+            ours, theirs = cluster[flag], smr[flag]
+            assert type(ours) is type(theirs), flag
+            for field in ("default", "type", "choices", "metavar", "dest"):
+                assert getattr(ours, field) == getattr(theirs, field), (
+                    flag, field,
+                )
+
+    def test_each_command_keeps_its_own_options(self):
+        assert set(self.options("cluster")) - self.SHARED == {
+            "--inputs", "--instances", "--batch-bytes", "--timeout",
+            "--rounds", "--bench-instances", "--bench-observability",
+        }
+        assert set(self.options("smr")) - self.SHARED == {
+            "--clients", "--rate", "--ops", "--retry-every",
+            "--compact-every", "--commit-timeout", "--slo-commit-p99-ms",
+        }

@@ -28,9 +28,7 @@ from repro.cluster.codec import (
     DataFrame,
     FrameReader,
     HelloFrame,
-    decode_envelope,
     decode_frame_bytes,
-    encode_envelope,
     encode_frame,
     encode_payload_bytes,
     frame_kind,
@@ -75,25 +73,6 @@ def random_envelope(rng: random.Random) -> Envelope:
         payload=random_payload(rng),
         seq=rng.randrange(1_000_000),
     )
-
-
-class TestEnvelopeRoundTrip:
-    def test_randomized_envelopes_round_trip_exactly(self):
-        rng = random.Random(1)
-        for _ in range(300):
-            envelope = random_envelope(rng)
-            decoded = decode_envelope(encode_envelope(envelope))
-            assert decoded == envelope
-            # The wildcard phase must come back as the identical
-            # singleton, not an equal-looking copy.
-            phase = getattr(decoded.payload, "phaseno", None)
-            if phase is not None and not isinstance(phase, int):
-                assert phase is STAR
-
-    def test_malformed_record_rejected(self):
-        for bad in (None, [], "x", {"sender": 0}, {"sender": 0, "seq": 1}):
-            with pytest.raises(CodecError):
-                decode_envelope(bad)
 
 
 def random_data_frame(rng: random.Random, link_seq: int) -> DataFrame:
