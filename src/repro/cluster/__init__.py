@@ -28,10 +28,10 @@ pieces:
   simulator's adversarial schedulers.
 * :mod:`repro.cluster.driver` — turns a spec into a running n-node
   loopback mesh (:class:`~repro.cluster.driver.ClusterMesh`, the one
-  bring-up the SMR layer shares), attaches :mod:`repro.obs` metrics and JSONL trace sinks (optionally
-  with per-node :class:`~repro.obs.spans.SpanTracer` causal tracing),
-  checks the agreement/validity oracles over the collected decision
-  records, and emits ``BENCH_cluster.json``.
+  bring-up the SMR layer shares), attaches :mod:`repro.obs` metrics and
+  JSONL trace sinks (optionally with per-node
+  :class:`~repro.obs.spans.SpanTracer` causal tracing), and checks the
+  agreement/validity oracles over the collected decision records.
 * :mod:`repro.cluster.report` — stitches a traced run's per-node JSONL
   shards into one HLC-ordered timeline and renders the operational run
   report (latency decomposition, chaos correlation, backpressure
@@ -59,11 +59,8 @@ from repro.cluster.driver import (
     check_decision_records,
     check_decision_records_by_instance,
     run_cluster,
-    run_cluster_bench,
     run_cluster_sync,
-    run_multi_instance_bench,
 )
-from repro.cluster.driver import run_tracing_overhead_bench
 from repro.cluster.node import ClusterNode, DecisionRecord
 from repro.cluster.report import (
     StitchedTrace,
@@ -109,9 +106,6 @@ __all__ = [
     "read_cluster_trace",
     "render_report_markdown",
     "run_cluster",
-    "run_cluster_bench",
     "run_cluster_sync",
-    "run_multi_instance_bench",
-    "run_tracing_overhead_bench",
     "stitch_trace_dir",
 ]

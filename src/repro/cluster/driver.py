@@ -15,28 +15,22 @@ instance), the transport batches their frames per link, and the oracles
 are applied *per instance* — agreement across instances would be
 meaningless, agreement within each instance is the paper's theorem.
 
-``run_cluster_bench`` repeats clusters across configurations and emits
-the ``BENCH_cluster.json`` payload (decisions/sec and p50/p99 decide
-latency per n).  ``run_multi_instance_bench`` sweeps instance counts and
-compares pipelined throughput against a sequential single-instance
-baseline.
+Throughput and latency of this layer are measured by the repository
+benchmark (``python3 benchmarks/suite/run.py``), not from here.
 """
 
 from __future__ import annotations
 
 import asyncio
-import gc
 import json
 import math
 import os
-import tempfile
 import uuid
 from dataclasses import dataclass, replace
 from time import monotonic
 from typing import Mapping, Optional, Sequence, Union
 
 from repro.cluster.chaos import ChaosConfig, ChaosProxy
-from repro.cluster.codec import WIRE_ENCODING
 from repro.cluster.node import ClusterNode, DecisionRecord
 from repro.cluster.trace import ClusterTraceWriter
 from repro.cluster.transport import DEFAULT_TRACE_SAMPLE, Transport
@@ -722,311 +716,3 @@ def run_cluster_sync(
         )
     )
 
-
-# ---------------------------------------------------------------------- #
-# Benchmarking
-# ---------------------------------------------------------------------- #
-
-
-async def run_cluster_bench(
-    specs: Sequence[ClusterSpec],
-    rounds: int = 1,
-    timeout: float = 60.0,
-    registry: Optional[MetricsRegistry] = None,
-    trace_dir: Optional[str] = None,
-) -> dict:
-    """Run each spec ``rounds`` times; return the BENCH_cluster payload.
-
-    The payload's ``series`` holds one entry per spec with decisions/sec
-    and decide-latency percentiles, so plotting latency-vs-n is a single
-    pass over the file.
-    """
-    if rounds < 1:
-        raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
-    series: list[dict] = []
-    all_ok = True
-    for spec in specs:
-        latencies: list[float] = []
-        decisions = 0
-        wall = 0.0
-        problems: list[str] = []
-        timed_out = False
-        for round_index in range(rounds):
-            round_spec = replace(spec, seed=spec.seed + round_index)
-            round_dir = (
-                os.path.join(
-                    trace_dir, f"n{spec.n}-round{round_index}"
-                )
-                if trace_dir is not None
-                else None
-            )
-            report = await run_cluster(
-                round_spec,
-                timeout=timeout,
-                registry=registry,
-                trace_dir=round_dir,
-            )
-            latencies.extend(report.correct_latencies())
-            decisions += sum(
-                1 for record in report.records if record.is_correct
-            )
-            wall += report.wall_seconds
-            problems.extend(report.problems)
-            timed_out = timed_out or report.timed_out
-        latencies.sort()
-        all_ok = all_ok and not problems and not timed_out
-        series.append(
-            {
-                "n": spec.n,
-                "k": spec.k,
-                "protocol": spec.protocol,
-                "instances": spec.instances,
-                "byzantine": spec.byzantine_count,
-                "byzantine_kind": (
-                    spec.byzantine_kind if spec.byzantine_count else None
-                ),
-                "chaos": bool(spec.chaos is not None and spec.chaos.active),
-                "rounds": rounds,
-                "decisions": decisions,
-                "timed_out": timed_out,
-                "problems": problems,
-                "wall_seconds": wall,
-                "decisions_per_sec": decisions / wall if wall > 0 else 0.0,
-                "decide_latency_ms": latency_summary_ms(
-                    latencies, spread=True
-                ),
-            }
-        )
-    return {
-        "benchmark": "cluster",
-        "wire_encoding": WIRE_ENCODING,
-        "ok": all_ok,
-        "series": series,
-    }
-
-
-async def run_multi_instance_bench(
-    spec: ClusterSpec,
-    instance_counts: Sequence[int] = (1, 8, 64),
-    timeout: float = 60.0,
-    registry: Optional[MetricsRegistry] = None,
-    baseline_max: int = 8,
-) -> dict:
-    """Sweep concurrent instance counts; return the multi-instance payload.
-
-    For each count the spec runs once with that many instances
-    multiplexed over one mesh, reporting aggregate decisions/sec and
-    decide-latency percentiles.  For counts up to ``baseline_max`` it
-    also runs the same workload *sequentially* — ``count`` separate
-    single-instance clusters — and reports ``speedup_vs_sequential``,
-    the headline number for the pipelined client API (the sequential
-    baseline pays mesh setup and consensus latency ``count`` times over;
-    the multiplexed run overlaps them).
-    """
-    if baseline_max < 0:
-        raise ConfigurationError(
-            f"baseline_max must be >= 0, got {baseline_max}"
-        )
-    series: list[dict] = []
-    all_ok = True
-    for count in instance_counts:
-        report = await run_cluster(
-            replace(spec, instances=count),
-            timeout=timeout,
-            registry=registry,
-        )
-        latencies = report.correct_latencies()
-        decisions = sum(
-            1 for record in report.records if record.is_correct
-        )
-        ok = report.ok
-        entry = {
-            "instances": count,
-            "n": spec.n,
-            "k": spec.k,
-            "protocol": spec.protocol,
-            "decisions": decisions,
-            "wall_seconds": report.wall_seconds,
-            "decisions_per_sec": report.decisions_per_sec(),
-            "timed_out": report.timed_out,
-            "problems": list(report.problems),
-            "decide_latency_ms": latency_summary_ms(latencies),
-        }
-        if 0 < count <= baseline_max:
-            seq_decisions = 0
-            seq_wall = 0.0
-            seq_ok = True
-            for index in range(count):
-                seq_report = await run_cluster(
-                    replace(
-                        spec,
-                        instances=1,
-                        seed=spec.seed + 100_000 + index,
-                    ),
-                    timeout=timeout,
-                    registry=registry,
-                )
-                seq_decisions += sum(
-                    1
-                    for record in seq_report.records
-                    if record.is_correct
-                )
-                seq_wall += seq_report.wall_seconds
-                seq_ok = seq_ok and seq_report.ok
-            seq_dps = seq_decisions / seq_wall if seq_wall > 0 else 0.0
-            entry["sequential_baseline"] = {
-                "runs": count,
-                "decisions": seq_decisions,
-                "wall_seconds": seq_wall,
-                "decisions_per_sec": seq_dps,
-            }
-            entry["speedup_vs_sequential"] = (
-                entry["decisions_per_sec"] / seq_dps if seq_dps > 0 else 0.0
-            )
-            ok = ok and seq_ok
-        all_ok = all_ok and ok
-        series.append(entry)
-    return {
-        "benchmark": "cluster-multi-instance",
-        "wire_encoding": WIRE_ENCODING,
-        "ok": all_ok,
-        "series": series,
-    }
-
-
-async def run_tracing_overhead_bench(
-    spec: ClusterSpec,
-    timeout: float = 60.0,
-    trace_dir: Optional[str] = None,
-    reps: int = 64,
-) -> dict:
-    """Measure causal tracing's tax on the multi-instance hot path.
-
-    Runs the spec with identical seeds both untraced (the
-    allocation-free fast path) and with span tracing plus JSONL shards
-    enabled, then reports the decisions/sec delta.  In-window spooling
-    is what is being measured — serialisation happens at writer close,
-    after the last decide.
-
-    A single run's wall is tens of milliseconds, far too short for a
-    stable ratio, so the methodology stacks three defences:
-
-    - one unmeasured warmup run per arm soaks up first-run costs
-      (allocator, import, event-loop warmth), and the arms interleave
-      in alternating order (U-T, T-U, ...) so host-load drift hits
-      both arms alike;
-    - cyclic GC is disabled inside the measured windows (see below);
-    - each arm's rate comes from the mean of its ``k`` *fastest* walls
-      (``k = reps // 8``): run-to-run noise here is strictly one-sided
-      — host contention and the randomised protocol's extra-phase runs
-      only ever *add* time — so the fastest reps are the cleanest
-      observations of each arm's true cost (``timeit``'s min-of-many
-      principle, with a small mean to absorb clock jitter).  Tracing's
-      tax is additive per run, so it shifts the floor by its full cost;
-      because the floor runs are the shortest, this is also the
-      *conservative* (largest-relative) reading of the overhead.
-
-    The last traced rep's shards go to ``trace_dir`` when given,
-    otherwise to a temporary directory discarded afterwards.
-    """
-    reps = max(1, reps)
-    ok = True
-    untraced_runs: list[tuple[float, int]] = []
-    traced_runs: list[tuple[float, int]] = []
-
-    async def run_untraced(measure: bool = True) -> None:
-        nonlocal ok
-        report = await run_cluster(spec, timeout=timeout)
-        ok = ok and report.ok
-        if measure:
-            untraced_runs.append(
-                (report.wall_seconds, len(report.records))
-            )
-
-    async def run_traced(measure: bool = True) -> None:
-        nonlocal ok
-        if trace_dir is not None:
-            report = await run_cluster(
-                spec, timeout=timeout, trace_dir=trace_dir
-            )
-        else:
-            with tempfile.TemporaryDirectory(
-                prefix="repro-trace-"
-            ) as scratch:
-                report = await run_cluster(
-                    spec, timeout=timeout, trace_dir=scratch
-                )
-        ok = ok and report.ok
-        if measure:
-            traced_runs.append((report.wall_seconds, len(report.records)))
-
-    # GC hygiene: collections fire on allocation counts, and the traced
-    # arm allocates more — so cyclic collections land disproportionately
-    # inside traced windows, billing the *whole process's* accumulated
-    # heap (this bench runs after the main sweeps) to the tracing tax.
-    # Freezing parks the pre-existing heap outside collection; the
-    # per-rep collect keeps both arms starting from the same counters.
-    # Disabling cyclic GC for the measured windows (per-rep collects
-    # still reclaim between runs) keeps collection pauses — which fire
-    # on allocation counts, i.e. disproportionately inside the busier
-    # traced arm — out of both arms' walls.
-    gc.collect()
-    gc.freeze()
-    gc.disable()
-    try:
-        await run_untraced(measure=False)
-        await run_traced(measure=False)
-        for rep in range(reps):
-            gc.collect()
-            if rep % 2 == 0:
-                await run_untraced()
-                await run_traced()
-            else:
-                await run_traced()
-                await run_untraced()
-    finally:
-        gc.enable()
-        gc.unfreeze()
-
-    def floor_rate(runs: list[tuple[float, int]]) -> float:
-        if not runs:
-            return 0.0
-        k = max(1, min(len(runs), reps // 8))
-        fastest = sorted(runs)[:k]
-        wall = sum(w for w, _ in fastest)
-        decisions = sum(d for _, d in fastest)
-        return decisions / wall if wall > 0 else 0.0
-
-    untraced_dps = floor_rate(untraced_runs)
-    traced_dps = floor_rate(traced_runs)
-    overhead_pct = (
-        (untraced_dps - traced_dps) / untraced_dps * 100.0
-        if untraced_dps > 0
-        else 0.0
-    )
-    return {
-        "benchmark": "cluster-observability",
-        "n": spec.n,
-        "k": spec.k,
-        "protocol": spec.protocol,
-        "instances": spec.instances,
-        "reps": reps,
-        "ok": ok,
-        "untraced_decisions_per_sec": untraced_dps,
-        "traced_decisions_per_sec": traced_dps,
-        "overhead_pct": overhead_pct,
-        "untraced_wall_seconds": sum(w for w, _ in untraced_runs),
-        "traced_wall_seconds": sum(w for w, _ in traced_runs),
-    }
-
-
-def write_bench_report(payload: dict, path: str) -> None:
-    """Write the BENCH_cluster payload (stamped with provenance),
-    creating parent directories."""
-    payload = dict(payload)
-    payload.setdefault("provenance", provenance())
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")

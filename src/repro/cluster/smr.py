@@ -37,8 +37,9 @@ A slot's **commit latency** is submit → a majority of correct replicas
 applied it.  :func:`run_smr_load` drives an open-loop Poisson workload
 (arrival times are drawn up front and never wait on completions, so the
 latency numbers are free of coordinated omission) and reports
-throughput plus p50/p99 commit latency; :func:`run_smr_bench` sweeps
-cluster sizes under clean and chaos regimes for BENCH_cluster.json.
+throughput plus p50/p99 commit latency.  The service's benchmark is
+the repository suite's ``smr_*`` workloads
+(``python3 benchmarks/suite/run.py``).
 """
 
 from __future__ import annotations
@@ -47,14 +48,9 @@ import asyncio
 import random
 from dataclasses import dataclass, replace
 from time import monotonic
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.cluster.chaos import ChaosConfig
-from repro.cluster.codec import (
-    WIRE_ENCODING,
-    decode_canonical,
-    encode_canonical,
-)
+from repro.cluster.codec import decode_canonical, encode_canonical
 from repro.cluster.driver import (
     ClusterMesh,
     ClusterSpec,
@@ -798,7 +794,7 @@ class SMRClient:
 
 
 # ---------------------------------------------------------------------- #
-# Load generation and benchmarking
+# Load generation
 # ---------------------------------------------------------------------- #
 
 #: Weighted op mix for the load generator (op, weight).
@@ -1000,51 +996,3 @@ async def run_smr(
     )
     return result
 
-
-#: Chaos regime the bench applies when none is supplied: mild delay plus
-#: a little loss — enough to stress retransmission and commit tails
-#: without making small CI runs flaky.
-DEFAULT_BENCH_CHAOS = ChaosConfig(
-    delay_min=0.0005, delay_max=0.004, drop_rate=0.02, seed=0
-)
-
-
-async def run_smr_bench(
-    specs: Sequence[ClusterSpec],
-    clients: int = 4,
-    rate: float = 200.0,
-    ops: int = 200,
-    seed: int = 0,
-    retry_every: int = 10,
-    compact_every: int = DEFAULT_COMPACT_EVERY,
-    commit_timeout: float = 30.0,
-    chaos: Optional[ChaosConfig] = None,
-) -> dict:
-    """Sweep specs under clean and chaos regimes; return the ``smr``
-    section for BENCH_cluster.json (throughput + p50/p99 commit latency
-    per cluster size per regime)."""
-    if chaos is None:
-        chaos = DEFAULT_BENCH_CHAOS
-    series: List[dict] = []
-    all_ok = True
-    for spec in specs:
-        for regime_chaos in (None, chaos):
-            regime_spec = replace(spec, chaos=regime_chaos)
-            result = await run_smr(
-                regime_spec,
-                clients=clients,
-                rate=rate,
-                ops=ops,
-                seed=seed,
-                retry_every=retry_every,
-                compact_every=compact_every,
-                commit_timeout=commit_timeout,
-            )
-            all_ok = all_ok and result["ok"]
-            series.append(result)
-    return {
-        "benchmark": "cluster-smr",
-        "wire_encoding": WIRE_ENCODING,
-        "ok": all_ok,
-        "series": series,
-    }

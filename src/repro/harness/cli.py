@@ -10,8 +10,6 @@ Subcommands:
   (per-phase witness/accept counts, decision-latency histograms), and
   ``--trace-out DIR`` streams one JSONL trace file per seed.
 * ``demo`` — one quick consensus run of each protocol, narrated.
-* ``bench`` — the core perf microbenchmark (``--smoke`` for a fast
-  crash-check run); writes ``BENCH_core.json``.
 * ``metrics`` — instrumented reference runs of both figure protocols:
   renders per-run/per-experiment summaries and writes ``metrics.json``;
   ``--check`` instead runs the observability self-checks (merge
@@ -25,14 +23,10 @@ Subcommands:
 * ``cluster`` — run the unchanged protocol cores over real TCP
   (see :mod:`repro.cluster`): an n-node loopback cluster, optionally
   with live Byzantine nodes and chaos-proxy delay/drop/reset
-  schedules; ``--trace-out DIR`` writes causally-traced JSONL shards;
-  ``--bench`` sweeps sizes and writes ``BENCH_cluster.json``
-  (including the causal-tracing overhead section).
+  schedules; ``--trace-out DIR`` writes causally-traced JSONL shards.
 * ``smr`` — the replicated KV service over the same mesh (see
-  :mod:`repro.cluster.smr`): open-loop client load, a commit-p99 SLO
-  gate, and ``--bench`` for the ``smr`` section of
-  ``BENCH_cluster.json``; shares ``cluster``'s mesh, chaos, tracing
-  and bench-sweep options.
+  :mod:`repro.cluster.smr`): open-loop client load and a commit-p99 SLO
+  gate; shares ``cluster``'s mesh, chaos and tracing options.
 * ``report`` — stitch a traced cluster run's per-node shards into one
   HLC-ordered timeline and render the operational run report: decide
   latency decomposed into queue/transport/compute segments, chaos
@@ -41,6 +35,9 @@ Subcommands:
 
 The same experiment implementations back the pytest benchmarks; the CLI
 exists so a user can regenerate any paper artifact without pytest.
+Performance is measured by the repository benchmark, not from here:
+``python3 benchmarks/suite/run.py`` (profile one workload with
+``python -m cProfile benchmarks/suite/run.py --workload W``).
 """
 
 from __future__ import annotations
@@ -184,69 +181,6 @@ def _cmd_demo(_args: argparse.Namespace) -> int:
     if status:
         print("demo run did not decide (budget exhausted or quiescent)")
     return status
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.harness.perfbench import (
-        check_gates,
-        run_core_benchmark,
-        write_report,
-    )
-
-    if args.workers is not None and args.workers < 1:
-        print(f"--workers must be >= 1, got {args.workers}")
-        return 2
-    if args.profile:
-        import cProfile
-        import pstats
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            payload = run_core_benchmark(
-                smoke=args.smoke, workers=args.workers
-            )
-        finally:
-            profiler.disable()
-        stats_path = os.path.join(
-            os.path.dirname(os.path.abspath(args.out)), "profile.pstats"
-        )
-        profiler.dump_stats(stats_path)
-        stats = pstats.Stats(profiler)
-        stats.sort_stats("cumulative")
-        print(f"wrote {stats_path} (inspect with `python -m pstats`)")
-    else:
-        payload = run_core_benchmark(smoke=args.smoke, workers=args.workers)
-    write_report(payload, args.out)
-    for name, row in payload["schedulers"].items():
-        print(
-            f"{name:16s} {row['new_steps_per_sec']:>12.1f} steps/s "
-            f"(reference {row['ref_steps_per_sec']:.1f}, "
-            f"speedup {row['speedup']:.2f}x)"
-        )
-    par = payload["parallel"]
-    print(
-        f"{'parallel':16s} {par['seeds']} seeds x {par['workers']} workers "
-        f"(campaign slices of {par['slice_size']}): warm pool "
-        f"{par['speedup']:.2f}x vs cold re-fork, "
-        f"{par['speedup_vs_serial']:.2f}x vs serial "
-        f"({par['cpu_count']} cpu), aggregates identical"
-    )
-    obs = payload["observability"]
-    print(
-        f"{'observability':16s} metrics on: +{obs['metrics_on_overhead_pct']}% "
-        f"(median paired +{obs['median_paired_overhead_pct']}%), "
-        "steps identical"
-    )
-    print(f"wrote {args.out}")
-    if args.check_gates:
-        failures = check_gates(payload)
-        for failure in failures:
-            print(f"perf gate FAILED: {failure}")
-        if failures:
-            return 1
-        print("perf gates passed")
-    return 0
 
 
 #: The instrumented reference configurations the ``metrics`` subcommand
@@ -550,7 +484,7 @@ def _add_mesh_options(
     parser: argparse.ArgumentParser, **help_for: str
 ) -> None:
     """Declare the options ``cluster`` and ``smr`` share: mesh shape,
-    chaos schedule, tracing, bench sweep.  ``help_for`` carries the
+    chaos schedule, tracing.  ``help_for`` carries the
     wordings that differ between the two commands."""
     from repro.cluster.transport import DEFAULT_TRACE_SAMPLE
 
@@ -611,19 +545,6 @@ def _add_mesh_options(
         metavar="N",
         help=help_for["trace_sample"],
     )
-    parser.add_argument("--bench", action="store_true", help=help_for["bench"])
-    parser.add_argument(
-        "--bench-ns",
-        default="4:1,7:2",
-        metavar="N:K,...",
-        help="bench sweep as comma-separated n:k pairs (default: 4:1,7:2)",
-    )
-    parser.add_argument(
-        "--out",
-        default="BENCH_cluster.json",
-        metavar="PATH",
-        help=help_for["out"],
-    )
 
 
 def _mesh_spec(args: argparse.Namespace, what: str, **own):
@@ -635,6 +556,8 @@ def _mesh_spec(args: argparse.Namespace, what: str, **own):
     from repro.cluster.driver import ClusterSpec
     from repro.errors import ConfigurationError
 
+    if args.trace_sample < 1:
+        return None, f"--trace-sample must be >= 1, got {args.trace_sample}"
     chaos = None
     # A positive minimum alone asks for chaos too: the maximum is lifted
     # to it below.
@@ -668,34 +591,6 @@ def _mesh_spec(args: argparse.Namespace, what: str, **own):
     return spec, None
 
 
-def _bench_specs(args: argparse.Namespace, spec, **fixed):
-    """``(specs, None)``: one spec per ``--bench-ns`` pair — ``spec``
-    resized, its Byzantine count capped at the pair's k, ``fixed``
-    fields overridden — or ``(None, message)`` for a bad entry."""
-    from dataclasses import replace
-
-    from repro.errors import ConfigurationError
-
-    specs = []
-    try:
-        for pair in args.bench_ns.split(","):
-            n_text, sep, k_text = pair.strip().partition(":")
-            n_value = int(n_text)
-            k_value = int(k_text) if sep else spec.k
-            specs.append(
-                replace(
-                    spec,
-                    n=n_value,
-                    k=k_value,
-                    byzantine_count=min(args.byzantine, k_value),
-                    **fixed,
-                )
-            )
-    except (ValueError, ConfigurationError) as exc:
-        return None, f"bad --bench-ns entry: {exc}"
-    return specs, None
-
-
 def _mesh_notes(spec) -> str:
     """The Byzantine and chaos clauses of a run's headline."""
     byz_note = (
@@ -718,23 +613,12 @@ def _print_mesh_footer(args: argparse.Namespace, registry, title: str) -> None:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    import asyncio
-    from dataclasses import replace
-
-    from repro.cluster.driver import (
-        run_cluster_bench,
-        run_cluster_sync,
-        run_multi_instance_bench,
-        write_bench_report,
-    )
+    from repro.cluster.driver import run_cluster_sync
     from repro.errors import ConfigurationError
     from repro.obs.metrics import MetricsRegistry
 
     if args.timeout <= 0:
         print(f"--timeout must be > 0, got {args.timeout}")
-        return 2
-    if args.rounds < 1:
-        print(f"--rounds must be >= 1, got {args.rounds}")
         return 2
     if args.instances < 1:
         print(f"--instances must be >= 1, got {args.instances}")
@@ -753,102 +637,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         print(error)
         return 2
 
-    if args.bench:
-        # n varies across the sweep; unanimous inputs scale with it.
-        specs, error = _bench_specs(args, spec, inputs=None)
-        if error is not None:
-            print(error)
-            return 2
-        try:
-            instance_counts = tuple(
-                int(text)
-                for text in args.bench_instances.split(",")
-                if text.strip()
-            )
-        except ValueError as exc:
-            print(f"bad --bench-instances entry: {exc}")
-            return 2
-        try:
-            payload = asyncio.run(
-                run_cluster_bench(
-                    specs,
-                    rounds=args.rounds,
-                    timeout=args.timeout,
-                    trace_dir=args.trace_out,
-                )
-            )
-            if instance_counts:
-                payload["multi_instance"] = asyncio.run(
-                    run_multi_instance_bench(
-                        spec,
-                        instance_counts=instance_counts,
-                        timeout=args.timeout,
-                    )
-                )
-                payload["ok"] = (
-                    payload["ok"] and payload["multi_instance"]["ok"]
-                )
-            if args.bench_observability:
-                from repro.cluster.driver import run_tracing_overhead_bench
-
-                obs_instances = (
-                    min(max(instance_counts), 8)
-                    if instance_counts
-                    else spec.instances
-                )
-                payload["observability"] = asyncio.run(
-                    run_tracing_overhead_bench(
-                        replace(spec, instances=obs_instances),
-                        timeout=args.timeout,
-                    )
-                )
-                payload["ok"] = (
-                    payload["ok"] and payload["observability"]["ok"]
-                )
-        except ConfigurationError as exc:
-            print(f"bad cluster configuration: {exc}")
-            return 2
-        write_bench_report(payload, args.out)
-        for row in payload["series"]:
-            latency = row["decide_latency_ms"]
-            print(
-                f"n={row['n']:2d} k={row['k']} byz={row['byzantine']} "
-                f"chaos={'on' if row['chaos'] else 'off'}: "
-                f"{row['decisions']} decisions, "
-                f"{row['decisions_per_sec']:.1f}/s, "
-                f"decide p50 {latency['p50']:.1f} ms, "
-                f"p99 {latency['p99']:.1f} ms"
-            )
-            for problem in row["problems"]:
-                print(f"  PROBLEM: {problem}")
-        for row in payload.get("multi_instance", {}).get("series", ()):
-            latency = row["decide_latency_ms"]
-            line = (
-                f"instances={row['instances']:3d} "
-                f"(n={row['n']}, {row['protocol']}): "
-                f"{row['decisions']} decisions, "
-                f"{row['decisions_per_sec']:.1f}/s, "
-                f"decide p50 {latency['p50']:.1f} ms, "
-                f"p99 {latency['p99']:.1f} ms"
-            )
-            if "speedup_vs_sequential" in row:
-                line += (
-                    f", {row['speedup_vs_sequential']:.2f}x vs sequential"
-                )
-            print(line)
-            for problem in row["problems"]:
-                print(f"  PROBLEM: {problem}")
-        obs = payload.get("observability")
-        if obs is not None:
-            print(
-                f"tracing overhead (instances={obs['instances']}): "
-                f"{obs['untraced_decisions_per_sec']:.1f}/s untraced vs "
-                f"{obs['traced_decisions_per_sec']:.1f}/s traced "
-                f"({obs['overhead_pct']:+.1f}%)"
-            )
-        print(f"wrote {args.out}")
-        return 0 if payload["ok"] else 1
-
     registry = MetricsRegistry()
     try:
         report = run_cluster_sync(
@@ -856,7 +644,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             timeout=args.timeout,
             registry=registry,
             trace_dir=args.trace_out,
-            trace_sample=max(1, args.trace_sample),
+            trace_sample=args.trace_sample,
         )
     except ConfigurationError as exc:
         print(f"bad cluster configuration: {exc}")
@@ -897,11 +685,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 def _cmd_smr(args: argparse.Namespace) -> int:
     import asyncio
-    import json as json_module
-    import os
 
-    from repro.cluster.driver import write_bench_report
-    from repro.cluster.smr import run_smr, run_smr_bench
+    from repro.cluster.smr import run_smr
     from repro.errors import ConfigurationError
     from repro.obs.metrics import MetricsRegistry
 
@@ -925,58 +710,6 @@ def _cmd_smr(args: argparse.Namespace) -> int:
         print(error)
         return 2
 
-    if args.bench:
-        # run_smr_bench supplies the chaos regimes itself.
-        specs, error = _bench_specs(args, spec, chaos=None)
-        if error is not None:
-            print(error)
-            return 2
-        try:
-            smr_payload = asyncio.run(
-                run_smr_bench(
-                    specs,
-                    clients=args.clients,
-                    rate=args.rate,
-                    ops=args.ops,
-                    seed=args.seed,
-                    retry_every=args.retry_every,
-                    compact_every=args.compact_every,
-                    commit_timeout=args.commit_timeout,
-                    chaos=spec.chaos,
-                )
-            )
-        except ConfigurationError as exc:
-            print(f"bad smr configuration: {exc}")
-            return 2
-        # The smr sweep is one *section* of BENCH_cluster.json: fold it
-        # into an existing payload rather than clobbering the cluster
-        # bench's own series.
-        payload: dict = {"benchmark": "cluster", "ok": True, "series": []}
-        if os.path.exists(args.out):
-            try:
-                with open(args.out, "r", encoding="utf-8") as handle:
-                    payload = json_module.load(handle)
-            except (OSError, ValueError) as exc:
-                print(f"ignoring unreadable {args.out}: {exc}")
-        payload["smr"] = smr_payload
-        payload["ok"] = bool(payload.get("ok", True)) and smr_payload["ok"]
-        write_bench_report(payload, args.out)
-        for row in smr_payload["series"]:
-            latency = row["commit_latency_ms"]
-            print(
-                f"n={row['n']:2d} k={row['k']} byz={row['byzantine']} "
-                f"chaos={'on' if row['chaos'] else 'off'}: "
-                f"{row['committed']} committed, "
-                f"{row['throughput_ops_per_sec']:.1f} ops/s, "
-                f"commit p50 {latency['p50']:.1f} ms, "
-                f"p99 {latency['p99']:.1f} ms, "
-                f"dedup {row['dedup_hits']}/{row['dedup_retries']}"
-            )
-            for problem in row["problems"]:
-                print(f"  PROBLEM: {problem}")
-        print(f"wrote {args.out}")
-        return 0 if smr_payload["ok"] else 1
-
     registry = MetricsRegistry()
     try:
         result = asyncio.run(
@@ -991,7 +724,7 @@ def _cmd_smr(args: argparse.Namespace) -> int:
                 commit_timeout=args.commit_timeout,
                 registry=registry,
                 trace_dir=args.trace_out,
-                trace_sample=max(1, args.trace_sample),
+                trace_sample=args.trace_sample,
             )
         )
     except ConfigurationError as exc:
@@ -1147,40 +880,6 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser("demo", help="quick narrated demo").set_defaults(
         func=_cmd_demo
     )
-    bench_parser = subparsers.add_parser(
-        "bench", help="core perf microbenchmark (steps/sec vs reference)"
-    )
-    bench_parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny configurations; exercises the benchmark, not the hardware",
-    )
-    bench_parser.add_argument(
-        "--out",
-        default="BENCH_core.json",
-        metavar="PATH",
-        help="where to write the JSON report (default: ./BENCH_core.json)",
-    )
-    bench_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker count for the parallel-runner section (default: 4)",
-    )
-    bench_parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="profile the benchmark run with cProfile and write "
-        "profile.pstats next to --out",
-    )
-    bench_parser.add_argument(
-        "--check-gates",
-        action="store_true",
-        help="exit non-zero if loose perf tripwires fail "
-        "(warm pool slower than cold, metrics overhead > 20%%)",
-    )
-    bench_parser.set_defaults(func=_cmd_bench)
     metrics_parser = subparsers.add_parser(
         "metrics",
         help="instrumented reference runs + metrics.json "
@@ -1321,9 +1020,6 @@ def build_parser() -> argparse.ArgumentParser:
         "N per link; 1 records every message (default: "
         f"{DEFAULT_TRACE_SAMPLE}; decide segments, chaos windows and "
         "backpressure are exact at any rate)",
-        bench="sweep --bench-ns configurations and write "
-        "BENCH_cluster.json",
-        out="bench report path (default: ./BENCH_cluster.json)",
     )
     cluster_parser.add_argument(
         "--inputs",
@@ -1344,26 +1040,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_parser.add_argument(
         "--timeout", type=float, default=60.0, metavar="SECONDS",
         help="wall-clock budget per cluster run (default: 60)",
-    )
-    cluster_parser.add_argument(
-        "--rounds", type=int, default=1, metavar="R",
-        help="bench rounds per configuration (default: 1)",
-    )
-    cluster_parser.add_argument(
-        "--bench-instances",
-        default="1,8,64",
-        metavar="I,...",
-        help="bench: also sweep these concurrent-instance counts on the "
-        "base --n/--k spec, with a sequential baseline for comparison; "
-        "empty string skips the sweep (default: 1,8,64)",
-    )
-    cluster_parser.add_argument(
-        "--bench-observability",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="bench: also measure causal-tracing overhead "
-        "(untraced vs traced decisions/sec) as the payload's "
-        "'observability' section (default: on)",
     )
     cluster_parser.set_defaults(func=_cmd_cluster)
     smr_parser = subparsers.add_parser(
@@ -1390,10 +1066,6 @@ def build_parser() -> argparse.ArgumentParser:
         "shard) into DIR; feed it to 'report --check'",
         trace_sample="with --trace-out: stamp-and-span one wire frame in "
         f"N per link (default: {DEFAULT_TRACE_SAMPLE})",
-        bench="sweep --bench-ns under clean and chaos regimes and fold "
-        "the result into BENCH_cluster.json as its 'smr' section",
-        out="bench report path; an existing file is updated in place "
-        "(default: ./BENCH_cluster.json)",
     )
     smr_parser.add_argument(
         "--clients", type=int, default=4, metavar="N",

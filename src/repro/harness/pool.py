@@ -2,13 +2,14 @@
 
 PR 1's ``run_many`` forked a fresh ``multiprocessing.Pool`` for every
 call, so each batch of seeds paid the whole pool spin-up (forking,
-pipe setup, interpreter page faults) before the first seed ran.  On the
-bench suite's 24-seed batch that overhead exceeded the work itself:
-``BENCH_core.json`` recorded parallel ``run_many`` at *0.44x of
-serial*.  Every fan-out in the repo — the fuzzer's sliced campaigns,
-the experiment registry, the bench sweeps — goes through ``run_many``,
-so the fix is structural: fork once, keep the workers warm, and feed
-them over a queue.
+pipe setup, interpreter page faults) before the first seed ran.  On a
+24-seed batch that overhead exceeded the work itself: parallel
+``run_many`` measured *0.44x of serial*.  Every fan-out in the repo —
+the fuzzer's sliced campaigns, the experiment registry — goes through
+``run_many``, so the fix is structural: fork once, keep the workers
+warm, and feed them over a queue.  The repository benchmark tracks the
+result as ``harness.pool.parallel_plans_per_s``
+(``python3 benchmarks/suite/run.py``).
 
 A :class:`WorkerPool` holds N forked worker processes consuming
 ``(task_id, seed_chunk)`` tuples from a shared task queue and pushing

@@ -1,8 +1,8 @@
-"""Run provenance: who produced a benchmark artifact, and on what.
+"""Run provenance: who produced a run artifact, and on what.
 
-Benchmark JSON payloads (``BENCH_core.json``, ``BENCH_cluster.json``) and
-cluster run manifests are compared across commits and machines, so each
-one is stamped with the facts needed to interpret a number months later:
+Cluster and SMR run manifests (``run.json`` next to the trace shards)
+are compared across commits and machines, so each one is stamped with
+the facts needed to interpret a number months later:
 the git commit it was built from, the host's CPU count, and the Python
 version.  Everything degrades gracefully — outside a git checkout the
 SHA is simply ``None``, never an exception.
@@ -38,7 +38,7 @@ def git_sha() -> Optional[str]:
 
 
 def provenance() -> dict:
-    """Metadata block stamped into benchmark payloads and manifests."""
+    """Metadata block stamped into run manifests."""
     return {
         "git_sha": git_sha(),
         "cpu_count": os.cpu_count(),

@@ -341,7 +341,7 @@ class Simulation:
         # bookkeeping through resolve-once slot handles.  Both bodies
         # execute the identical protocol step sequence — scheduling and
         # RNG use never differ — so a seed computes the same run either
-        # way; the bench suite asserts exactly that.
+        # way; tests/test_sim_kernel.py asserts exactly that.
         obs = self.metrics
         if obs is None:
             halt_reason = self._run_plain(deadline, halt)

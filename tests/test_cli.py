@@ -162,20 +162,6 @@ class TestClusterCli:
             f"node-{pid}.jsonl" for pid in range(4)
         ] + ["run.json"]
 
-    def test_bench_writes_report(self, capsys, tmp_path):
-        import json
-        out_path = str(tmp_path / "nested" / "BENCH_cluster.json")
-        assert main([
-            "cluster", "--bench", "--bench-ns", "4:1", "--rounds", "1",
-            "--timeout", "45", "--seed", "2", "--out", out_path,
-            "--bench-instances", "",  # skip the sweep: fast smoke
-        ]) == 0
-        with open(out_path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        assert payload["ok"]
-        assert payload["series"][0]["n"] == 4
-        assert "multi_instance" not in payload
-
     def test_multi_instance_run(self, capsys):
         assert main([
             "cluster", "--protocol", "failstop", "--n", "4", "--k", "1",
@@ -186,22 +172,6 @@ class TestClusterCli:
         assert "[i0]" in out and "[i2]" in out
         assert "PASS for all 3 instances" in out
 
-    def test_bench_multi_instance_sweep(self, capsys, tmp_path):
-        import json
-        out_path = str(tmp_path / "BENCH_cluster.json")
-        assert main([
-            "cluster", "--bench", "--bench-ns", "4:1", "--rounds", "1",
-            "--timeout", "45", "--seed", "2", "--out", out_path,
-            "--bench-instances", "1,2",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "instances=  1" in out and "instances=  2" in out
-        with open(out_path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        sweep = payload["multi_instance"]
-        assert sweep["ok"]
-        assert [row["instances"] for row in sweep["series"]] == [1, 2]
-
     def test_bad_instances_exits_2(self, capsys):
         assert main(["cluster", "--instances", "0"]) == 2
         assert "--instances" in capsys.readouterr().out
@@ -210,22 +180,16 @@ class TestClusterCli:
         assert main(["cluster", "--batch-bytes", "-1"]) == 2
         assert "--batch-bytes" in capsys.readouterr().out
 
-    def test_bad_bench_instances_exits_2(self, capsys):
-        assert main([
-            "cluster", "--bench", "--bench-ns", "4:1",
-            "--bench-instances", "1,x",
-        ]) == 2
-        assert "bad --bench-instances" in capsys.readouterr().out
-
     def test_bad_configuration_exits_2(self, capsys):
         assert main([
             "cluster", "--protocol", "failstop", "--byzantine", "1",
         ]) == 2
         assert "bad cluster configuration" in capsys.readouterr().out
 
-    def test_bad_bench_ns_exits_2(self, capsys):
-        assert main(["cluster", "--bench", "--bench-ns", "4:x"]) == 2
-        assert "bad --bench-ns" in capsys.readouterr().out
+    def test_bad_trace_sample_exits_2(self, capsys):
+        """Regression: 0 used to be clamped to "span every frame"."""
+        assert main(["cluster", "--trace-sample", "-3"]) == 2
+        assert "--trace-sample must be >= 1, got -3" in capsys.readouterr().out
 
     def test_chaos_delay_min_alone_enables_chaos(self, capsys):
         """Regression: a positive minimum delay is a chaos request even
@@ -266,7 +230,10 @@ class TestSmrCli:
                 ["smr", "--byzantine", "1", "--protocol", "failstop"],
                 "bad smr configuration",
             ),
-            (["smr", "--bench", "--bench-ns", "4:x"], "bad --bench-ns"),
+            (
+                ["smr", "--trace-sample", "0"],
+                "--trace-sample must be >= 1, got 0",
+            ),
         ):
             assert main(argv) == 2
             assert needle in capsys.readouterr().out
@@ -299,7 +266,7 @@ class TestMeshOptionParity:
         "--n", "--k", "--protocol", "--byzantine", "--byzantine-kind",
         "--chaos-delay-min", "--chaos-delay-max", "--chaos-drop",
         "--chaos-reset-every", "--seed", "--metrics", "--trace-out",
-        "--trace-sample", "--bench", "--bench-ns", "--out",
+        "--trace-sample",
     }
 
     def options(self, command):
@@ -327,9 +294,19 @@ class TestMeshOptionParity:
     def test_each_command_keeps_its_own_options(self):
         assert set(self.options("cluster")) - self.SHARED == {
             "--inputs", "--instances", "--batch-bytes", "--timeout",
-            "--rounds", "--bench-instances", "--bench-observability",
         }
         assert set(self.options("smr")) - self.SHARED == {
             "--clients", "--rate", "--ops", "--retry-every",
             "--compact-every", "--commit-timeout", "--slo-commit-p99-ms",
         }
+
+    def test_legacy_bench_surface_is_gone(self, capsys):
+        """The repository benchmark (``benchmarks/suite/``) is the only
+        one: no ``bench`` subcommand, no ``--bench`` on either command."""
+        import pytest
+
+        for argv in (["bench"], ["cluster", "--bench"], ["smr", "--bench"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            capsys.readouterr()

@@ -20,11 +20,7 @@ from repro.cluster.codec import (
     decode_frame_bytes,
     encode_frame,
 )
-from repro.cluster.driver import (
-    ClusterSpec,
-    run_cluster_sync,
-    run_tracing_overhead_bench,
-)
+from repro.cluster.driver import ClusterSpec, run_cluster_sync
 from repro.cluster.report import (
     analyze_run,
     check_slos,
@@ -509,21 +505,3 @@ class TestQueueDrainOnShutdown:
         # Transport.close() records the final backlog; a graceful
         # shutdown must leave nothing queued.
         assert snapshot.gauges.get("cluster.transport.final_backlog") == 0
-
-
-@pytest.mark.cluster
-class TestTracingOverheadBench:
-    def test_overhead_payload_shape(self):
-        payload = asyncio.run(
-            run_tracing_overhead_bench(
-                ClusterSpec(
-                    n=4, k=1, protocol="failstop", instances=2, seed=6
-                ),
-                timeout=45,
-            )
-        )
-        assert payload["benchmark"] == "cluster-observability"
-        assert payload["ok"]
-        assert payload["untraced_decisions_per_sec"] > 0
-        assert payload["traced_decisions_per_sec"] > 0
-        assert "overhead_pct" in payload

@@ -9,8 +9,8 @@ Covers the SMR layer at three levels:
 * the replicated service — exactly-once apply of a retried client
   request on *every* replica, replica byte-equality under clean and
   chaos networks, compaction during live load;
-* the operational surface — load-generator payload shape, bench
-  payload shape, and the ``smr`` CLI (single run and bench merge).
+* the operational surface — load-generator payload shape and the
+  ``smr`` CLI.
 """
 
 import asyncio
@@ -29,7 +29,6 @@ from repro.cluster.smr import (
     SMRClient,
     SMRCluster,
     run_smr,
-    run_smr_bench,
     run_smr_load,
 )
 from repro.errors import ConfigurationError
@@ -353,11 +352,11 @@ class TestSMRCluster:
 
 
 # ---------------------------------------------------------------------- #
-# Load generation and bench payloads
+# Load generation
 # ---------------------------------------------------------------------- #
 
 
-class TestLoadAndBench:
+class TestLoad:
     def test_load_payload_shape_and_accounting(self):
         async def scenario():
             registry = MetricsRegistry()
@@ -375,6 +374,7 @@ class TestLoadAndBench:
 
         result, snapshot = asyncio.run(scenario())
         assert result["ok"], result["problems"]
+        assert (result["n"], result["k"], result["chaos"]) == (4, 1, False)
         # 20 ops + 4 retries; genesis is not a client op.
         assert result["submitted_slots"] == 25
         assert result["committed"] == 24
@@ -399,41 +399,6 @@ class TestLoadAndBench:
                 await run_smr_load(cluster, ops=0)
 
         asyncio.run(scenario())
-
-    def test_bench_sweeps_clean_and_chaos_regimes(self):
-        async def scenario():
-            return await run_smr_bench(
-                [_spec(seed=29)],
-                clients=2,
-                rate=400.0,
-                ops=10,
-                seed=6,
-                retry_every=5,
-                compact_every=16,
-                commit_timeout=30.0,
-                chaos=ChaosConfig(
-                    delay_min=0.0005,
-                    delay_max=0.002,
-                    drop_rate=0.01,
-                    seed=1,
-                ),
-            )
-
-        payload = asyncio.run(scenario())
-        assert payload["benchmark"] == "cluster-smr"
-        assert payload["ok"], [
-            row["problems"] for row in payload["series"]
-        ]
-        assert [row["chaos"] for row in payload["series"]] == [
-            False,
-            True,
-        ]
-        for row in payload["series"]:
-            assert row["n"] == 4 and row["k"] == 1
-            assert row["committed"] == 12
-            assert {"throughput_ops_per_sec", "commit_latency_ms"} <= set(
-                row
-            )
 
 
 # ---------------------------------------------------------------------- #
@@ -490,45 +455,6 @@ class TestSMRCLI:
             payload = json.load(handle)
         assert payload["smr"]["commits"] >= 11
         assert payload["smr"]["applies"] >= 33  # per-replica events
-
-    def test_bench_merges_smr_section_into_existing_payload(
-        self, tmp_path, capsys
-    ):
-        from repro.harness.cli import main
-
-        out_path = str(tmp_path / "BENCH_cluster.json")
-        existing = {
-            "benchmark": "cluster",
-            "ok": True,
-            "series": [{"n": 4, "sentinel": True}],
-        }
-        with open(out_path, "w", encoding="utf-8") as handle:
-            json.dump(existing, handle)
-        code = main(
-            [
-                "smr",
-                "--bench",
-                "--bench-ns", "4:1",
-                "--protocol", "failstop",
-                "--ops", "8",
-                "--rate", "400",
-                "--clients", "2",
-                "--retry-every", "4",
-                "--commit-timeout", "30",
-                "--seed", "41",
-                "--out", out_path,
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0, out
-        with open(out_path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        # The cluster bench's own series is preserved; smr is a section.
-        assert payload["series"] == existing["series"]
-        assert payload["smr"]["benchmark"] == "cluster-smr"
-        assert len(payload["smr"]["series"]) == 2  # clean + chaos
-        assert payload["ok"] is True
-        assert "provenance" in payload
 
     def test_bad_configuration_exits_two(self, capsys):
         from repro.harness.cli import main

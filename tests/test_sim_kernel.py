@@ -5,6 +5,12 @@ from typing import Optional
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.faults.byzantine import BalancingEchoByzantine
+from repro.harness.builders import (
+    build_failstop_processes,
+    build_malicious_processes,
+)
+from repro.harness.workloads import balanced_inputs
 from repro.net.message import Envelope
 from repro.net.schedulers import FifoScheduler
 from repro.procs.base import Process, Send
@@ -114,6 +120,41 @@ class TestSimulationBasics:
             processes = [DecideOnFirstMessage(pid, 3, pid % 2) for pid in range(3)]
             outcomes.add(Simulation(processes, seed=seed).run().decisions)
         assert len(outcomes) > 1
+
+
+def _figure_1():
+    return build_failstop_processes(
+        7, 3, balanced_inputs(7),
+        crashes={0: {"crash_at_step": 3, "keep_sends": 2}},
+    )
+
+
+def _figure_2_with_byzantine():
+    return build_malicious_processes(
+        7, 2, balanced_inputs(7), byzantine={6: BalancingEchoByzantine},
+    )
+
+
+class TestMetricsOnOffEquivalence:
+    """``_run_observed`` and ``_run_plain`` are hand-kept twins: metrics
+    never touch the RNG or the schedule, so a seed computes the same run
+    through either loop."""
+
+    @pytest.mark.parametrize("build", [_figure_1, _figure_2_with_byzantine])
+    @pytest.mark.parametrize("seed", [0, 7, 1983])
+    def test_same_seed_same_run(self, build, seed):
+        plain = Simulation(build(), seed=seed).run(max_steps=500_000)
+        observed = Simulation(build(), seed=seed, metrics=True).run(
+            max_steps=500_000
+        )
+        assert plain.metrics is None and observed.metrics is not None
+        assert plain.halt_reason is HaltReason.GOAL_REACHED
+        for field in (
+            "steps", "decisions", "decided_at_phase", "decided_at_step",
+            "max_phase", "halt_reason", "messages_sent",
+            "messages_delivered",
+        ):
+            assert getattr(observed, field) == getattr(plain, field), field
 
 
 class TestTraceAndAccounting:
