@@ -279,7 +279,12 @@ def _metrics_check() -> int:
     from repro.harness.runner import ExperimentRunner
     from repro.harness.workloads import balanced_inputs
     from repro.obs.metrics import merge_snapshots
-    from repro.obs.sinks import CountingSink, JsonlTraceSink, read_jsonl
+    from repro.obs.sinks import (
+        CountingSink,
+        InMemorySink,
+        JsonlTraceSink,
+        read_jsonl,
+    )
     from repro.sim.kernel import Simulation
     from repro.sim.trace_tools import message_complexity, validate_trace
 
@@ -314,21 +319,21 @@ def _metrics_check() -> int:
     )
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.jsonl")
-        reference = Simulation(factory(0), seed=0, trace=True)
-        reference.run(max_steps=300_000)
+        reference = InMemorySink()
+        Simulation(factory(0), seed=0, sink=reference).run(max_steps=300_000)
         streamed = Simulation(
             factory(0), seed=0, sink=JsonlTraceSink(path)
         )
         streamed.run(max_steps=300_000)
         streamed.sink.close()
         round_tripped = list(read_jsonl(path))
-        ok = round_tripped == list(reference.trace)
+        ok = round_tripped == reference.events
         reason = ""
         try:
             audit = validate_trace(read_jsonl(path))
             ok = ok and audit.events == len(round_tripped)
             ok = ok and message_complexity(round_tripped) == message_complexity(
-                reference.trace
+                reference.events
             )
         except ReproError as exc:
             # Only the library's own validation failures (malformed
@@ -346,7 +351,7 @@ def _metrics_check() -> int:
     result = silent.run(max_steps=300_000)
     check(
         "disabled hot path emits no events and no metrics",
-        probe.emitted == 0 and result.metrics is None and result.trace == (),
+        probe.emitted == 0 and result.metrics is None,
     )
     if failures:
         print(f"{failures} observability check(s) failed")

@@ -1,17 +1,14 @@
 """Pre-optimisation scheduler implementations, preserved verbatim.
 
 These are the straightforward O(pending)-scan schedulers the library
-shipped before the indexed message system landed.  They exist for two
-reasons:
-
-1. **Golden-trace equivalence tests** — the optimised schedulers in
-   :mod:`repro.net.schedulers` promise a bit-identical replay: the same
-   (processes, scheduler, seed) triple must produce the same execution,
-   draw for draw.  The tests run both implementations and compare full
-   :class:`~repro.sim.kernel.RunResult` values.
-2. **Perf baselines** — ``benchmarks/bench_perf_core.py`` measures the
-   optimised core *against* these to report the speedup honestly, rather
-   than against a remembered number.
+shipped before the indexed message system landed.  They exist for the
+**golden-trace equivalence tests**: the optimised schedulers in
+:mod:`repro.net.schedulers` promise a bit-identical replay — the same
+(processes, scheduler, seed) triple must produce the same execution,
+draw for draw — and the tests run both implementations and compare full
+:class:`~repro.sim.kernel.RunResult` values.  (They were also the perf
+baseline of a legacy bench script, deleted with the rest of that stack;
+``benchmarks/suite/`` measures the optimised core on its own.)
 
 They are deliberately self-contained: the local :func:`_deliverable_pairs`
 reproduces the old full-scan helper so the baseline keeps the old cost

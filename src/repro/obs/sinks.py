@@ -7,8 +7,8 @@ parallel fan-out scale.  A *sink* decouples recording from storage:
 * :class:`NullSink` — the disabled recorder.  Its ``active`` flag is
   ``False``, so the kernel's single ``if record:`` guard skips event
   construction entirely; ``emit`` is never called on the hot path.
-* :class:`InMemorySink` — the backward-compatible backend behind
-  ``Simulation(trace=True)``; collects events in a list.
+* :class:`InMemorySink` — ``Simulation(sink=InMemorySink())`` collects
+  the events in a list, read back as ``sim.sink.events``.
 * :class:`JsonlTraceSink` — streams events as JSON Lines to a file, one
   object per event, so traces of arbitrarily long runs use O(1) memory
   and can be post-processed by anything that reads JSONL.
@@ -90,7 +90,7 @@ NULL_SINK = NullSink()
 
 
 class InMemorySink(TraceSink):
-    """Collects events in a list — the ``trace=True`` backend."""
+    """Collects events in a list (``sink.events``)."""
 
     def __init__(self) -> None:
         self.events: list[TraceEvent] = []

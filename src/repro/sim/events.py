@@ -1,7 +1,7 @@
 """Trace events emitted by the simulation kernel.
 
-Tracing is opt-in (``Simulation(trace=True)``) because full traces of
-echo-heavy runs are large.  Every event carries the global step index at
+Tracing is opt-in (``Simulation(sink=InMemorySink())``) because full
+traces of echo-heavy runs are large.  Every event carries the global step index at
 which it occurred, so a trace totally orders the execution — a *schedule*
 in the paper's sense.
 """

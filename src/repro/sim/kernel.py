@@ -20,14 +20,17 @@ shared with the scheduler and with any randomized process logic via the
 bit-identically.
 
 Observability (see :mod:`repro.obs`): the kernel can record a structured
-event stream into any :class:`~repro.obs.sinks.TraceSink` and feed a
+event stream into any :class:`~repro.obs.sinks.TraceSink` (``sink=`` is
+the one way to record; ``sink=InMemorySink()`` keeps the events in
+``sim.sink.events``) and feed a
 :class:`~repro.obs.metrics.MetricsRegistry` with per-step counters,
 histograms, and wall-clock timer spans.  Both are strictly read-only
 with respect to the execution — they never touch the RNG or alter
 scheduling — so enabling them does not change what a seed computes.
-When disabled (the default) the hot path pays only a handful of
-``is not None`` / ``active`` flag checks per step; no events or metric
-names are constructed.
+There is one step loop (:meth:`Simulation._run_loop`); when recording
+and metrics are disabled (the default) each step pays only a handful of
+local flag checks around it, and no events or metric names are
+constructed.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from repro.errors import ConfigurationError, InvariantViolation
 from repro.net.schedulers import RandomScheduler, Scheduler
 from repro.net.system import AliveView, MessageSystem
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.sinks import NULL_SINK, InMemorySink, TraceSink
+from repro.obs.sinks import NULL_SINK, TraceSink
 from repro.procs.base import Process
 from repro.sim.events import (
     CrashEvent,
@@ -51,17 +54,23 @@ from repro.sim.events import (
     PhiEvent,
     SendEvent,
     StartEvent,
-    TraceEvent,
 )
 from repro.sim.results import HaltReason, RunResult, Violation
 
 #: Halting predicate signature: inspects the simulation, returns True to stop.
 HaltPredicate = Callable[["Simulation"], bool]
 
-#: Sentinel for "this process's decision register has no ``_value`` slot"
-#: (faulty test doubles, exotic registers): the step loops then fall back
-#: to the property-based transition check instead of the raw slot read.
-_NO_VALUE = object()
+
+def _delivered_counter(payload_type: Optional[type]) -> str:
+    """Counter name for one delivered-capture key (``None`` marks a φ step)."""
+    if payload_type is None:
+        return "kernel.phi_steps"
+    return "messages.delivered." + payload_type.__name__
+
+
+def _sent_counter(payload_type: type) -> str:
+    """Counter name for one sent-capture key."""
+    return "messages.sent." + payload_type.__name__
 
 
 class StepObserver:
@@ -140,11 +149,6 @@ class Simulation:
             :class:`RandomScheduler`, which satisfies the paper's
             probabilistic message-system assumption.
         seed: seed for the run's single random source.
-        trace: record a full in-memory event trace.  Deprecated in
-            favour of ``sink=InMemorySink()`` (it is now sugar for
-            exactly that); prefer passing a sink, which also unlocks
-            JSONL streaming and sampling.  The :attr:`trace` tuple
-            property remains for backward compatibility.
         halt_when: halting predicate; defaults to
             :func:`all_correct_decided`.
         metrics: ``True`` to collect metrics into a fresh
@@ -152,7 +156,9 @@ class Simulation:
             instance to feed one shared by several simulations.  The
             frozen snapshot lands in ``RunResult.metrics``.
         sink: structured-event recording backend (see
-            :mod:`repro.obs.sinks`); overrides ``trace``.
+            :mod:`repro.obs.sinks`), e.g. ``InMemorySink()`` to keep the
+            events in ``sim.sink.events``; defaults to the inactive
+            :data:`~repro.obs.sinks.NULL_SINK`.
         observer: optional :class:`StepObserver` (e.g. an oracle suite
             from :mod:`repro.check.oracles`) notified after every atomic
             step; a non-None ``observer.violation`` halts the run with
@@ -165,7 +171,6 @@ class Simulation:
         processes: Sequence[Process],
         scheduler: Optional[Scheduler] = None,
         seed: Optional[int] = None,
-        trace: bool = False,
         halt_when: Optional[HaltPredicate] = None,
         metrics: Union[bool, MetricsRegistry, None] = False,
         sink: Optional[TraceSink] = None,
@@ -192,14 +197,7 @@ class Simulation:
         self.rng = random.Random(seed)
         self.halt_when = halt_when if halt_when is not None else all_correct_decided
         self.steps = 0
-        # Recording backend: an explicit sink wins; trace=True delegates
-        # to an InMemorySink; otherwise the shared inactive NullSink.
-        if sink is not None:
-            self._sink = sink
-        elif trace:
-            self._sink = InMemorySink()
-        else:
-            self._sink = NULL_SINK
+        self._sink: TraceSink = sink if sink is not None else NULL_SINK
         # The single enabled check guarding all event recording.
         self._record: bool = bool(getattr(self._sink, "active", True))
         # Metrics registry (None = disabled; the hot path guards on it).
@@ -211,19 +209,6 @@ class Simulation:
             self.metrics = None
         self._crash_noted: set[int] = set()
         self._started = False
-        # Resolve-once metric handles (see repro.obs.metrics): counter
-        # slots and timer cells are resolved lazily at a site's first
-        # event — exactly when the old per-name path would have created
-        # the metric — then updated by integer index / in place, so the
-        # per-step cost is a list write instead of string building plus
-        # dict hashing.  Caches live on the simulation (one registry per
-        # simulation) and persist across resumable run() calls.
-        self._phi_slot: Optional[int] = None
-        self._phase_slots: dict[int, int] = {}
-        self._delivered_slots: dict[type, int] = {}
-        self._sent_slots: dict[type, int] = {}
-        self._routing_cell: Optional[list] = None
-        self._step_cell: Optional[list] = None
         # Cached AliveView handed to the scheduler each step; rebuilt only
         # when some process's alive status actually changes.
         self._alive_cache: Optional[AliveView] = None
@@ -276,24 +261,6 @@ class Simulation:
         """The structured-event sink recording this run."""
         return self._sink
 
-    @property
-    def trace(self) -> tuple[TraceEvent, ...]:
-        """Tuple view of the recorded events.
-
-        .. deprecated:: the monolithic tuple survives for backward
-           compatibility and only works when the recording backend keeps
-           events in memory (``trace=True`` or ``sink=InMemorySink()``,
-           possibly behind a :class:`~repro.obs.sinks.SamplingSink`).
-           Streaming backends (e.g. JSONL) return ``()`` here — read the
-           file with :func:`repro.obs.sinks.read_jsonl` instead.
-        """
-        sink = self._sink
-        events = getattr(sink, "events", None)
-        if events is None:
-            inner = getattr(sink, "inner", None)
-            events = getattr(inner, "events", None)
-        return tuple(events) if events is not None else ()
-
     def max_phase(self) -> int:
         """Largest phase number reached by any correct process."""
         phases = [
@@ -335,35 +302,42 @@ class Simulation:
             return self._build_result(HaltReason.ORACLE_VIOLATION)
         if halt(self):
             return self._build_result(HaltReason.GOAL_REACHED)
-        # The step loop is specialised on whether metrics are attached:
-        # the plain loop carries zero instrumentation (not even dead
-        # ``is not None`` branches), the observed loop batches its
-        # bookkeeping through resolve-once slot handles.  Both bodies
-        # execute the identical protocol step sequence — scheduling and
-        # RNG use never differ — so a seed computes the same run either
-        # way; tests/test_sim_kernel.py asserts exactly that.
+        halt_reason = self._run_loop(deadline, halt)
         obs = self.metrics
-        if obs is None:
-            halt_reason = self._run_plain(deadline, halt)
-        else:
-            halt_reason = self._run_observed(deadline, halt)
+        if obs is not None:
             obs.gauge_set("kernel.steps_total", self.steps)
             obs.gauge_max(
                 "messages.pending_at_halt", self.system.pending_total()
             )
         return self._build_result(halt_reason)
 
-    def _run_plain(self, deadline: int, halt: HaltPredicate) -> HaltReason:
-        """The metrics-off step loop (keep in lockstep with _run_observed).
+    def _run_loop(self, deadline: int, halt: HaltPredicate) -> HaltReason:
+        """The step loop: scheduler pick, receive, compute, route.
+
+        This is the only place an atomic step (PAPER.md §2.1) is taken
+        after the start steps, with or without metrics: ``metered``
+        guards the metrics-only sites, which never touch the RNG or the
+        schedule, so a seed computes the same run either way
+        (``tests/test_sim_kernel.py::TestMetricsOnOffEquivalence``).
 
         A process chosen by the scheduler is alive, hence neither exited
         nor crashed, so the only post-step transitions possible are a
-        fresh decision (the raw register value changes) or leaving the
-        protocol (``alive`` flips).  Both loops use that to guard the
-        :meth:`_note_transitions` call — and to read the decision
-        register directly instead of through the two chained properties
-        of ``process.decided``, which dominate the per-step cost at this
-        loop's scale.
+        fresh decision (the register's value changes) or leaving the
+        protocol (``alive`` flips).  The loop uses that to guard the
+        :meth:`_note_transitions` call, and reads the register through
+        ``decision.get()`` — its public non-raising read — instead of the
+        two chained properties of ``process.decided``.
+
+        With metrics on, deterministic data (counters, histogram
+        samples) is recorded on every step through buffered appends.
+        Wall-clock timers are different: their values are stripped from
+        stable snapshots (see :meth:`MetricsSnapshot.stable`), so the
+        loop records *call counts exactly* but samples the
+        ``perf_counter`` spans on a deterministic 1-in-16 cadence and
+        scales the sampled seconds by the true event/sample ratio at
+        loop exit.  Sampling is keyed to the iteration counter, never
+        the RNG, so metrics-on and metrics-off runs of a seed stay
+        step-identical.
         """
         halt_reason = HaltReason.MAX_STEPS
         record = self._record
@@ -373,149 +347,56 @@ class Simulation:
         scheduler = self.scheduler
         processes = self.processes
         rng = self.rng
-        while self.steps < deadline:
-            decision = scheduler.choose(system, self._alive_view(), rng)
-            if decision is None:
-                halt_reason = HaltReason.QUIESCENT
-                break
-            pid, envelope = decision
-            process = processes[pid]
-            if not process.alive:
-                raise ConfigurationError(
-                    f"scheduler selected non-live process {pid}"
-                )
-            try:
-                was_value = process.decision._value
-                was_decided = False
-            except AttributeError:
-                was_value = _NO_VALUE
-                was_decided = process.decided
-            if envelope is not None:
-                system.note_delivered(envelope)
-                if record:
-                    sink.emit(
-                        DeliverEvent(
-                            self.steps, pid, envelope.sender, envelope.payload
-                        )
-                    )
-            elif record:
-                sink.emit(PhiEvent(self.steps, pid))
-            if observer is None:
-                sends = process.step(envelope)
-            else:
-                try:
-                    sends = process.step(envelope)
-                except InvariantViolation as exc:
-                    observer.note_invariant_exception(self, pid, exc)
-                    sends = ()
-            process.steps_taken += 1
-            self._route(pid, sends)
-            if was_value is _NO_VALUE:
-                self._note_transitions(process, was_decided, False)
-                if not process.alive:
-                    self._alive_cache = None
-            else:
-                try:
-                    changed = process.decision._value is not was_value
-                except AttributeError:
-                    changed = True
-                if changed or not process.alive:
-                    self._note_transitions(
-                        process, was_value is not None, False
-                    )
-                    if not process.alive:
-                        self._alive_cache = None
-            if observer is not None:
-                observer.on_step(self, pid, envelope, sends)
-                if observer.violation is not None:
-                    self.steps += 1
-                    halt_reason = HaltReason.ORACLE_VIOLATION
-                    break
-            self.steps += 1
-            if halt(self):
-                halt_reason = HaltReason.GOAL_REACHED
-                break
-        return halt_reason
-
-    def _run_observed(self, deadline: int, halt: HaltPredicate) -> HaltReason:
-        """The metrics-on step loop (keep in lockstep with _run_plain).
-
-        Deterministic data (counters, histogram samples) is recorded on
-        every step through array slots and buffered appends.  Wall-clock
-        timers are different: their values are stripped from stable
-        snapshots (see :meth:`MetricsSnapshot.stable`), so the loop
-        records *call counts exactly* but samples the ``perf_counter``
-        spans on a deterministic 1-in-16 cadence and scales the sampled
-        seconds by the true event/sample ratio at loop exit.  Sampling
-        is keyed to the iteration counter, never the RNG, so metrics-on
-        and metrics-off runs of a seed stay step-identical.
-        """
+        deliver = system.send
         obs = self.metrics
-        halt_reason = HaltReason.MAX_STEPS
-        record = self._record
-        sink = self._sink
-        observer = self.observer
-        system = self.system
-        scheduler = self.scheduler
-        processes = self.processes
-        rng = self.rng
-        perf = perf_counter
-        # Resolve-once handles for the per-step sites.  The loop body
-        # always executes at least once when reached, so eager
-        # resolution here creates exactly the metrics the first
-        # iteration of the per-name implementation created.
-        # ``_with_mail`` is mutated in place (never rebound), so one
-        # binding outlives the loop; ``_pending`` is an int and must be
-        # re-read from the system each step.
-        with_mail = system._with_mail
-        length = len
-        pending_append = obs.histogram_handle(
-            "scheduler.pending_messages"
-        ).pending.append
-        candidates_append = obs.histogram_handle(
-            "scheduler.candidate_processes"
-        ).pending.append
-        pick_cell = obs.timer_cell("time.scheduler_pick")
-        routing_cell = self._routing_cell
-        if routing_cell is None:
-            routing_cell = self._routing_cell = obs.timer_cell("time.routing")
-        entry_steps = self.steps
-        # Per-call capture buffers: the loop appends raw observations
-        # (delivered payload classes — None marks a φ step — and phase
-        # numbers) and the ``finally`` block folds them into registry
-        # slots via one Counter pass per buffer.  Buffered values are
-        # plain ints and existing classes — nothing GC-tracked is
-        # allocated per step (a consolidated per-step record tuple
-        # measured ~2x worse: 24k young container allocations per run
-        # is pure gen0 churn).  The fold runs even when a step raises —
-        # the buffers already hold the failing step's captures — which
-        # is exactly what the eager per-step implementation recorded on
-        # that path.
-        delivered_classes: list = []
-        delivered_append = delivered_classes.append
-        step_phases: list = []
-        phase_append = step_phases.append
-        sent_types: list = []
-        sent_append = sent_types.append
-        route_calls = 0
-        tick = 0
-        samples = 0
-        pick_seconds = 0.0
-        step_seconds = 0.0
-        route_seconds = 0.0
+        metered = obs is not None
+        sampled = False
+        if metered:
+            perf = perf_counter
+            # ``_with_mail`` is mutated in place (never rebound), so one
+            # binding outlives the loop; ``_pending`` is an int and must
+            # be re-read from the system each step.
+            with_mail = system._with_mail
+            length = len
+            # The loop body always executes at least once when reached,
+            # so resolving the histograms here creates exactly the
+            # metrics the first iteration would.
+            pending_append = obs.histogram_handle(
+                "scheduler.pending_messages"
+            ).pending.append
+            candidates_append = obs.histogram_handle(
+                "scheduler.candidate_processes"
+            ).pending.append
+            # Per-call capture buffers: the loop appends raw observations
+            # (delivered payload classes — None marks a φ step — phase
+            # numbers, sent payload classes) and the ``finally`` block
+            # folds them into registry slots via one Counter pass per
+            # buffer.  Buffered values are plain ints and existing
+            # classes — nothing GC-tracked is allocated per step (a
+            # consolidated per-step record tuple measured ~2x worse: 24k
+            # young container allocations per run is pure gen0 churn).
+            delivered_classes: list = []
+            delivered_append = delivered_classes.append
+            step_phases: list = []
+            phase_append = step_phases.append
+            sent_types: list = []
+            sent_append = sent_types.append
+            entry_steps = self.steps
+            route_calls = tick = samples = 0
+            pick_seconds = step_seconds = route_seconds = 0.0
         try:
             while self.steps < deadline:
-                pending_append(system._pending)
-                candidates_append(length(with_mail))
-                tick += 1
-                # Phase 1 of the cycle (not 0) so 1-step runs still sample.
-                sampled = (tick & 15) == 1
+                if metered:
+                    pending_append(system._pending)
+                    candidates_append(length(with_mail))
+                    tick += 1
+                    # Phase 1 of the cycle (not 0) so 1-step runs still sample.
+                    sampled = (tick & 15) == 1
+                    if sampled:
+                        picked_at = perf()
+                decision = scheduler.choose(system, self._alive_view(), rng)
                 if sampled:
-                    picked_at = perf()
-                    decision = scheduler.choose(system, self._alive_view(), rng)
                     pick_seconds += perf() - picked_at
-                else:
-                    decision = scheduler.choose(system, self._alive_view(), rng)
                 if decision is None:
                     halt_reason = HaltReason.QUIESCENT
                     break
@@ -525,12 +406,7 @@ class Simulation:
                     raise ConfigurationError(
                         f"scheduler selected non-live process {pid}"
                     )
-                try:
-                    was_value = process.decision._value
-                    was_decided = False
-                except AttributeError:
-                    was_value = _NO_VALUE
-                    was_decided = process.decided
+                was_value = process.decision.get()
                 if envelope is not None:
                     system.note_delivered(envelope)
                     if record:
@@ -539,77 +415,50 @@ class Simulation:
                                 self.steps, pid, envelope.sender, envelope.payload
                             )
                         )
-                    delivered_append(envelope.payload.__class__)
-                else:
-                    if record:
-                        sink.emit(PhiEvent(self.steps, pid))
-                    delivered_append(None)
-                try:
-                    phase_append(process.phaseno)
-                except AttributeError:
-                    phase_append(0)
-                if sampled:
-                    samples += 1
-                    stepped_at = perf()
-                    if observer is None:
-                        sends = process.step(envelope)
-                    else:
-                        try:
-                            sends = process.step(envelope)
-                        except InvariantViolation as exc:
-                            observer.note_invariant_exception(self, pid, exc)
-                            sends = ()
-                    routed_at = perf()
-                    step_seconds += routed_at - stepped_at
-                    process.steps_taken += 1
-                    route_calls += 1
-                    for send in sends:
-                        system.send(pid, send.recipient, send.payload)
-                        sent_append(send.payload.__class__)
-                        if record:
-                            sink.emit(
-                                SendEvent(
-                                    self.steps, pid, send.recipient, send.payload
-                                )
-                            )
-                    route_seconds += perf() - routed_at
-                else:
-                    if observer is None:
-                        sends = process.step(envelope)
-                    else:
-                        try:
-                            sends = process.step(envelope)
-                        except InvariantViolation as exc:
-                            observer.note_invariant_exception(self, pid, exc)
-                            sends = ()
-                    process.steps_taken += 1
-                    # Inlined _route (sends loop + exact call count); the
-                    # wall-clock span is sampled in the branch above.
-                    route_calls += 1
-                    for send in sends:
-                        system.send(pid, send.recipient, send.payload)
-                        sent_append(send.payload.__class__)
-                        if record:
-                            sink.emit(
-                                SendEvent(
-                                    self.steps, pid, send.recipient, send.payload
-                                )
-                            )
-                if was_value is _NO_VALUE:
-                    self._note_transitions(process, was_decided, False)
-                    if not process.alive:
-                        self._alive_cache = None
+                elif record:
+                    sink.emit(PhiEvent(self.steps, pid))
+                if metered:
+                    delivered_append(
+                        None if envelope is None else envelope.payload.__class__
+                    )
+                    try:
+                        phase_append(process.phaseno)
+                    except AttributeError:
+                        phase_append(0)
+                    if sampled:
+                        samples += 1
+                        stepped_at = perf()
+                if observer is None:
+                    sends = process.step(envelope)
                 else:
                     try:
-                        changed = process.decision._value is not was_value
-                    except AttributeError:
-                        changed = True
-                    if changed or not process.alive:
-                        self._note_transitions(
-                            process, was_value is not None, False
+                        sends = process.step(envelope)
+                    except InvariantViolation as exc:
+                        observer.note_invariant_exception(self, pid, exc)
+                        sends = ()
+                if sampled:
+                    routed_at = perf()
+                    step_seconds += routed_at - stepped_at
+                process.steps_taken += 1
+                if metered:
+                    route_calls += 1
+                # _route's body, inline: as a call it measured ~1% slower
+                # with metrics off and ~5% slower with them on.
+                for send in sends:
+                    payload = send.payload
+                    deliver(pid, send.recipient, payload)
+                    if metered:
+                        sent_append(payload.__class__)
+                    if record:
+                        sink.emit(
+                            SendEvent(self.steps, pid, send.recipient, payload)
                         )
-                        if not process.alive:
-                            self._alive_cache = None
+                if sampled:
+                    route_seconds += perf() - routed_at
+                if process.decision.get() is not was_value or not process.alive:
+                    self._note_transitions(process, was_value is not None, False)
+                    if not process.alive:
+                        self._alive_cache = None
                 if observer is not None:
                     observer.on_step(self, pid, envelope, sends)
                     if observer.violation is not None:
@@ -623,60 +472,50 @@ class Simulation:
         finally:
             # Fold the buffered captures, exact call counts, and scaled
             # sampled spans into the registry, once per run() instead of
-            # per step.  Runs on the exception path too (see above).
-            slots = obs.slots
-            pick_cell[0] += tick
-            routing_cell[0] += route_calls
-            if delivered_classes:
-                delivered_slots = self._delivered_slots
-                for payload_type, multiplicity in Counter(
-                    delivered_classes
-                ).items():
-                    if payload_type is None:
-                        phi_slot = self._phi_slot
-                        if phi_slot is None:
-                            phi_slot = self._phi_slot = obs.counter_slot(
-                                "kernel.phi_steps"
-                            )
-                        slots[phi_slot] += multiplicity
-                        continue
-                    index = delivered_slots.get(payload_type)
-                    if index is None:
-                        index = delivered_slots[payload_type] = obs.counter_slot(
-                            "messages.delivered." + payload_type.__name__
+            # per step.  This runs even when a step raises — the buffers
+            # already hold the failing step's captures — which is exactly
+            # what eager per-step accounting would have recorded on that
+            # path.
+            if metered:
+                self._fold_captures(
+                    route_calls, sent_types, delivered_classes, step_phases
+                )
+                pick_cell = obs.timer_cell("time.scheduler_pick")
+                pick_cell[0] += tick
+                steps_run = self.steps - entry_steps
+                if steps_run:
+                    step_cell = obs.timer_cell("time.protocol_step")
+                    step_cell[0] += steps_run
+                    if samples:
+                        step_scale = steps_run / samples
+                        pick_cell[1] += pick_seconds * (tick / samples)
+                        step_cell[1] += step_seconds * step_scale
+                        obs.timer_cell("time.routing")[1] += (
+                            route_seconds * step_scale
                         )
-                    slots[index] += multiplicity
-                phase_slots = self._phase_slots
-                for phase, multiplicity in Counter(step_phases).items():
-                    index = phase_slots.get(phase)
-                    if index is None:
-                        index = phase_slots[phase] = obs.counter_slot(
-                            f"kernel.steps.phase.{phase}"
-                        )
-                    slots[index] += multiplicity
-            if sent_types:
-                sent_slots = self._sent_slots
-                for payload_type, multiplicity in Counter(sent_types).items():
-                    index = sent_slots.get(payload_type)
-                    if index is None:
-                        index = sent_slots[payload_type] = obs.counter_slot(
-                            "messages.sent." + payload_type.__name__
-                        )
-                    slots[index] += multiplicity
-            steps_run = self.steps - entry_steps
-            if steps_run:
-                step_cell = self._step_cell
-                if step_cell is None:
-                    step_cell = self._step_cell = obs.timer_cell(
-                        "time.protocol_step"
-                    )
-                step_cell[0] += steps_run
-                if samples:
-                    step_scale = steps_run / samples
-                    pick_cell[1] += pick_seconds * (tick / samples)
-                    step_cell[1] += step_seconds * step_scale
-                    routing_cell[1] += route_seconds * step_scale
         return halt_reason
+
+    def _fold_captures(
+        self, route_calls, sent_types, delivered_classes=(), step_phases=()
+    ) -> None:
+        """Fold buffered step captures into the registry (metrics on only).
+
+        One ``Counter`` pass per buffer and one slot update per distinct
+        key; counter names are built — and their slots created — only
+        for keys that actually occurred, exactly as eager per-event
+        accounting would.  ``time.routing`` gets its exact call count
+        here; the loop adds the sampled seconds.
+        """
+        obs = self.metrics
+        obs.timer_cell("time.routing")[0] += route_calls
+        slots = obs.slots
+        for captured, name_of in (
+            (delivered_classes, _delivered_counter),
+            (step_phases, "kernel.steps.phase.{}".format),
+            (sent_types, _sent_counter),
+        ):
+            for key, multiplicity in Counter(captured).items():
+                slots[obs.counter_slot(name_of(key))] += multiplicity
 
     def replace_process(self, pid: int, replacement: Process) -> None:
         """Swap in a new process object for ``pid`` and run its start step.
@@ -698,14 +537,11 @@ class Simulation:
                 f"expected pid={pid}, n={self.n}"
             )
         self.processes[pid] = replacement
-        self._alive_cache = None
         if self.metrics is not None:
             self._bind_metrics(replacement)
         if self._started and replacement.alive:
-            sends = replacement.start()
-            replacement.steps_taken += 1
-            self._route(pid, sends)
-            self.steps += 1
+            self._start_step(replacement)
+        self._alive_cache = None
 
     def _bind_metrics(self, process: Process) -> None:
         """Point ``process`` (and any wrapped inner process) at the registry."""
@@ -716,75 +552,62 @@ class Simulation:
 
     def _take_start_steps(self) -> None:
         """Run every live process's initial atomic step, in pid order."""
-        record = self._record
         observer = self.observer
         for process in self.processes:
-            if not process.alive:
-                continue
-            was_decided = process.decided
-            was_exited = process.exited
-            if record:
-                self._sink.emit(StartEvent(self.steps, process.pid))
-            if observer is None:
-                sends = process.start()
-            else:
-                try:
-                    sends = process.start()
-                except InvariantViolation as exc:
-                    observer.note_invariant_exception(self, process.pid, exc)
-                    sends = ()
-            process.steps_taken += 1
-            self._route(process.pid, sends)
-            self._note_transitions(process, was_decided, was_exited)
-            if observer is not None:
-                observer.on_step(self, process.pid, None, sends)
-            self.steps += 1
-            if observer is not None and observer.violation is not None:
-                break
+            if process.alive:
+                self._start_step(process)
+                if observer is not None and observer.violation is not None:
+                    break
         self._alive_cache = None
 
-    def _route(self, sender_pid: int, sends) -> None:
-        """Deliver an atomic step's sends into the message system.
+    def _start_step(self, process: Process) -> None:
+        """One initial atomic step: the receive returns φ, sends are routed.
 
-        With metrics attached, the ``time.routing`` cell's call count is
-        kept exact here; the wall-clock spans are sampled by the
-        observed step loop (see :meth:`_run_observed`), so this path
-        pays no ``perf_counter`` calls of its own.
+        Shared by the first :meth:`run` call and :meth:`replace_process`,
+        so a replacement's start is recorded, metered and observed like
+        any other step.
         """
-        obs = self.metrics
-        if obs is not None:
-            cell = self._routing_cell
-            if cell is None:
-                cell = self._routing_cell = obs.timer_cell("time.routing")
-            cell[0] += 1
-            slots = obs.slots
-            sent_slots = self._sent_slots
-            record = self._record
-            for send in sends:
-                self.system.send(sender_pid, send.recipient, send.payload)
-                payload_type = type(send.payload)
-                index = sent_slots.get(payload_type)
-                if index is None:
-                    index = sent_slots[payload_type] = obs.counter_slot(
-                        "messages.sent." + payload_type.__name__
-                    )
-                slots[index] += 1
-                if record:
-                    self._sink.emit(
-                        SendEvent(
-                            self.steps, sender_pid, send.recipient, send.payload
-                        )
-                    )
-            return
+        pid = process.pid
+        observer = self.observer
+        was_decided = process.decided
+        was_exited = process.exited
         if self._record:
-            for send in sends:
-                self.system.send(sender_pid, send.recipient, send.payload)
-                self._sink.emit(
-                    SendEvent(self.steps, sender_pid, send.recipient, send.payload)
-                )
-            return
+            self._sink.emit(StartEvent(self.steps, pid))
+        if observer is None:
+            sends = process.start()
+        else:
+            try:
+                sends = process.start()
+            except InvariantViolation as exc:
+                observer.note_invariant_exception(self, pid, exc)
+                sends = ()
+        process.steps_taken += 1
+        sent_types: list = []
+        self._route(pid, sends, sent_types)
+        if self.metrics is not None:
+            self._fold_captures(1, sent_types)
+        self._note_transitions(process, was_decided, was_exited)
+        if observer is not None:
+            observer.on_step(self, pid, None, sends)
+        self.steps += 1
+
+    def _route(self, sender_pid: int, sends, sent_types: list) -> None:
+        """Deliver a start step's sends into the message system.
+
+        The transport sender stamped on each envelope is ``sender_pid``
+        (authenticated: a process cannot choose it).  Each payload's
+        class is appended to ``sent_types`` for the caller's metrics
+        fold.  The step loop carries this body inline (see there for
+        why); keep the two in step.
+        """
         for send in sends:
-            self.system.send(sender_pid, send.recipient, send.payload)
+            payload = send.payload
+            self.system.send(sender_pid, send.recipient, payload)
+            sent_types.append(payload.__class__)
+            if self._record:
+                self._sink.emit(
+                    SendEvent(self.steps, sender_pid, send.recipient, payload)
+                )
 
     def _note_transitions(
         self, process: Process, was_decided: bool, was_exited: bool
@@ -835,7 +658,6 @@ class Simulation:
             max_phase=self.max_phase(),
             halt_reason=halt_reason,
             seed=self.seed,
-            trace=self.trace,
             metrics=(
                 self.metrics.snapshot() if self.metrics is not None else None
             ),

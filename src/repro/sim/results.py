@@ -16,11 +16,10 @@ also provides the three properties of a k-resilient consensus protocol
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.errors import AgreementViolation
-from repro.sim.events import TraceEvent
 
 if TYPE_CHECKING:  # avoid a circular import at runtime (obs ← sim.events)
     from repro.obs.metrics import MetricsSnapshot
@@ -126,7 +125,6 @@ class RunResult:
         max_phase: largest protocol phase reached by any correct process.
         halt_reason: why the run loop stopped.
         seed: the RNG seed, for exact replay.
-        trace: the full event trace if tracing was enabled, else ().
         metrics: frozen :class:`~repro.obs.metrics.MetricsSnapshot` when
             the run collected metrics, else ``None``.  The snapshot's
             counters/gauges/histograms are deterministic per seed; its
@@ -152,7 +150,6 @@ class RunResult:
     max_phase: int
     halt_reason: HaltReason
     seed: Optional[int] = None
-    trace: tuple[TraceEvent, ...] = field(default=())
     metrics: Optional["MetricsSnapshot"] = None
     violation: Optional[Violation] = None
     schedule: Optional[tuple] = None

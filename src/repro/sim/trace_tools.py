@@ -1,8 +1,9 @@
 """Trace analysis: turning event traces into schedules, audits, and stats.
 
-A trace recorded with ``Simulation(trace=True)`` totally orders one
-execution — a *schedule* in the paper's sense.  These tools answer the
-questions one actually asks of a schedule:
+A trace recorded with ``Simulation(sink=InMemorySink())`` (read it from
+``sim.sink.events``) totally orders one execution — a *schedule* in the
+paper's sense.  These tools answer the questions one actually asks of a
+schedule:
 
 * :func:`validate_trace` — is it legal?  Every delivery must match an
   earlier undelivered send with the same (sender, recipient, payload);

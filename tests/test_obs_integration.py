@@ -9,6 +9,7 @@ from repro.harness.cli import main
 from repro.harness.runner import ExperimentRunner
 from repro.harness.workloads import balanced_inputs
 from repro.obs.sinks import CountingSink
+from repro.procs.base import Process
 from repro.sim.kernel import Simulation
 
 pytestmark = pytest.mark.obs
@@ -86,8 +87,54 @@ class TestZeroOverheadPath:
         result = sim.run(max_steps=300_000)
         assert probe.emitted == 0
         assert result.metrics is None
-        assert result.trace == ()
-        assert sim.trace == ()
+
+
+class TestExceptionPathFold:
+    def test_raising_step_keeps_its_captures(self):
+        """The step loop folds its buffered captures from ``finally``: a
+        correct process whose ``step`` raises (metrics on, no observer)
+        still leaves that step's phase / delivery counts and exact
+        timer call counts in the registry."""
+
+        class Boom(Exception):
+            pass
+
+        class RaisesOnSecondStep(Process):
+            input_value = 0
+            phaseno = 4
+
+            def start(self):
+                self.stepped = 0
+                return self._broadcast("tick")
+
+            def step(self, envelope):
+                self.stepped += 1
+                if self.stepped == 2:
+                    raise Boom
+                return []
+
+        n = 3
+        sim = Simulation(
+            [RaisesOnSecondStep(pid, n) for pid in range(n)],
+            seed=3,
+            metrics=True,
+        )
+        with pytest.raises(Boom):
+            sim.run(max_steps=1_000)
+        completed = sim.steps - n  # loop steps before the raising one
+        assert completed >= 1
+        snapshot = sim.metrics.snapshot()
+        counters = snapshot.counters
+        assert counters["kernel.steps.phase.4"] == completed + 1
+        assert (
+            counters.get("messages.delivered.str", 0)
+            + counters.get("kernel.phi_steps", 0)
+            == completed + 1
+        )
+        assert counters["messages.sent.str"] == n * n
+        assert snapshot.timers["time.routing"].calls == n + completed
+        assert snapshot.timers["time.scheduler_pick"].calls == completed + 1
+        assert snapshot.timers["time.protocol_step"].calls == completed
 
 
 class TestCli:

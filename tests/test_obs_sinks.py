@@ -36,26 +36,11 @@ def _run(processes, seed=0, **kwargs):
 
 
 class TestBackwardCompat:
-    def test_trace_true_delegates_to_in_memory_sink(self):
-        processes = build_failstop_processes(5, 2, balanced_inputs(5))
-        sim, _ = _run(processes, trace=True)
-        assert isinstance(sim.sink, InMemorySink)
-        assert sim.trace == tuple(sim.sink.events)
-        assert len(sim.trace) > 0
-
-    def test_explicit_sink_equivalent_to_trace_true(self):
-        make = lambda: build_failstop_processes(5, 2, balanced_inputs(5))
-        legacy, _ = _run(make(), trace=True)
-        sink = InMemorySink()
-        explicit, _ = _run(make(), sink=sink)
-        assert list(legacy.trace) == sink.events
-
     def test_default_sink_is_inactive_and_trace_empty(self):
         processes = build_failstop_processes(5, 2, balanced_inputs(5))
-        sim, result = _run(processes)
+        sim, _ = _run(processes)
         assert isinstance(sim.sink, NullSink)
-        assert sim.trace == ()
-        assert result.trace == ()
+        assert not sim.sink.active
 
 
 class TestJsonlRoundTrip:
@@ -96,16 +81,16 @@ class TestJsonlRoundTrip:
     def test_written_trace_validates_and_matches_reference(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
         make = lambda: build_malicious_processes(4, 1, balanced_inputs(4))
-        reference, _ = _run(make(), seed=2, trace=True)
+        reference, _ = _run(make(), seed=2, sink=InMemorySink())
         jsonl_sink = JsonlTraceSink(path)
         _run(make(), seed=2, sink=jsonl_sink)
         jsonl_sink.close()
 
         replayed = list(read_jsonl(path))
-        assert replayed == list(reference.trace)
+        assert replayed == reference.sink.events
         validate_trace(read_jsonl(path))  # streaming re-validation
         assert message_complexity(read_jsonl(path)) == message_complexity(
-            reference.trace
+            reference.sink.events
         )
 
     def test_byte_chopped_tail_yields_parsed_prefix(self, tmp_path):

@@ -15,6 +15,7 @@ from repro.harness.builders import (
 )
 from repro.harness.runner import ExperimentRunner
 from repro.harness.workloads import balanced_inputs
+from repro.obs.sinks import InMemorySink
 from repro.sim.kernel import Simulation
 
 
@@ -25,9 +26,9 @@ class TestRunReplay:
                 5, 2, balanced_inputs(5),
                 crashes={0: {"crash_at_step": 3, "keep_sends": 1}},
             )
-            sim = Simulation(processes, seed=11, trace=True)
+            sim = Simulation(processes, seed=11, sink=InMemorySink())
             sim.run(max_steps=300_000)
-            return sim.trace
+            return sim.sink.events
 
         first, second = run(), run()
         assert len(first) == len(second)

@@ -9,6 +9,7 @@ from repro.harness.builders import (
     build_malicious_processes,
 )
 from repro.harness.workloads import balanced_inputs, unanimous_inputs
+from repro.obs.sinks import InMemorySink
 from repro.sim.events import (
     CrashEvent,
     DecideEvent,
@@ -30,9 +31,9 @@ def _traced_failstop_run(seed=0, n=5, k=2):
         n, k, balanced_inputs(n),
         crashes={0: {"crash_at_step": 3, "keep_sends": 2}},
     )
-    sim = Simulation(processes, seed=seed, trace=True)
+    sim = Simulation(processes, seed=seed, sink=InMemorySink())
     result = sim.run(max_steps=300_000)
-    return sim.trace, result
+    return sim.sink.events, result
 
 
 class TestValidation:
@@ -48,9 +49,9 @@ class TestValidation:
 
     def test_malicious_run_traces_are_legal(self):
         processes = build_malicious_processes(4, 1, balanced_inputs(4))
-        sim = Simulation(processes, seed=2, trace=True)
+        sim = Simulation(processes, seed=2, sink=InMemorySink())
         sim.run(max_steps=2_000_000)
-        validate_trace(sim.trace)
+        validate_trace(sim.sink.events)
 
     def test_phantom_delivery_detected(self):
         trace = [
@@ -86,9 +87,9 @@ class TestValidation:
 class TestAnalytics:
     def test_message_complexity_by_type(self):
         processes = build_malicious_processes(4, 1, unanimous_inputs(4, 1))
-        sim = Simulation(processes, seed=0, trace=True)
+        sim = Simulation(processes, seed=0, sink=InMemorySink())
         sim.run(max_steps=2_000_000)
-        stats = message_complexity(sim.trace)
+        stats = message_complexity(sim.sink.events)
         assert "InitialMessage" in stats
         assert "EchoMessage" in stats
         # The echo amplification: far more echoes than initials.
