@@ -236,7 +236,11 @@ def analyze_run(stitched: StitchedTrace) -> dict:
     if smr_applies or smr_commits or smr_snapshots:
         # The SMR layer's own boundary: commit latency is submit →
         # majority-applied (the client-visible number), distinct from
-        # the per-slot consensus decide latency above.
+        # the per-slot consensus decide latency above.  One smr-commit
+        # record is one slot; its commands all saw its latency.
+        slot_commands = [
+            event.get("commands", 1) for event in smr_commits
+        ]
         smr = {
             "applies": len(smr_applies),
             "dedup_hits": sum(
@@ -247,14 +251,19 @@ def analyze_run(stitched: StitchedTrace) -> dict:
                 event.get("entries_dropped", 0)
                 for event in smr_snapshots
             ),
-            "commits": len(smr_commits),
+            "slots": len(smr_commits),
+            "commits": sum(slot_commands),
             "aborts": sum(
-                1
-                for event in smr_commits
+                commands
+                for event, commands in zip(smr_commits, slot_commands)
                 if event.get("decision") == 0
             ),
             "commit_latency_ms": _percentiles(
-                [event.get("latency_ms", 0.0) for event in smr_commits]
+                [
+                    event.get("latency_ms", 0.0)
+                    for event, commands in zip(smr_commits, slot_commands)
+                    for _ in range(commands)
+                ]
             ),
         }
     return {
@@ -478,11 +487,13 @@ def render_report_markdown(
         parts.append(
             render_markdown(
                 [
-                    "commits", "aborts", "applies", "dedup hits",
-                    "snapshots", "p50 ms", "p99 ms", "max ms",
+                    "slots", "commits", "aborts", "applies",
+                    "dedup hits", "snapshots", "p50 ms", "p99 ms",
+                    "max ms",
                 ],
                 [
                     [
+                        smr["slots"],
                         smr["commits"],
                         smr["aborts"],
                         smr["applies"],
@@ -496,7 +507,9 @@ def render_report_markdown(
             )
         )
         parts.append(
-            "Commit latency is submit → majority-applied (the "
+            "Commits, aborts and the latency percentiles count commands; "
+            "a slot carries every command submitted in one event-loop "
+            "tick.  Commit latency is submit → majority-applied (the "
             "client-visible bound); per-slot consensus decide latency "
             "is decomposed above."
         )

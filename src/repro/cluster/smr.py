@@ -2,44 +2,63 @@
 
 The paper's Figure 1/2 protocols decide one bit.  This module is the
 lift from single-shot agreement to a client-facing service (the move
-Abraham–Dolev–Stern frame as fault-tolerant *computation*): a replicated
-log in which **each log slot is one consensus instance** multiplexed
-over the existing cluster runtime, and a deterministic key-value state
-machine applies committed entries in slot order on every replica.
+Abraham–Dolev–Stern frame as fault-tolerant *computation*, and as
+agreement on a *set* of inputs): a replicated log in which **each log
+slot is one consensus instance** multiplexed over the existing cluster
+runtime **and carries every command submitted during one event-loop
+iteration**, and a deterministic key-value state machine applies
+committed slots in slot order, each slot's commands in submission
+order, on every replica.
 
 Division of labour (DESIGN.md §13):
 
+* **Batching** is the event loop's job — group commit.  The first
+  :meth:`SMRCluster.submit` of a tick allocates the slot and schedules
+  its seal with ``call_soon``; later submits of that tick join it; the
+  seal disseminates the tuple and opens the one instance.  An instance
+  costs an O(n²) initial/echo fan-out whatever it decides, so the fan-out
+  is paid per tick, not per command.  There is no size or delay option
+  because the tick is self-clocking: sessions woken by one slot's commit
+  resubmit in the same tick and share the next slot, a busier loop has
+  longer ticks and so larger slots, and a lone command on an idle loop
+  is a slot of one, sealed with no wait.  :data:`MAX_SLOT_COMMANDS`
+  bounds a slot; a fuller tick spills into the next slot at once.
 * **Sequencing and commit** are consensus' job.  Slot ``s`` commits when
   instance ``s`` decides 1.  Every correct replica proposes 1 for a
-  submitted slot, so unanimity + the paper's validity theorem force
-  commit; a 0 decision is an *abort* — the slot is a no-op and the
-  client retries under a fresh slot (dedup makes the retry safe).
+  sealed slot, so unanimity + the paper's validity theorem force
+  commit; a 0 decision is an *abort* — the slot is a no-op for every
+  command in it and the clients retry (dedup makes the retry safe).
 * **Command dissemination** is not consensus' job (the protocols carry
-  one bit, not payloads).  The cluster hands each slot's command to
-  every replica's in-process proposal buffer at submit time — modelling
+  one bit, not payloads).  The cluster hands each slot's commands to
+  every replica's in-process proposal buffer at seal time — modelling
   the standard client-broadcasts-request pattern — before the slot's
   opening protocol step is taken, so by the time any replica applies a
-  committed slot it necessarily holds the command.
+  committed slot it necessarily holds the commands.
 * **Exactly-once** is the state machine's job.  Commands carry a
   ``(session, request_id)`` identity; sessions are sequential (one
   outstanding request), so each replica tracks the highest applied
   request id per session plus its cached result, and a retried command
-  — same identity, later slot — returns the cached result without
-  re-executing.
-* **Compaction** is the replica's job.  Every ``compact_every`` slots a
-  replica snapshots its state machine (canonical bytes, see
+  — same identity, later in the same slot or in a later one — returns
+  the cached result without re-executing.
+* **Compaction** is the replica's job.  Every ``compact_every`` *slots*
+  (however many commands they held) a replica snapshots its state
+  machine (canonical bytes, see
   :func:`repro.cluster.codec.encode_canonical`) and drops log entries at
-  or below the snapshot slot.  Invariant: snapshot + retained committed
-  entries replays to a state byte-identical to full replay — the
-  property :class:`SMRNode.replay_from_snapshot` exposes for tests.
+  or below the snapshot slot; a snapshot never falls inside a slot.
+  Invariant: snapshot + retained committed slots replays to a state
+  byte-identical to full replay — the property
+  :class:`SMRNode.replay_from_snapshot` exposes for tests.
 
-A slot's **commit latency** is submit → a majority of correct replicas
-applied it.  :func:`run_smr_load` drives an open-loop Poisson workload
-(arrival times are drawn up front and never wait on completions, so the
-latency numbers are free of coordinated omission) and reports
-throughput plus p50/p99 commit latency.  The service's benchmark is
-the repository suite's ``smr_*`` workloads
-(``python3 benchmarks/suite/run.py``).
+A command's **commit latency** is its slot's: the slot's first submit →
+a majority of correct replicas applied it.  Counters
+(``cluster.smr.submitted`` / ``committed`` / ``applied`` /
+``dedup_hits``) count commands; ``cluster.smr.slots`` counts instances
+opened and ``cluster.smr.aborted`` slots aborted per replica.
+:func:`run_smr_load` drives an open-loop Poisson workload (arrival times
+are drawn up front and never wait on completions, so the latency numbers
+are free of coordinated omission) and reports throughput plus p50/p99
+commit latency.  The service's benchmark is the repository suite's
+``smr_*`` workloads (``python3 benchmarks/suite/run.py``).
 """
 
 from __future__ import annotations
@@ -76,14 +95,19 @@ DEFAULT_SMR_LINGER = 0.5
 #: Snapshot + compaction cadence (slots).
 DEFAULT_COMPACT_EVERY = 64
 
+#: Most commands one slot carries; a tick that submits more seals the
+#: full slot on the spot and opens the next.  A bound on the work one
+#: applier step does between yields, not a tuning knob.
+MAX_SLOT_COMMANDS = 64
+
 
 @dataclass(frozen=True)
 class Command:
     """One client request: a state-machine operation with its identity.
 
     ``(session, request_id)`` is the exactly-once identity — a client
-    retry re-submits the *same* command under a new slot, and the state
-    machine's session table recognises it.  The genesis no-op uses the
+    retry re-submits the *same* command, and the state machine's session
+    table recognises it wherever in the log it lands.  The genesis no-op uses the
     empty session, which is exempt from dedup tracking.
     """
 
@@ -143,22 +167,45 @@ class KVStateMachine:
         #: result per session suffices for exactly-once semantics.
         self.sessions: Dict[str, dict] = {}
         self.last_applied_slot = -1
+        #: The slot :meth:`apply_slot` is in the middle of, if any.
+        self._entered_slot: Optional[int] = None
         self.applies = 0
         self.dedup_hits = 0
 
-    def apply(self, slot: int, command: Command) -> Tuple[Any, bool]:
-        """Apply one committed entry; returns ``(result, deduped)``.
-
-        Slots must arrive in strictly increasing order (aborted slots
-        are simply absent) — feeding a slot at or below the last applied
-        one is a sequencing bug, not a retry, and fails loudly.
-        """
+    def _enter_slot(self, slot: int) -> None:
         if slot <= self.last_applied_slot:
             raise ConfigurationError(
                 f"slot {slot} applied out of order (last applied "
                 f"{self.last_applied_slot})"
             )
         self.last_applied_slot = slot
+
+    def apply_slot(
+        self, slot: int, commands: Tuple[Command, ...]
+    ) -> List[Tuple[Any, bool]]:
+        """Apply one committed slot's commands in submission order;
+        returns one ``(result, deduped)`` per command.
+
+        Slots must arrive in strictly increasing order (aborted slots
+        are simply absent) — feeding a slot at or below the last applied
+        one is a sequencing bug, not a retry, and fails loudly.
+        """
+        self._enter_slot(slot)
+        self._entered_slot = slot
+        try:
+            return [self.apply(slot, command) for command in commands]
+        finally:
+            self._entered_slot = None
+
+    def apply(self, slot: int, command: Command) -> Tuple[Any, bool]:
+        """Apply one command of ``slot``; returns ``(result, deduped)``.
+
+        Called on its own it is a slot of one command and makes the same
+        ordering check as :meth:`apply_slot`, which calls it once per
+        command of the slot it has entered.
+        """
+        if slot != self._entered_slot:
+            self._enter_slot(slot)
         if command.session:
             session = self.sessions.get(command.session)
             if session is not None and command.request_id <= session["rid"]:
@@ -242,11 +289,13 @@ class KVStateMachine:
 
 @dataclass(frozen=True)
 class CommitResult:
-    """What awaiting a submitted slot resolves to.
+    """What awaiting a submitted command resolves to.
 
-    ``committed`` is False for an aborted slot (consensus decided 0);
-    ``result`` is then None and the client should retry under a new
-    slot.  ``latency`` counts submit → majority-applied seconds.
+    ``committed`` is False when its slot aborted (consensus decided 0);
+    ``result`` is then None and the client should retry.  ``slot`` and
+    ``latency`` (the slot's first submit → majority-applied, seconds)
+    are shared by every command of the slot; ``result`` is the
+    command's own.
     """
 
     slot: int
@@ -259,11 +308,12 @@ class CommitResult:
 class SMRNode:
     """One replica: a cluster node plus its state machine and log.
 
-    The applier task consumes submitted slots strictly in slot order:
-    it awaits each slot's consensus decision (decisions may *arrive* out
-    of order — a later slot's record is then already buffered at the
-    cluster node and returns instantly), applies committed entries, and
-    triggers snapshot + compaction on the configured cadence.
+    The applier task consumes sealed slots strictly in slot order: it
+    awaits each slot's consensus decision (decisions may *arrive* out of
+    order — a later slot's record is then already buffered at the
+    cluster node and returns instantly), applies a committed slot's
+    commands in submission order, and triggers snapshot + compaction on
+    the configured cadence — between slots, never inside one.
     """
 
     def __init__(
@@ -276,12 +326,12 @@ class SMRNode:
         self.cluster = cluster
         self.compact_every = compact_every
         self.machine = KVStateMachine()
-        #: slot → command, as disseminated at submit; compaction drops
-        #: entries at or below the snapshot slot.
-        self.log: Dict[int, Command] = {}
-        #: committed ``(slot, command)`` pairs retained since the last
+        #: slot → its commands, as disseminated at seal; compaction
+        #: drops entries at or below the snapshot slot.
+        self.log: Dict[int, Tuple[Command, ...]] = {}
+        #: committed ``(slot, commands)`` pairs retained since the last
         #: snapshot — what :meth:`replay_from_snapshot` re-applies.
-        self.applied_entries: List[Tuple[int, Command]] = []
+        self.applied_entries: List[Tuple[int, Tuple[Command, ...]]] = []
         self.snapshot_slot = -1
         self.snapshot_blob: Optional[bytes] = None
         self.snapshots_taken = 0
@@ -297,14 +347,14 @@ class SMRNode:
         """The underlying cluster node's process id."""
         return self.node.pid
 
-    def offer(self, slot: int, command: Command) -> None:
-        """Buffer one slot's command and queue the slot for the applier.
+    def offer(self, slot: int, commands: Tuple[Command, ...]) -> None:
+        """Buffer one slot's commands and queue the slot for the applier.
 
-        Submission order is slot order (the cluster allocates slots
+        Seal order is slot order (the cluster allocates slots
         monotonically and offers synchronously), so the applier's queue
         is already sequenced.
         """
-        self.log[slot] = command
+        self.log[slot] = commands
         self._submitted.put_nowait(slot)
 
     def start(self) -> None:
@@ -325,34 +375,38 @@ class SMRNode:
 
     async def _apply_loop(self) -> None:
         registry = self.node.registry
+        trace = self.node.trace
         while True:
             slot = await self._submitted.get()
             record = await self.node.decide_instance(slot)
-            command = self.log[slot]
+            commands = self.log[slot]
             if record.value == 1:
-                result, deduped = self.machine.apply(slot, command)
-                self.applied_entries.append((slot, command))
+                outcomes = self.machine.apply_slot(slot, commands)
+                self.applied_entries.append((slot, commands))
+                results = tuple(result for result, _ in outcomes)
                 if registry is not None:
-                    registry.inc("cluster.smr.applied")
-                    if deduped:
-                        registry.inc("cluster.smr.dedup_hits")
-                if self.node.trace is not None:
-                    self.node.trace.record(
-                        "smr-apply",
-                        pid=self.pid,
-                        instance=slot,
-                        op=command.op,
-                        session=command.session,
-                        request_id=command.request_id,
-                        deduped=deduped,
-                    )
+                    registry.inc("cluster.smr.applied", len(commands))
+                    hits = sum(deduped for _, deduped in outcomes)
+                    if hits:
+                        registry.inc("cluster.smr.dedup_hits", hits)
+                if trace is not None:
+                    for command, (_, deduped) in zip(commands, outcomes):
+                        trace.record(
+                            "smr-apply",
+                            pid=self.pid,
+                            instance=slot,
+                            op=command.op,
+                            session=command.session,
+                            request_id=command.request_id,
+                            deduped=deduped,
+                        )
             else:
-                result = None
+                results = (None,) * len(commands)
                 self.aborted_slots += 1
                 if registry is not None:
                     registry.inc("cluster.smr.aborted")
             self.applied_through = slot
-            self.cluster._on_applied(self.pid, slot, record.value, result)
+            self.cluster._on_applied(self.pid, slot, record.value, results)
             if (
                 self.compact_every > 0
                 and slot - self.snapshot_slot >= self.compact_every
@@ -368,9 +422,7 @@ class SMRNode:
         for entry in dropped:
             del self.log[entry]
         self.applied_entries = [
-            (entry_slot, command)
-            for entry_slot, command in self.applied_entries
-            if entry_slot > slot
+            entry for entry in self.applied_entries if entry[0] > slot
         ]
         self.compacted_entries += len(dropped)
         registry = self.node.registry
@@ -398,9 +450,9 @@ class SMRNode:
             machine = KVStateMachine.restore(self.snapshot_blob)
         else:
             machine = KVStateMachine()
-        for slot, command in self.applied_entries:
+        for slot, commands in self.applied_entries:
             if slot > machine.last_applied_slot:
-                machine.apply(slot, command)
+                machine.apply_slot(slot, commands)
         return machine
 
 
@@ -412,9 +464,13 @@ class SMRCluster:
     on; what is added here is the client's own trace shard, the
     replicas, the genesis slot and the commit quorum.  Instead of a
     fixed instance count the cluster opens one consensus instance per
-    submitted slot, pipelined: every submit broadcasts the slot's
-    opening step immediately, so many slots are in flight while the
-    appliers catch up in order.
+    slot, and a slot is whatever :meth:`submit` was handed during one
+    event-loop iteration (a lone command is a slot of one on the same
+    path).  Slots are pipelined: each seal broadcasts its slot's opening
+    step immediately, so many slots are in flight while the appliers
+    catch up in order.  Per-slot bookkeeping lives only while a slot is
+    in flight — it is released once every correct replica has processed
+    the slot, which is also what :meth:`drain` waits for.
 
     Crash-fault injection is not supported in SMR v1: a crashed replica
     stops applying, and commit quorum over the *configured* correct set
@@ -477,10 +533,22 @@ class SMRCluster:
         self._client_tracer: Optional[SpanTracer] = None
         self._replicas: Dict[int, SMRNode] = {}
         self._next_slot = 0
-        self._commits: Dict[int, asyncio.Future] = {}
+        #: The slot this tick's submissions are joining, with its
+        #: commands so far and the scheduled seal; None between ticks.
+        self._open_slot: Optional[int] = None
+        self._open_commands: List[Command] = []
+        self._seal_handle: Optional[asyncio.Handle] = None
+        # Per-slot bookkeeping, held only while the slot is in flight:
+        # _release drops all four once every correct replica processed
+        # it.  _commits (one future per command) is filled at
+        # allocation, so membership there is "in flight".
+        self._commits: Dict[int, List[asyncio.Future]] = {}
         self._applied_counts: Dict[int, int] = {}
-        self._results: Dict[int, Any] = {}
+        self._results: Dict[int, Tuple[Any, ...]] = {}
         self._submit_ts: Dict[int, float] = {}
+        #: Set while no slot is in flight; what :meth:`drain` waits on.
+        self._idle = asyncio.Event()
+        self._idle.set()
         self.correct_pids: frozenset = frozenset()
         self.quorum = 0
         self.problems: List[str] = []
@@ -525,13 +593,15 @@ class SMRCluster:
         # a hole before the first client slot.
         genesis = Command(session="", request_id=0, op="noop")
         self.started_at = monotonic()
-        self._register_slot(0)
-        self._next_slot = 1
+        self._commits[self._allocate_slot()].append(
+            asyncio.get_running_loop().create_future()
+        )
         for replica in self._replicas.values():
-            replica.offer(0, genesis)
+            replica.offer(0, (genesis,))
             replica.start()
         for node in mesh.nodes:
             await node.start(instances=1)
+        self.registry.inc("cluster.smr.slots")
 
     async def close(self) -> List[str]:
         """Stop appliers and nodes; return the run's accumulated
@@ -540,6 +610,18 @@ class SMRCluster:
         if self._closed:
             return list(self.problems)
         self._closed = True
+        if self._open_slot is not None:
+            # Submitted this tick, never sealed: no replica holds the
+            # commands and no instance was opened, so they cannot commit.
+            slot, commands = self._take_open_slot()
+            self._fail_slot(
+                slot,
+                ConfigurationError(
+                    f"SMR cluster closed before slot {slot} was sealed"
+                ),
+                f"close: slot {slot} was never sealed "
+                f"({len(commands)} commands dropped)",
+            )
         for replica in self._replicas.values():
             await replica.stop()
         records = self._mesh.records()
@@ -556,7 +638,9 @@ class SMRCluster:
         self.problems.extend(oracle_problems)
         wall = monotonic() - self.started_at if self.started_at else 0.0
         timed_out = any(
-            not future.done() for future in self._commits.values()
+            not future.done()
+            for futures in self._commits.values()
+            for future in futures
         )
         if self._mesh.trace_dir is not None:
             _write_run_manifest(
@@ -575,32 +659,83 @@ class SMRCluster:
     # Submission and commit tracking
     # ------------------------------------------------------------------ #
 
-    def _register_slot(self, slot: int) -> asyncio.Future:
-        future = asyncio.get_running_loop().create_future()
-        self._commits[slot] = future
+    def _allocate_slot(self) -> int:
+        """Take the next slot number and mark it in flight."""
+        slot = self._next_slot
+        self._next_slot += 1
+        self._commits[slot] = []
         self._submit_ts[slot] = monotonic()
-        return future
+        self._idle.clear()
+        return slot
+
+    def _release(self, slot: int) -> None:
+        """Forget a slot nothing more will happen to."""
+        del self._commits[slot]
+        self._applied_counts.pop(slot, None)
+        self._results.pop(slot, None)
+        del self._submit_ts[slot]
+        if not self._commits:
+            self._idle.set()
+
+    def _fail_slot(
+        self, slot: int, error: BaseException, problem: str
+    ) -> None:
+        """Fail every pending future of ``slot`` with ``error``, record
+        ``problem`` and release the slot."""
+        for future in self._commits[slot]:
+            if not future.done():
+                future.set_exception(error)
+        self.problems.append(problem)
+        self._release(slot)
 
     def submit(self, command: Command) -> Tuple[int, asyncio.Future]:
-        """Sequence one command: allocate the next slot, disseminate the
-        command to every replica, open the slot's consensus instance on
-        every node.  Non-blocking; the returned future resolves to a
-        :class:`CommitResult` when a majority of correct replicas have
-        applied (or aborted) the slot.
+        """Sequence one command: join the slot this event-loop iteration
+        is filling (the first submit of a tick allocates it and schedules
+        its seal).  Non-blocking; the returned future resolves to this
+        command's :class:`CommitResult` when a majority of correct
+        replicas have applied (or aborted) the slot, or raises what
+        sealing the slot raised.
         """
         if not self._started or self._closed:
             raise ConfigurationError(
                 "submit() needs a started, unclosed SMR cluster"
             )
-        slot = self._next_slot
-        self._next_slot += 1
-        future = self._register_slot(slot)
-        for replica in self._replicas.values():
-            replica.offer(slot, command)
-        for node in self._mesh.nodes:
-            node.start_instance(slot)
+        loop = asyncio.get_running_loop()
+        if self._open_slot is None:
+            self._open_slot = self._allocate_slot()
+            self._seal_handle = loop.call_soon(self._seal)
+        slot = self._open_slot
+        future = loop.create_future()
+        self._commits[slot].append(future)
+        self._open_commands.append(command)
         self.registry.inc("cluster.smr.submitted")
+        if len(self._open_commands) >= MAX_SLOT_COMMANDS:
+            self._seal()
         return slot, future
+
+    def _take_open_slot(self) -> Tuple[int, Tuple[Command, ...]]:
+        """Detach the open slot (and its scheduled seal) from the tick:
+        the next submit opens a new one."""
+        slot, commands = self._open_slot, tuple(self._open_commands)
+        self._seal_handle.cancel()
+        self._open_slot = self._seal_handle = None
+        self._open_commands = []
+        return slot, commands
+
+    def _seal(self) -> None:
+        """Close the open slot: disseminate its commands to every
+        replica and open its consensus instance on every node."""
+        slot, commands = self._take_open_slot()
+        self.registry.inc("cluster.smr.slots")
+        try:
+            for replica in self._replicas.values():
+                replica.offer(slot, commands)
+            for node in self._mesh.nodes:
+                node.start_instance(slot)
+        except Exception as exc:
+            # Runs from call_soon: raising here would only reach the
+            # loop's exception handler, and the clients would wait on.
+            self._fail_slot(slot, exc, f"slot {slot}: seal failed: {exc!r}")
 
     async def submit_and_wait(
         self, command: Command, timeout: Optional[float] = None
@@ -612,93 +747,97 @@ class SMRCluster:
         return await asyncio.wait_for(asyncio.shield(future), timeout)
 
     def _on_applied(
-        self, pid: int, slot: int, decision: int, result: Any
+        self, pid: int, slot: int, decision: int, results: Tuple[Any, ...]
     ) -> None:
-        """One replica finished a slot; resolve the commit at quorum."""
+        """One replica finished a slot (``results`` holds one entry per
+        command); resolve the slot's commits at quorum and release it
+        once every correct replica has reported."""
+        futures = self._commits.get(slot)
+        if futures is None:
+            return  # released: a late report must not resurrect it
         count = self._applied_counts.get(slot, 0) + 1
         self._applied_counts[slot] = count
         if count == 1:
-            self._results[slot] = result
-        elif result != self._results[slot]:
+            self._results[slot] = results
+        elif results != self._results[slot]:
             # Determinism violation: replicas disagree on a committed
-            # entry's result even though consensus agreed on the slot.
-            self.problems.append(
-                f"slot {slot}: replica {pid} result {result!r} diverges "
-                f"from {self._results[slot]!r}"
-            )
+            # command's result even though consensus agreed on the slot.
+            for index, (ours, first) in enumerate(
+                zip(results, self._results[slot])
+            ):
+                if ours != first:
+                    self.problems.append(
+                        f"slot {slot} command {index}: replica {pid} "
+                        f"result {ours!r} diverges from {first!r}"
+                    )
         if count == self.quorum:
-            future = self._commits.get(slot)
-            if future is not None and not future.done():
-                now = monotonic()
-                latency = now - self._submit_ts.get(slot, self.started_at)
-                self.registry.inc("cluster.smr.committed")
+            now = monotonic()
+            latency = now - self._submit_ts[slot]
+            latency_ms = latency * 1000.0
+            self.registry.inc("cluster.smr.committed", len(futures))
+            if self._client_writer is not None:
+                fields = {
+                    "slot": slot,
+                    "commands": len(futures),
+                    "decision": decision,
+                    "quorum": count,
+                    "latency_ms": round(latency_ms, 3),
+                }
+                if self._client_tracer is not None:
+                    physical, logical = self._client_tracer.hlc.tick()
+                    fields["hlc"] = [physical, logical]
+                self._client_writer.record_fields("smr-commit", fields)
+            for future, result in zip(futures, self._results[slot]):
                 self.registry.observe(
-                    "cluster.smr.commit_latency_ms", latency * 1000.0
+                    "cluster.smr.commit_latency_ms", latency_ms
                 )
-                if self._client_writer is not None:
-                    fields = {
-                        "slot": slot,
-                        "decision": decision,
-                        "quorum": count,
-                        "latency_ms": round(latency * 1000.0, 3),
-                    }
-                    if self._client_tracer is not None:
-                        physical, logical = self._client_tracer.hlc.tick()
-                        fields["hlc"] = [physical, logical]
-                    self._client_writer.record_fields(
-                        "smr-commit", fields
+                if not future.done():
+                    future.set_result(
+                        CommitResult(
+                            slot=slot,
+                            committed=decision == 1,
+                            result=result,
+                            latency=latency,
+                            committed_at=now,
+                        )
                     )
-                future.set_result(
-                    CommitResult(
-                        slot=slot,
-                        committed=decision == 1,
-                        result=self._results[slot],
-                        latency=latency,
-                        committed_at=now,
-                    )
-                )
+        if count == len(self.correct_pids):
+            self._release(slot)
 
     # ------------------------------------------------------------------ #
     # Draining and verification
     # ------------------------------------------------------------------ #
 
     async def drain(self, timeout: float = 30.0) -> bool:
-        """Wait for every submitted slot to commit *and* for every
-        replica to apply through the last slot (quorum commit means a
-        minority may still lag).  Returns False on timeout, with the
-        shortfall recorded in :attr:`problems`."""
-        deadline = monotonic() + timeout
-        pending = [
-            future
-            for future in self._commits.values()
-            if not future.done()
-        ]
-        if pending:
-            done, not_done = await asyncio.wait(
-                pending, timeout=timeout
+        """Wait until no slot is in flight: every submitted command
+        committed *and* every replica applied through the last slot
+        (quorum commit means a minority may still lag).  Returns False
+        on timeout, with the shortfall recorded in :attr:`problems`."""
+        try:
+            await asyncio.wait_for(self._idle.wait(), timeout)
+        except asyncio.TimeoutError:
+            uncommitted = sum(
+                any(not future.done() for future in futures)
+                for futures in self._commits.values()
             )
-            if not_done:
+            if uncommitted:
                 self.problems.append(
-                    f"drain: {len(not_done)} slots uncommitted after "
+                    f"drain: {uncommitted} slots uncommitted after "
                     f"{timeout:.1f}s"
                 )
-                return False
-        last_slot = self._next_slot - 1
-        while True:
-            lagging = [
-                replica.pid
-                for replica in self._replicas.values()
-                if replica.applied_through < last_slot
-            ]
-            if not lagging:
-                return True
-            if monotonic() >= deadline:
+            else:
+                last_slot = self._next_slot - 1
+                lagging = [
+                    replica.pid
+                    for replica in self._replicas.values()
+                    if replica.applied_through < last_slot
+                ]
                 self.problems.append(
                     f"drain: replicas {lagging} had not applied through "
                     f"slot {last_slot} after {timeout:.1f}s"
                 )
-                return False
-            await asyncio.sleep(0.005)
+            return False
+        return True
 
     def verify_replicas(self) -> List[str]:
         """Byte-compare every correct replica's state machine.
@@ -769,7 +908,7 @@ class SMRClient:
     ) -> CommitResult:
         """Issue one request end-to-end, retrying on timeout or abort.
 
-        Retries re-submit the same command under a fresh slot; dedup
+        Retries re-submit the same command; dedup
         guarantees at-most-one execution, the retry restores
         at-least-once, together: exactly once.
         """
@@ -829,10 +968,12 @@ async def run_smr_load(
     Latency is measured from the *scheduled* arrival, charging any
     event-loop lateness to the system under test.
 
-    ``retry_every`` > 0 re-submits every Nth request a second time
-    under a fresh slot — the client-retry path — so dedup is exercised
-    (and measurable: ``dedup_hits``) in the production workload, not
-    only in tests.
+    ``retry_every`` > 0 submits every Nth request a second time — the
+    client-retry path, here landing in the same slot or the next — so
+    dedup is exercised (and measurable: ``dedup_hits``) in the
+    production workload, not only in tests.  The payload counts
+    commands (``submitted_commands``, ``committed``) and, beside them,
+    the slots they shared (``submitted_slots``, genesis included).
     """
     if clients < 1:
         raise ConfigurationError(f"clients must be >= 1, got {clients}")
@@ -866,7 +1007,7 @@ async def run_smr_load(
         _, future = cluster.submit(command)
         outstanding.append((arrival, future))
         if retry_every > 0 and (index + 1) % retry_every == 0:
-            # Client retry: identical command, fresh slot.
+            # Client retry: the identical command once more.
             _, retry_future = cluster.submit(command)
             outstanding.append((arrival, retry_future))
             dedup_retries += 1
@@ -918,6 +1059,7 @@ async def run_smr_load(
         "clients": clients,
         "rate": rate,
         "ops": ops,
+        "submitted_commands": len(outstanding),
         "submitted_slots": cluster.submitted_slots,
         "committed": committed,
         "aborted": aborted,

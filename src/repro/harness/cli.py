@@ -739,9 +739,10 @@ def _cmd_smr(args: argparse.Namespace) -> int:
     print(
         f"smr n={spec.n} k={spec.k} {spec.protocol}"
         f"{_mesh_notes(spec)}: "
-        f"{result['committed']}/{result['submitted_slots'] - 1} committed "
+        f"{result['committed']}/{result['submitted_commands']} committed "
         f"({result['aborted']} aborted, {result['uncommitted']} "
-        f"uncommitted) in {result['wall_seconds']:.3f}s"
+        f"uncommitted) in {result['submitted_slots'] - 1} slots, "
+        f"{result['wall_seconds']:.3f}s"
     )
     print(
         f"  throughput {result['throughput_ops_per_sec']:.1f} ops/s, "
@@ -1086,8 +1087,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     smr_parser.add_argument(
         "--retry-every", type=int, default=10, metavar="N",
-        help="re-submit every Nth request under a fresh slot to "
-        "exercise exactly-once dedup; 0 disables (default: 10)",
+        help="submit every Nth request a second time to exercise "
+        "exactly-once dedup; 0 disables (default: 10)",
     )
     smr_parser.add_argument(
         "--compact-every", type=int, default=64, metavar="SLOTS",
