@@ -27,8 +27,8 @@ from typing import Optional, Sequence
 
 from repro.check.oracles import OracleSuite
 from repro.errors import ConfigurationError
+from repro.faults.byzantine import BYZANTINE_STRATEGIES
 from repro.faults.plans import (
-    BYZANTINE_STRATEGIES,
     ByzantineSpec,
     CrashSpec,
     FaultPlan,

@@ -98,9 +98,7 @@ class OracleSuite(StepObserver):
         self._tally = {}
         self._stars = {}
         correct_inputs = {
-            getattr(proc, "input_value", 0)
-            for proc in sim.processes
-            if proc.is_correct
+            proc.input_value for proc in sim.processes if proc.is_correct
         }
         self._unanimous_input = (
             next(iter(correct_inputs)) if len(correct_inputs) == 1 else None
@@ -108,9 +106,9 @@ class OracleSuite(StepObserver):
         if "echo_quorum" not in self.oracles:
             return
         for proc in sim.processes:
-            target = getattr(proc, "inner", proc)
             if not proc.is_correct:
                 continue
+            target = proc.core
             if type(target) is not MaliciousConsensus:
                 # Byzantine subclasses reuse the machinery but are free
                 # to cheat; only audit honest Figure 2 processes.
@@ -138,8 +136,7 @@ class OracleSuite(StepObserver):
                 if self.violation is not None:
                     return
             if pid in self._audited:
-                inner = getattr(sim.processes[pid], "inner", sim.processes[pid])
-                self._cur_phase[pid] = inner.phaseno
+                self._cur_phase[pid] = sim.processes[pid].phaseno
         process = sim.processes[pid]
         if not process.is_correct or not process.decided:
             return

@@ -371,11 +371,6 @@ class FrameReader:
                 "buffered bytes"
             )
 
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered but not yet parsed into a complete frame."""
-        return len(self._buffer)
-
     # ------------------------------------------------------------------ #
     # Body decoding (``raw`` is one whole frame, header already checked)
     # ------------------------------------------------------------------ #

@@ -1,9 +1,10 @@
 """Cluster driver: launch, observe, and judge an n-node loopback cluster.
 
 The driver is the cluster analogue of :class:`repro.sim.kernel.Simulation`
-plus :class:`repro.harness.runner.ExperimentRunner`: it assembles the same
-process ensembles (via :mod:`repro.harness.builders`, so the protocol
-cores are shared byte-for-byte with the simulator), wires each process to
+plus :class:`repro.harness.runner.ExperimentRunner`: it describes its
+process ensemble to :mod:`repro.harness.builders` (:attr:`ClusterSpec.
+ensemble`) and names no protocol or Byzantine class itself, so the cores
+are the simulator's and the fuzzer's byte for byte; it wires each process to
 a :class:`~repro.cluster.transport.Transport` — optionally behind a
 :class:`~repro.cluster.chaos.ChaosProxy` — waits for the correct nodes to
 decide, and then runs the agreement/validity oracles over the collected
@@ -34,32 +35,20 @@ from repro.cluster.chaos import ChaosConfig, ChaosProxy
 from repro.cluster.node import ClusterNode, DecisionRecord
 from repro.cluster.trace import ClusterTraceWriter
 from repro.cluster.transport import DEFAULT_TRACE_SAMPLE, Transport
-from repro.core.fail_stop import FailStopConsensus
-from repro.core.malicious import MaliciousConsensus
 from repro.errors import ConfigurationError
+from repro.harness.builders import build_ensemble, build_member, parse_inputs
 from repro.harness.provenance import provenance
-from repro.obs.spans import SpanTracer
-from repro.faults.byzantine import (
-    AntiMajorityEchoByzantine,
-    BalancingEchoByzantine,
-    EquivocatingEchoByzantine,
-    SilentByzantine,
-)
-from repro.faults.crash import CrashableProcess
-from repro.harness.builders import (
-    build_failstop_processes,
-    build_malicious_processes,
-)
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
+from repro.obs.spans import SpanTracer
 from repro.procs.base import Process
 
-#: Byzantine behaviours selectable by name on the CLI.  Factories follow
-#: the builders' ``(pid, n, k, input_value)`` signature.
+#: Byzantine behaviours selectable by name on the CLI → their strategy
+#: name in :data:`repro.faults.byzantine.BYZANTINE_STRATEGIES`.
 BYZANTINE_KINDS = {
-    "balancing": BalancingEchoByzantine,
-    "equivocating": EquivocatingEchoByzantine,
-    "anti-majority": AntiMajorityEchoByzantine,
-    "silent": lambda pid, n, k, value: SilentByzantine(pid, n, value),
+    "balancing": "balancing_echo",
+    "equivocating": "equivocating_echo",
+    "anti-majority": "anti_majority_echo",
+    "silent": "silent",
 }
 
 #: Protocols the cluster runtime can serve.
@@ -139,64 +128,32 @@ class ClusterSpec:
         """The resolved per-process input values."""
         if self.inputs is None:
             return [1] * self.n
-        if isinstance(self.inputs, str):
-            return [int(ch) for ch in self.inputs]
-        return list(self.inputs)
+        return parse_inputs(self.inputs, self.n)
 
     @property
     def byzantine_pids(self) -> tuple[int, ...]:
         """Pids running the Byzantine behaviour (highest ids)."""
         return tuple(range(self.n - self.byzantine_count, self.n))
 
-
-def build_processes(spec: ClusterSpec) -> list[Process]:
-    """The spec's process ensemble — the same objects the simulator runs."""
-    inputs = spec.effective_inputs
-    crashes = dict(spec.crashes) if spec.crashes else None
-    if spec.protocol == "failstop":
-        return build_failstop_processes(
-            spec.n, spec.k, inputs, crashes=crashes
-        )
-    factory = BYZANTINE_KINDS[spec.byzantine_kind]
-    byzantine = {pid: factory for pid in spec.byzantine_pids}
-    return build_malicious_processes(
-        spec.n,
-        spec.k,
-        inputs,
-        byzantine=byzantine,
-        crashes=crashes,
-        exit_after_decide=spec.exit_after_decide,
-    )
-
-
-def build_process(spec: ClusterSpec, pid: int) -> Process:
-    """Member ``pid`` of :func:`build_processes`'s ensemble, built alone.
-
-    A node opens one protocol core per instance; building the whole
-    ensemble to keep one member made every slot cost n constructions
-    per node.  The ensemble-level checks (input shape, fault count
-    against k) are :func:`build_processes`'s, which
-    :meth:`ClusterMesh.open` runs once before any factory call.
-    """
-    value = spec.effective_inputs[pid]
-    if spec.protocol == "failstop":
-        process: Process = FailStopConsensus(pid, spec.n, spec.k, value)
-    elif pid >= spec.n - spec.byzantine_count:
-        process = BYZANTINE_KINDS[spec.byzantine_kind](
-            pid, spec.n, spec.k, value
-        )
-    else:
-        process = MaliciousConsensus(
-            pid,
-            spec.n,
-            spec.k,
-            value,
-            exit_after_decide=spec.exit_after_decide,
-        )
-    crash = spec.crashes.get(pid) if spec.crashes else None
-    if crash is not None:
-        process = CrashableProcess(process, **crash)
-    return process
+    @property
+    def ensemble(self) -> dict:
+        """This spec's process ensemble as keyword arguments for
+        :func:`repro.harness.builders.build_ensemble` (all members) and
+        ``build_member(pid, ...)`` (one) — the same objects the
+        simulator runs.  No ``allow_excessive_k``: a cluster past the
+        resilience bound is a configuration error."""
+        strategy = BYZANTINE_KINDS[self.byzantine_kind]
+        described = {
+            "protocol": self.protocol,
+            "n": self.n,
+            "k": self.k,
+            "inputs": self.effective_inputs,
+            "byzantine": {pid: strategy for pid in self.byzantine_pids},
+            "crashes": dict(self.crashes or {}),
+        }
+        if self.protocol == "malicious":
+            described["exit_after_decide"] = self.exit_after_decide
+        return described
 
 
 # ---------------------------------------------------------------------- #
@@ -330,19 +287,6 @@ class ClusterReport:
         """True when every oracle passed and nothing timed out."""
         return not self.problems and not self.timed_out
 
-    def correct_latencies(self) -> list[float]:
-        """Decide latencies (seconds) of the correct nodes, sorted."""
-        return sorted(
-            record.latency for record in self.records if record.is_correct
-        )
-
-    def decisions_per_sec(self) -> float:
-        """Correct decisions per wall-clock second of the run."""
-        if self.wall_seconds <= 0:
-            return 0.0
-        count = sum(1 for record in self.records if record.is_correct)
-        return count / self.wall_seconds
-
     def consensus_value(self) -> Optional[int]:
         """The agreed value (None if no correct node decided)."""
         for record in self.records:
@@ -444,15 +388,18 @@ class ClusterMesh:
         listening on an ephemeral port, and — when ``spec.chaos`` is
         active — a :class:`ChaosProxy` in front of it with its own
         derived seed.  Then every transport dials the full address map
-        and gets its :class:`ClusterNode`, whose per-instance factory is
-        :func:`build_process`.
+        and gets its :class:`ClusterNode`, whose per-instance factory
+        builds that pid's member of :attr:`ClusterSpec.ensemble` —
+        exactly one core per call.
         """
         spec = self.spec
-        # The ensemble-level checks (input shape and domain, fault count
-        # against k) live in the ensemble builders; the per-node
-        # factories below build single members and rely on this pass.
+        # One whole ensemble first: build_ensemble runs the ensemble-level
+        # checks (input shape and domain, fault pids, fault count against
+        # k) before any socket or trace shard opens, and says which pids
+        # are correct.  The per-node factories then build single members.
+        ensemble = spec.ensemble
         self.correct_pids = frozenset(
-            proc.pid for proc in build_processes(spec) if proc.is_correct
+            proc.pid for proc in build_ensemble(**ensemble) if proc.is_correct
         )
         if self.trace_dir is not None:
             os.makedirs(self.trace_dir, exist_ok=True)
@@ -503,7 +450,7 @@ class ClusterMesh:
 
                 def factory(instance: int, pid: int = pid) -> Process:
                     # A fresh, identically-configured process per instance.
-                    return build_process(spec, pid)
+                    return build_member(pid, **ensemble)
 
                 self.nodes.append(
                     ClusterNode(

@@ -115,7 +115,6 @@ class _InstanceState:
     __slots__ = (
         "process", "started_at", "decided_event", "waiters",
         "queue_s", "compute_s", "last_step_end", "last_phase",
-        "phase_src",
     )
 
     def __init__(self, process: Process, started_at: float) -> None:
@@ -132,15 +131,6 @@ class _InstanceState:
         # Phase after this instance's most recent step; lets the traced
         # consumer loop detect transitions with one phase read per step.
         self.last_phase = None
-        # Object whose ``phaseno`` attribute tracks the phase (the core
-        # itself, or a fault wrapper's inner core) — resolved once so
-        # the hot loop does a plain attribute read, not getattr chains.
-        src = process
-        if getattr(src, "phaseno", None) is None:
-            src = getattr(src, "inner", None)
-            if src is not None and getattr(src, "phaseno", None) is None:
-                src = None
-        self.phase_src = src
 
 
 class ClusterNode:
@@ -257,13 +247,6 @@ class ClusterNode:
             and instance not in self._records
         ]
 
-    def _bind_metrics(self, process: Process) -> None:
-        if self.registry is not None:
-            process.metrics = self.registry
-            inner = getattr(process, "inner", None)
-            if isinstance(inner, Process):
-                inner.metrics = self.registry
-
     def _create_instance(self, instance: int) -> _InstanceState:
         process = self.process_factory(instance)
         if process.pid != self.pid or process.n != self.transport.n:
@@ -271,7 +254,8 @@ class ClusterNode:
                 f"process_factory built ({process.pid}, n={process.n}) "
                 f"for node ({self.pid}, n={self.transport.n})"
             )
-        self._bind_metrics(process)
+        if self.registry is not None:
+            process.bind_metrics(self.registry)
         state = _InstanceState(process, monotonic())
         self._instances[instance] = state
         if self.registry is not None:
@@ -302,8 +286,7 @@ class ClusterNode:
             step_end = monotonic()
             state.compute_s += step_end - step_start
             state.last_step_end = step_end
-            src = state.phase_src
-            state.last_phase = src.phaseno if src is not None else None
+            state.last_phase = process.phaseno
         self._after_step(instance, state, sends)
 
     # ------------------------------------------------------------------ #
@@ -422,8 +405,7 @@ class ClusterNode:
                 # Phase only moves inside atomic steps, so comparing to
                 # the phase recorded after the previous step is exact —
                 # and costs one plain attribute read per step.
-                src = state.phase_src
-                phase_after = src.phaseno if src is not None else None
+                phase_after = process.phaseno
                 if phase_after != state.last_phase:
                     previous = state.last_phase
                     state.last_phase = phase_after

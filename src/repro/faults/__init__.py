@@ -2,6 +2,7 @@
 
 from repro.faults.crash import CrashableProcess, crash_plan
 from repro.faults.byzantine import (
+    BYZANTINE_STRATEGIES,
     SilentByzantine,
     RandomNoiseByzantine,
     BalancingEchoByzantine,
@@ -11,7 +12,6 @@ from repro.faults.byzantine import (
     EquivocatingSimpleByzantine,
 )
 from repro.faults.plans import (
-    BYZANTINE_STRATEGIES,
     ByzantineSpec,
     CrashSpec,
     FaultPlan,

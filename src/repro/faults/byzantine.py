@@ -26,6 +26,11 @@ All Byzantine classes set ``is_correct = False`` so the kernel excludes
 them from agreement/termination accounting, and none of them can make a
 run's transport layer lie: the message system stamps their true sender
 id on every envelope.
+
+:data:`BYZANTINE_STRATEGIES` is the one place a Byzantine behaviour's
+name is bound to its class; fault plans, the cluster's
+``byzantine_kind`` and the experiments all name strategies from it, and
+:func:`build_byzantine` constructs them.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from typing import Optional
 from repro.core.malicious import MaliciousConsensus
 from repro.core.messages import EchoMessage, InitialMessage, SimpleMessage
 from repro.core.simple_majority import SimpleMajorityConsensus
+from repro.errors import ConfigurationError
 from repro.net.message import Envelope
 from repro.procs.base import Process, Send
 
@@ -274,3 +280,62 @@ class EquivocatingSimpleByzantine(SimpleMajorityConsensus):
             )
             for recipient in range(self.n)
         ]
+
+
+#: The Byzantine registry: strategy name → (protocols whose message
+#: grammar the strategy speaks, class).
+BYZANTINE_STRATEGIES: dict[str, tuple[tuple[str, ...], type[Process]]] = {
+    "silent": (("malicious", "simple", "naive"), SilentByzantine),
+    "noise": (("malicious", "simple", "naive"), RandomNoiseByzantine),
+    "balancing_echo": (("malicious",), BalancingEchoByzantine),
+    "equivocating_echo": (("malicious",), EquivocatingEchoByzantine),
+    "anti_majority_echo": (("malicious",), AntiMajorityEchoByzantine),
+    "balancing_simple": (("simple", "naive"), BalancingSimpleByzantine),
+    "equivocating_simple": (("simple", "naive"), EquivocatingSimpleByzantine),
+}
+
+
+def check_strategy(strategy: str, protocol: str) -> type[Process]:
+    """The class registered as ``strategy``, checked against ``protocol``."""
+    protocols, cls = BYZANTINE_STRATEGIES.get(strategy, ((), None))
+    if cls is None:
+        raise ConfigurationError(
+            f"unknown Byzantine strategy {strategy!r}; "
+            f"choose from {sorted(BYZANTINE_STRATEGIES)}"
+        )
+    if protocol not in protocols:
+        raise ConfigurationError(
+            f"strategy {strategy!r} does not speak the "
+            f"{protocol!r} message grammar"
+        )
+    return cls
+
+
+def build_byzantine(
+    strategy: str,
+    protocol: str,
+    pid: int,
+    n: int,
+    k: int,
+    input_value: int,
+    seed: int = 0,
+    allow_excessive_k: bool = False,
+) -> Process:
+    """Construct the ``strategy`` stand-in for process ``pid``.
+
+    The noise adversary gets its own RNG seed derived from ``seed`` and
+    its pid, never the run's RNG, so a scripted replay (which consumes
+    no randomness) reproduces it.
+    """
+    cls = check_strategy(strategy, protocol)
+    if cls is SilentByzantine:
+        return cls(pid, n, input_value)
+    if cls is RandomNoiseByzantine:
+        return cls(
+            pid,
+            n,
+            family="echo" if protocol == "malicious" else "simple",
+            input_value=input_value,
+            seed=seed * 9973 + pid + 1,
+        )
+    return cls(pid, n, k, input_value, allow_excessive_k=allow_excessive_k)

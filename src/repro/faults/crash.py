@@ -26,14 +26,19 @@ from repro.procs.base import Process, Send
 
 
 class CrashableProcess(Process):
-    """A correct process that fail-stops when its trigger fires.
+    """A process that fail-stops when its trigger fires.
 
     The wrapper is transparent: it forwards atomic steps to the wrapped
     protocol process and mirrors its decision/exit state, so results and
-    halting predicates see one coherent process.
+    halting predicates see one coherent process.  It forwards the whole
+    harness contract of :class:`~repro.procs.base.Process` too —
+    ``phaseno``, ``input_value``, ``core``, ``bind_metrics`` and
+    ``is_correct`` are the wrapped process's, so a crashing Byzantine
+    process is still a Byzantine one.
 
     Args:
-        inner: the correct protocol process to wrap.
+        inner: the protocol process to wrap (a correct core, a Byzantine
+            stand-in, or another wrapper).
         crash_at_step: die when about to take this own-step index
             (0 = die before even starting, so the process never sends
             anything at all).
@@ -67,7 +72,10 @@ class CrashableProcess(Process):
         self.crash_at_step = crash_at_step
         self.crash_at_phase = crash_at_phase
         self.keep_sends = keep_sends
-        self.input_value = getattr(inner, "input_value", 0)
+        # Fixed for the wrapped process's lifetime, so copied: the halting
+        # predicates read ``is_correct`` on every step.
+        self.input_value = inner.input_value
+        self.is_correct = inner.is_correct
         # Own step counter for the trigger: ``steps_taken`` is maintained
         # by the simulation kernel, but the wrapper must also work when
         # driven directly (unit tests, the model checker).
@@ -78,9 +86,19 @@ class CrashableProcess(Process):
     # ------------------------------------------------------------------ #
 
     @property
-    def phaseno(self) -> int:
+    def phaseno(self) -> Optional[int]:
         """The wrapped protocol's phase (frozen once crashed)."""
-        return getattr(self.inner, "phaseno", 0)
+        return self.inner.phaseno
+
+    @property
+    def core(self) -> Process:
+        """The wrapped process's protocol core."""
+        return self.inner.core
+
+    def bind_metrics(self, registry) -> None:
+        """Bind this wrapper and everything it wraps to ``registry``."""
+        self.metrics = registry
+        self.inner.bind_metrics(registry)
 
     def _mirror(self) -> None:
         inner = self.inner
@@ -107,7 +125,7 @@ class CrashableProcess(Process):
         fatal = False
         if (
             self.crash_at_phase is not None
-            and self.phaseno >= self.crash_at_phase
+            and (self.inner.phaseno or 0) >= self.crash_at_phase
         ):
             # Phase trigger: silent death before the step executes.
             self.crashed = True
@@ -128,7 +146,6 @@ class CrashableProcess(Process):
             self.crashed = True
             return sends[: self.keep_sends]
         return sends
-
 
     def state_key(self) -> tuple:
         """Hashable snapshot (wrapper trigger state + wrapped protocol).

@@ -27,15 +27,9 @@ from repro.core.common import (
     max_malicious_resilience,
 )
 from repro.errors import ConfigurationError
-from repro.faults.byzantine import (
-    AntiMajorityEchoByzantine,
-    BalancingEchoByzantine,
-    BalancingSimpleByzantine,
-    EquivocatingEchoByzantine,
-    EquivocatingSimpleByzantine,
-    RandomNoiseByzantine,
-    SilentByzantine,
-)
+# BYZANTINE_STRATEGIES is re-exported: a plan's JSON ``strategy`` strings
+# are that registry's keys.
+from repro.faults.byzantine import BYZANTINE_STRATEGIES, check_strategy
 from repro.net.schedulers import (
     BalancingDelayScheduler,
     ExponentialDelayScheduler,
@@ -116,63 +110,6 @@ class ByzantineSpec:
         return cls(pid=payload["pid"], strategy=payload["strategy"])
 
 
-def _noise_seed(plan: "FaultPlan", pid: int) -> int:
-    """Derived RNG seed for a noise adversary: plan seed × pid, replay-safe."""
-    return (plan.seed or 0) * 9973 + pid + 1
-
-
-def _build_silent(plan: "FaultPlan", pid: int) -> Process:
-    return SilentByzantine(pid, plan.n, plan.inputs[pid])
-
-
-def _build_noise(plan: "FaultPlan", pid: int) -> Process:
-    family = "echo" if plan.protocol == "malicious" else "simple"
-    return RandomNoiseByzantine(
-        pid,
-        plan.n,
-        family=family,
-        input_value=plan.inputs[pid],
-        seed=_noise_seed(plan, pid),
-    )
-
-
-def _protocol_aware(cls):
-    def build(plan: "FaultPlan", pid: int) -> Process:
-        return cls(
-            pid,
-            plan.n,
-            plan.k,
-            plan.inputs[pid],
-            allow_excessive_k=plan.over_bound,
-        )
-
-    return build
-
-
-#: Strategy registry: name → (protocols it applies to, builder).
-BYZANTINE_STRATEGIES: dict[str, tuple[tuple[str, ...], Callable]] = {
-    "silent": (("malicious", "simple", "naive"), _build_silent),
-    "noise": (("malicious", "simple", "naive"), _build_noise),
-    "balancing_echo": (("malicious",), _protocol_aware(BalancingEchoByzantine)),
-    "equivocating_echo": (
-        ("malicious",),
-        _protocol_aware(EquivocatingEchoByzantine),
-    ),
-    "anti_majority_echo": (
-        ("malicious",),
-        _protocol_aware(AntiMajorityEchoByzantine),
-    ),
-    "balancing_simple": (
-        ("simple", "naive"),
-        _protocol_aware(BalancingSimpleByzantine),
-    ),
-    "equivocating_simple": (
-        ("simple", "naive"),
-        _protocol_aware(EquivocatingSimpleByzantine),
-    ),
-}
-
-
 @dataclass(frozen=True)
 class FaultPlan:
     """Everything that pins down one adversarial run.
@@ -223,18 +160,7 @@ class FaultPlan:
                 "the fail-stop model has no Byzantine processes"
             )
         for spec in self.byzantine:
-            protocols, _build = BYZANTINE_STRATEGIES.get(
-                spec.strategy, ((), None)
-            )
-            if _build is None:
-                raise ConfigurationError(
-                    f"unknown Byzantine strategy {spec.strategy!r}"
-                )
-            if self.protocol not in protocols:
-                raise ConfigurationError(
-                    f"strategy {spec.strategy!r} does not speak the "
-                    f"{self.protocol!r} message grammar"
-                )
+            check_strategy(spec.strategy, self.protocol)
 
     # ------------------------------------------------------------------ #
     # Classification
@@ -281,53 +207,28 @@ class FaultPlan:
     # ------------------------------------------------------------------ #
 
     def build_processes(self) -> list[Process]:
-        """Construct the pid-ordered process ensemble this plan describes."""
-        from repro.harness.builders import (
-            _apply_crashes,
-            build_failstop_processes,
-            build_malicious_processes,
-            build_simple_majority_processes,
-        )
+        """Construct the pid-ordered process ensemble this plan describes.
 
-        crashes = {spec.pid: spec.kwargs() for spec in self.crashes}
-        byz = {
-            spec.pid: (lambda pid, n, k, v, _s=spec: BYZANTINE_STRATEGIES[
-                _s.strategy
-            ][1](self, pid))
-            for spec in self.byzantine
-        }
+        Every member comes from the one constructor in
+        :mod:`repro.harness.builders`; an over-bound plan lifts the
+        cores' resilience checks (``allow_excessive_k``), which is what
+        lets the fuzzer run past the theorems on purpose.
+        """
+        from repro.harness.builders import build_ensemble
+
         extra: dict = {"allow_excessive_k": True} if self.over_bound else {}
-        if self.protocol == "failstop":
-            return build_failstop_processes(
-                self.n, self.k, self.inputs, crashes=crashes, **extra
-            )
         if self.protocol == "malicious":
-            return build_malicious_processes(
-                self.n,
-                self.k,
-                self.inputs,
-                byzantine=byz,
-                crashes=crashes,
-                exit_after_decide=self.exit_after_decide,
-                **extra,
-            )
-        if self.protocol == "simple":
-            return build_simple_majority_processes(
-                self.n, self.k, self.inputs, byzantine=byz, crashes=crashes,
-                **extra,
-            )
-        # naive: the lower-bound strawman; always allow_excessive_k inside.
-        from repro.lowerbounds.partition import NaiveQuorumConsensus
-
-        processes: list[Process] = []
-        for pid in range(self.n):
-            if pid in byz:
-                processes.append(byz[pid](pid, self.n, self.k, self.inputs[pid]))
-            else:
-                processes.append(
-                    NaiveQuorumConsensus(pid, self.n, self.k, self.inputs[pid])
-                )
-        return _apply_crashes(processes, crashes)
+            extra["exit_after_decide"] = self.exit_after_decide
+        return build_ensemble(
+            self.protocol,
+            self.n,
+            self.k,
+            self.inputs,
+            byzantine={spec.pid: spec.strategy for spec in self.byzantine},
+            crashes={spec.pid: spec.kwargs() for spec in self.crashes},
+            seed=self.seed or 0,
+            **extra,
+        )
 
     def build_scheduler(self, record: bool = False) -> Scheduler:
         """Construct the plan's scheduler, optionally recording for replay."""

@@ -64,13 +64,15 @@ def _cmd_list(args: argparse.Namespace) -> int:
         import json
 
         from repro.cluster.driver import BYZANTINE_KINDS, CLUSTER_PROTOCOLS
-        from repro.faults.plans import PROTOCOLS
+        from repro.faults.byzantine import BYZANTINE_STRATEGIES
+        from repro.harness.builders import PROTOCOL_CORES
 
         payload = {
             "experiments": [
                 {"id": key, "title": title} for key, title in entries
             ],
-            "protocols": list(PROTOCOLS),
+            "protocols": list(PROTOCOL_CORES),
+            "byzantine_strategies": sorted(BYZANTINE_STRATEGIES),
             "cluster": {
                 "protocols": list(CLUSTER_PROTOCOLS),
                 "byzantine_kinds": sorted(BYZANTINE_KINDS),

@@ -29,12 +29,9 @@ from repro.analysis.malicious_chain import (
     one_step_absorption_estimate,
 )
 from repro.core.common import max_malicious_resilience
-from repro.faults.byzantine import (
-    BalancingEchoByzantine,
-    EquivocatingEchoByzantine,
-    SilentByzantine,
-)
+from repro.faults.byzantine import BalancingEchoByzantine
 from repro.harness.builders import (
+    ByzantineFactory,
     build_benor_processes,
     build_failstop_processes,
     build_malicious_processes,
@@ -142,16 +139,17 @@ def e1_failstop_protocol(
 def e2_malicious_protocol(
     cells: Optional[Sequence[tuple[int, int]]] = None,
     runs: int = 10,
-    adversaries: Optional[dict[str, Callable]] = None,
+    adversaries: Optional[dict[str, ByzantineFactory]] = None,
 ) -> ExperimentReport:
     """Figure 2 under each Byzantine strategy at full k."""
     if cells is None:
         cells = [(4, 1), (7, 2), (10, 3), (13, 4)]
     if adversaries is None:
+        # Display name → strategy name in BYZANTINE_STRATEGIES.
         adversaries = {
-            "silent": lambda pid, n, k, v: SilentByzantine(pid, n, v),
-            "balancing": BalancingEchoByzantine,
-            "equivocating": EquivocatingEchoByzantine,
+            "silent": "silent",
+            "balancing": "balancing_echo",
+            "equivocating": "equivocating_echo",
         }
     report = ExperimentReport(
         experiment_id="E2",
@@ -373,8 +371,6 @@ def e7_bivalence_modelcheck(
     max_configurations: int = 60_000,
 ) -> ExperimentReport:
     """Exhaustive schedule exploration on tiny Figure 1 instances."""
-    from repro.core.fail_stop import FailStopConsensus
-
     report = ExperimentReport(
         experiment_id="E7",
         title="Lemma 2: exhaustive exploration of Figure 1, n=3, k=1",
@@ -393,9 +389,7 @@ def e7_bivalence_modelcheck(
     for inputs, expectation in cases:
         unanimous = len(set(inputs)) == 1
         result = explore_all_schedules(
-            lambda inputs=inputs: [
-                FailStopConsensus(pid, 3, 1, inputs[pid]) for pid in range(3)
-            ],
+            lambda inputs=inputs: build_failstop_processes(3, 1, inputs),
             max_phase=2 if unanimous else 4,
             max_configurations=max_configurations,
             stop_when_bivalent=not unanimous,

@@ -169,7 +169,7 @@ def explore_all_schedules(
             terminals.add(tuple(p.decision.get() for p in processes))
             continue
         if any(
-            getattr(p, "phaseno", 0) > max_phase
+            (p.phaseno or 0) > max_phase
             for p in processes
             if p.is_correct
         ):

@@ -33,11 +33,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.common import max_failstop_resilience
-from repro.core.fail_stop import FailStopConsensus
 from repro.core.simple_majority import SimpleMajorityConsensus
 from repro.errors import ConfigurationError
 from repro.net.schedulers import PartitionScheduler
-from repro.procs.base import Process
 from repro.sim.kernel import Simulation
 from repro.sim.results import HaltReason, RunResult
 
@@ -52,9 +50,17 @@ class NaiveQuorumConsensus(SimpleMajorityConsensus):
     — and Theorem 1's schedule makes them be, splitting the system.
     """
 
-    def __init__(self, pid: int, n: int, k: int, input_value: int) -> None:
-        # Bypass the resilience validation entirely: the whole point of
-        # this class is to embody the claim the theorem refutes.
+    def __init__(
+        self,
+        pid: int,
+        n: int,
+        k: int,
+        input_value: int,
+        allow_excessive_k: bool = True,
+    ) -> None:
+        # Bypass the resilience validation entirely, whatever the caller
+        # passed: the whole point of this class is to embody the claim
+        # the theorem refutes.
         super().__init__(pid, n, k, input_value, allow_excessive_k=True)
         self._decide_at = n - k  # the unsound quorum
 
@@ -156,21 +162,17 @@ def theorem1_partition_scenario(
     group_t = tuple(range(n // 2, n))
     if inputs is None:
         inputs = [0] * len(group_s) + [1] * len(group_t)
-    if len(inputs) != n:
-        raise ConfigurationError(f"inputs must have length n={n}")
-
-    processes: list[Process]
-    if protocol == "naive":
-        processes = [
-            NaiveQuorumConsensus(pid, n, k, inputs[pid]) for pid in range(n)
-        ]
-    elif protocol == "fig1":
-        processes = [
-            FailStopConsensus(pid, n, k, inputs[pid], allow_excessive_k=True)
-            for pid in range(n)
-        ]
-    else:
+    # This scenario's protocol names → the builders' protocol table.
+    cores = {"naive": "naive", "fig1": "failstop"}
+    if protocol not in cores:
         raise ConfigurationError(f"unknown protocol {protocol!r}")
+    # Imported here: the builders' protocol table names this module's
+    # NaiveQuorumConsensus.
+    from repro.harness.builders import build_ensemble
+
+    processes = build_ensemble(
+        cores[protocol], n, k, inputs, allow_excessive_k=True
+    )
     scheduler = PartitionScheduler([group_s, group_t])
     sim = Simulation(processes, scheduler=scheduler, seed=seed)
 

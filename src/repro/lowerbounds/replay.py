@@ -42,10 +42,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.common import max_malicious_resilience
-from repro.core.malicious import MaliciousConsensus
-from repro.core.simple_majority import SimpleMajorityConsensus
 from repro.errors import ConfigurationError
-from repro.lowerbounds.partition import NaiveQuorumConsensus
 from repro.net.message import Envelope
 from repro.net.schedulers import FilteredRandomScheduler
 from repro.sim.kernel import Simulation
@@ -100,16 +97,6 @@ def replay_arithmetic(n: int, k: int) -> dict[str, int | bool]:
     }
 
 
-def _build_process(protocol: str, pid: int, n: int, k: int, value: int):
-    if protocol == "naive":
-        return NaiveQuorumConsensus(pid, n, k, value)
-    if protocol == "simple":
-        return SimpleMajorityConsensus(pid, n, k, value, allow_excessive_k=True)
-    if protocol == "echo":
-        return MaliciousConsensus(pid, n, k, value, allow_excessive_k=True)
-    raise ConfigurationError(f"unknown protocol {protocol!r}")
-
-
 def theorem3_replay_scenario(
     k: int = 2,
     protocol: str = "naive",
@@ -129,25 +116,28 @@ def theorem3_replay_scenario(
     """
     if k < 1:
         raise ConfigurationError(f"need k >= 1, got k={k}")
+    # This scenario's protocol names → the builders' protocol table.
+    cores = {"naive": "naive", "simple": "simple", "echo": "malicious"}
+    if protocol not in cores:
+        raise ConfigurationError(f"unknown protocol {protocol!r}")
+    # Imported here: the builders' protocol table reaches back into this
+    # package for NaiveQuorumConsensus.
+    from repro.harness.builders import build_ensemble, build_member
+
+    core = cores[protocol]
     n = 3 * k
     correct_s = tuple(range(k))  # inputs 0
     correct_t = tuple(range(k, 2 * k))  # inputs 1
     overlap = tuple(range(2 * k, 3 * k))  # malicious
 
-    processes = []
-    for pid in range(n):
-        if pid in correct_s:
-            value = 0
-        elif pid in correct_t:
-            value = 1
-        else:
-            value = 0  # the overlap first poses as correct with value 0
-        process = _build_process(protocol, pid, n, k, value)
-        if pid in overlap:
-            # Malicious processes running the honest code as a disguise;
-            # excluded from agreement/termination accounting.
-            process.is_correct = False
-        processes.append(process)
+    # The overlap first poses as correct with value 0: malicious
+    # processes running the honest code as a disguise, excluded from
+    # agreement/termination accounting.
+    processes = build_ensemble(
+        core, n, k, [0] * k + [1] * k + [0] * k, allow_excessive_k=True
+    )
+    for pid in overlap:
+        processes[pid].is_correct = False
 
     s_members = set(correct_s) | set(overlap)
     t_members = set(correct_t) | set(overlap)
@@ -173,7 +163,9 @@ def theorem3_replay_scenario(
     # pre-rewind messages must never reach T — a legal scheduler choice.
     watermark = _current_max_seq(sim)
     for pid in overlap:
-        rewound = _build_process(protocol, pid, n, k, 1)
+        rewound = build_member(
+            pid, core, n, k, [1] * n, allow_excessive_k=True
+        )
         rewound.is_correct = False
         sim.replace_process(pid, rewound)
 

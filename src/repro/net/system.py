@@ -137,15 +137,6 @@ class MessageSystem:
         """Total number of undelivered envelopes across all buffers (O(1))."""
         return self._pending
 
-    def mail_count(self) -> int:
-        """Number of processes whose buffers are non-empty (O(1)).
-
-        The unsorted-size companion to :meth:`processes_with_mail`; used
-        by the observability layer to sample scheduler candidate-set
-        sizes without paying that method's sort.
-        """
-        return len(self._with_mail)
-
     def processes_with_mail(self) -> list[int]:
         """Ids of processes whose buffers are non-empty (ascending)."""
         return sorted(self._with_mail)
@@ -153,14 +144,6 @@ class MessageSystem:
     def snapshot(self) -> dict[int, tuple[Envelope, ...]]:
         """Immutable view of every buffer, for tests and tracing."""
         return {pid: buf.peek_all() for pid, buf in enumerate(self._buffers)}
-
-    def drop_where(self, predicate) -> int:
-        """Drop matching envelopes from every buffer; return total dropped.
-
-        Not part of the reliable model — provided for experiments that
-        deliberately break assumptions (documented wherever used).
-        """
-        return sum(buf.remove_where(predicate) for buf in self._buffers)
 
     # ------------------------------------------------------------------ #
     # Observer (send-hook) API
@@ -176,13 +159,6 @@ class MessageSystem:
         """
         if observer not in self._observers:
             self._observers.append(observer)
-
-    def unregister_observer(self, observer) -> None:
-        """Remove ``observer`` if registered."""
-        try:
-            self._observers.remove(observer)
-        except ValueError:
-            pass
 
     # Buffer-listener callbacks (called by MessageBuffer).
 

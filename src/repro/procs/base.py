@@ -51,15 +51,28 @@ class Process(ABC):
             made, if the protocol tracks phases (``None`` otherwise).
         decided_at_step: this process's step count when it decided.
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`
-            bound by the simulation kernel when metrics are enabled.
+            bound through :meth:`bind_metrics` when metrics are enabled.
             ``None`` (the default) disables protocol-level
             instrumentation; protocol code guards every record with a
             single ``self.metrics is not None`` check.
+
+    The class-level attributes below, together with :attr:`core` and
+    :meth:`bind_metrics`, are the contract every harness (simulator,
+    oracles, cluster node, SMR) reads with a plain attribute access
+    (DESIGN.md §2 has the who-writes/who-reads table).  A fault wrapper
+    forwards each of them to the process it wraps.
     """
 
     #: Subclasses representing Byzantine processes set this to False; the
     #: kernel and result validators use it to scope correctness checks.
     is_correct: bool = True
+    #: Current protocol phase.  Protocols that run in phases overwrite it
+    #: per instance; ``None`` marks a process without phases, which the
+    #: harnesses count under phase 0 and which decides with
+    #: ``decided_at_phase`` left ``None``.
+    phaseno: Optional[int] = None
+    #: The initial value x_p; processes constructed with one overwrite it.
+    input_value: int = 0
 
     def __init__(self, pid: int, n: int) -> None:
         self.pid = pid
@@ -98,6 +111,16 @@ class Process(ABC):
         """True once ``d_p`` has been written."""
         return self.decision.is_set
 
+    @property
+    def core(self) -> "Process":
+        """The protocol state machine itself: this process, or — for a
+        fault wrapper — the core of the process it wraps."""
+        return self
+
+    def bind_metrics(self, registry) -> None:
+        """Point this process (a wrapper: and all it wraps) at ``registry``."""
+        self.metrics = registry
+
     def _decide(self, value: int) -> None:
         """Write the decision register and record when it happened.
 
@@ -107,7 +130,7 @@ class Process(ABC):
         already = self.decision.is_set
         self.decision.set(value)
         if not already:
-            self.decided_at_phase = getattr(self, "phaseno", None)
+            self.decided_at_phase = self.phaseno
             self.decided_at_step = self.steps_taken
 
     def _broadcast(self, payload: Any) -> list[Send]:

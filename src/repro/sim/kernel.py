@@ -73,6 +73,12 @@ def _sent_counter(payload_type: type) -> str:
     return "messages.sent." + payload_type.__name__
 
 
+def _phase_counter(phase: Optional[int]) -> str:
+    """Counter name for one step-phase key (a process without phases
+    reports ``None`` and counts under phase 0)."""
+    return f"kernel.steps.phase.{phase or 0}"
+
+
 class StepObserver:
     """Per-step safety observer protocol (see :mod:`repro.check.oracles`).
 
@@ -219,7 +225,7 @@ class Simulation:
                 proc.rng = self.rng
         if self.metrics is not None:
             for proc in self.processes:
-                self._bind_metrics(proc)
+                proc.bind_metrics(self.metrics)
         self.scheduler.reset()
         self.scheduler.attach(self.system)
         self.observer = observer
@@ -229,11 +235,6 @@ class Simulation:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-
-    @property
-    def alive_pids(self) -> list[int]:
-        """Ids of processes that can still take steps."""
-        return list(self._alive_view().pids)
 
     def _alive_view(self) -> AliveView:
         """Cached ordered/set view of live pids (see AliveView)."""
@@ -263,12 +264,10 @@ class Simulation:
 
     def max_phase(self) -> int:
         """Largest phase number reached by any correct process."""
-        phases = [
-            getattr(proc, "phaseno", 0)
-            for proc in self.processes
-            if proc.is_correct
-        ]
-        return max(phases, default=0)
+        return max(
+            (proc.phaseno or 0 for proc in self.processes if proc.is_correct),
+            default=0,
+        )
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -421,10 +420,7 @@ class Simulation:
                     delivered_append(
                         None if envelope is None else envelope.payload.__class__
                     )
-                    try:
-                        phase_append(process.phaseno)
-                    except AttributeError:
-                        phase_append(0)
+                    phase_append(process.phaseno)
                     if sampled:
                         samples += 1
                         stepped_at = perf()
@@ -511,7 +507,7 @@ class Simulation:
         slots = obs.slots
         for captured, name_of in (
             (delivered_classes, _delivered_counter),
-            (step_phases, "kernel.steps.phase.{}".format),
+            (step_phases, _phase_counter),
             (sent_types, _sent_counter),
         ):
             for key, multiplicity in Counter(captured).items():
@@ -538,17 +534,10 @@ class Simulation:
             )
         self.processes[pid] = replacement
         if self.metrics is not None:
-            self._bind_metrics(replacement)
+            replacement.bind_metrics(self.metrics)
         if self._started and replacement.alive:
             self._start_step(replacement)
         self._alive_cache = None
-
-    def _bind_metrics(self, process: Process) -> None:
-        """Point ``process`` (and any wrapped inner process) at the registry."""
-        process.metrics = self.metrics
-        inner = getattr(process, "inner", None)
-        if isinstance(inner, Process):
-            self._bind_metrics(inner)
 
     def _take_start_steps(self) -> None:
         """Run every live process's initial atomic step, in pid order."""
@@ -649,9 +638,7 @@ class Simulation:
                 proc.decided_at_phase for proc in self.processes
             ),
             decided_at_step=tuple(proc.decided_at_step for proc in self.processes),
-            inputs=tuple(
-                getattr(proc, "input_value", 0) for proc in self.processes
-            ),
+            inputs=tuple(proc.input_value for proc in self.processes),
             steps=self.steps,
             messages_sent=self.system.messages_sent,
             messages_delivered=self.system.messages_delivered,

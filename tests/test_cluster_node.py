@@ -7,8 +7,6 @@ import pytest
 
 from repro.cluster.driver import (
     ClusterSpec,
-    build_process,
-    build_processes,
     check_decision_records,
     check_decision_records_by_instance,
     percentile,
@@ -18,7 +16,12 @@ from repro.cluster.driver import (
 from repro.cluster.node import ClusterNode, DecisionRecord
 from repro.cluster.transport import Transport
 from repro.core.fail_stop import FailStopConsensus
+from repro.core.malicious import MaliciousConsensus
 from repro.errors import ConfigurationError
+from repro.faults.byzantine import EquivocatingEchoByzantine, SilentByzantine
+from repro.faults.crash import CrashableProcess
+from repro.faults.plans import ByzantineSpec, CrashSpec, FaultPlan
+from repro.harness.builders import build_ensemble, build_member
 from repro.obs.metrics import MetricsRegistry
 
 pytestmark = pytest.mark.cluster
@@ -178,52 +181,104 @@ class TestClusterSpecValidation:
 
 
 class TestBuildProcess:
-    """A node's per-instance factory builds one member, not the whole
-    ensemble; the member must be the one the ensemble would contain."""
+    """A node's per-instance factory builds one member through the one
+    constructor (``harness.builders.build_member``), not the whole
+    ensemble; the member must be the one the ensemble would contain,
+    whichever harness described it."""
 
-    SPECS = [
-        ClusterSpec(
-            n=4, k=1, protocol="failstop", inputs="1011",
-            crashes={2: {"crash_at_step": 1, "keep_sends": 2}},
+    # (spec, the same ensemble as a fault plan, per-pid (class, core class))
+    SHAPES = [
+        (
+            ClusterSpec(
+                n=4, k=1, protocol="failstop", inputs="1011",
+                crashes={2: {"crash_at_step": 1, "keep_sends": 2}},
+            ),
+            FaultPlan(
+                "failstop", 4, 1, (1, 0, 1, 1),
+                crashes=(CrashSpec(2, crash_at_step=1, keep_sends=2),),
+            ),
+            {2: (CrashableProcess, FailStopConsensus)},
+            FailStopConsensus,
         ),
-        ClusterSpec(n=4, k=1),
-        ClusterSpec(
-            n=7, k=2, inputs=[1, 0, 1, 0, 1, 0, 1], byzantine_count=2,
-            byzantine_kind="equivocating", exit_after_decide=True,
+        (
+            ClusterSpec(n=4, k=1),
+            FaultPlan("malicious", 4, 1, (1, 1, 1, 1)),
+            {},
+            MaliciousConsensus,
         ),
-        ClusterSpec(n=4, k=1, byzantine_count=1, byzantine_kind="silent"),
-        ClusterSpec(n=4, k=1, crashes={0: {"crash_at_phase": 1}}),
+        (
+            ClusterSpec(
+                n=7, k=2, inputs=[1, 0, 1, 0, 1, 0, 1], byzantine_count=2,
+                byzantine_kind="equivocating", exit_after_decide=True,
+            ),
+            FaultPlan(
+                "malicious", 7, 2, (1, 0, 1, 0, 1, 0, 1),
+                byzantine=(
+                    ByzantineSpec(5, "equivocating_echo"),
+                    ByzantineSpec(6, "equivocating_echo"),
+                ),
+                exit_after_decide=True,
+            ),
+            {pid: (EquivocatingEchoByzantine,) * 2 for pid in (5, 6)},
+            MaliciousConsensus,
+        ),
+        (
+            ClusterSpec(n=4, k=1, byzantine_count=1, byzantine_kind="silent"),
+            FaultPlan(
+                "malicious", 4, 1, (1, 1, 1, 1),
+                byzantine=(ByzantineSpec(3, "silent"),),
+            ),
+            {3: (SilentByzantine,) * 2},
+            MaliciousConsensus,
+        ),
+        (
+            ClusterSpec(n=4, k=1, crashes={0: {"crash_at_phase": 1}}),
+            FaultPlan(
+                "malicious", 4, 1, (1, 1, 1, 1),
+                crashes=(CrashSpec(0, crash_at_phase=1),),
+            ),
+            {0: (CrashableProcess, MaliciousConsensus)},
+            MaliciousConsensus,
+        ),
     ]
 
-    @pytest.mark.parametrize("spec", SPECS, ids=range(len(SPECS)))
-    def test_single_member_equals_the_ensemble_member(self, spec):
-        ensemble = build_processes(spec)
+    @pytest.mark.parametrize("shape", SHAPES, ids=range(len(SHAPES)))
+    def test_single_member_equals_the_ensemble_member(self, shape):
+        spec, plan, faulty, core = shape
+        described = spec.ensemble
+        ensemble = build_ensemble(**described)
         for pid in range(spec.n):
-            alone = build_process(spec, pid)
-            assert type(alone) is type(ensemble[pid])
+            alone = build_member(pid, **described)
+            outer, inner = faulty.get(pid, (core, core))
+            assert type(alone) is outer
+            assert type(alone.core) is inner
             assert alone.pid == pid
             # Same class, same constructor inputs: identical state.
             assert pickle.dumps(alone) == pickle.dumps(ensemble[pid])
+        # The same ensemble described as a fault plan is the same objects.
+        assert pickle.dumps(plan.build_processes()) == pickle.dumps(ensemble)
 
     def test_factory_builds_only_the_requested_process(self, monkeypatch):
-        import repro.cluster.driver as driver_module
+        import repro.harness.builders as builders_module
 
         built = []
-        real = driver_module.MaliciousConsensus
+        real = builders_module.PROTOCOL_CORES["malicious"]
 
         def counting(pid, *args, **kwargs):
             built.append(pid)
             return real(pid, *args, **kwargs)
 
-        monkeypatch.setattr(driver_module, "MaliciousConsensus", counting)
+        monkeypatch.setitem(
+            builders_module.PROTOCOL_CORES, "malicious", counting
+        )
         report = run_cluster_sync(
             ClusterSpec(n=4, k=1, instances=3, seed=5), timeout=60
         )
         assert report.ok, report.problems
-        # Every instance — instance 0 included — costs each node exactly
-        # one construction, its own.  (The mesh's one validation ensemble
-        # comes from repro.harness.builders, which is not patched here.)
-        assert sorted(built) == [0] * 3 + [1] * 3 + [2] * 3 + [3] * 3
+        # Counted at the one protocol table: the mesh's validation
+        # ensemble (each pid once), then every instance — instance 0
+        # included — costs each node exactly one construction, its own.
+        assert sorted(built) == [0] * 4 + [1] * 4 + [2] * 4 + [3] * 4
 
 
 class TestClusterNodeValidation:
