@@ -21,16 +21,18 @@ pieces:
   authentication via a peer-id handshake.
 * :mod:`repro.cluster.node` — the node actor: per-instance
   :class:`~repro.procs.base.Process` cores demultiplexed on the event
-  loop, with ``decide()``/``decide_many()`` client APIs, lazy instance
-  instantiation, decided-instance GC, and graceful shutdown.
+  loop, one event-driven wait (``decide_instance()``, ended by a
+  decision or a crash), lazy instance instantiation and
+  decided-instance GC.
 * :mod:`repro.cluster.chaos` — a frame-aware TCP chaos proxy injecting
   delay/drop/partition/reset schedules, the live-network analogue of the
   simulator's adversarial schedulers.
 * :mod:`repro.cluster.driver` — turns a spec into a running n-node
   loopback mesh (:class:`~repro.cluster.driver.ClusterMesh`, the one
-  bring-up the SMR layer shares), attaches :mod:`repro.obs` metrics and
-  JSONL trace sinks (optionally with per-node
-  :class:`~repro.obs.spans.SpanTracer` causal tracing), and checks the
+  bring-up *and* wind-down the SMR layer shares: await decisions →
+  verdict → manifest → close), attaches :mod:`repro.obs` metrics and,
+  with a trace directory, per-node JSONL shards with
+  :class:`~repro.obs.spans.SpanTracer` causal tracing, and checks the
   agreement/validity oracles over the collected decision records.
 * :mod:`repro.cluster.report` — stitches a traced run's per-node JSONL
   shards into one HLC-ordered timeline and renders the operational run

@@ -213,8 +213,8 @@ class ChaosProxy:
                 writer.close()
                 try:
                     await writer.wait_closed()
-                except (OSError, ConnectionError):
-                    pass
+                except (OSError, ConnectionError, asyncio.CancelledError):
+                    pass  # as Transport._accept: never end cancelled
 
     async def _pump_frames(self, reader, writer) -> None:
         """Client→node direction: frame-aware, with the chaos policy."""

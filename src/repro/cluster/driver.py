@@ -8,7 +8,9 @@ are the simulator's and the fuzzer's byte for byte; it wires each process to
 a :class:`~repro.cluster.transport.Transport` — optionally behind a
 :class:`~repro.cluster.chaos.ChaosProxy` — waits for the correct nodes to
 decide, and then runs the agreement/validity oracles over the collected
-:class:`~repro.cluster.node.DecisionRecord` list.
+:class:`~repro.cluster.node.DecisionRecord` list.  How a run comes up,
+ends, is judged and is torn down is :class:`ClusterMesh`'s, for
+:func:`run_cluster` and the SMR layer alike.
 
 Since the multi-instance revision a spec can carry ``instances > 1``:
 every node hosts that many concurrent protocol cores (one per consensus
@@ -41,6 +43,7 @@ from repro.harness.provenance import provenance
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from repro.obs.spans import SpanTracer
 from repro.procs.base import Process
+from repro.sim.results import agreement_problems, validity_problems
 
 #: Byzantine behaviours selectable by name on the CLI → their strategy
 #: name in :data:`repro.faults.byzantine.BYZANTINE_STRATEGIES`.
@@ -76,10 +79,6 @@ class ClusterSpec:
         exit_after_decide: enable the §3.3 exit device (malicious only).
         instances: concurrent consensus instances multiplexed over the
             same mesh (each gets its own fresh protocol ensemble).
-        batch_bytes: per-link frame-coalescing cap handed to the
-            transports (``None`` = transport default, ``0`` = disabled).
-        queue_high_water: per-peer send-queue depth at which transports
-            warn and gauge (``None`` = unbounded, the historic default).
         instance_linger: seconds a decided instance lingers at each node
             before GC (``None`` = node default).
     """
@@ -95,8 +94,6 @@ class ClusterSpec:
     seed: int = 0
     exit_after_decide: bool = False
     instances: int = 1
-    batch_bytes: Optional[int] = None
-    queue_high_water: Optional[int] = None
     instance_linger: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -169,8 +166,9 @@ def check_decision_records(
 ) -> list[str]:
     """Agreement/validity/termination over a cluster's decision records.
 
-    Mirrors :meth:`repro.sim.results.RunResult.check_agreement` and
-    ``check_unanimous_validity``, restated over live decision records.
+    The agreement and validity sentences are the simulator's
+    (:func:`repro.sim.results.agreement_problems` /
+    ``validity_problems``), read here over live decision records.
     Returns a list of human-readable problems (empty = all oracles pass).
 
     Args:
@@ -181,33 +179,16 @@ def check_decision_records(
         surviving_pids: correct pids that did not crash; defaults to all
             correct pids.  Termination is demanded only of survivors.
     """
-    problems: list[str] = []
     survivors = surviving_pids if surviving_pids is not None else correct_pids
-    correct_records = [
-        record for record in records
+    decided = {
+        record.pid: record.value
+        for record in records
         if record.is_correct and record.pid in correct_pids
-    ]
-    by_value: dict[int, list[int]] = {}
-    for record in correct_records:
-        by_value.setdefault(record.value, []).append(record.pid)
-    if len(by_value) > 1:
-        detail = ", ".join(
-            f"value {value} by {sorted(pids)}"
-            for value, pids in sorted(by_value.items())
-        )
-        problems.append(f"agreement violated: {detail}")
-    correct_inputs = {inputs[pid] for pid in correct_pids}
-    if len(correct_inputs) == 1 and correct_records:
-        unanimous = next(iter(correct_inputs))
-        for record in correct_records:
-            if record.value != unanimous:
-                problems.append(
-                    f"validity violated: process {record.pid} decided "
-                    f"{record.value} although every correct process "
-                    f"started with {unanimous}"
-                )
-    decided_pids = {record.pid for record in correct_records}
-    missing = sorted(survivors - decided_pids)
+    }
+    problems = agreement_problems(decided) + validity_problems(
+        decided, (inputs[pid] for pid in correct_pids)
+    )
+    missing = sorted(survivors - decided.keys())
     if missing:
         problems.append(
             f"termination incomplete: surviving correct processes "
@@ -326,16 +307,20 @@ def latency_summary_ms(
 
 
 class ClusterMesh:
-    """How a :class:`ClusterSpec` becomes a running mesh (DESIGN.md §10).
+    """How a :class:`ClusterSpec` becomes a running mesh, and how that
+    run ends (DESIGN.md §10).
 
-    The one place transports, chaos proxies and nodes are constructed;
+    The one place transports, chaos proxies and nodes are constructed
+    and the one place a run is awaited, judged, recorded and torn down;
     :func:`run_cluster` and :class:`repro.cluster.smr.SMRCluster` both
-    stand on it.  :meth:`open` leaves ``nodes`` (one per pid, in pid
-    order) constructed but *not started*: the caller decides how many
-    instances to open and when its clock starts.  ``registry`` is the
-    registry every layer reports into, ``run_id`` the run's trace-id
-    prefix (``None`` untraced), ``correct_pids`` the pids whose process
-    is a correct one.
+    stand on it.  The lifecycle is :meth:`open` → :meth:`start` →
+    :meth:`await_decisions` (SMR drains its own commit quorum instead)
+    → :meth:`verdict` → :meth:`close`.  ``nodes`` holds one node per
+    pid, in pid order; ``registry`` is the registry every layer reports
+    into, ``run_id`` the run's trace-id prefix (``None`` untraced),
+    ``correct_pids`` the pids whose process is a correct one,
+    ``started_at`` the ``monotonic()`` instant of :meth:`start`
+    (``None`` until then).
     """
 
     def __init__(
@@ -343,19 +328,18 @@ class ClusterMesh:
         spec: ClusterSpec,
         registry: Optional[MetricsRegistry] = None,
         trace_dir: Optional[str] = None,
-        trace_spans: bool = True,
         trace_sample: int = DEFAULT_TRACE_SAMPLE,
     ) -> None:
         self.spec = spec
         self.registry = registry if registry is not None else MetricsRegistry()
         self.trace_dir = trace_dir
-        self.trace_spans = trace_spans
         self.trace_sample = trace_sample
         self.run_id = (
             uuid.uuid4().hex[:12] if trace_dir is not None else None
         )
         self.nodes: list[ClusterNode] = []
         self.correct_pids: frozenset[int] = frozenset()
+        self.started_at: Optional[float] = None
         self._transports: list[Transport] = []
         self._proxies: list[ChaosProxy] = []
         self._writers: list[ClusterTraceWriter] = []
@@ -363,9 +347,9 @@ class ClusterMesh:
     def open_shard(
         self, label: Union[int, str], clock_pid: int
     ) -> tuple[Optional[ClusterTraceWriter], Optional[SpanTracer]]:
-        """Open trace shard ``node-<label>.jsonl`` and, with spans on,
-        its tracer (HLC identity ``clock_pid``); ``(None, None)`` when
-        the run is untraced.  :meth:`close` closes the writer."""
+        """Open trace shard ``node-<label>.jsonl`` and its span tracer
+        (HLC identity ``clock_pid``); ``(None, None)`` when the run is
+        untraced.  :meth:`close` closes the writer."""
         if self.trace_dir is None:
             return None, None
         writer = ClusterTraceWriter(
@@ -373,10 +357,7 @@ class ClusterMesh:
             extra={"node": label},
         )
         self._writers.append(writer)
-        tracer = None
-        if self.trace_spans:
-            tracer = SpanTracer(writer, clock_pid, self.run_id)
-        return writer, tracer
+        return writer, SpanTracer(writer, clock_pid, self.run_id)
 
     async def open(self) -> None:
         """Bring the mesh up; a failure part-way closes what was opened
@@ -384,13 +365,13 @@ class ClusterMesh:
 
         Per pid, in pid order: the trace shard and span tracer (only
         with a ``trace_dir``), the :class:`Transport` with its derived
-        seed and the spec's optional ``batch_bytes``/``queue_high_water``
-        listening on an ephemeral port, and — when ``spec.chaos`` is
-        active — a :class:`ChaosProxy` in front of it with its own
+        seed listening on an ephemeral port, and — when ``spec.chaos``
+        is active — a :class:`ChaosProxy` in front of it with its own
         derived seed.  Then every transport dials the full address map
         and gets its :class:`ClusterNode`, whose per-instance factory
         builds that pid's member of :attr:`ClusterSpec.ensemble` —
-        exactly one core per call.
+        exactly one core per call.  Nodes are left constructed but not
+        started: :meth:`start` opens instances and starts the clock.
         """
         spec = self.spec
         # One whole ensemble first: build_ensemble runs the ensemble-level
@@ -404,11 +385,6 @@ class ClusterMesh:
         if self.trace_dir is not None:
             os.makedirs(self.trace_dir, exist_ok=True)
         chaos_active = spec.chaos is not None and spec.chaos.active
-        transport_kwargs: dict = {}
-        if spec.batch_bytes is not None:
-            transport_kwargs["batch_bytes"] = spec.batch_bytes
-        if spec.queue_high_water is not None:
-            transport_kwargs["queue_high_water"] = spec.queue_high_water
         node_kwargs: dict = {}
         if spec.instance_linger is not None:
             node_kwargs["instance_linger"] = spec.instance_linger
@@ -424,7 +400,6 @@ class ClusterMesh:
                     seed=spec.seed * 1_000_003 + pid,
                     tracer=tracer,
                     trace_sample=self.trace_sample,
-                    **transport_kwargs,
                 )
                 self._transports.append(transport)
                 addr = await transport.serve()
@@ -467,6 +442,34 @@ class ClusterMesh:
             await self.close()
             raise
 
+    async def start(self, instances: int = 1) -> None:
+        """Start the run's clock, then every node with instances
+        ``0 .. instances-1`` open."""
+        self.started_at = monotonic()
+        for node in self.nodes:
+            await node.start(instances=instances)
+
+    async def await_decisions(self, instances: int, timeout: float) -> bool:
+        """Wait for the paper's one ending: every correct node's process
+        of every instance ``0 .. instances-1`` has decided — or crashed,
+        which excuses it.  Event-driven, under one ``timeout`` budget;
+        returns whether the budget ran out first (``wait_for`` has then
+        cancelled the waits still pending, which abandons their
+        instances as any timed-out client's are)."""
+        waits = asyncio.gather(
+            *(
+                node.decide_instance(instance)
+                for node in self.nodes
+                if node.pid in self.correct_pids
+                for instance in range(instances)
+            )
+        )
+        try:
+            await asyncio.wait_for(waits, timeout)
+        except asyncio.TimeoutError:
+            return True
+        return False
+
     def records(self) -> tuple[DecisionRecord, ...]:
         """Every decision observed so far, by node then instance."""
         return tuple(
@@ -475,13 +478,119 @@ class ClusterMesh:
             for _, record in sorted(node.decision_records.items())
         )
 
+    def verdict(
+        self,
+        instances: Optional[int],
+        timed_out: bool,
+        problems: Sequence[str] = (),
+    ) -> ClusterReport:
+        """Judge the run as it stands and, when traced, record it.
+
+        Each instance is judged on its own: the survivors are the
+        correct pids whose process of that instance did not crash, and
+        agreement/validity/termination are checked over the instance's
+        decision records.  ``instances`` names the expectation —
+        ``0 .. instances-1`` must each have terminated — or, as
+        ``None``, "whatever was decided": an interrupted service
+        legitimately leaves tail instances undecided, so only the
+        decided ones are judged.  ``problems`` are the caller's own
+        findings, reported ahead of the oracles'.  Wall time runs from
+        :meth:`start` to this call.  ``run.json`` is written only for a
+        traced mesh that started, so a run that never began leaves no
+        manifest to call it ``ok``.
+        """
+        started = self.started_at is not None
+        wall = monotonic() - self.started_at if started else 0.0
+        records = self.records()
+        expected = (
+            sorted({record.instance for record in records})
+            if instances is None
+            else range(instances)
+        )
+        correct_nodes = [
+            node for node in self.nodes if node.pid in self.correct_pids
+        ]
+        surviving_by_instance = {
+            instance: frozenset(
+                node.pid
+                for node in correct_nodes
+                if not node.instance_crashed(instance)
+            )
+            for instance in expected
+        }
+        report = ClusterReport(
+            spec=self.spec,
+            records=records,
+            problems=(
+                *problems,
+                *check_decision_records_by_instance(
+                    records,
+                    self.correct_pids,
+                    self.spec.effective_inputs,
+                    surviving_by_instance,
+                    expected_instances=expected,
+                ),
+            ),
+            wall_seconds=wall,
+            timed_out=timed_out,
+            metrics=self.registry.snapshot(),
+        )
+        if started and self.trace_dir is not None:
+            self._write_run_manifest(report, len(expected))
+        return report
+
+    def _write_run_manifest(
+        self, report: ClusterReport, instances: int
+    ) -> None:
+        """Drop ``run.json`` next to the trace shards.
+
+        The manifest binds the shards to the run that produced them: the
+        trace-id prefix (``run_id``), the spec the cluster executed, the
+        oracle verdict, and build/host provenance.  The report analyzer
+        uses it to label output and to sanity-check that shards from
+        different runs are not being stitched together.
+        """
+        spec = self.spec
+        correct = [record for record in report.records if record.is_correct]
+        manifest = {
+            "run_id": self.run_id,
+            "spec": {
+                "n": spec.n,
+                "k": spec.k,
+                "protocol": spec.protocol,
+                "instances": instances,
+                "byzantine": spec.byzantine_count,
+                "byzantine_kind": (
+                    spec.byzantine_kind if spec.byzantine_count else None
+                ),
+                "chaos": bool(spec.chaos is not None and spec.chaos.active),
+                "seed": spec.seed,
+            },
+            "ok": report.ok,
+            "timed_out": report.timed_out,
+            "problems": list(report.problems),
+            "wall_seconds": round(report.wall_seconds, 6),
+            "decisions": len(correct),
+            "decide_latency_ms": latency_summary_ms(
+                sorted(record.latency for record in correct)
+            ),
+            "provenance": provenance(),
+        }
+        path = os.path.join(self.trace_dir, "run.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+
     async def close(self) -> None:
-        """Tear down in reverse order of bring-up: nodes (each closes its
-        transport), transports that never got a node, proxies, trace
-        writers.  Idempotent."""
+        """Wind down so that nothing is closed under a live writer:
+        every node stops stepping (consumer task and linger timers),
+        only then does any transport close — its outbound links, then
+        its server — then the proxies, then the trace writers.  Closing
+        node by node instead would shut node 0's sockets while nodes
+        1…n−1 still stepped and wrote to them.  Idempotent."""
         for node in self.nodes:
-            await node.shutdown()
-        for transport in self._transports[len(self.nodes):]:
+            await node.stop()
+        for transport in self._transports:
             await transport.close()
         for proxy in self._proxies:
             await proxy.close()
@@ -494,7 +603,6 @@ async def run_cluster(
     timeout: float = 60.0,
     registry: Optional[MetricsRegistry] = None,
     trace_dir: Optional[str] = None,
-    trace_spans: bool = True,
     trace_sample: int = DEFAULT_TRACE_SAMPLE,
 ) -> ClusterReport:
     """Run one loopback cluster to (attempted) consensus.
@@ -507,159 +615,27 @@ async def run_cluster(
     run ends when every surviving correct node has decided *every
     instance*, or after ``timeout`` wall-clock seconds.
 
-    ``trace_dir`` turns on JSONL tracing (one shard per node plus a
-    ``run.json`` manifest); ``trace_spans`` additionally gives every
-    node a :class:`~repro.obs.spans.SpanTracer`, stamping wire frames
-    with causal trace/span/HLC fields and decomposing each decision's
-    latency — the input :func:`repro.cluster.report.analyze_run` wants.
+    ``trace_dir`` turns on causal JSONL tracing: one shard per node plus
+    a ``run.json`` manifest, every node with a
+    :class:`~repro.obs.spans.SpanTracer` stamping wire frames with
+    trace/span/HLC fields and decomposing each decision's latency — the
+    input :func:`repro.cluster.report.analyze_run` wants.
     ``trace_sample`` thins the per-message send/recv spans (one frame in
     that many per link; ``1`` records every message) — the decide
-    segments, chaos windows, and backpressure timeline are exact at any
-    rate.  With ``trace_dir=None`` everything is off and the hot paths
-    run their historic, allocation-free untraced code.
+    segments and chaos windows are exact at any rate.  With
+    ``trace_dir=None`` everything is off and the hot paths run their
+    allocation-free untraced code.
     """
-    mesh = ClusterMesh(spec, registry, trace_dir, trace_spans, trace_sample)
+    mesh = ClusterMesh(spec, registry, trace_dir, trace_sample)
     await mesh.open()
-    nodes = mesh.nodes
     try:
-        started = monotonic()
-        for node in nodes:
-            await node.start(instances=spec.instances)
-        deadline = started + timeout
-        timed_out = False
-        while True:
-            pending = [
-                node for node in nodes if node.pending_instances()
-            ]
-            if not pending:
-                break
-            if monotonic() >= deadline:
-                timed_out = True
-                break
-            # Poll granularity bounds wall_seconds resolution (and with
-            # it every decisions/sec figure), so keep it well under a
-            # short run's span.
-            await asyncio.sleep(0.005)
-        wall = monotonic() - started
-        if not timed_out:
-            # This task can resume in the very loop iteration the last
-            # node decided in, when callbacks that decision scheduled
-            # for "now" (a zero-linger instance GC) are due but have not
-            # run; the shutdown below would cancel them and the metrics
-            # snapshot miss them.  Timers fire in deadline order, so
-            # any positive sleep lets every already-due one go first.
-            await asyncio.sleep(0.001)
-            # The poll above only bounds *when we noticed* completion;
-            # the nodes' own decide timestamps give the exact wall to
-            # the final decision, free of poll-granularity quantization
-            # (which would dominate decisions/sec on short runs).
-            decided_at = max(
-                (node.last_decide_at for node in nodes), default=0.0
-            )
-            if decided_at > started:
-                wall = decided_at - started
-        records = mesh.records()
-        correct_pids = mesh.correct_pids
-        surviving_by_instance = {
-            instance: frozenset(
-                node.pid
-                for node in nodes
-                if node.pid in correct_pids
-                and not node.instance_crashed(instance)
-            )
-            for instance in range(spec.instances)
-        }
-        problems = tuple(
-            check_decision_records_by_instance(
-                records,
-                correct_pids,
-                spec.effective_inputs,
-                surviving_by_instance,
-                expected_instances=range(spec.instances),
-            )
-        )
-        if trace_dir is not None:
-            _write_run_manifest(
-                trace_dir, mesh.run_id, spec, records, problems, wall,
-                timed_out,
-            )
-        return ClusterReport(
-            spec=spec,
-            records=records,
-            problems=problems,
-            wall_seconds=wall,
-            timed_out=timed_out,
-            metrics=mesh.registry.snapshot(),
-        )
+        await mesh.start(spec.instances)
+        timed_out = await mesh.await_decisions(spec.instances, timeout)
+        return mesh.verdict(spec.instances, timed_out)
     finally:
         await mesh.close()
 
 
-def _write_run_manifest(
-    trace_dir: str,
-    run_id: Optional[str],
-    spec: ClusterSpec,
-    records: Sequence[DecisionRecord],
-    problems: Sequence[str],
-    wall: float,
-    timed_out: bool,
-) -> None:
-    """Drop ``run.json`` next to the trace shards.
-
-    The manifest binds the shards to the run that produced them: the
-    trace-id prefix (``run_id``), the spec the cluster executed, the
-    oracle verdict, and build/host provenance.  The report analyzer uses
-    it to label output and to sanity-check that shards from different
-    runs are not being stitched together.
-    """
-    latencies = sorted(
-        record.latency for record in records if record.is_correct
-    )
-    manifest = {
-        "run_id": run_id,
-        "spec": {
-            "n": spec.n,
-            "k": spec.k,
-            "protocol": spec.protocol,
-            "instances": spec.instances,
-            "byzantine": spec.byzantine_count,
-            "byzantine_kind": (
-                spec.byzantine_kind if spec.byzantine_count else None
-            ),
-            "chaos": bool(spec.chaos is not None and spec.chaos.active),
-            "seed": spec.seed,
-        },
-        "ok": not problems and not timed_out,
-        "timed_out": timed_out,
-        "problems": list(problems),
-        "wall_seconds": round(wall, 6),
-        "decisions": sum(1 for record in records if record.is_correct),
-        "decide_latency_ms": latency_summary_ms(latencies),
-        "provenance": provenance(),
-    }
-    path = os.path.join(trace_dir, "run.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def run_cluster_sync(
-    spec: ClusterSpec,
-    timeout: float = 60.0,
-    registry: Optional[MetricsRegistry] = None,
-    trace_dir: Optional[str] = None,
-    trace_spans: bool = True,
-    trace_sample: int = DEFAULT_TRACE_SAMPLE,
-) -> ClusterReport:
-    """Blocking wrapper around :func:`run_cluster`."""
-    return asyncio.run(
-        run_cluster(
-            spec,
-            timeout=timeout,
-            registry=registry,
-            trace_dir=trace_dir,
-            trace_spans=trace_spans,
-            trace_sample=trace_sample,
-        )
-    )
-
+def run_cluster_sync(spec: ClusterSpec, **options) -> ClusterReport:
+    """Blocking wrapper around :func:`run_cluster`, same options."""
+    return asyncio.run(run_cluster(spec, **options))

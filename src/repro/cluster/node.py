@@ -30,9 +30,11 @@ seconds: the process state is dropped, the :class:`DecisionRecord` is
 kept, and late frames for a retired instance are counted and discarded
 rather than resurrecting it.
 
-``decide()`` awaits instance 0 (the single-instance client API);
-``decide_many()`` pipelines any number of instances and resolves with
-all their decision records.
+There is one wait: :meth:`ClusterNode.decide_instance` blocks on the
+instance's event, which fires when its process decides *or crashes* —
+the two ways the paper's run ends for one process — so no caller polls.
+``decide()`` (instance 0) and ``decide_many()`` (a pipelined set) are
+conveniences over it.
 """
 
 from __future__ import annotations
@@ -120,6 +122,8 @@ class _InstanceState:
     def __init__(self, process: Process, started_at: float) -> None:
         self.process = process
         self.started_at = started_at
+        #: Set once nothing more will happen to this instance here: its
+        #: process decided, or crashed and will never decide.
         self.decided_event = asyncio.Event()
         #: Client coroutines currently blocked in ``decide_instance`` on
         #: this instance; the abandonment path only collects an
@@ -194,10 +198,6 @@ class ClusterNode:
         #: instance as collected so late frames cannot resurrect it.
         self._retired: Dict[int, bool] = {}
         self._gc_handles: Dict[int, asyncio.TimerHandle] = {}
-        #: ``monotonic()`` of this node's most recent decision; lets the
-        #: driver measure wall clock to the final decide event rather
-        #: than to the completion-poll tick that noticed it.
-        self.last_decide_at = 0.0
         self.rng = random.Random(seed)
         self._task: Optional[asyncio.Task] = None
 
@@ -237,16 +237,6 @@ class ClusterNode:
             return state.process.crashed
         return self._retired.get(instance, False)
 
-    def pending_instances(self) -> list[int]:
-        """Instances whose correct, uncrashed process has not decided."""
-        return [
-            instance
-            for instance, state in self._instances.items()
-            if state.process.is_correct
-            and not state.process.crashed
-            and instance not in self._records
-        ]
-
     def _create_instance(self, instance: int) -> _InstanceState:
         process = self.process_factory(instance)
         if process.pid != self.pid or process.n != self.transport.n:
@@ -275,8 +265,9 @@ class ClusterNode:
         """Take one instance's first atomic step (the opening broadcast)."""
         process = state.process
         if not process.alive:
-            return
-        if self.tracer is None:
+            # Dead on arrival: no step, but the wait must still end.
+            sends = ()
+        elif self.tracer is None:
             sends = process.start()
             process.steps_taken += 1
         else:
@@ -420,8 +411,10 @@ class ClusterNode:
                 registry.inc("cluster.node.steps")
             self._after_step(instance, state, sends)
 
-    async def shutdown(self) -> None:
-        """Stop stepping and close the transport (graceful, idempotent)."""
+    async def stop(self) -> None:
+        """Stop stepping: cancel the linger timers and the consumer task
+        (idempotent).  The transport stays open — a mesh closes it only
+        after *every* node has stopped, so no peer is still writing."""
         for handle in self._gc_handles.values():
             handle.cancel()
         self._gc_handles.clear()
@@ -432,6 +425,11 @@ class ClusterNode:
             except (asyncio.CancelledError, Exception):
                 pass
             self._task = None
+
+    async def shutdown(self) -> None:
+        """Stop stepping and close the transport: the teardown of a node
+        that stands alone (a mesh uses :meth:`stop`).  Idempotent."""
+        await self.stop()
         await self.transport.close()
 
     # ------------------------------------------------------------------ #
@@ -451,9 +449,7 @@ class ClusterNode:
         )
         process = state.process
         if process.decided and instance not in self._records:
-            decided_at = monotonic()
-            self.last_decide_at = decided_at
-            latency = decided_at - state.started_at
+            latency = monotonic() - state.started_at
             record = DecisionRecord(
                 pid=self.pid,
                 value=process.decision.value,
@@ -470,51 +466,55 @@ class ClusterNode:
                 self.registry.observe(
                     "cluster.decide.latency_ms", latency * 1000.0
                 )
-            if self.trace is not None:
-                if self.tracer is not None:
-                    # The decide boundary closes the trace: the event
-                    # carries the full latency decomposition.  Queue and
-                    # compute are measured sums; transport is the
-                    # residual — wall-clock spent waiting on frames in
-                    # flight — clamped at zero against clock jitter.
-                    queue_ms = state.queue_s * 1000.0
-                    compute_ms = state.compute_s * 1000.0
-                    latency_ms = latency * 1000.0
-                    transport_ms = latency_ms - queue_ms - compute_ms
-                    if transport_ms < 0.0:
-                        transport_ms = 0.0
-                    physical, logical = self.tracer.hlc.tick()
-                    self.trace.record_fields(
-                        "decide",
-                        {
-                            "pid": self.pid,
-                            "instance": instance,
-                            "value": record.value,
-                            "phase": record.phase,
-                            "trace": self.tracer.trace_id(instance),
-                            "span": self.tracer.next_span_id(),
-                            "hlc": [physical, logical],
-                            "latency_ms": round(latency_ms, 3),
-                            "queue_ms": round(queue_ms, 3),
-                            "compute_ms": round(compute_ms, 3),
-                            "transport_ms": round(transport_ms, 3),
-                            "steps": process.steps_taken,
-                            "is_correct": process.is_correct,
-                        },
-                    )
-                else:
-                    self.trace.record(
-                        "decide", pid=self.pid, instance=instance,
-                        value=record.value, phase=record.phase,
-                    )
+            if self.trace is not None and self.tracer is not None:
+                # The decide boundary closes the trace: the event
+                # carries the full latency decomposition.  Queue and
+                # compute are measured sums; transport is the residual —
+                # wall-clock spent waiting on frames in flight — clamped
+                # at zero against clock jitter.
+                queue_ms = state.queue_s * 1000.0
+                compute_ms = state.compute_s * 1000.0
+                latency_ms = latency * 1000.0
+                transport_ms = latency_ms - queue_ms - compute_ms
+                if transport_ms < 0.0:
+                    transport_ms = 0.0
+                physical, logical = self.tracer.hlc.tick()
+                self.trace.record_fields(
+                    "decide",
+                    {
+                        "pid": self.pid,
+                        "instance": instance,
+                        "value": record.value,
+                        "phase": record.phase,
+                        "trace": self.tracer.trace_id(instance),
+                        "span": self.tracer.next_span_id(),
+                        "hlc": [physical, logical],
+                        "latency_ms": round(latency_ms, 3),
+                        "queue_ms": round(queue_ms, 3),
+                        "compute_ms": round(compute_ms, 3),
+                        "transport_ms": round(transport_ms, 3),
+                        "steps": process.steps_taken,
+                        "is_correct": process.is_correct,
+                    },
+                )
             state.decided_event.set()
             self._schedule_gc(instance)
+        elif process.crashed:
+            # A dead process never decides: whoever waits on this
+            # instance here is done waiting (PAPER.md §2 demands
+            # termination of the survivors only).
+            state.decided_event.set()
         if process.exited and self.trace is not None:
             self.trace.record("exit", pid=self.pid, instance=instance)
 
     def _schedule_gc(self, instance: int) -> None:
         """Arm the linger timer that collects a decided instance."""
         if instance in self._gc_handles:
+            return
+        if self.instance_linger == 0:
+            # Due now: collect in the deciding step itself rather than
+            # race a zero-delay timer against whoever the decision wakes.
+            self._gc_instance(instance)
             return
         try:
             loop = asyncio.get_running_loop()
@@ -597,8 +597,9 @@ class ClusterNode:
 
     async def decide_instance(
         self, instance: int, timeout: Optional[float] = None
-    ) -> DecisionRecord:
-        """Await one instance's decision (starting it if necessary).
+    ) -> Optional[DecisionRecord]:
+        """Await one instance's decision (starting it if necessary);
+        ``None`` when its process crashed and so never will decide.
 
         A timed-out (or cancelled) wait releases the instance's demux
         state once no other caller is still waiting on it — abandoning
@@ -627,7 +628,7 @@ class ClusterNode:
             self._abandon_if_unwaited(instance)
             raise
         state.waiters -= 1
-        return self._records[instance]
+        return self._records.get(instance)
 
     async def decide_many(
         self,

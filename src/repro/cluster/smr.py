@@ -1,4 +1,4 @@
-"""State-machine replication: a replicated KV log over ``decide_many``.
+"""State-machine replication: a replicated KV log, one instance per slot.
 
 The paper's Figure 1/2 protocols decide one bit.  This module is the
 lift from single-shot agreement to a client-facing service (the move
@@ -70,13 +70,7 @@ from time import monotonic
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.codec import decode_canonical, encode_canonical
-from repro.cluster.driver import (
-    ClusterMesh,
-    ClusterSpec,
-    _write_run_manifest,
-    check_decision_records_by_instance,
-    latency_summary_ms,
-)
+from repro.cluster.driver import ClusterMesh, ClusterSpec, latency_summary_ms
 from repro.cluster.node import ClusterNode
 from repro.cluster.trace import ClusterTraceWriter
 from repro.cluster.transport import DEFAULT_TRACE_SAMPLE
@@ -485,7 +479,6 @@ class SMRCluster:
         compact_every: int = DEFAULT_COMPACT_EVERY,
         registry: Optional[MetricsRegistry] = None,
         trace_dir: Optional[str] = None,
-        trace_spans: bool = True,
         trace_sample: int = DEFAULT_TRACE_SAMPLE,
     ) -> None:
         if spec.crashes:
@@ -525,9 +518,7 @@ class SMRCluster:
             ),
         )
         self.compact_every = compact_every
-        self._mesh = ClusterMesh(
-            self.spec, registry, trace_dir, trace_spans, trace_sample
-        )
+        self._mesh = ClusterMesh(self.spec, registry, trace_dir, trace_sample)
         self.registry = self._mesh.registry
         self._client_writer: Optional[ClusterTraceWriter] = None
         self._client_tracer: Optional[SpanTracer] = None
@@ -552,7 +543,6 @@ class SMRCluster:
         self.correct_pids: frozenset = frozenset()
         self.quorum = 0
         self.problems: List[str] = []
-        self.started_at = 0.0
         self._started = False
         self._closed = False
 
@@ -592,15 +582,13 @@ class SMRCluster:
         # Genesis: slot 0 is committed at startup so the log never has
         # a hole before the first client slot.
         genesis = Command(session="", request_id=0, op="noop")
-        self.started_at = monotonic()
         self._commits[self._allocate_slot()].append(
             asyncio.get_running_loop().create_future()
         )
         for replica in self._replicas.values():
             replica.offer(0, (genesis,))
             replica.start()
-        for node in mesh.nodes:
-            await node.start(instances=1)
+        await mesh.start(instances=1)
         self.registry.inc("cluster.smr.slots")
 
     async def close(self) -> List[str]:
@@ -624,34 +612,18 @@ class SMRCluster:
             )
         for replica in self._replicas.values():
             await replica.stop()
-        records = self._mesh.records()
-        # Oracle sweep: every slot any node decided is one independent
-        # consensus execution; agreement/validity must hold per slot.
-        # (Termination over *all* slots is only demanded of a drained
-        # run — an interrupted run legitimately leaves tails undecided,
-        # so the expected set is the decided set.)
-        oracle_problems = check_decision_records_by_instance(
-            records,
-            self.correct_pids,
-            self.spec.effective_inputs,
-        )
-        self.problems.extend(oracle_problems)
-        wall = monotonic() - self.started_at if self.started_at else 0.0
         timed_out = any(
             not future.done()
             for futures in self._commits.values()
             for future in futures
         )
-        if self._mesh.trace_dir is not None:
-            _write_run_manifest(
-                self._mesh.trace_dir,
-                self._mesh.run_id,
-                replace(self.spec, instances=max(1, self._next_slot)),
-                records,
-                tuple(self.problems),
-                wall,
-                timed_out,
-            )
+        # Every slot any node decided is one independent consensus
+        # execution, judged on its own; an interrupted run legitimately
+        # leaves tail slots undecided, so the mesh judges "whatever was
+        # decided" rather than a fixed count.
+        self.problems = list(
+            self._mesh.verdict(None, timed_out, self.problems).problems
+        )
         await self._mesh.close()
         return list(self.problems)
 
@@ -776,17 +748,18 @@ class SMRCluster:
             latency_ms = latency * 1000.0
             self.registry.inc("cluster.smr.committed", len(futures))
             if self._client_writer is not None:
-                fields = {
-                    "slot": slot,
-                    "commands": len(futures),
-                    "decision": decision,
-                    "quorum": count,
-                    "latency_ms": round(latency_ms, 3),
-                }
-                if self._client_tracer is not None:
-                    physical, logical = self._client_tracer.hlc.tick()
-                    fields["hlc"] = [physical, logical]
-                self._client_writer.record_fields("smr-commit", fields)
+                physical, logical = self._client_tracer.hlc.tick()
+                self._client_writer.record_fields(
+                    "smr-commit",
+                    {
+                        "slot": slot,
+                        "commands": len(futures),
+                        "decision": decision,
+                        "quorum": count,
+                        "latency_ms": round(latency_ms, 3),
+                        "hlc": [physical, logical],
+                    },
+                )
             for future, result in zip(futures, self._results[slot]):
                 self.registry.observe(
                     "cluster.smr.commit_latency_ms", latency_ms
@@ -1093,7 +1066,6 @@ async def run_smr(
     commit_timeout: float = 30.0,
     registry: Optional[MetricsRegistry] = None,
     trace_dir: Optional[str] = None,
-    trace_spans: bool = True,
     trace_sample: int = DEFAULT_TRACE_SAMPLE,
 ) -> dict:
     """One full SMR run: build the cluster, load it, verify, tear down.
@@ -1106,7 +1078,6 @@ async def run_smr(
         compact_every=compact_every,
         registry=registry,
         trace_dir=trace_dir,
-        trace_spans=trace_spans,
         trace_sample=trace_sample,
     )
     try:

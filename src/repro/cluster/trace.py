@@ -31,9 +31,9 @@ from __future__ import annotations
 import json
 import threading
 from time import monotonic
-from typing import IO, Any, Iterator, Optional, Union
+from typing import IO, Any, Optional, Union
 
-from repro.obs.sinks import decode_payload, encode_payload
+from repro.obs.sinks import JsonlReader, decode_payload, encode_payload
 
 
 class ClusterTraceWriter:
@@ -142,46 +142,25 @@ class ClusterTraceWriter:
         self.close()
 
 
-class ClusterTraceReader:
+class ClusterTraceReader(JsonlReader):
     """One-pass iterator over a cluster trace shard, truncation-tolerant.
 
-    The cluster analogue of :class:`repro.obs.sinks.JsonlReader`: a node
-    killed mid-write leaves a partial final line, which ends iteration
-    cleanly and sets :attr:`truncated` instead of raising.  Malformed
-    lines *before* the end of the file still raise — that is corruption,
-    not a torn tail.
+    :class:`repro.obs.sinks.JsonlReader`'s loop over the cluster schema:
+    a node killed mid-write leaves a partial final line, which ends
+    iteration cleanly and sets :attr:`truncated` instead of raising;
+    malformed lines *before* the end of the file still raise — that is
+    corruption, not a torn tail.  Records stay plain dicts, payloads
+    decoded back to protocol messages unless ``decode_payloads`` is off.
     """
 
     def __init__(self, path: str, decode_payloads: bool = True) -> None:
-        self.path = path
-        #: True once iteration dropped a trailing truncated line.
-        self.truncated = False
         self._decode_payloads = decode_payloads
-        self._records = self._read()
+        super().__init__(path)
 
-    def __iter__(self) -> "ClusterTraceReader":
-        return self
-
-    def __next__(self) -> dict:
-        return next(self._records)
-
-    def _read(self) -> Iterator[dict]:
-        with open(self.path, "r", encoding="utf-8") as handle:
-            lines = iter(handle)
-            for line in lines:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    if any(rest.strip() for rest in lines):
-                        raise
-                    self.truncated = True
-                    return
-                if self._decode_payloads and "payload" in record:
-                    record["payload"] = decode_payload(record["payload"])
-                yield record
+    def _parse(self, record: dict) -> dict:
+        if self._decode_payloads and "payload" in record:
+            record["payload"] = decode_payload(record["payload"])
+        return record
 
 
 def read_cluster_trace(path: str) -> ClusterTraceReader:

@@ -319,33 +319,21 @@ class _PeerLink:
                     batch_bytes += len(frame_bytes)
                     self.unacked.append((self.next_seq, frame_bytes))
                     self.next_seq += 1
-                    if tracer is not None:
-                        # Traced: only stamped (sampled) frames get a
-                        # send span — unstamped ones stay event-free.
-                        if ext is not None and transport.trace is not None:
-                            transport.trace.record_fields(
-                                "send",
-                                {
-                                    "pid": transport.pid,
-                                    "peer": self.peer,
-                                    "instance": instance,
-                                    "payload": envelope.payload,
-                                    "trace": ext[0],
-                                    "span": ext[1],
-                                    "hlc": [ext[2], ext[3]],
-                                    "link_seq": frame.link_seq,
-                                },
-                            )
-                    elif transport.trace is not None:
-                        # Guarded at the call site: building the kwargs
-                        # dict for a no-op _trace would be a per-frame
-                        # allocation on the fully-untraced hot path.
-                        transport._trace(
+                    # Only stamped (sampled) frames get a send span —
+                    # unstamped ones stay event-free.
+                    if ext is not None and transport.trace is not None:
+                        transport.trace.record_fields(
                             "send",
-                            pid=transport.pid,
-                            peer=self.peer,
-                            instance=instance,
-                            payload=envelope.payload,
+                            {
+                                "pid": transport.pid,
+                                "peer": self.peer,
+                                "instance": instance,
+                                "payload": envelope.payload,
+                                "trace": ext[0],
+                                "span": ext[1],
+                                "hlc": [ext[2], ext[3]],
+                                "link_seq": frame.link_seq,
+                            },
                         )
                     if (
                         transport.batch_bytes <= 0
@@ -417,14 +405,15 @@ class Transport:
         registry: optional :class:`~repro.obs.metrics.MetricsRegistry`
             receiving send/recv/reconnect/queue-depth metrics.
         trace: optional cluster trace writer (see
-            :mod:`repro.cluster.trace`) receiving send/recv/reconnect
-            events.
+            :mod:`repro.cluster.trace`) receiving reconnect and
+            high-water events and, with a ``tracer``, send/recv spans.
         tracer: optional :class:`~repro.obs.spans.SpanTracer` enabling
             causal tracing: outgoing data frames are stamped with the
-            trace extension, send/recv events gain span ids and HLC
-            timestamps, and inbound deliveries carry their enqueue time
-            for the node's queue-wait accounting.  ``None`` (the
-            default) keeps the untraced hot path allocation-free.
+            trace extension, stamped frames emit send/recv events with
+            span ids and HLC timestamps, and inbound deliveries carry
+            their enqueue time for the node's queue-wait accounting.
+            ``None`` (the default) keeps the untraced hot path
+            allocation-free.
         seed: seed for the backoff-jitter RNG (deterministic tests).
         backoff_base / backoff_cap: reconnect backoff curve parameters.
         retransmit_interval: quiet-period seconds before outstanding
@@ -614,7 +603,10 @@ class Transport:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (OSError, ConnectionError):
+            except (OSError, ConnectionError, asyncio.CancelledError):
+                # Cancelled here = close() caught this handler already
+                # winding down; ending cancelled instead would make
+                # asyncio's accept callback log a traceback (≤ 3.11).
                 pass
 
     async def _serve_connection(self, reader, writer) -> None:
@@ -702,18 +694,11 @@ class Transport:
             )
             self._inc("cluster.transport.received")
             tracer = self.tracer
-            if tracer is None:
-                if self.trace is not None:
-                    # Same call-site guard as the send path: no kwargs
-                    # allocation per frame when nothing records it.
-                    self._trace(
-                        "recv",
-                        pid=self.pid,
-                        peer=peer,
-                        instance=frame.instance,
-                        payload=envelope.payload,
-                    )
-            elif frame.trace is not None and self.trace is not None:
+            if (
+                tracer is not None
+                and frame.trace is not None
+                and self.trace is not None
+            ):
                 # Only stamped frames merge the sender's HLC and emit a
                 # recv span — the receive half of send-span sampling.
                 fields = {

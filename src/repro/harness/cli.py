@@ -630,15 +630,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     if args.instances < 1:
         print(f"--instances must be >= 1, got {args.instances}")
         return 2
-    if args.batch_bytes is not None and args.batch_bytes < 0:
-        print(f"--batch-bytes must be >= 0, got {args.batch_bytes}")
-        return 2
     spec, error = _mesh_spec(
         args,
         "cluster",
         inputs=args.inputs,
         instances=args.instances,
-        batch_bytes=args.batch_bytes,
     )
     if error is not None:
         print(error)
@@ -1039,11 +1035,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--instances", type=int, default=1, metavar="I",
         help="concurrent consensus instances multiplexed over the same "
         "node mesh (default: 1)",
-    )
-    cluster_parser.add_argument(
-        "--batch-bytes", type=int, default=None, metavar="BYTES",
-        help="per-link frame-coalescing cap; 0 disables batching "
-        "(default: transport default, 32 KiB)",
     )
     cluster_parser.add_argument(
         "--timeout", type=float, default=60.0, metavar="SECONDS",

@@ -370,6 +370,8 @@ class JsonlReader:
 
     Iterate it like the plain generator it replaces; after exhaustion,
     :attr:`truncated` says whether a trailing partial line was dropped.
+    :meth:`_parse` maps one line's JSON object to what iteration yields;
+    :class:`repro.cluster.trace.ClusterTraceReader` overrides only that.
     """
 
     def __init__(self, path: str) -> None:
@@ -381,10 +383,13 @@ class JsonlReader:
     def __iter__(self) -> "JsonlReader":
         return self
 
-    def __next__(self) -> TraceEvent:
+    def __next__(self) -> Any:
         return next(self._events)
 
-    def _read(self) -> Iterator[TraceEvent]:
+    def _parse(self, record: dict) -> Any:
+        return event_from_dict(record)
+
+    def _read(self) -> Iterator[Any]:
         with open(self.path, "r", encoding="utf-8") as handle:
             lines = iter(handle)
             for line in lines:
@@ -398,7 +403,7 @@ class JsonlReader:
                         raise  # corruption mid-file, not a torn tail
                     self.truncated = True
                     return
-                yield event_from_dict(record)
+                yield self._parse(record)
 
 
 def read_jsonl(path: str) -> JsonlReader:

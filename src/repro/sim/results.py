@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from repro.errors import AgreementViolation
 
@@ -164,11 +164,18 @@ class RunResult:
         return {pid: self.decisions[pid] for pid in sorted(self.correct_pids)}
 
     @property
+    def _decided(self) -> dict[int, int]:
+        """Correct pid → decided value, the undecided left out."""
+        return {
+            pid: value
+            for pid, value in self.correct_decisions.items()
+            if value is not None
+        }
+
+    @property
     def decided_values(self) -> set[int]:
         """The set of distinct values decided by correct processes."""
-        return {
-            value for value in self.correct_decisions.values() if value is not None
-        }
+        return set(self._decided.values())
 
     @property
     def surviving_pids(self) -> frozenset[int]:
@@ -223,11 +230,9 @@ class RunResult:
 
     def check_agreement(self) -> None:
         """Raise :class:`AgreementViolation` if correct processes disagree."""
-        if not self.agreement_holds:
-            raise AgreementViolation(
-                f"correct processes decided multiple values: "
-                f"{self.correct_decisions}"
-            )
+        problems = agreement_problems(self._decided)
+        if problems:
+            raise AgreementViolation(problems[0])
 
     def check_unanimous_validity(self) -> None:
         """If all correct inputs were equal, decisions must match that input.
@@ -236,16 +241,10 @@ class RunResult:
         a failure indicates either an implementation bug or a faulty
         process successfully corrupting the outcome beyond the bound.
         """
-        correct_inputs = {self.inputs[pid] for pid in self.correct_pids}
-        if len(correct_inputs) != 1:
-            return
-        (unanimous,) = correct_inputs
-        for pid, value in self.correct_decisions.items():
-            if value is not None and value != unanimous:
-                raise AgreementViolation(
-                    f"process {pid} decided {value} although every correct "
-                    f"process started with {unanimous}"
-                )
+        correct_inputs = [self.inputs[pid] for pid in self.correct_pids]
+        problems = validity_problems(self._decided, correct_inputs)
+        if problems:
+            raise AgreementViolation(problems[0])
 
     def summary(self) -> str:
         """One-line human-readable digest."""
@@ -264,6 +263,45 @@ class RunResult:
             f"halt={self.halt_reason.value} outcome={self.outcome.value}"
             f"{violation_part}"
         )
+
+
+def agreement_problems(decided: Mapping[int, int]) -> list[str]:
+    """Consistency over ``decided`` (correct pid → decided value): no two
+    correct processes decide differently.  Empty when it holds.
+
+    The one statement of the property for finished runs — simulator
+    results and cluster decision records both read it;
+    :class:`repro.check.oracles.OracleSuite` is its online form.
+    """
+    by_value: dict[int, list[int]] = {}
+    for pid, value in decided.items():
+        by_value.setdefault(value, []).append(pid)
+    if len(by_value) <= 1:
+        return []
+    detail = ", ".join(
+        f"value {value} by {sorted(pids)}"
+        for value, pids in sorted(by_value.items())
+    )
+    return [f"agreement violated: {detail}"]
+
+
+def validity_problems(
+    decided: Mapping[int, int], correct_inputs: Iterable[int]
+) -> list[str]:
+    """Validity over ``decided``: when every correct process started
+    with the same value, that value is the only legal decision.  One
+    problem per offending process; empty when it holds (or when the
+    correct inputs were mixed, where either value is legal)."""
+    inputs = set(correct_inputs)
+    if len(inputs) != 1:
+        return []
+    (unanimous,) = inputs
+    return [
+        f"validity violated: process {pid} decided {value} although "
+        f"every correct process started with {unanimous}"
+        for pid, value in sorted(decided.items())
+        if value != unanimous
+    ]
 
 
 def aggregate_decision_phases(results: Sequence[RunResult]) -> list[int]:

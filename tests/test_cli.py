@@ -176,10 +176,6 @@ class TestClusterCli:
         assert main(["cluster", "--instances", "0"]) == 2
         assert "--instances" in capsys.readouterr().out
 
-    def test_bad_batch_bytes_exits_2(self, capsys):
-        assert main(["cluster", "--batch-bytes", "-1"]) == 2
-        assert "--batch-bytes" in capsys.readouterr().out
-
     def test_bad_configuration_exits_2(self, capsys):
         assert main([
             "cluster", "--protocol", "failstop", "--byzantine", "1",
@@ -238,6 +234,24 @@ class TestSmrCli:
             assert main(argv) == 2
             assert needle in capsys.readouterr().out
 
+    def test_rejected_configuration_ends_the_same_with_trace_out(
+        self, capsys, tmp_path
+    ):
+        """Regression: ``smr --trace-out`` used to die in a
+        ``FileNotFoundError`` from its close-time manifest, masking the
+        exit-2 line the same command prints without the option (and
+        that ``cluster`` prints with it)."""
+        import os
+        for command, own in (("smr", ["--ops", "5"]), ("cluster", [])):
+            rejected = [command, "--n", "4", "--k", "2"] + own
+            trace_dir = str(tmp_path / command)
+            assert main(rejected) == 2
+            plain = capsys.readouterr().out
+            assert f"bad {command} configuration: k=2 exceeds" in plain
+            assert main(rejected + ["--trace-out", trace_dir]) == 2
+            assert capsys.readouterr().out == plain
+            assert not os.path.exists(trace_dir)
+
     def test_trace_out_feeds_report_check(self, capsys, tmp_path):
         import os
         trace_dir = str(tmp_path / "traces")
@@ -293,7 +307,7 @@ class TestMeshOptionParity:
 
     def test_each_command_keeps_its_own_options(self):
         assert set(self.options("cluster")) - self.SHARED == {
-            "--inputs", "--instances", "--batch-bytes", "--timeout",
+            "--inputs", "--instances", "--timeout",
         }
         assert set(self.options("smr")) - self.SHARED == {
             "--clients", "--rate", "--ops", "--retry-every",

@@ -1,20 +1,25 @@
-"""The one cluster bring-up: ``ClusterMesh`` under both harnesses.
+"""The one cluster bring-up and wind-down: ``ClusterMesh`` under both
+harnesses.
 
 ``run_cluster`` and ``SMRCluster`` stand on the same mesh, so for one
 spec and seed they must hand every transport, chaos proxy and node the
 same derived seed — the formulas are pinned here because a seed has to
 keep computing the same run across revisions — and a bring-up that
 fails part-way must close everything it opened, whichever harness
-asked for it.
+asked for it.  The run's ending is the mesh's too: one verdict, one
+manifest, one close order.
 """
 
 import asyncio
+import json
+import logging
+import os
 
 import pytest
 
 from repro.cluster.chaos import ChaosConfig, ChaosProxy
 from repro.cluster.driver import ClusterMesh, ClusterSpec, run_cluster
-from repro.cluster.node import ClusterNode
+from repro.cluster.node import ClusterNode, DecisionRecord
 from repro.cluster.smr import SMRCluster, run_smr
 from repro.cluster.trace import ClusterTraceWriter
 from repro.cluster.transport import Transport
@@ -181,3 +186,121 @@ class TestPartialBringUp:
         assert all(transport._closed for transport, _, _ in transports)
         assert len(writers) == 3
         assert all(writer._closed for writer, _, _ in writers)
+        # The shards exist (makedirs had run) but no manifest calls a
+        # run that never started "ok".
+        assert "run.json" not in os.listdir(tmp_path / harness)
+
+
+class TestVerdictAndManifest:
+    """One method judges a run and records it, for both harnesses."""
+
+    def test_never_started_cluster_closes_clean_and_writes_nothing(
+        self, tmp_path
+    ):
+        """Regression: ``SMRCluster.close`` wrote a manifest for a mesh
+        that never opened — into a directory that did not exist."""
+        trace_dir = str(tmp_path / "traces")
+        cluster = SMRCluster(SPEC, trace_dir=trace_dir)
+        assert asyncio.run(cluster.close()) == []
+        assert not os.path.exists(trace_dir)
+
+    def test_each_instance_is_judged_on_its_own(self, tmp_path):
+        trace_dir = str(tmp_path / "traces")
+
+        def decided(pid, value):
+            return DecisionRecord(pid, value, 1, 0.01, 8, True, instance=0)
+
+        async def scenario():
+            mesh = ClusterMesh(
+                ClusterSpec(n=4, k=1, protocol="failstop"),
+                trace_dir=trace_dir,
+            )
+            await mesh.open()
+            try:
+                mesh.nodes[0]._records[0] = decided(0, 1)
+                mesh.nodes[1]._records[0] = decided(1, 0)
+                return (
+                    mesh.verdict(2, False, ["caller: its own finding"]),
+                    mesh.verdict(None, False),
+                )
+            finally:
+                await mesh.close()
+
+        expected, whatever = asyncio.run(scenario())
+        assert not expected.ok
+        assert expected.problems[0] == "caller: its own finding"
+        oracle = expected.problems[1:]
+        assert [p.split(":")[0] for p in oracle] == [
+            "instance 0", "instance 0", "instance 0", "instance 1",
+        ]
+        assert "agreement" in oracle[0]
+        assert "validity" in oracle[1] and "process 1" in oracle[1]
+        assert "termination" in oracle[2] and "[2, 3]" in oracle[2]
+        assert "termination" in oracle[3] and "[0, 1, 2, 3]" in oracle[3]
+        # "Whatever was decided" judges instance 0 only.
+        assert list(whatever.problems) == [
+            p for p in oracle if p.startswith("instance 0")
+        ]
+        # The mesh opened but never started: nothing to call a run.
+        assert "run.json" not in os.listdir(trace_dir)
+
+    def test_both_harnesses_write_the_same_manifest_shape(self, tmp_path):
+        spec = ClusterSpec(n=4, k=1, protocol="failstop", seed=13)
+
+        async def under_smr(trace_dir):
+            cluster = SMRCluster(spec, trace_dir=trace_dir)
+            await cluster.start()
+            try:
+                assert await cluster.drain(timeout=45.0)
+            finally:
+                assert await cluster.close() == []
+
+        async def under_run_cluster(trace_dir):
+            report = await run_cluster(spec, timeout=45.0, trace_dir=trace_dir)
+            assert report.ok, report.problems
+
+        manifests = []
+        for harness in (under_run_cluster, under_smr):
+            trace_dir = str(tmp_path / harness.__name__)
+            asyncio.run(harness(trace_dir))
+            with open(os.path.join(trace_dir, "run.json")) as handle:
+                manifests.append(json.load(handle))
+        ours, theirs = manifests
+        assert ours.keys() == theirs.keys()
+        assert ours["spec"] == theirs["spec"]  # one instance: genesis
+        assert ours["ok"] is theirs["ok"] is True
+        assert ours["decisions"] == theirs["decisions"] == 4
+
+
+class TestCloseOrder:
+    """Regression: the mesh used to shut nodes down one at a time, each
+    closing its transport while later nodes still stepped and wrote to
+    it — asyncio's ``socket.send() raised exception.`` on stderr."""
+
+    def test_no_transport_closes_while_a_node_still_steps(self, monkeypatch):
+        nodes, still_stepping = [], []
+        record_constructions(monkeypatch, ClusterNode, nodes)
+        real_close = Transport.close
+
+        async def close(self):
+            if not still_stepping:
+                still_stepping.append(
+                    [node.pid for node, _, _ in nodes if node._task is not None]
+                )
+            await real_close(self)
+
+        monkeypatch.setattr(Transport, "close", close)
+        report = asyncio.run(run_cluster(SPEC, timeout=45.0))
+        assert report.ok, report.problems
+        assert len(nodes) == SPEC.n
+        assert still_stepping == [[]]
+
+    def test_byzantine_n7_run_logs_nothing_on_asyncio(self, caplog):
+        spec = ClusterSpec(
+            n=7, k=2, byzantine_count=2, byzantine_kind="balancing",
+            instances=8, seed=1,
+        )
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            report = asyncio.run(run_cluster(spec, timeout=120.0))
+        assert report.ok, report.problems
+        assert [r.getMessage() for r in caplog.records] == []

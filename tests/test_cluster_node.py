@@ -348,6 +348,50 @@ class TestLoopbackClusters:
         assert 0 not in decided
         assert decided == {1, 2, 3}
 
+    @pytest.mark.parametrize("crash_at_step", [0, 1, 6])
+    def test_crash_ends_the_wait_not_the_timeout(self, crash_at_step):
+        """A victim dead before its opening step, at its first delivery
+        or after several settles its instance's event when it dies: the
+        run finishes on the survivors' decisions, far inside the budget,
+        and termination is demanded of the survivors only."""
+        report = run_cluster_sync(
+            ClusterSpec(
+                n=4,
+                k=1,
+                protocol="failstop",
+                crashes={0: {"crash_at_step": crash_at_step}},
+                instances=2,
+                seed=4,
+            ),
+            timeout=30.0,
+        )
+        assert report.ok, report.problems
+        assert not report.timed_out
+        assert report.wall_seconds < 3.0
+        assert {r.pid for r in report.records} == {1, 2, 3}
+        assert len(report.records) == 6
+
+    def test_timed_out_run_still_reports(self, monkeypatch):
+        """No frame ever leaves a node, so nobody decides: the report
+        comes back after the budget with the termination lines."""
+        monkeypatch.setattr(
+            Transport, "send", lambda self, envelope, instance=0: None
+        )
+        report = run_cluster_sync(
+            ClusterSpec(n=4, k=1, protocol="failstop", instances=2, seed=4),
+            timeout=0.2,
+        )
+        assert report.timed_out and not report.ok
+        assert report.records == ()
+        assert list(report.problems) == [
+            f"instance {instance}: termination incomplete: surviving "
+            "correct processes [0, 1, 2, 3] did not decide"
+            for instance in range(2)
+        ]
+        # The abandoned waits released their instances, like any
+        # timed-out client's.
+        assert report.metrics.counters["cluster.node.instances_abandoned"] == 8
+
     def test_two_clusters_in_one_loop(self):
         """Transports bind ephemeral ports, so clusters can coexist."""
 
@@ -621,3 +665,22 @@ class TestMultiInstanceCluster:
         assert report.ok
         assert len(report.records) == 8
         assert report.metrics.counters.get("cluster.node.instances_gc", 0) > 0
+
+    def test_zero_linger_never_misses_a_due_gc(self):
+        """A GC due at decision time happens in the deciding step, so
+        the report's snapshot counts every one of them however the
+        event loop interleaves the final wake-ups — 20 runs, no sleep."""
+        for seed in range(20):
+            report = run_cluster_sync(
+                ClusterSpec(
+                    n=4,
+                    k=1,
+                    protocol="failstop",
+                    instances=2,
+                    instance_linger=0.0,
+                    seed=seed,
+                ),
+                timeout=30.0,
+            )
+            assert report.ok, (seed, report.problems)
+            assert report.metrics.counters["cluster.node.instances_gc"] == 8

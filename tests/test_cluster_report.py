@@ -359,22 +359,6 @@ class TestTruncatedShards:
 
 @pytest.mark.cluster
 class TestUntracedZeroCost:
-    def test_untraced_run_emits_no_causal_fields(self, tmp_path):
-        trace_dir = str(tmp_path / "traces")
-        report = run_cluster_sync(
-            ClusterSpec(n=4, k=1, protocol="failstop", seed=4),
-            timeout=30,
-            trace_dir=trace_dir,
-            trace_spans=False,
-        )
-        assert report.ok
-        for pid in range(4):
-            shard = os.path.join(trace_dir, f"node-{pid}.jsonl")
-            for event in ClusterTraceReader(shard, decode_payloads=False):
-                assert event["t"] != "span"
-                assert "hlc" not in event
-                assert "trace" not in event
-
     def test_untraced_inbound_tuples_share_the_placeholder(self):
         """The guard flag keeps the untraced delivery path allocation-
         identical to the historic one: every queue item reuses the

@@ -902,3 +902,39 @@ class TestTransportValidation:
             await a.close()
 
         asyncio.run(scenario())
+
+
+class TestCloseDuringHandlerWindDown:
+    def test_close_cancelling_a_finishing_handler_is_silent(self, monkeypatch):
+        """Regression: ``close()`` could cancel an accept handler that
+        was already in its ``finally`` (peer gone, awaiting
+        ``wait_closed``); the handler then ended cancelled and asyncio's
+        accept callback (≤ 3.11) logged a traceback on stderr."""
+        reported = []
+        parked = []
+        real_wait_closed = asyncio.StreamWriter.wait_closed
+
+        async def wait_closed(self):
+            parked.append(self)
+            await asyncio.Event().wait()  # until cancelled
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(
+                lambda loop, context: reported.append(context)
+            )
+            server = Transport(1, 2, seed=1)
+            addr = await server.serve()
+            _, writer = await asyncio.open_connection(*addr)
+            monkeypatch.setattr(asyncio.StreamWriter, "wait_closed", wait_closed)
+            writer.close()  # EOF: the handler returns into its finally
+            while not parked:
+                await asyncio.sleep(0)
+            monkeypatch.setattr(
+                asyncio.StreamWriter, "wait_closed", real_wait_closed
+            )
+            await server.close()
+            await asyncio.sleep(0)  # let the accept callback run
+
+        asyncio.run(scenario())
+        assert reported == []
