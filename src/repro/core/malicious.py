@@ -120,8 +120,12 @@ class MaliciousConsensus(Process):
         # invariant's counting argument only covers the latter.
         self._star_echo_count: dict[tuple[int, int], int] = defaultdict(int)
         self._accepted_origins: set[int] = set()
-        # First-receipt bookkeeping: (sender, kind, origin, phase) tuples.
-        self._seen: set[tuple] = set()
+        # First receipts.  Initials, (origin, phase), are kept for good: a
+        # stale initial is still echoed, once.  Echoes, phase → {(sender,
+        # origin)}, only until their phase closes (:meth:`_advance_phases`):
+        # a stale echo is discarded before the lookup.
+        self._initials_seen: set[tuple] = set()
+        self._echoes_seen: dict[int, set[tuple[int, int]]] = {}
         # Future-phase echoes, with their authenticated sender preserved.
         self._deferred: list[tuple[int, EchoMessage]] = []
         # Wildcard credits from decided processes: (sender, origin, value).
@@ -185,10 +189,10 @@ class MaliciousConsensus(Process):
             # Authentication (Section 3.1): refuse impersonated initials.
             self.forged_initials_dropped += 1
             return
-        key = (sender, "initial", message.origin, message.phaseno)
-        if key in self._seen:
+        key = (message.origin, message.phaseno)
+        if key in self._initials_seen:
             return
-        self._seen.add(key)
+        self._initials_seen.add(key)
         if message.value not in (0, 1):
             # Malformed value from a malicious origin; nothing echoable.
             return
@@ -221,10 +225,13 @@ class MaliciousConsensus(Process):
             return
         if message.phaseno < self.phaseno:
             return  # Stale: no case arm in Figure 2, discarded.
-        key = (sender, "echo", message.origin, message.phaseno)
-        if key in self._seen:
+        receipts = self._echoes_seen.get(message.phaseno)
+        if receipts is None:
+            receipts = self._echoes_seen[message.phaseno] = set()
+        key = (sender, message.origin)
+        if key in receipts:
             return
-        self._seen.add(key)
+        receipts.add(key)
         if message.phaseno > self.phaseno:
             self._deferred.append((sender, message))
             return
@@ -342,6 +349,7 @@ class MaliciousConsensus(Process):
                     decided_now = candidate
             if decided_now is not None:
                 self._decide(decided_now)
+            self._echoes_seen.pop(self.phaseno, None)
             self.phaseno += 1
             self.message_count = [0, 0]
             self._echo_count = defaultdict(int)
@@ -428,7 +436,8 @@ class MaliciousConsensus(Process):
             tuple(self.message_count),
             tuple(sorted(self._echo_count.items())),
             tuple(sorted(self._accepted_origins)),
-            frozenset(self._seen),
+            frozenset(self._initials_seen),
+            frozenset((t, frozenset(r)) for t, r in self._echoes_seen.items()),
             tuple(sorted(
                 (s, m.origin, m.value, m.phaseno) for s, m in self._deferred
             )),

@@ -42,15 +42,17 @@ message system's incremental structures instead of per-step rescans:
   ``on_removed(pid, env)`` — and are wired up once per simulation via
   :meth:`Scheduler.attach` (the kernel calls it; direct users get
   attached lazily on the first ``choose``).
-* Random draws are made *count-first*: a scheduler computes the number
-  of candidates from its incremental counters, draws
-  ``rng.randrange(total)`` (which consumes exactly the same RNG state as
-  the historical ``rng.choice(candidate_list)``), and then materialises
-  only the drawn candidate.  Per-step cost drops from O(total pending)
-  to O(n + one partial buffer scan) while every (processes, scheduler,
-  seed) triple replays bit-identically against the pre-optimisation
-  implementations (see ``repro.net.reference`` and the golden
-  equivalence tests).
+* Random draws never materialise the candidates.  A uniform pick counts
+  them from incremental counters, draws ``rng.randrange(total)`` (the
+  same RNG state transition as the historical
+  ``rng.choice(candidate_list)``) and walks to the drawn one only;
+  :class:`RandomScheduler`'s buffer-weighted pick draws
+  ``rng.random() * total`` — the product ``rng.choices`` forms — and
+  walks the live pids, ascending, to the first whose cumulative buffer
+  length exceeds it.  Per-step cost is O(n + one partial buffer scan),
+  not O(total pending), while every (processes, scheduler, seed) triple
+  replays bit-identically against the pre-optimisation implementations
+  (``repro.net.reference``, the equivalence tests, DESIGN.md §7).
 * :class:`ExponentialDelayScheduler` keeps a min-heap of
   (deadline, seq) with lazy invalidation, assigning delays to newly
   observed envelopes in exactly the historical scan order so the RNG
@@ -145,36 +147,51 @@ class RandomScheduler(Scheduler):
             )
         self.phi_probability = phi_probability
         self.weight_by_buffer = weight_by_buffer
-        # Reused cumulative-weight scratch buffer: `choose` refills it in
-        # place instead of allocating fresh weight lists every step.
-        self._cum: list[int] = []
 
     def choose(
         self, system: MessageSystem, alive: Iterable[int], rng: random.Random
     ) -> Decision:
-        if not isinstance(alive, (AliveView, list, tuple)):
-            alive = list(alive)
-        candidates = deliverable_pairs(system, alive)
-        if not candidates:
+        """Draw one pending envelope (or a φ step) of a live process.
+
+        Candidates are the live pids with mail, ascending, weighted by
+        buffer length (by 1 with ``weight_by_buffer`` off); one walk stops
+        at the first whose cumulative weight exceeds the draw.  The draws
+        are the reference's — DESIGN.md §7.
+        """
+        if isinstance(alive, AliveView):
+            pids: Sequence[int] = alive.pids
+        else:
+            if not isinstance(alive, (list, tuple)):
+                alive = list(alive)
+            pids = deliverable_pairs(system, alive)
+        buffers = system._buffers
+        weighted = self.weight_by_buffer
+        if len(pids) == system.n:
+            # Nobody is dead: the system's running aggregates are the sums.
+            total = system._pending if weighted else len(system._with_mail)
+        else:
+            total = 0
+            for pid in pids:
+                size = len(buffers[pid]._items)
+                total += size if weighted else size > 0
+        if not total:
             return None
         if self.phi_probability and rng.random() < self.phi_probability:
             return rng.choice(alive), None
-        buffers = system._buffers
-        if self.weight_by_buffer:
-            # Same draw as rng.choices(candidates, weights=buffer_lens):
-            # passing the integer cumulative sums directly skips the
-            # per-step accumulate() allocation but hits the identical
-            # single random() call and bisect.
-            cum = self._cum
-            cum.clear()
-            total = 0
-            for pid in candidates:
-                total += len(buffers[pid])
-                cum.append(total)
-            pid = rng.choices(candidates, cum_weights=cum, k=1)[0]
-        else:
-            pid = rng.choice(candidates)
-        return pid, buffers[pid].take_random(rng)
+        # As ``choices`` / ``choice`` over the candidate list: the first
+        # candidate whose cumulative weight exceeds the draw, else — the
+        # float product can round up to the total — the last one.
+        draw = rng.random() * total if weighted else rng.randrange(total)
+        cumulative = 0
+        for pid in pids:
+            size = len(buffers[pid]._items)
+            if size:
+                chosen = pid
+                cumulative += size if weighted else 1
+                if cumulative > draw:
+                    break
+        buffer = buffers[chosen]
+        return chosen, buffer.take_at(rng.randrange(len(buffer._items)))
 
 
 class FifoScheduler(Scheduler):

@@ -40,19 +40,21 @@ from repro.net.message import Envelope
 
 
 class AliveView:
-    """An ordered collection of live pids with O(1) membership tests.
+    """The live pids in ascending order, with O(1) membership tests.
 
     The simulation kernel passes one of these to ``Scheduler.choose`` so
     schedulers get both the deterministic iteration order of a list and
     set-speed ``in`` checks without rebuilding ``set(alive)`` every step.
+    Ascending order is an invariant (the constructor sorts): walking
+    ``pids`` visits candidates in the order replay is defined in.
     Plain iterables remain accepted everywhere for backward compatibility.
     """
 
     __slots__ = ("pids", "pid_set")
 
     def __init__(self, pids: Iterable[int]) -> None:
-        self.pids: tuple[int, ...] = tuple(pids)
-        self.pid_set: frozenset[int] = frozenset(self.pids)
+        self.pid_set: frozenset[int] = frozenset(pids)
+        self.pids: tuple[int, ...] = tuple(sorted(self.pid_set))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.pids)
@@ -105,8 +107,13 @@ class MessageSystem:
         from future phases (Fig. 1 and Fig. 2 both re-``send`` such
         messages to the receiving process itself).
         """
-        self._check_pid(sender, "sender")
-        self._check_pid(recipient, "recipient")
+        if not (
+            sender.__class__ is recipient.__class__ is int
+            and 0 <= sender < self.n
+            and 0 <= recipient < self.n
+        ):  # off the hot path: the full check (int subclasses pass)
+            self._check_pid(sender, "sender")
+            self._check_pid(recipient, "recipient")
         envelope = Envelope(sender=sender, recipient=recipient, payload=payload)
         self._buffers[recipient].put(envelope)
         self.messages_sent += 1
@@ -170,7 +177,7 @@ class MessageSystem:
 
     def _buffer_removed(self, pid: int, envelope: Envelope) -> None:
         self._pending -= 1
-        if not self._buffers[pid]:
+        if not self._buffers[pid]._items:
             self._with_mail.discard(pid)
         for observer in self._observers:
             observer.on_removed(pid, envelope)
@@ -197,17 +204,18 @@ def deliverable_pairs(system: MessageSystem, alive: Iterable[int]) -> list[int]:
 
     Helper shared by schedulers: a process with an empty buffer can only
     take a φ step, which is a no-op for every protocol in this library, so
-    schedulers restrict attention to these ids for progress.  Uses the
-    system's incremental non-empty set, so the cost is O(live) rather
-    than O(n); passing an :class:`AliveView` (as the kernel does) avoids
-    rebuilding the alive set as well.
+    schedulers restrict attention to these ids for progress.  The result
+    is ascending.  Uses the system's incremental non-empty set, so the
+    cost is O(live) rather than O(n); an :class:`AliveView` (what the
+    kernel passes) is already ascending and is filtered without sorting
+    or rebuilding the alive set.
     """
     with_mail = system._with_mail
     if not with_mail:
         return []
     if isinstance(alive, AliveView):
-        alive_set: Iterable[int] = alive.pid_set
-    elif isinstance(alive, (set, frozenset)):
+        return [pid for pid in alive.pids if pid in with_mail]
+    if isinstance(alive, (set, frozenset)):
         alive_set = alive
     else:
         alive_set = set(alive)

@@ -146,6 +146,11 @@ def all_correct_exited(sim: "Simulation") -> bool:
     )
 
 
+#: Predicates over decision registers and ``crashed``/``exited`` flags only:
+#: :meth:`Simulation._run_loop` re-evaluates them after a step that changed one.
+_STATUS_PREDICATES = (all_correct_decided, all_correct_exited)
+
+
 class Simulation:
     """One executable instance of the paper's system model.
 
@@ -215,9 +220,6 @@ class Simulation:
             self.metrics = None
         self._crash_noted: set[int] = set()
         self._started = False
-        # Cached AliveView handed to the scheduler each step; rebuilt only
-        # when some process's alive status actually changes.
-        self._alive_cache: Optional[AliveView] = None
         # Give randomized processes (e.g. Ben-Or's local coin) access to
         # the run's RNG without them having to be constructed with it.
         for proc in self.processes:
@@ -237,13 +239,8 @@ class Simulation:
     # ------------------------------------------------------------------ #
 
     def _alive_view(self) -> AliveView:
-        """Cached ordered/set view of live pids (see AliveView)."""
-        view = self._alive_cache
-        if view is None:
-            view = self._alive_cache = AliveView(
-                proc.pid for proc in self.processes if proc.alive
-            )
-        return view
+        """The live pids right now, as handed to the scheduler."""
+        return AliveView(proc.pid for proc in self.processes if proc.alive)
 
     @property
     def correct_pids(self) -> frozenset[int]:
@@ -319,13 +316,19 @@ class Simulation:
         schedule, so a seed computes the same run either way
         (``tests/test_sim_kernel.py::TestMetricsOnOffEquivalence``).
 
-        A process chosen by the scheduler is alive, hence neither exited
-        nor crashed, so the only post-step transitions possible are a
-        fresh decision (the register's value changes) or leaving the
-        protocol (``alive`` flips).  The loop uses that to guard the
-        :meth:`_note_transitions` call, and reads the register through
-        ``decision.get()`` — its public non-raising read — instead of the
-        two chained properties of ``process.decided``.
+        A process's decision register, ``exited`` and ``crashed`` change
+        only inside that process's own atomic step, or between ``run()``
+        calls, in the caller's hands.  A process the scheduler chose is
+        alive, so after its step the only transitions possible are a
+        fresh decision (the register's value, read through the
+        non-raising ``decision.get()``, changes) or leaving the protocol
+        (``alive`` flips).  On that one guard hangs everything a status
+        can affect: the :meth:`_note_transitions` call; the
+        :class:`AliveView` handed to the scheduler, built here at entry —
+        so what the caller changed between calls is seen — and rebuilt
+        when the stepping process leaves; and the built-in halting
+        predicates (:data:`_STATUS_PREDICATES`), which read nothing else.
+        A caller-supplied predicate is evaluated after every step.
 
         With metrics on, deterministic data (counters, histogram
         samples) is recorded on every step through buffered appends.
@@ -350,6 +353,8 @@ class Simulation:
         obs = self.metrics
         metered = obs is not None
         sampled = False
+        halt_each_step = halt not in _STATUS_PREDICATES
+        alive = self._alive_view()
         if metered:
             perf = perf_counter
             # ``_with_mail`` is mutated in place (never rebound), so one
@@ -393,7 +398,7 @@ class Simulation:
                     sampled = (tick & 15) == 1
                     if sampled:
                         picked_at = perf()
-                decision = scheduler.choose(system, self._alive_view(), rng)
+                decision = scheduler.choose(system, alive, rng)
                 if sampled:
                     pick_seconds += perf() - picked_at
                 if decision is None:
@@ -451,10 +456,11 @@ class Simulation:
                         )
                 if sampled:
                     route_seconds += perf() - routed_at
-                if process.decision.get() is not was_value or not process.alive:
+                changed = process.decision.get() is not was_value or not process.alive
+                if changed:
                     self._note_transitions(process, was_value is not None, False)
                     if not process.alive:
-                        self._alive_cache = None
+                        alive = self._alive_view()
                 if observer is not None:
                     observer.on_step(self, pid, envelope, sends)
                     if observer.violation is not None:
@@ -462,7 +468,7 @@ class Simulation:
                         halt_reason = HaltReason.ORACLE_VIOLATION
                         break
                 self.steps += 1
-                if halt(self):
+                if (changed or halt_each_step) and halt(self):
                     halt_reason = HaltReason.GOAL_REACHED
                     break
         finally:
@@ -537,7 +543,6 @@ class Simulation:
             replacement.bind_metrics(self.metrics)
         if self._started and replacement.alive:
             self._start_step(replacement)
-        self._alive_cache = None
 
     def _take_start_steps(self) -> None:
         """Run every live process's initial atomic step, in pid order."""
@@ -547,7 +552,6 @@ class Simulation:
                 self._start_step(process)
                 if observer is not None and observer.violation is not None:
                     break
-        self._alive_cache = None
 
     def _start_step(self, process: Process) -> None:
         """One initial atomic step: the receive returns φ, sends are routed.

@@ -7,6 +7,8 @@ from repro.core.malicious import MaliciousConsensus
 from repro.core.messages import STAR, EchoMessage, InitialMessage
 from repro.errors import ConfigurationError, InvariantViolation
 from repro.net.message import Envelope
+from repro.net.schedulers import FifoScheduler
+from repro.sim.kernel import Simulation
 
 
 def _initial(process, sender, origin, value, phaseno):
@@ -224,3 +226,93 @@ class TestStarMessages:
         count_after_first = process._echo_count[(2, 1)]
         _echo(process, 1, 2, 1, STAR)
         assert process._echo_count[(2, 1)] == count_after_first
+
+
+def _retained_echo_receipts(process):
+    return sum(len(receipts) for receipts in process._echoes_seen.values())
+
+
+def _drive_pair_to_phase(target):
+    """Two n=2, k=0 cores exchanging every message, oldest first; also
+    returns the most echo receipts either held after any step."""
+    pair = [MaliciousConsensus(pid, 2, 0, pid) for pid in range(2)]
+    peak = [0]
+
+    def reached(sim):
+        peak[0] = max(peak[0], *map(_retained_echo_receipts, pair))
+        return min(p.phaseno for p in pair) >= target
+
+    Simulation(pair, FifoScheduler()).run(halt_when=reached)
+    return pair, peak[0]
+
+
+class TestReceipts:
+    """First-receipt bookkeeping: echo receipts live per open phase,
+    initial receipts for good (a stale initial is still echoed, once)."""
+
+    @pytest.mark.parametrize("phases", [50, 200])
+    def test_retained_echo_receipts_do_not_grow_with_phases(self, phases):
+        pair, peak = _drive_pair_to_phase(phases)
+        # At most the current phase and the one the peer is ahead by.
+        assert 0 < peak <= 2 * 2 * 2
+        for process in pair:
+            assert all(t >= process.phaseno for t in process._echoes_seen)
+            assert len(process._initials_seen) >= phases
+
+    def test_duplicate_same_phase_echo_ignored(self):
+        process = MaliciousConsensus(0, 4, 1, 0)
+        process.start()
+        _echo(process, 1, 2, 1, 0)
+        _echo(process, 1, 2, 0, 0)  # same (sender, origin, phase)
+        assert process._echo_count[(2, 1)] == 1
+        assert process._echo_count[(2, 0)] == 0
+        assert _retained_echo_receipts(process) == 1
+
+    def test_duplicate_of_deferred_echo_ignored_once_its_phase_opened(self):
+        process = MaliciousConsensus(0, 4, 1, 0)
+        process.start()
+        _echo(process, 1, 2, 1, 1)  # a phase ahead: deferred
+        for origin in (1, 2, 3):
+            for sender in range(3):
+                _echo(process, sender, origin, 1, 0)
+        assert process.phaseno == 1
+        assert process._echo_count[(2, 1)] == 1  # the deferred one, replayed
+        _echo(process, 1, 2, 1, 1)
+        assert process._echo_count[(2, 1)] == 1
+
+    def test_stale_echo_allocates_nothing(self):
+        process = _drive_pair_to_phase(3)[0][0]
+        before = dict(process._echoes_seen)
+        assert _echo(process, 1, 1, 1, 0) == []
+        assert 0 not in process._echoes_seen
+        assert process._echoes_seen == before
+
+    def test_stale_initial_still_echoed_exactly_once(self):
+        process = MaliciousConsensus(0, 4, 1, 0)
+        process.start()
+        process.phaseno = 5
+        assert len(_initial(process, 2, 2, 1, 0)) == 4
+        assert _initial(process, 2, 2, 1, 0) == []
+
+    def test_state_key_tells_live_receipts_apart_and_only_those(self):
+        def through_phase_0(extra_echo):
+            process = MaliciousConsensus(0, 4, 1, 0)
+            process.start()
+            _echo(process, 0, 1, 1, 0)
+            if extra_echo:
+                _echo(process, 3, 1, 1, 0)  # a fourth echo for origin 1
+            for origin in (1, 2, 3):
+                for sender in range(3):
+                    _echo(process, sender, origin, 1, 0)
+            assert process.phaseno == 1
+            return process
+
+        plain, extra = through_phase_0(False), through_phase_0(True)
+        # The cores differ only in a receipt of the closed phase 0.
+        assert plain.state_key() == extra.state_key()
+        _echo(extra, 3, 1, 0, 2)  # a deferred echo both will hold ...
+        _echo(plain, 3, 1, 0, 2)
+        assert plain.state_key() == extra.state_key()
+        # ... then one live receipt apart: same counts, same deferrals.
+        plain._echoes_seen[2].add((2, 1))
+        assert plain.state_key() != extra.state_key()
