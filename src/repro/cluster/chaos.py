@@ -214,7 +214,7 @@ class ChaosProxy:
                 try:
                     await writer.wait_closed()
                 except (OSError, ConnectionError, asyncio.CancelledError):
-                    pass  # as Transport._accept: never end cancelled
+                    pass  # never end cancelled: asyncio would log it
 
     async def _pump_frames(self, reader, writer) -> None:
         """Client→node direction: frame-aware, with the chaos policy."""

@@ -21,7 +21,7 @@ their frames per link, so k instances do not multiply syscalls.
 Atomicity holds by construction: a single consumer task performs each
 step synchronously between two awaits, so no other coroutine observes a
 half-stepped process.  Sends to self skip the network and loop straight
-back into the inbound queue (the simulator's buffer does the same);
+back into the transport's inbox (the simulator's buffer does the same);
 remote sends go to the transport, which stamps this node's authenticated
 identity and the instance tag.
 
@@ -103,7 +103,7 @@ class _InstanceState:
     """One live consensus instance at this node.
 
     ``queue_s``/``compute_s`` accumulate the traced latency segments:
-    seconds envelopes for this instance sat in the inbound queue, and
+    seconds envelopes for this instance sat in the inbox, and
     seconds spent inside its protocol core's atomic steps.  Whatever
     wall-clock remains at decision time was spent waiting on the network
     (the transport segment).  The segments tile the instance's wall
@@ -287,7 +287,7 @@ class ClusterNode:
     async def start(self, instances: int = 1) -> None:
         """Take the initial atomic step of ``instances`` consensus
         instances (ids ``0 .. instances-1``) and begin consuming the
-        inbound queue."""
+        transport's inbox."""
         if self._task is not None:
             raise ConfigurationError(f"node {self.pid} already started")
         if instances < 1:
@@ -315,7 +315,7 @@ class ClusterNode:
         self._opening_step(instance, state)
 
     async def _run(self) -> None:
-        inbound = self.transport.inbound
+        inbox = self.transport.inbound
         registry = self.registry
         tracer = self.tracer
         clock = monotonic
@@ -342,12 +342,11 @@ class ClusterNode:
                         st.compute_s += share
                         st.last_step_end = burst_end
                     burst_members.clear()
-                backlog.append(await inbound.get())
-            while True:
-                try:
-                    backlog.append(inbound.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
+                await inbox.wait()
+                backlog = inbox.take()
+            elif inbox.items:
+                # Arrivals since the last step (loopback sends included).
+                backlog += inbox.take()
             # Arbitrary-order delivery (see the ``seed`` arg): pick the
             # next envelope at random from everything already here.
             pick = self.rng.randrange(len(backlog))
@@ -577,9 +576,7 @@ class ClusterNode:
                 sender=pid, recipient=send.recipient, payload=send.payload
             )
             if send.recipient == pid:
-                self.transport.inbound.put_nowait(
-                    (instance, envelope, send_ts)
-                )
+                self.transport.inbound.put((instance, envelope, send_ts))
             else:
                 self.transport.send(envelope, instance=instance)
 

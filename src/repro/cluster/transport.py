@@ -16,10 +16,16 @@ LAN) TCP:
 * **Reliability.**  Links are lossy in practice (the chaos proxy drops
   frames; reconnects lose whatever sat in kernel buffers), so each link
   runs a small go-back-n layer: data frames carry a per-link sequence
-  number, the receiver delivers only in order and acks cumulatively, and
-  the sender keeps frames until acked — retransmitting on reconnect and
-  on a quiet-period timer.  Duplicates are discarded by sequence, so
-  every envelope is delivered to the application exactly once.
+  number, the receiver delivers only in order and sends one cumulative
+  ack per read chunk that carried data, and the sender keeps frames
+  until acked — resending the whole window on reconnect and whenever
+  it has been open for ``retransmit_interval`` without ack progress.
+  Duplicates are discarded by sequence, so every envelope is delivered
+  to the application exactly once.
+* **Ack clock.**  No task or timer per frame: with an empty window a
+  tick's sends leave at the end of the tick (one ``call_soon``), with
+  frames in flight they leave when an ack advances the window — all
+  queued frames together, so a busy link writes once per round trip.
 * **Reconnect.**  A broken connection is retried forever with capped
   exponential backoff plus jitter; the protocol layer never sees the
   outage, only latency — which is precisely the paper's "arbitrarily
@@ -32,7 +38,8 @@ Three additions serve sustained multi-instance traffic:
   :class:`~repro.cluster.codec.BatchFrame` write (bounded by
   ``batch_bytes``), so k concurrent consensus instances cost one
   syscall per flush instead of k.  Each inner frame keeps its own
-  per-link sequence, so the go-back-n layer never sees batching.
+  per-link sequence, so the go-back-n layer never sees batching; a
+  resent window is batched under the same cap.
 * **Encode once.**  Every phase of the protocols is a fan-out of one
   message to all n processes, so :meth:`Transport.send` encodes a
   payload once per message object and every recipient's frame splices
@@ -116,36 +123,120 @@ def backoff_delay(
     return raw * (0.5 + 0.5 * rng.random())
 
 
+class Inbox:
+    """Delivered ``(instance, envelope, enqueued_at)`` tuples, oldest
+    first, awaiting the node's one consumer task, which takes the whole
+    backlog in one swap (:meth:`take`), not one queue operation each."""
+
+    def __init__(self) -> None:
+        self.items: list = []
+        self._waiter: Optional[asyncio.Future] = None
+
+    def put(self, item: tuple) -> None:
+        """Append one delivery and wake the waiter, if there is one."""
+        self.items.append(item)
+        if self._waiter is not None and not self._waiter.done():
+            self._waiter.set_result(None)
+
+    async def wait(self) -> None:
+        """Return once at least one delivery is waiting."""
+        while not self.items:
+            self._waiter = asyncio.get_running_loop().create_future()
+            try:
+                await self._waiter
+            finally:
+                self._waiter = None
+
+    def take(self) -> list:
+        """Every waiting delivery, oldest first; leaves the inbox empty."""
+        items, self.items = self.items, []
+        return items
+
+
+class _Connection(asyncio.Protocol):
+    """One TCP connection of the mesh, driven by read callbacks (no task
+    and no future per read): ``on_frames(connection, frames)`` gets the
+    complete frames of each read, ``lost`` resolves once it has ended,
+    and ``live`` holds it while it is open."""
+
+    def __init__(self, on_frames, live: Optional[set] = None) -> None:
+        self.on_frames = on_frames
+        self.live = live
+        self.frames = FrameReader()
+        self.wire: Optional[asyncio.Transport] = None
+        #: The handshaken pid of an accepted connection's dialer.
+        self.peer: Optional[int] = None
+        self.lost = asyncio.get_running_loop().create_future()
+
+    def connection_made(self, wire) -> None:
+        self.wire = wire
+        if self.live is not None:
+            self.live.add(self)
+
+    def connection_lost(self, exc) -> None:
+        if self.live is not None:
+            self.live.discard(self)
+        if not self.lost.done():
+            self.lost.set_result(None)
+
+    def data_received(self, chunk: bytes) -> None:
+        try:
+            self.frames.feed(chunk)
+            self.on_frames(self, self.frames.frames())
+        except CodecError:
+            self.wire.abort()  # a peer that breaks the wire protocol
+
+    async def shut(self) -> None:
+        """Close now, dropping unsent bytes, and wait until closed."""
+        self.wire.abort()
+        await self.lost
+
+
 class _PeerLink:
     """One directed link: this node's frames to a single remote peer.
 
     Owns the outbound queue, the go-back-n unacked window, and the
     connect/reconnect loop.  The reverse direction is the remote peer's
     own link; one TCP connection carries data one way and acks the other.
+    Writes are ack-clocked (see the module docstring), so the link's
+    task only dials, waits for the connection to end, and redials.
     """
 
     def __init__(self, transport: "Transport", peer: int, addr: tuple) -> None:
         self.transport = transport
         self.peer = peer
         self.addr = addr
-        self.pending: asyncio.Queue = asyncio.Queue()
-        self.unacked: deque[tuple[int, bytes]] = deque()
+        #: ``(instance, envelope, payload bytes)`` not yet written.
+        self.pending: deque = deque()
+        #: The go-back-n window: ``(link_seq, frame, frame bytes)`` for
+        #: every frame written and not yet acked, oldest first.
+        self.unacked: deque = deque()
         self.next_seq = 0
-        #: True while a live connection is draining this link.  Cleared
-        #: for the whole reconnect window (backoff + redial), during
-        #: which the unacked go-back-n window belongs to the *resume
-        #: path* — see :meth:`send`'s backpressure accounting.
-        self.connected = False
+        #: The live connection.  ``None`` for the whole reconnect window
+        #: (backoff + redial), during which the unacked window belongs to
+        #: the *resume path* — see :meth:`send`'s backpressure accounting.
+        self.wire: Optional[asyncio.Transport] = None
         #: Span-sampling countdown: frames until the next causal stamp
         #: (0 = stamp the next frame, so a link's first frame always
         #: carries the trace extension).
         self._stamp_count = 0
         self.connected_once = False
+        self._flush_due = False
+        #: Loop time the window last moved: opened, acked or resent.
+        self._progress_at = 0.0
+        self._backstop: Optional[asyncio.TimerHandle] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._task: Optional[asyncio.Task] = None
         self._closed = False
 
+    @property
+    def connected(self) -> bool:
+        """True while a live connection carries this link."""
+        return self.wire is not None
+
     def start(self) -> None:
-        self._task = asyncio.get_running_loop().create_task(
+        self._loop = asyncio.get_running_loop()
+        self._task = self._loop.create_task(
             self._run(), name=f"link-{self.transport.pid}->{self.peer}"
         )
 
@@ -165,7 +256,7 @@ class _PeerLink:
             # reconnect, and each raise dropped a frame the go-back-n
             # layer had no copy of — an unrecoverable hole for the
             # receiver even after the link resumed.
-            producer_backlog = self.pending.qsize() + (
+            producer_backlog = len(self.pending) + (
                 len(self.unacked) if self.connected else 0
             )
             if transport.backpressure and producer_backlog >= high_water:
@@ -174,15 +265,22 @@ class _PeerLink:
                     f"{producer_backlog} at its high-water mark "
                     f"({high_water})"
                 )
-        self.pending.put_nowait((instance, envelope, payload))
+        self.pending.append((instance, envelope, payload))
+        if not self.unacked and not self._flush_due and self.wire is not None:
+            # No ack is coming to clock this out: write at the end of
+            # the tick, with whatever else the tick queues.
+            self._flush_due = True
+            self._loop.call_soon(self._flush)
 
     @property
     def backlog(self) -> int:
         """Frames not yet acknowledged by the peer (queued + in flight)."""
-        return self.pending.qsize() + len(self.unacked)
+        return len(self.pending) + len(self.unacked)
 
     async def close(self) -> None:
         self._closed = True
+        if self._backstop is not None:
+            self._backstop.cancel()
         if self._task is not None:
             self._task.cancel()
             try:
@@ -199,200 +297,185 @@ class _PeerLink:
         attempt = 0
         while not self._closed:
             try:
-                reader, writer = await asyncio.open_connection(*self.addr)
+                wire, connection = await self._loop.create_connection(
+                    lambda: _Connection(self._on_acks), *self.addr
+                )
             except OSError:
                 transport._inc("cluster.transport.connect_failures")
-                await asyncio.sleep(
-                    backoff_delay(
-                        attempt,
-                        transport.rng,
-                        transport.backoff_base,
-                        transport.backoff_cap,
-                    )
-                )
                 attempt += 1
-                continue
-            if self.connected_once:
-                transport._inc("cluster.transport.reconnects")
-                transport._trace(
-                    "reconnect", pid=transport.pid, peer=self.peer
+            else:
+                if self.connected_once:
+                    transport._inc("cluster.transport.reconnects")
+                    transport._trace(
+                        "reconnect", pid=transport.pid, peer=self.peer
+                    )
+                self.connected_once = True
+                attempt = 0
+                wire.write(
+                    encode_frame(HelloFrame(pid=transport.pid, n=transport.n))
                 )
-            self.connected_once = True
-            attempt = 0
-            try:
-                await self._speak(reader, writer)
-            except (OSError, CodecError, asyncio.IncompleteReadError):
-                pass
-            finally:
-                writer.close()
+                self.wire = wire
                 try:
-                    await writer.wait_closed()
-                except (OSError, ConnectionError):
-                    pass
+                    # Go-back-n recovery: everything unacked goes again,
+                    # in order, then whatever queued during the outage.
+                    if self.unacked:
+                        self._resend()
+                    self._flush()
+                    await connection.lost
+                finally:
+                    self.wire = None
+                    await connection.shut()
             if not self._closed:
+                # Failed dials back off exponentially; a redial does not.
                 await asyncio.sleep(
                     backoff_delay(
-                        0,
+                        max(attempt - 1, 0),
                         transport.rng,
                         transport.backoff_base,
                         transport.backoff_cap,
                     )
                 )
 
-    async def _speak(self, reader, writer) -> None:
-        """Drive one live connection until it breaks or the link closes."""
-        transport = self.transport
-        self.connected = True
-        writer.write(
-            encode_frame(
-                HelloFrame(pid=transport.pid, n=transport.n)
-            )
-        )
-        # Go-back-n recovery: everything unacked goes again, in order.
-        if self.unacked:
-            transport._inc(
-                "cluster.transport.retransmits", len(self.unacked)
-            )
-            for _seq, frame_bytes in self.unacked:
-                writer.write(frame_bytes)
-        await writer.drain()
-        ack_task = asyncio.get_running_loop().create_task(
-            self._consume_acks(reader)
-        )
-        try:
-            while not self._closed:
-                try:
-                    instance, envelope, payload = await asyncio.wait_for(
-                        self.pending.get(),
-                        timeout=transport.retransmit_interval,
-                    )
-                except asyncio.TimeoutError:
-                    if ack_task.done():
-                        break  # connection died under us
-                    if self.unacked:
-                        # Quiet period with an open window: go-back-n
-                        # retransmit of every outstanding frame.
-                        transport._inc(
-                            "cluster.transport.retransmits",
-                            len(self.unacked),
-                        )
-                        for _seq, frame_bytes in self.unacked:
-                            writer.write(frame_bytes)
-                        await writer.drain()
-                    continue
-                # Coalesce whatever else is already queued into one batch
-                # write, stopping at the soft byte cap: k concurrent
-                # instances flush with one syscall, not k.
-                batch: list[DataFrame] = []
-                parts: list[bytes] = []
-                batch_bytes = 0
-                tracer = transport.tracer
-                sample = transport.trace_sample
-                stamp_count = self._stamp_count  # hoisted over the batch
-                while True:
-                    # Causal stamp: the wire extension and the local
-                    # "send" span share one span id + HLC tick, so the
-                    # receiver's parent pointer resolves to this event.
-                    # Sampled 1-in-`trace_sample` per link (first frame
-                    # always) — per-message stamping and span emission
-                    # is the bulk of tracing's hot-path tax, and the
-                    # exact artefacts (decide segments, chaos windows,
-                    # backpressure) never ride on send/recv spans.
-                    if tracer is not None:
-                        stamp_count -= 1
-                        if stamp_count <= 0:
-                            stamp_count = sample
-                            ext = tracer.stamp(instance)
-                        else:
-                            ext = None
-                    else:
-                        ext = None
-                    frame = DataFrame(
-                        link_seq=self.next_seq,
-                        envelope=envelope,
-                        instance=instance,
-                        trace=ext,
-                    )
-                    frame_bytes = encode_frame(frame, payload)
-                    batch.append(frame)
-                    parts.append(frame_bytes)
-                    batch_bytes += len(frame_bytes)
-                    self.unacked.append((self.next_seq, frame_bytes))
-                    self.next_seq += 1
-                    # Only stamped (sampled) frames get a send span —
-                    # unstamped ones stay event-free.
-                    if ext is not None and transport.trace is not None:
-                        transport.trace.record_fields(
-                            "send",
-                            {
-                                "pid": transport.pid,
-                                "peer": self.peer,
-                                "instance": instance,
-                                "payload": envelope.payload,
-                                "trace": ext[0],
-                                "span": ext[1],
-                                "hlc": [ext[2], ext[3]],
-                                "link_seq": frame.link_seq,
-                            },
-                        )
-                    if (
-                        transport.batch_bytes <= 0
-                        or batch_bytes >= transport.batch_bytes
-                    ):
-                        break
-                    try:
-                        instance, envelope, payload = (
-                            self.pending.get_nowait()
-                        )
-                    except asyncio.QueueEmpty:
-                        break
-                self._stamp_count = stamp_count
-                transport._inc("cluster.transport.sent", len(batch))
-                transport._gauge_max(
-                    "cluster.transport.queue_depth", self.backlog
-                )
-                if len(batch) == 1:
-                    writer.write(parts[0])
-                else:
-                    # The batch body is the frames just encoded, joined:
-                    # what retransmission keeps is what was written.
-                    writer.write(
-                        encode_frame(
-                            BatchFrame(frames=tuple(batch)), parts=parts
-                        )
-                    )
-                    transport._inc("cluster.transport.batches")
-                    transport._inc(
-                        "cluster.transport.batched_frames", len(batch)
-                    )
-                    transport._gauge_max(
-                        "cluster.transport.max_batch", len(batch)
-                    )
-                await writer.drain()
-                if ack_task.done():
-                    break
-        finally:
-            self.connected = False
-            ack_task.cancel()
-            try:
-                await ack_task
-            except (asyncio.CancelledError, Exception):
-                pass
-
-    async def _consume_acks(self, reader) -> None:
-        """Read the peer's cumulative acks off the connection."""
-        frames = FrameReader()
-        while True:
-            chunk = await reader.read(65536)
-            if not chunk:
+    def _on_acks(self, connection: _Connection, frames) -> None:
+        """The peer's cumulative acks: one that advances the window is
+        the clock tick that writes whatever queued meanwhile."""
+        acked = None
+        for frame in frames:
+            if isinstance(frame, AckFrame):
+                acked = frame.acked
+            elif isinstance(frame, ByeFrame):
+                connection.wire.close()
                 return
-            frames.feed(chunk)
-            for frame in frames.frames():
-                if isinstance(frame, AckFrame):
-                    while self.unacked and self.unacked[0][0] <= frame.acked:
-                        self.unacked.popleft()
-                elif isinstance(frame, ByeFrame):
-                    return
+        unacked = self.unacked
+        if acked is None or not unacked or unacked[0][0] > acked:
+            return
+        while unacked and unacked[0][0] <= acked:
+            unacked.popleft()
+        self._progress_at = self._loop.time()
+        self._flush()
+
+    def _flush(self) -> None:
+        """Frame every queued envelope and write them, batched."""
+        self._flush_due = False
+        wire = self.wire
+        pending = self.pending
+        if wire is None or not pending:
+            return
+        transport = self.transport
+        unacked = self.unacked
+        if not unacked:
+            self._arm_backstop()
+        tracer = transport.tracer
+        sample = transport.trace_sample
+        stamp_count = self._stamp_count  # hoisted over the flush
+        seq = self.next_seq
+        fresh = []
+        while pending:
+            instance, envelope, payload = pending.popleft()
+            # Causal stamp: the wire extension and the local "send"
+            # span share one span id + HLC tick, so the receiver's
+            # parent pointer resolves to this event.  Sampled
+            # 1-in-`trace_sample` per link (first frame always) —
+            # per-message stamping and span emission is the bulk of
+            # tracing's hot-path tax, and the exact artefacts (decide
+            # segments, chaos windows, backpressure) never ride on
+            # send/recv spans.
+            ext = None
+            if tracer is not None:
+                stamp_count -= 1
+                if stamp_count <= 0:
+                    stamp_count = sample
+                    ext = tracer.stamp(instance)
+            frame = DataFrame(
+                link_seq=seq, envelope=envelope, instance=instance, trace=ext
+            )
+            entry = (seq, frame, encode_frame(frame, payload))
+            unacked.append(entry)
+            fresh.append(entry)
+            seq += 1
+            # Only stamped (sampled) frames get a send span — unstamped
+            # ones stay event-free.
+            if ext is not None and transport.trace is not None:
+                transport.trace.record_fields(
+                    "send",
+                    {
+                        "pid": transport.pid,
+                        "peer": self.peer,
+                        "instance": instance,
+                        "payload": envelope.payload,
+                        "trace": ext[0],
+                        "span": ext[1],
+                        "hlc": [ext[2], ext[3]],
+                        "link_seq": frame.link_seq,
+                    },
+                )
+        self.next_seq = seq
+        self._stamp_count = stamp_count
+        transport._inc("cluster.transport.sent", len(fresh))
+        transport._gauge_max("cluster.transport.queue_depth", len(unacked))
+        self._write(wire, fresh)
+
+    def _resend(self) -> None:
+        """Go-back-n: write the whole window again, from the bytes that
+        were written the first time."""
+        self.transport._inc("cluster.transport.retransmits", len(self.unacked))
+        self._arm_backstop()
+        self._write(self.wire, self.unacked)
+
+    def _write(self, wire, entries) -> None:
+        """Write window entries in order, one write per run reaching
+        ``batch_bytes`` and one for the rest: a lone frame as itself, a
+        run as a BatchFrame of the frames' own bytes."""
+        transport = self.transport
+        cap = transport.batch_bytes
+        runs, run, size = [], [], 0
+        for entry in entries:
+            run.append(entry)
+            size += len(entry[2])
+            if size >= cap:
+                runs.append(run)
+                run, size = [], 0
+        if run:
+            runs.append(run)
+        for run in runs:
+            if wire.is_closing():
+                return
+            if len(run) == 1:
+                wire.write(run[0][2])
+                continue
+            wire.write(
+                encode_frame(
+                    BatchFrame(frames=tuple([entry[1] for entry in run])),
+                    parts=[entry[2] for entry in run],
+                )
+            )
+            transport._inc("cluster.transport.batches")
+            transport._inc("cluster.transport.batched_frames", len(run))
+            transport._gauge_max("cluster.transport.max_batch", len(run))
+
+    def _arm_backstop(self) -> None:
+        """Restart the no-progress clock, and the timer if it stopped."""
+        self._progress_at = self._loop.time()
+        if self._backstop is None:
+            self._backstop = self._loop.call_later(
+                self.transport.retransmit_interval, self._check_progress
+            )
+
+    def _check_progress(self) -> None:
+        """Resend the window once it has been open ``retransmit_interval``
+        seconds without an ack advancing it; otherwise wait out the rest.
+        An empty window or a lost connection stops the timer (reconnect
+        resends on its own)."""
+        self._backstop = None
+        wire = self.wire
+        if not self.unacked or wire is None or wire.is_closing():
+            return
+        wait = self._progress_at + self.transport.retransmit_interval
+        if self._loop.time() < wait:
+            self._backstop = self._loop.call_at(wait, self._check_progress)
+            return
+        self._resend()
+        self._flush()
 
 
 class Transport:
@@ -416,8 +499,9 @@ class Transport:
             allocation-free.
         seed: seed for the backoff-jitter RNG (deterministic tests).
         backoff_base / backoff_cap: reconnect backoff curve parameters.
-        retransmit_interval: quiet-period seconds before outstanding
-            frames are retransmitted.
+        retransmit_interval: seconds a link's window may stay open
+            without an ack advancing it before the whole window is
+            resent (batched, like any write).
         batch_bytes: soft cap on one coalesced batch write; queued
             frames are batched until their encoded size reaches this
             (``0`` disables batching — every frame is its own write).
@@ -480,14 +564,14 @@ class Transport:
         self._high_water_traced_peak = 0
         #: Delivered ``(instance, envelope)`` pairs, sender-authenticated,
         #: exactly once, in per-link order.  The node actor consumes this
-        #: queue and demultiplexes on the instance id.
-        self.inbound: asyncio.Queue = asyncio.Queue()
+        #: inbox and demultiplexes on the instance id.
+        self.inbound = Inbox()
         self._links: dict[int, _PeerLink] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         #: Go-back-n receive cursor per peer pid; persists across that
         #: peer's reconnects, which is what makes dedup work.
         self._rx_expected: dict[int, int] = {}
-        self._serving_connections: set[asyncio.Task] = set()
+        self._inbound_connections: set[_Connection] = set()
         #: One-entry payload-encode memo, keyed on *identity*: the n−1
         #: remote sends of one broadcast carry the same message object
         #: and share one encoding.  Holding the reference keeps its id
@@ -503,8 +587,10 @@ class Transport:
 
     async def serve(self, host: str = "127.0.0.1", port: int = 0) -> tuple:
         """Bind the accept socket; returns the (host, port) peers dial."""
-        self._server = await asyncio.start_server(
-            self._accept, host=host, port=port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self._on_inbound, self._inbound_connections),
+            host=host,
+            port=port,
         )
         sockname = self._server.sockets[0].getsockname()
         return sockname[0], sockname[1]
@@ -539,13 +625,9 @@ class Transport:
             await link.close()
         if self._server is not None:
             self._server.close()
+            for connection in list(self._inbound_connections):
+                await connection.shut()
             await self._server.wait_closed()
-        for task in list(self._serving_connections):
-            task.cancel()
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
 
     # ------------------------------------------------------------------ #
     # Sending
@@ -589,65 +671,36 @@ class Transport:
     # Accepting
     # ------------------------------------------------------------------ #
 
-    async def _accept(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        self._serving_connections.add(task)
-        try:
-            await self._serve_connection(reader, writer)
-        except (OSError, CodecError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            self._serving_connections.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, ConnectionError, asyncio.CancelledError):
-                # Cancelled here = close() caught this handler already
-                # winding down; ending cancelled instead would make
-                # asyncio's accept callback log a traceback (≤ 3.11).
-                pass
-
-    async def _serve_connection(self, reader, writer) -> None:
-        frames = FrameReader()
-        peer: Optional[int] = None
-        while not self._closed:
-            chunk = await reader.read(65536)
-            if not chunk:
+    def _on_inbound(self, connection: _Connection, frames) -> None:
+        """A peer link's data: deliver in order, then send one cumulative
+        ack per read chunk that carried data, however many frames and
+        batches it held — the sender's clock ticks once per round trip."""
+        # One enqueue timestamp per chunk, not per frame: every envelope
+        # in the chunk *arrived* at the same instant, so sharing the read
+        # is both cheaper and the more accurate queue-wait boundary
+        # (decode time is the node's, not the network's).
+        enqueued_at = monotonic() if self.tracer is not None else NO_ENQUEUE_TS
+        peer = connection.peer
+        delivered = 0
+        carried_data = False
+        for frame in frames:
+            if peer is None:
+                peer = connection.peer = self._handshake(frame)
+            elif isinstance(frame, DataFrame):
+                delivered += self._receive_data(peer, frame, enqueued_at)
+                carried_data = True
+            elif isinstance(frame, BatchFrame):
+                for inner in frame.frames:
+                    delivered += self._receive_data(peer, inner, enqueued_at)
+                carried_data = True
+            elif isinstance(frame, ByeFrame):
+                connection.wire.close()
                 return
-            # One enqueue timestamp per chunk, not per frame: every
-            # envelope in the chunk *arrived* at the same instant, so
-            # sharing the read is both cheaper and the more accurate
-            # queue-wait boundary (decode time is the node's, not the
-            # network's).
-            enqueued_at = (
-                monotonic() if self.tracer is not None else NO_ENQUEUE_TS
-            )
-            frames.feed(chunk)
-            for frame in frames.frames():
-                if peer is None:
-                    peer = self._handshake(frame)
-                    continue
-                if isinstance(frame, DataFrame):
-                    self._receive_data(peer, frame, enqueued_at)
-                elif isinstance(frame, BatchFrame):
-                    for inner in frame.frames:
-                        self._receive_data(peer, inner, enqueued_at)
-                elif isinstance(frame, ByeFrame):
-                    return
-                else:
-                    # Acks never arrive on accepted connections; ignore.
-                    continue
-                # One cumulative ack per wire frame: a whole batch is
-                # acknowledged with a single write, mirroring the
-                # sender's one-syscall flush.
-                writer.write(
-                    encode_frame(
-                        AckFrame(acked=self._rx_expected.get(peer, 0) - 1)
-                    )
-                )
-            await writer.drain()
+            # Acks never arrive on accepted connections; ignore.
+        if carried_data:
+            self._inc("cluster.transport.received", delivered)
+            acked = self._rx_expected.get(peer, 0) - 1
+            connection.wire.write(encode_frame(AckFrame(acked=acked)))
 
     def _handshake(self, frame) -> int:
         """Validate the connection's first frame; returns the peer pid."""
@@ -672,7 +725,9 @@ class Transport:
 
     def _receive_data(
         self, peer: int, frame: DataFrame, enqueued_at: float
-    ) -> None:
+    ) -> int:
+        """Deliver one in-order frame (returns 1), or count it as a
+        duplicate or a gap (returns 0)."""
         expected = self._rx_expected.get(peer, 0)
         if frame.link_seq == expected:
             self._rx_expected[peer] = expected + 1
@@ -689,10 +744,7 @@ class Transport:
             # attribution covers all envelopes); untraced ones share the
             # NO_ENQUEUE_TS placeholder, keeping this path at its
             # historic one-tuple-per-delivery allocation.
-            self.inbound.put_nowait(
-                (frame.instance, envelope, enqueued_at)
-            )
-            self._inc("cluster.transport.received")
+            self.inbound.put((frame.instance, envelope, enqueued_at))
             tracer = self.tracer
             if (
                 tracer is not None
@@ -711,12 +763,14 @@ class Transport:
                     fields, frame.instance, frame.trace
                 )
                 self.trace.record_fields("recv", fields)
-        elif frame.link_seq < expected:
+            return 1
+        if frame.link_seq < expected:
             self._inc("cluster.transport.duplicates")
         else:
             # A gap: some earlier frame was dropped in flight.  Go-back-n
             # discards everything until the retransmission arrives.
             self._inc("cluster.transport.gaps")
+        return 0
 
     # ------------------------------------------------------------------ #
     # Observability plumbing

@@ -35,7 +35,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.analysis.failstop_chain import majority_adoption_probability
 from repro.errors import ConfigurationError
 
 
@@ -136,6 +135,12 @@ class LockstepMajoritySimulator:
     def absorbed(self, correct_ones: int) -> bool:
         """Is this state in the matching chain's absorbing region?"""
         if self.faulty == 0:
+            # Imported here: repro.analysis loads scipy.stats, which
+            # `import repro` would otherwise pay for on every start.
+            from repro.analysis.failstop_chain import (
+                majority_adoption_probability,
+            )
+
             # §4.1 generalised: the outcome is deterministic once every
             # possible view has a fixed majority (w ∈ {0, 1}); at
             # k = n/3 this is exactly the declared [0, n/3) ∪ (2n/3, n].

@@ -485,7 +485,7 @@ class TestMultiInstanceNode:
                 from repro.net.message import Envelope
                 from repro.core.messages import SimpleMessage
 
-                a.transport.inbound.put_nowait(
+                a.transport.inbound.put(
                     (
                         0,
                         Envelope(
@@ -550,7 +550,7 @@ class TestMultiInstanceNode:
                 from repro.core.messages import SimpleMessage
                 from repro.net.message import Envelope
 
-                transport.inbound.put_nowait(
+                transport.inbound.put(
                     (
                         1,
                         Envelope(

@@ -382,9 +382,8 @@ class TestUntracedZeroCost:
                     )
                 items = []
                 while len(items) < 10:
-                    items.append(
-                        await asyncio.wait_for(b.inbound.get(), timeout=10)
-                    )
+                    await asyncio.wait_for(b.inbound.wait(), timeout=10)
+                    items.extend(b.inbound.take())
                 return items
             finally:
                 await a.close()
@@ -437,9 +436,8 @@ class TestSpanSampling:
                     )
                 items = []
                 while len(items) < 8:
-                    items.append(
-                        await asyncio.wait_for(b.inbound.get(), timeout=10)
-                    )
+                    await asyncio.wait_for(b.inbound.wait(), timeout=10)
+                    items.extend(b.inbound.take())
                 return items
             finally:
                 await a.close()

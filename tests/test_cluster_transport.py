@@ -6,10 +6,12 @@ they need no async test plugin.
 """
 
 import asyncio
+import math
 import random
 
 import pytest
 
+import repro.cluster.chaos as chaos_module
 import repro.cluster.codec as codec_module
 import repro.cluster.transport as transport_module
 from repro.cluster.chaos import ChaosConfig, ChaosProxy
@@ -66,11 +68,13 @@ def envelope(sender: int, recipient: int, tag: int) -> Envelope:
 
 
 async def drain(transport: Transport, count: int, timeout: float = 10.0):
-    """Pull ``count`` delivered ``(instance, envelope)`` pairs."""
+    """Pull at least ``count`` delivered ``(instance, envelope, ts)``
+    tuples, taking the inbox's whole backlog at each wake-up."""
     received = []
     async def _pull():
         while len(received) < count:
-            received.append(await transport.inbound.get())
+            await transport.inbound.wait()
+            received.extend(transport.inbound.take())
     await asyncio.wait_for(_pull(), timeout=timeout)
     return received
 
@@ -137,7 +141,7 @@ class TestTransportPair:
                 spoofed = envelope(2, 0, 7)
                 writer.write(encode_frame(DataFrame(link_seq=0, envelope=spoofed)))
                 await writer.drain()
-                delivered = await asyncio.wait_for(b.inbound.get(), timeout=5)
+                (delivered,) = await drain(b, 1, timeout=5)
                 writer.close()
                 return delivered
             finally:
@@ -161,7 +165,7 @@ class TestTransportPair:
                 # The server drops the connection instead of delivering.
                 eof = await asyncio.wait_for(reader.read(), timeout=5)
                 assert eof == b""
-                assert b.inbound.empty()
+                assert not b.inbound.items
             finally:
                 await b.close()
 
@@ -203,7 +207,7 @@ class TestReliabilityUnderChaos:
                 # Quiesce briefly: retransmissions of already-acked
                 # frames must not surface as extra deliveries.
                 await asyncio.sleep(0.2)
-                extras = receiver.inbound.qsize()
+                extras = len(receiver.inbound.items)
                 return received, extras, registry.snapshot()
             finally:
                 await sender.close()
@@ -285,7 +289,7 @@ class TestReliabilityUnderChaos:
             await asyncio.sleep(0.1)  # let a few dials fail
             await late.serve(host=host, port=port)
             try:
-                delivered = await asyncio.wait_for(late.inbound.get(), timeout=10)
+                (delivered,) = await drain(late, 1)
                 return delivered, registry.snapshot()
             finally:
                 await sender.close()
@@ -616,7 +620,7 @@ class TestBytesWrittenOnce:
                     sender.send(envelope(0, 1, tag))
                 received += await drain(receiver, LATER)
                 await asyncio.sleep(0.1)
-                extras = receiver.inbound.qsize()
+                extras = len(receiver.inbound.items)
                 return connections, received, extras, registry.snapshot()
             finally:
                 await sender.close()
@@ -905,18 +909,12 @@ class TestTransportValidation:
 
 
 class TestCloseDuringHandlerWindDown:
-    def test_close_cancelling_a_finishing_handler_is_silent(self, monkeypatch):
-        """Regression: ``close()`` could cancel an accept handler that
-        was already in its ``finally`` (peer gone, awaiting
-        ``wait_closed``); the handler then ended cancelled and asyncio's
-        accept callback (≤ 3.11) logged a traceback on stderr."""
+    def test_close_cancelling_a_finishing_handler_is_silent(self):
+        """Regression: ``close()`` catching an accepted connection that
+        is already winding down (peer gone, the close in progress) must
+        report nothing to the loop's exception handler — a handler that
+        ends cancelled there makes asyncio (≤ 3.11) log a traceback."""
         reported = []
-        parked = []
-        real_wait_closed = asyncio.StreamWriter.wait_closed
-
-        async def wait_closed(self):
-            parked.append(self)
-            await asyncio.Event().wait()  # until cancelled
 
         async def scenario():
             loop = asyncio.get_running_loop()
@@ -926,15 +924,185 @@ class TestCloseDuringHandlerWindDown:
             server = Transport(1, 2, seed=1)
             addr = await server.serve()
             _, writer = await asyncio.open_connection(*addr)
-            monkeypatch.setattr(asyncio.StreamWriter, "wait_closed", wait_closed)
-            writer.close()  # EOF: the handler returns into its finally
-            while not parked:
+            while not server._inbound_connections:
                 await asyncio.sleep(0)
-            monkeypatch.setattr(
-                asyncio.StreamWriter, "wait_closed", real_wait_closed
-            )
+            (accepted,) = server._inbound_connections
+            writer.close()  # EOF: the accepted connection starts closing
+            while not accepted.wire.is_closing():
+                await asyncio.sleep(0)
+            assert not accepted.lost.done()  # caught mid-wind-down
             await server.close()
-            await asyncio.sleep(0)  # let the accept callback run
+            await asyncio.sleep(0)
+            return server._inbound_connections
 
-        asyncio.run(scenario())
+        assert asyncio.run(scenario()) == set()
         assert reported == []
+
+
+class TestAckClock:
+    def test_a_one_tick_burst_is_one_write_and_arms_nothing_per_send(self):
+        """A burst sent in one tick to a connected peer leaves as a
+        single write at the end of the tick, creating no task and no
+        timer per send; a second burst sent while that write is still
+        unacked waits for the ack and then leaves as one write too."""
+        BURST = 50
+        HOOKS = ("call_later", "call_at", "create_task")
+
+        async def scenario():
+            a, b = await mesh(2)
+            loop = asyncio.get_running_loop()
+            link = a._links[1]
+            try:
+                a.send(envelope(0, 1, 0))
+                await drain(b, 1)
+                while link.unacked:  # the warm-up frame's ack
+                    await asyncio.sleep(0)
+                created, writes = [], []
+                for name in HOOKS:
+                    def counted(*args, _real=getattr(loop, name), **kwargs):
+                        created.append(args)
+                        return _real(*args, **kwargs)
+                    setattr(loop, name, counted)
+                real_write = link.wire.write
+
+                def recorded_write(data):
+                    writes.append(data)
+                    real_write(data)
+
+                link.wire.write = recorded_write
+                try:
+                    for tag in range(1, BURST + 1):
+                        a.send(envelope(0, 1, tag))
+                    await asyncio.sleep(0)  # the end-of-tick flush ran
+                    first_writes = len(writes)
+                    armed = len(created)
+                    # Window open: the next burst waits for its ack.
+                    for tag in range(BURST + 1, 2 * BURST + 1):
+                        a.send(envelope(0, 1, tag))
+                    waiting = (len(link.pending), link._flush_due)
+                finally:
+                    for name in HOOKS:
+                        delattr(loop, name)
+                received = await drain(b, 2 * BURST)
+                return first_writes, armed, waiting, writes, received
+            finally:
+                await close_all([a, b])
+
+        first_writes, armed, waiting, writes, received = asyncio.run(
+            scenario()
+        )
+        assert first_writes == 1
+        assert armed <= 1  # at most the window's retransmit backstop
+        assert waiting == (BURST, False)
+        assert len(writes) == 2
+        for write, first in zip(writes, (1, BURST + 1)):
+            (batch,) = decode_frame_bytes(write)
+            assert [f.envelope.payload.phaseno for f in batch.frames] == list(
+                range(first, first + BURST)
+            )
+        assert [env.payload.phaseno for env in envelopes(received)] == list(
+            range(1, 2 * BURST + 1)
+        )
+
+
+class _ScriptedDrops:
+    """Stands in for a ChaosProxy's RNG: exactly the listed data units
+    (0-based, in arrival order) draw a drop."""
+
+    def __init__(self, drops) -> None:
+        self.drops = set(drops)
+        self.unit = -1
+
+    def random(self) -> float:
+        self.unit += 1
+        return 0.0 if self.unit in self.drops else 1.0
+
+
+def resend_runs(units) -> list[list]:
+    """The retransmissions among a link's wire units: maximal runs of
+    consecutive data units that write already-written sequence numbers,
+    each picking up where the previous one stopped."""
+    runs: list[list] = []
+    seen: set = set()
+    last = None  # (sequence numbers, was a resend) of the previous unit
+    for unit in units:
+        if unit[0] not in (KIND_DATA, KIND_BATCH):
+            continue
+        frames = decode_frame_bytes(data_bytes([unit]))
+        seqs = [frame.link_seq for frame in frames]
+        resend = seqs[0] in seen
+        if resend:
+            if last is not None and last[1] and seqs[0] == last[0][-1] + 1:
+                runs[-1].append(unit)
+            else:
+                runs.append([unit])
+        seen.update(seqs)
+        last = (seqs, resend)
+    return runs
+
+
+class TestDropRecovery:
+    def test_a_dropped_batch_is_resent_in_batches_and_delivered_once(
+        self, monkeypatch
+    ):
+        """One scripted drop through the chaos proxy on a link that always
+        has traffic in flight: the link recovers exactly once and in
+        order, and every retransmission of a W-frame window costs at
+        most ceil(window bytes / batch_bytes) + 1 wire writes — resending
+        frame by frame is what stalled a 2%-lossy link."""
+        TOTAL, IN_FLIGHT, BATCH = 300, 40, 400
+        units = []
+
+        class RecordingReader(FrameReader):
+            def frames(self):
+                for unit in super().frames():
+                    units.append(unit)
+                    yield unit
+
+        monkeypatch.setattr(chaos_module, "FrameReader", RecordingReader)
+
+        async def scenario():
+            registry = MetricsRegistry()
+            receiver = Transport(1, 2, registry=registry, seed=1)
+            proxy = ChaosProxy(
+                await receiver.serve(),
+                ChaosConfig(drop_rate=0.5),
+                registry=registry,
+            )
+            proxy.rng = _ScriptedDrops({2})  # the third wire write
+            proxy_addr = await proxy.serve()
+            sender = Transport(
+                0, 2, registry=registry, seed=0,
+                retransmit_interval=0.05, batch_bytes=BATCH,
+            )
+            await sender.serve()
+            sender.connect({1: proxy_addr})
+            received, sent = [], 0
+            try:
+                # Continuous traffic: IN_FLIGHT frames outstanding at
+                # all times, topped up as deliveries land.
+                while len(received) < TOTAL:
+                    while sent < min(TOTAL, len(received) + IN_FLIGHT):
+                        sender.send(envelope(0, 1, sent))
+                        sent += 1
+                    received += await drain(receiver, 1, timeout=30)
+                return received, registry.snapshot()
+            finally:
+                await sender.close()
+                await receiver.close()
+                await proxy.close()
+
+        received, snapshot = asyncio.run(scenario())
+        assert [env.payload.phaseno for env in envelopes(received)] == list(
+            range(TOTAL)
+        )
+        assert snapshot.counters.get("cluster.chaos.dropped") == 1
+        runs = resend_runs(units)
+        assert runs, "the drop was never retransmitted"
+        for run in runs:
+            window_bytes = len(data_bytes(run))
+            assert len(run) <= math.ceil(window_bytes / BATCH) + 1, (
+                f"{data_frame_count(run)} frames resent in {len(run)} writes"
+            )
+        # The resent window really was many frames, coalesced.
+        assert max(data_frame_count(run) - len(run) for run in runs) > 0

@@ -71,6 +71,25 @@ class TestModuleEntryPoint:
         assert "E1" in completed.stdout
         assert "E10" in completed.stdout
 
+    def test_importing_the_runtime_leaves_scipy_unloaded(self):
+        """scipy is the analysis layer's alone: the package, the SMR
+        service and the fuzzer import without it (about 0.6 s saved on
+        every start)."""
+        completed = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro, repro.cluster.smr, repro.check.campaign; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] "
+                "== 'scipy'))",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"
+
 
 class TestScale:
     def test_failstop_at_n_25(self):
