@@ -44,7 +44,6 @@ from repro.cluster.codec import (
     WIRE_ENCODING,
     WIRE_VERSION,
     AckFrame,
-    BatchFrame,
     ByeFrame,
     CodecError,
     DataFrame,
@@ -80,7 +79,6 @@ from repro.cluster.transport import Transport
 
 __all__ = [
     "AckFrame",
-    "BatchFrame",
     "ByeFrame",
     "ChaosConfig",
     "ChaosProxy",

@@ -7,14 +7,15 @@ interpose one :class:`ChaosProxy` in front of each node: every inbound
 connection to that node flows through the proxy, which parses the wire
 framing (:mod:`repro.cluster.codec`) and applies a seeded schedule of
 
-* **delay** — each data frame waits a uniform draw from
+* **delay** — each data frame (one transport write, however many
+  envelopes it carries) waits a uniform draw from
   ``[delay_min, delay_max]`` before forwarding.  Delays are applied
   in-line, so per-link FIFO order is preserved (a slow link, not a
   reordering one — TCP semantics).
-* **drop** — each data frame is discarded with probability
-  ``drop_rate``.  The transport's go-back-n layer retransmits, so drops
-  cost latency, never safety: exactly the paper's reliable-but-slow
-  message system.
+* **drop** — each data frame is discarded, all its envelopes at once,
+  with probability ``drop_rate``.  That is one gap for the transport's
+  go-back-n layer, which retransmits, so drops cost latency, never
+  safety: exactly the paper's reliable-but-slow message system.
 * **partition** — during configured ``(start, end)`` windows (seconds
   since proxy start) the proxy stalls all forwarding; frames queue
   behind the partition and flow again when it heals.
@@ -38,15 +39,9 @@ from dataclasses import dataclass, field
 from time import monotonic
 from typing import Any, Optional
 
-from repro.cluster.codec import KIND_BATCH, KIND_DATA, FrameReader
+from repro.cluster.codec import KIND_DATA, FrameReader
 from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
-
-#: Frame kinds the chaos policy applies to: protocol payload traffic.
-#: Batch frames are coalesced data frames, so they are dropped/delayed
-#: as a unit — a dropped batch is a run of go-back-n gaps, which the
-#: transport recovers exactly like single-frame drops.
-_DATA_KINDS = (KIND_DATA, KIND_BATCH)
 
 
 @dataclass(frozen=True)
@@ -228,7 +223,7 @@ class ChaosProxy:
             frames.feed(chunk)
             for kind, frame_bytes in frames.frames():
                 await self._respect_partitions()
-                if kind in _DATA_KINDS:
+                if kind == KIND_DATA:
                     if self.rng.random() < config.drop_rate:
                         self._inc("cluster.chaos.dropped")
                         self._trace_event("chaos-drop")
@@ -246,7 +241,7 @@ class ChaosProxy:
                 writer.write(frame_bytes)
                 await writer.drain()
                 if (
-                    kind in _DATA_KINDS
+                    kind == KIND_DATA
                     and config.reset_every is not None
                     and forwarded_data % config.reset_every == 0
                 ):

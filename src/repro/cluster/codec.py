@@ -14,20 +14,25 @@ without decoding the body — which is what lets the chaos proxy apply
 drop/delay policies to data frames while passing handshakes and acks
 through untouched.
 
-Bodies, one layout per kind (wire v3)::
+Bodies, one layout per kind (wire v4)::
 
-    data   link_seq  instance  env.seq  sender  recipient  ext len
-             8 B       8 B       8 B     2 B      2 B        2 B
-           + trace extension (ext len bytes of JSON, usually none)
-           + payload bytes (the rest of the body)
-    batch  complete data frames, headers included, back to back
+    data   link_seq  sender  recipient
+             8 B      2 B      2 B
+           then one or more entries, back to back to the end of the body:
+             instance  ext len  payload len
+               8 B       2 B       4 B
+             + trace extension (ext len bytes of JSON, usually none)
+             + payload (payload len bytes)
     ack    the cumulative link_seq as one signed 8-byte integer
     hello  JSON object {"pid", "n", "enc"}
     bye    JSON object {}
 
+A data frame is one transport write: each envelope is an entry, and
+the go-back-n layer numbers, acks and resends whole frames.
+
 Everything a link sends thousands of times per second is fixed-width;
 what stays JSON is either sent once per connection (hello, bye), rare
-(the trace extension rides on one frame in
+(the trace extension rides on one envelope in
 :data:`~repro.cluster.transport.DEFAULT_TRACE_SAMPLE`), or the payload.
 Payload bytes are exactly ``json(encode_payload(payload))`` — the JSONL
 payload codec of :mod:`repro.obs.sinks`, the same encoder that
@@ -75,10 +80,11 @@ WIRE_ENCODING = "json"
 #: Wire protocol magic bytes ("Resilient Consensus").
 MAGIC = b"RC"
 #: Wire protocol revision; bumped on any incompatible frame/body change.
-#: v2 added the per-instance tag and the batch frame; v3 replaced the
-#: JSON data/batch/ack bodies with the fixed-width layouts above.  A
-#: reader accepts exactly this revision.
-WIRE_VERSION = 3
+#: v2 added the per-instance tag and the batch frame; v3 made the
+#: data/batch/ack bodies fixed-width; v4 replaced a batch of one-envelope
+#: data frames with one data frame of entries.  A reader accepts exactly
+#: this revision.
+WIRE_VERSION = 4
 #: Upper bound on one frame's body — far above any protocol message, so
 #: hitting it means a corrupt or hostile length prefix, not a big payload.
 MAX_BODY = 1 << 20
@@ -86,11 +92,13 @@ MAX_BODY = 1 << 20
 _HEADER = struct.Struct(">2sBBI")
 HEADER_SIZE = _HEADER.size
 
-#: Data frame body prefix: link_seq, instance, envelope seq, sender,
-#: recipient, trace-extension length.
-_DATA_PREFIX = struct.Struct(">QQQHHH")
-#: Header and prefix of a data frame in one pack call.
-_DATA_HEAD = struct.Struct(">2sBBIQQQHHH")
+#: Data frame body prefix: link_seq, sender, recipient.
+_DATA_PREFIX = struct.Struct(">QHH")
+#: Data frame entry header: instance, trace-extension length, payload
+#: length.
+_ENTRY_HEAD = struct.Struct(">QHI")
+#: Bytes an entry adds to its frame besides its extension and payload.
+ENTRY_HEADER_SIZE = _ENTRY_HEAD.size
 #: Ack body; signed because "nothing received yet" acks -1.
 _ACK_BODY = struct.Struct(">q")
 
@@ -99,9 +107,8 @@ KIND_HELLO = 1
 KIND_DATA = 2
 KIND_ACK = 3
 KIND_BYE = 4
-KIND_BATCH = 5
 
-_KINDS = frozenset({KIND_HELLO, KIND_DATA, KIND_ACK, KIND_BYE, KIND_BATCH})
+_KINDS = frozenset({KIND_HELLO, KIND_DATA, KIND_ACK, KIND_BYE})
 
 #: Most payloads one decoding reader interns before the table is cleared
 #: wholesale.  The protocols' payload space is origin × value × phase ×
@@ -137,42 +144,73 @@ class HelloFrame:
     encoding: str = WIRE_ENCODING
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DataFrame:
-    """One protocol envelope in flight, tagged with a per-link sequence.
+    """The protocol envelopes one write carries on one directed link.
 
     ``link_seq`` numbers the frames of one directed peer link 0, 1, 2…
-    and drives the receiver's cumulative-ack/dedup reliability layer —
-    it is transport state, distinct from the envelope's global ``seq``.
-    ``instance`` names the consensus instance the envelope belongs to;
-    the receiving node's demultiplexer routes it to that instance's
-    protocol core.
+    and drives the receiver's cumulative-ack/dedup reliability layer:
+    one number per write, however many envelopes it carries.
+    ``sender`` and ``recipient`` are the link's ends as the sender
+    claims them (a receiver attributes the frame to the handshaken
+    peer instead).  ``entries`` holds one ``(instance, payload,
+    trace)`` per envelope, in send order.  ``instance`` names the
+    consensus instance the envelope belongs to; the receiving node's
+    demultiplexer routes it to that instance's protocol core.
 
     ``trace`` is the optional causal-trace extension: ``(trace_id,
     span_id, hlc_physical_us, hlc_logical)`` stamped by a traced sender
-    (see :mod:`repro.obs.spans`).  An untraced frame carries a
+    (see :mod:`repro.obs.spans`).  An untraced entry carries a
     zero-length extension and decodes with ``trace is None``, so
     untraced peers never pay for it and interoperate with traced ones.
+
+    ``DataFrame(link_seq, envelope, instance, trace)`` is a one-entry
+    frame; :meth:`of` builds a frame from its entries.  The envelope's
+    global ``seq`` is not on the wire: nothing past the wire reads it.
     """
 
     link_seq: int
-    envelope: Envelope
-    instance: int = 0
-    trace: Optional[tuple] = None
+    sender: int
+    recipient: int
+    entries: tuple
+
+    def __init__(
+        self,
+        link_seq: int,
+        envelope: Envelope,
+        instance: int = 0,
+        trace: Optional[tuple] = None,
+    ) -> None:
+        _fill_data(
+            self,
+            link_seq,
+            envelope.sender,
+            envelope.recipient,
+            ((instance, envelope.payload, trace),),
+        )
+
+    @classmethod
+    def of(
+        cls, link_seq: int, sender: int, recipient: int, entries: tuple
+    ) -> "DataFrame":
+        """The frame carrying ``entries``, each ``(instance, payload,
+        trace)``."""
+        frame = object.__new__(cls)
+        _fill_data(frame, link_seq, sender, recipient, entries)
+        return frame
+
+    @property
+    def instance(self) -> int:
+        """The first entry's instance: a one-entry frame's only one."""
+        return self.entries[0][0]
 
 
-@dataclass(frozen=True, slots=True)
-class BatchFrame:
-    """Several data frames coalesced into one wire write.
-
-    The transport batches whatever is queued on a link (up to a size
-    cap) so k concurrent instances cost one syscall per flush, not one
-    per envelope.  Each inner frame keeps its own ``link_seq``, so the
-    go-back-n layer is oblivious to batching: a dropped batch is just a
-    run of consecutive gaps.
-    """
-
-    frames: tuple[DataFrame, ...]
+def _fill_data(frame, link_seq, sender, recipient, entries) -> None:
+    setattr_ = object.__setattr__  # the frame is frozen
+    setattr_(frame, "link_seq", link_seq)
+    setattr_(frame, "sender", sender)
+    setattr_(frame, "recipient", recipient)
+    setattr_(frame, "entries", entries)
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,7 +225,7 @@ class ByeFrame:
     """Graceful close: the peer is done sending."""
 
 
-Frame = Union[HelloFrame, DataFrame, BatchFrame, AckFrame, ByeFrame]
+Frame = Union[HelloFrame, DataFrame, AckFrame, ByeFrame]
 
 
 # ---------------------------------------------------------------------- #
@@ -225,32 +263,33 @@ def _decode_payload_bytes(data: bytes) -> Any:
         raise CodecError(f"malformed payload record: {record!r}") from exc
 
 
-def _encode_data(frame: DataFrame, payload: Optional[bytes] = None) -> bytes:
-    envelope = frame.envelope
-    if payload is None:
-        payload = encode_payload_bytes(envelope.payload)
-    ext = b"" if frame.trace is None else _dumps(list(frame.trace))
-    length = _DATA_PREFIX.size + len(ext) + len(payload)
-    if length > MAX_BODY:
-        raise CodecError(f"frame body of {length} bytes exceeds MAX_BODY")
-    try:
-        head = _DATA_HEAD.pack(
-            MAGIC,
-            WIRE_VERSION,
-            KIND_DATA,
-            length,
-            frame.link_seq,
-            frame.instance,
-            envelope.seq,
-            envelope.sender,
-            envelope.recipient,
-            len(ext),
+def _encode_data(
+    frame: DataFrame, payloads: Optional[Sequence[bytes]] = None
+) -> bytes:
+    entries = frame.entries
+    if not entries:
+        raise CodecError("refusing to encode an empty data frame")
+    if payloads is None:
+        payloads = [encode_payload_bytes(entry[1]) for entry in entries]
+    elif len(payloads) != len(entries):
+        raise CodecError(
+            f"data frame of {len(entries)} entries given "
+            f"{len(payloads)} encoded payloads"
         )
+    try:
+        parts = [
+            _DATA_PREFIX.pack(frame.link_seq, frame.sender, frame.recipient)
+        ]
+        for (instance, _payload, trace), payload in zip(entries, payloads):
+            ext = b"" if trace is None else _dumps(list(trace))
+            parts += (
+                _ENTRY_HEAD.pack(instance, len(ext), len(payload)), ext, payload
+            )
     except struct.error as exc:
         raise CodecError(
-            f"data frame field out of range for the wire prefix: {exc}"
+            f"data frame field out of range for the wire layout: {exc}"
         ) from exc
-    return head + ext + payload
+    return _framed(KIND_DATA, b"".join(parts))
 
 
 def _framed(kind: int, body: bytes) -> bytes:
@@ -260,31 +299,17 @@ def _framed(kind: int, body: bytes) -> bytes:
 
 
 def encode_frame(
-    frame: Frame,
-    payload: Optional[bytes] = None,
-    parts: Optional[Sequence[bytes]] = None,
+    frame: Frame, payloads: Optional[Sequence[bytes]] = None
 ) -> bytes:
     """Serialise one frame, header included.
 
-    A caller that already holds encoded pieces passes them instead of
-    having them encoded again: ``payload`` is a data frame's payload as
-    :func:`encode_payload_bytes` produced it, ``parts`` are a batch's
-    inner frames as this function produced them, one per
-    ``frame.frames`` entry and in that order.
+    A caller that already holds a data frame's payloads encoded, as
+    :func:`encode_payload_bytes` produced them, passes them as
+    ``payloads`` — one per entry, in entry order — instead of having
+    them encoded again.
     """
     if isinstance(frame, DataFrame):
-        return _encode_data(frame, payload)
-    if isinstance(frame, BatchFrame):
-        if not frame.frames:
-            raise CodecError("refusing to encode an empty batch frame")
-        if parts is None:
-            parts = [_encode_data(inner) for inner in frame.frames]
-        elif len(parts) != len(frame.frames):
-            raise CodecError(
-                f"batch of {len(frame.frames)} frames given "
-                f"{len(parts)} encoded parts"
-            )
-        return _framed(KIND_BATCH, b"".join(parts))
+        return _encode_data(frame, payloads)
     if isinstance(frame, AckFrame):
         try:
             return _framed(KIND_ACK, _ACK_BODY.pack(frame.acked))
@@ -378,9 +403,7 @@ class FrameReader:
     def _decode(self, raw: bytes) -> Frame:
         kind = raw[3]
         if kind == KIND_DATA:
-            return self._decode_data(raw, HEADER_SIZE, len(raw))
-        if kind == KIND_BATCH:
-            return self._decode_batch(raw)
+            return self._decode_data(raw)
         if kind == KIND_ACK:
             if len(raw) != HEADER_SIZE + _ACK_BODY.size:
                 raise CodecError(
@@ -400,85 +423,53 @@ class FrameReader:
         except KeyError as exc:
             raise CodecError(f"frame body missing field {exc}") from exc
 
-    def _decode_batch(self, raw: bytes) -> BatchFrame:
-        """Split a batch body into its inner data frames, each validated
-        like a top-level one."""
+    def _decode_data(self, raw: bytes) -> DataFrame:
+        """Decode a data frame: its prefix, then entries to the end."""
         end = len(raw)
-        offset = HEADER_SIZE
-        if offset == end:
-            raise CodecError("empty batch frame")
-        inner: list[DataFrame] = []
-        while offset < end:
-            if end - offset < HEADER_SIZE:
-                raise CodecError(
-                    f"batch ends with {end - offset} bytes of a frame header"
-                )
-            magic, version, kind, length = _HEADER.unpack_from(raw, offset)
-            if magic != MAGIC:
-                raise CodecError(f"bad frame magic {magic!r} inside a batch")
-            if version != WIRE_VERSION:
-                raise CodecError(
-                    f"wire version mismatch inside a batch: v{version}, "
-                    f"this node speaks v{WIRE_VERSION}"
-                )
-            if kind != KIND_DATA:
-                raise CodecError(
-                    f"frame kind {kind} inside a batch; only data frames "
-                    "are batched"
-                )
-            offset += HEADER_SIZE
-            if length > end - offset:
-                raise CodecError(
-                    f"inner frame body length {length} overruns the batch "
-                    f"body ({end - offset} bytes left)"
-                )
-            inner.append(self._decode_data(raw, offset, offset + length))
-            offset += length
-        return BatchFrame(frames=tuple(inner))
-
-    def _decode_data(self, raw: bytes, start: int, end: int) -> DataFrame:
-        """Decode the data frame body occupying ``raw[start:end]``."""
-        payload_start = start + _DATA_PREFIX.size
-        if payload_start > end:
+        offset = HEADER_SIZE + _DATA_PREFIX.size
+        if offset >= end:
             raise CodecError(
-                f"data frame body of {end - start} bytes is shorter than "
-                f"its {_DATA_PREFIX.size}-byte prefix"
+                f"empty data frame: a {end - HEADER_SIZE}-byte body holds "
+                f"no entry after its {_DATA_PREFIX.size}-byte prefix"
             )
-        link_seq, instance, seq, sender, recipient, ext_len = (
-            _DATA_PREFIX.unpack_from(raw, start)
+        link_seq, sender, recipient = _DATA_PREFIX.unpack_from(
+            raw, HEADER_SIZE
         )
-        trace = None
-        if ext_len:
-            ext_start = payload_start
-            payload_start += ext_len
-            if payload_start > end:
-                raise CodecError(
-                    f"trace extension of {ext_len} bytes overruns the "
-                    "data frame body"
-                )
-            trace = _loads_wire(
-                raw[ext_start:payload_start], "trace extension"
-            )
-            if not isinstance(trace, list) or len(trace) != 4:
-                raise CodecError(f"malformed trace extension: {trace!r}")
-            trace = tuple(trace)
-        payload_bytes = raw[payload_start:end]
         interned = self._interned
-        payload = interned.get(payload_bytes, _MISSING)
-        if payload is _MISSING:
-            payload = _decode_payload_bytes(payload_bytes)
-            if len(payload_bytes) <= INTERN_MAX_PAYLOAD:
-                if len(interned) >= INTERN_TABLE_SIZE:
-                    interned.clear()
-                interned[payload_bytes] = payload
-        return DataFrame(
-            link_seq=link_seq,
-            envelope=Envelope(
-                sender=sender, recipient=recipient, payload=payload, seq=seq
-            ),
-            instance=instance,
-            trace=trace,
-        )
+        entries = []
+        while offset < end:
+            start = offset + ENTRY_HEADER_SIZE
+            if start > end:
+                raise CodecError(
+                    f"data frame ends with {end - offset} bytes of an "
+                    "entry header"
+                )
+            instance, ext_len, length = _ENTRY_HEAD.unpack_from(raw, offset)
+            offset = start + ext_len + length
+            if offset > end:
+                raise CodecError(
+                    f"entry of {ext_len} + {length} bytes overruns the data "
+                    f"frame body ({end - start} bytes left)"
+                )
+            trace = None
+            if ext_len:
+                trace = _loads_wire(
+                    raw[start : start + ext_len], "trace extension"
+                )
+                if not isinstance(trace, list) or len(trace) != 4:
+                    raise CodecError(f"malformed trace extension: {trace!r}")
+                trace = tuple(trace)
+                start += ext_len
+            payload_bytes = raw[start:offset]
+            payload = interned.get(payload_bytes, _MISSING)
+            if payload is _MISSING:
+                payload = _decode_payload_bytes(payload_bytes)
+                if len(payload_bytes) <= INTERN_MAX_PAYLOAD:
+                    if len(interned) >= INTERN_TABLE_SIZE:
+                        interned.clear()
+                    interned[payload_bytes] = payload
+            entries.append((instance, payload, trace))
+        return DataFrame.of(link_seq, sender, recipient, tuple(entries))
 
 
 def decode_frame_bytes(data: bytes) -> list[Frame]:

@@ -620,8 +620,8 @@ async def run_cluster(
     :class:`~repro.obs.spans.SpanTracer` stamping wire frames with
     trace/span/HLC fields and decomposing each decision's latency — the
     input :func:`repro.cluster.report.analyze_run` wants.
-    ``trace_sample`` thins the per-message send/recv spans (one frame in
-    that many per link; ``1`` records every message) — the decide
+    ``trace_sample`` thins the per-message send/recv spans (one envelope
+    in that many per link; ``1`` records every message) — the decide
     segments and chaos windows are exact at any rate.  With
     ``trace_dir=None`` everything is off and the hot paths run their
     allocation-free untraced code.

@@ -25,7 +25,12 @@ LAN) TCP:
 * **Ack clock.**  No task or timer per frame: with an empty window a
   tick's sends leave at the end of the tick (one ``call_soon``), with
   frames in flight they leave when an ack advances the window — all
-  queued frames together, so a busy link writes once per round trip.
+  queued envelopes together, so a busy link writes once per round trip.
+* **One read buffer.**  Connections read with ``recv_into`` a buffer
+  the transport owns, :data:`READ_BUFFER_SIZE` bytes shared by all of
+  its connections (reads run one callback at a time, and the frame
+  reader copies the bytes before the callback returns), instead of
+  asyncio allocating a fresh 256 KiB ``bytes`` per read.
 * **Reconnect.**  A broken connection is retried forever with capped
   exponential backoff plus jitter; the protocol layer never sees the
   outage, only latency — which is precisely the paper's "arbitrarily
@@ -33,19 +38,18 @@ LAN) TCP:
 
 Three additions serve sustained multi-instance traffic:
 
-* **Batching.**  When several envelopes are queued on one link, the
-  sender coalesces them into a single
-  :class:`~repro.cluster.codec.BatchFrame` write (bounded by
-  ``batch_bytes``), so k concurrent consensus instances cost one
-  syscall per flush instead of k.  Each inner frame keeps its own
-  per-link sequence, so the go-back-n layer never sees batching; a
-  resent window is batched under the same cap.
+* **One frame per write.**  A flush puts every envelope queued on the
+  link into one :class:`~repro.cluster.codec.DataFrame` — one entry
+  each, one ``link_seq`` for the lot — and writes it, starting another
+  frame only where one reaches ``batch_bytes``.  So k concurrent
+  consensus instances cost one syscall per flush instead of k, and
+  the go-back-n window holds writes, not envelopes.
 * **Encode once.**  Every phase of the protocols is a fan-out of one
   message to all n processes, so :meth:`Transport.send` encodes a
   payload once per message object and every recipient's frame splices
   the same bytes; a frame's bytes are built once, when its link
-  assigns the sequence number, and those bytes are what the batch
-  write and any retransmission send.
+  assigns the sequence number, and those bytes are what the write and
+  any retransmission send.
 * **Bounded queues.**  Per-peer outbound queues carry a configurable
   high-water mark (``queue_high_water``).  Crossing it is logged once
   per transport and exported as a gauge; with ``backpressure=True``,
@@ -66,9 +70,9 @@ from time import monotonic
 from typing import Any, Optional
 
 from repro.cluster.codec import (
+    ENTRY_HEADER_SIZE,
     WIRE_ENCODING,
     AckFrame,
-    BatchFrame,
     ByeFrame,
     CodecError,
     DataFrame,
@@ -83,19 +87,23 @@ from repro.obs.metrics import MetricsRegistry
 
 logger = logging.getLogger(__name__)
 
-#: Default soft cap on one coalesced batch write.  Batching stops
-#: accumulating once the encoded frames reach this many bytes, so one
-#: flush stays well under the codec's MAX_BODY while still absorbing
-#: bursts from dozens of concurrent instances.
+#: Default soft cap on one data frame.  A flush stops adding entries to
+#: a frame once they reach this many bytes, so one write stays well
+#: under the codec's MAX_BODY while still absorbing bursts from dozens
+#: of concurrent instances.
 DEFAULT_BATCH_BYTES = 32 * 1024
+
+#: Size of a transport's one read buffer: the most one read takes.  A
+#: busy link's flush is a few KiB; a larger frame takes several reads.
+READ_BUFFER_SIZE = 64 * 1024
 
 #: Enqueue-timestamp placeholder for untraced inbound tuples.  A shared
 #: constant, not a fresh ``monotonic()`` float, so the untraced receive
 #: path allocates exactly what it always did (one tuple per delivery).
 NO_ENQUEUE_TS = 0.0
 
-#: Default send/recv span sampling: stamp (and span) one frame in this
-#: many per link, first frame always.  Decide segments, chaos windows,
+#: Default send/recv span sampling: stamp (and span) one envelope in
+#: this many per link, the first always.  Decide segments, chaos windows,
 #: and backpressure events are exact regardless; ``1`` records every
 #: message.
 DEFAULT_TRACE_SAMPLE = 64
@@ -153,14 +161,17 @@ class Inbox:
         return items
 
 
-class _Connection(asyncio.Protocol):
+class _Connection(asyncio.BufferedProtocol):
     """One TCP connection of the mesh, driven by read callbacks (no task
-    and no future per read): ``on_frames(connection, frames)`` gets the
-    complete frames of each read, ``lost`` resolves once it has ended,
-    and ``live`` holds it while it is open."""
+    and no future per read): each read lands in ``buffer`` — shared by
+    every connection of one transport — and ``on_frames(connection,
+    frames)`` gets the complete frames it finished; ``lost`` resolves
+    once the connection has ended, and ``live`` holds it while it is
+    open."""
 
-    def __init__(self, on_frames, live: Optional[set] = None) -> None:
+    def __init__(self, on_frames, buffer, live: Optional[set] = None) -> None:
         self.on_frames = on_frames
+        self.buffer = buffer
         self.live = live
         self.frames = FrameReader()
         self.wire: Optional[asyncio.Transport] = None
@@ -179,9 +190,14 @@ class _Connection(asyncio.Protocol):
         if not self.lost.done():
             self.lost.set_result(None)
 
-    def data_received(self, chunk: bytes) -> None:
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
         try:
-            self.frames.feed(chunk)
+            # feed copies the bytes out, so the next read may reuse the
+            # buffer, on this connection or any other.
+            self.frames.feed(self.buffer[:nbytes])
             self.on_frames(self, self.frames.frames())
         except CodecError:
             self.wire.abort()  # a peer that breaks the wire protocol
@@ -208,16 +224,18 @@ class _PeerLink:
         self.addr = addr
         #: ``(instance, envelope, payload bytes)`` not yet written.
         self.pending: deque = deque()
-        #: The go-back-n window: ``(link_seq, frame, frame bytes)`` for
-        #: every frame written and not yet acked, oldest first.
+        #: The go-back-n window: ``(link_seq, bytes, envelope count)``
+        #: per frame written and not yet acked, oldest first.
         self.unacked: deque = deque()
+        #: Envelopes in the window (the sum of its envelope counts).
+        self.in_flight = 0
         self.next_seq = 0
         #: The live connection.  ``None`` for the whole reconnect window
         #: (backoff + redial), during which the unacked window belongs to
         #: the *resume path* — see :meth:`send`'s backpressure accounting.
         self.wire: Optional[asyncio.Transport] = None
-        #: Span-sampling countdown: frames until the next causal stamp
-        #: (0 = stamp the next frame, so a link's first frame always
+        #: Span-sampling countdown: envelopes until the next causal stamp
+        #: (0 = stamp the next one, so a link's first envelope always
         #: carries the trace extension).
         self._stamp_count = 0
         self.connected_once = False
@@ -257,7 +275,7 @@ class _PeerLink:
             # layer had no copy of — an unrecoverable hole for the
             # receiver even after the link resumed.
             producer_backlog = len(self.pending) + (
-                len(self.unacked) if self.connected else 0
+                self.in_flight if self.connected else 0
             )
             if transport.backpressure and producer_backlog >= high_water:
                 raise TransportOverloadedError(
@@ -274,8 +292,8 @@ class _PeerLink:
 
     @property
     def backlog(self) -> int:
-        """Frames not yet acknowledged by the peer (queued + in flight)."""
-        return len(self.pending) + len(self.unacked)
+        """Envelopes not yet acknowledged by the peer (queued + in flight)."""
+        return len(self.pending) + self.in_flight
 
     async def close(self) -> None:
         self._closed = True
@@ -298,7 +316,8 @@ class _PeerLink:
         while not self._closed:
             try:
                 wire, connection = await self._loop.create_connection(
-                    lambda: _Connection(self._on_acks), *self.addr
+                    lambda: _Connection(self._on_acks, transport._read_buffer),
+                    *self.addr,
                 )
             except OSError:
                 transport._inc("cluster.transport.connect_failures")
@@ -350,12 +369,13 @@ class _PeerLink:
         if acked is None or not unacked or unacked[0][0] > acked:
             return
         while unacked and unacked[0][0] <= acked:
-            unacked.popleft()
+            self.in_flight -= unacked.popleft()[2]
         self._progress_at = self._loop.time()
         self._flush()
 
     def _flush(self) -> None:
-        """Frame every queued envelope and write them, batched."""
+        """Put every queued envelope into data frames and write them:
+        one frame, unless the queue outgrows ``batch_bytes``."""
         self._flush_due = False
         wire = self.wire
         pending = self.pending
@@ -367,91 +387,91 @@ class _PeerLink:
             self._arm_backstop()
         tracer = transport.tracer
         sample = transport.trace_sample
+        cap = transport.batch_bytes
         stamp_count = self._stamp_count  # hoisted over the flush
         seq = self.next_seq
+        sent = len(pending)
         fresh = []
         while pending:
-            instance, envelope, payload = pending.popleft()
-            # Causal stamp: the wire extension and the local "send"
-            # span share one span id + HLC tick, so the receiver's
-            # parent pointer resolves to this event.  Sampled
-            # 1-in-`trace_sample` per link (first frame always) —
-            # per-message stamping and span emission is the bulk of
-            # tracing's hot-path tax, and the exact artefacts (decide
-            # segments, chaos windows, backpressure) never ride on
-            # send/recv spans.
-            ext = None
-            if tracer is not None:
-                stamp_count -= 1
-                if stamp_count <= 0:
-                    stamp_count = sample
-                    ext = tracer.stamp(instance)
-            frame = DataFrame(
-                link_seq=seq, envelope=envelope, instance=instance, trace=ext
-            )
-            entry = (seq, frame, encode_frame(frame, payload))
-            unacked.append(entry)
-            fresh.append(entry)
+            entries, payloads, size = [], [], 0
+            while True:
+                instance, envelope, payload = pending.popleft()
+                # Causal stamp: the wire extension and the local "send"
+                # span share one span id + HLC tick, so the receiver's
+                # parent pointer resolves to this event.  Sampled
+                # 1-in-`trace_sample` per link (first envelope always)
+                # — per-message stamping and span emission is the bulk
+                # of tracing's hot-path tax, and the exact artefacts
+                # (decide segments, chaos windows, backpressure) never
+                # ride on send/recv spans.
+                ext = None
+                if tracer is not None:
+                    stamp_count -= 1
+                    if stamp_count <= 0:
+                        stamp_count = sample
+                        ext = tracer.stamp(instance)
+                entries.append((instance, envelope.payload, ext))
+                payloads.append(payload)
+                size += ENTRY_HEADER_SIZE + len(payload)
+                # Only stamped (sampled) envelopes get a send span —
+                # unstamped ones stay event-free.
+                if ext is not None and transport.trace is not None:
+                    transport.trace.record_fields(
+                        "send",
+                        {
+                            "pid": transport.pid,
+                            "peer": self.peer,
+                            "instance": instance,
+                            "payload": envelope.payload,
+                            "trace": ext[0],
+                            "span": ext[1],
+                            "hlc": [ext[2], ext[3]],
+                            "link_seq": seq,
+                        },
+                    )
+                if not pending or size >= cap:
+                    break
+            frame = DataFrame.of(seq, transport.pid, self.peer, tuple(entries))
+            count = len(entries)
+            written = (seq, encode_frame(frame, payloads), count)
+            unacked.append(written)
+            fresh.append(written)
+            self.in_flight += count
             seq += 1
-            # Only stamped (sampled) frames get a send span — unstamped
-            # ones stay event-free.
-            if ext is not None and transport.trace is not None:
-                transport.trace.record_fields(
-                    "send",
-                    {
-                        "pid": transport.pid,
-                        "peer": self.peer,
-                        "instance": instance,
-                        "payload": envelope.payload,
-                        "trace": ext[0],
-                        "span": ext[1],
-                        "hlc": [ext[2], ext[3]],
-                        "link_seq": frame.link_seq,
-                    },
-                )
+            if count > 1:
+                transport._inc("cluster.transport.batches")
+                transport._inc("cluster.transport.batched_frames", count)
+                transport._gauge_max("cluster.transport.max_batch", count)
         self.next_seq = seq
         self._stamp_count = stamp_count
-        transport._inc("cluster.transport.sent", len(fresh))
-        transport._gauge_max("cluster.transport.queue_depth", len(unacked))
+        transport._inc("cluster.transport.sent", sent)
+        transport._gauge_max("cluster.transport.queue_depth", self.in_flight)
         self._write(wire, fresh)
 
     def _resend(self) -> None:
         """Go-back-n: write the whole window again, from the bytes that
         were written the first time."""
-        self.transport._inc("cluster.transport.retransmits", len(self.unacked))
+        self.transport._inc("cluster.transport.retransmits", self.in_flight)
         self._arm_backstop()
         self._write(self.wire, self.unacked)
 
-    def _write(self, wire, entries) -> None:
-        """Write window entries in order, one write per run reaching
-        ``batch_bytes`` and one for the rest: a lone frame as itself, a
-        run as a BatchFrame of the frames' own bytes."""
-        transport = self.transport
-        cap = transport.batch_bytes
-        runs, run, size = [], [], 0
-        for entry in entries:
-            run.append(entry)
-            size += len(entry[2])
+    def _write(self, wire, frames) -> None:
+        """Write window frames in order, one write per run of frames
+        reaching ``batch_bytes`` and one for the rest.  A flush closes
+        its frames at that cap, so it writes each frame alone; a resent
+        window of small frames goes out in a few writes."""
+        cap = self.transport.batch_bytes
+        run, size = [], 0
+        for _seq, data, _count in frames:
+            run.append(data)
+            size += len(data)
             if size >= cap:
-                runs.append(run)
+                if wire.is_closing():
+                    return
+                wire.write(b"".join(run))
                 run, size = [], 0
-        if run:
-            runs.append(run)
-        for run in runs:
-            if wire.is_closing():
-                return
-            if len(run) == 1:
-                wire.write(run[0][2])
-                continue
-            wire.write(
-                encode_frame(
-                    BatchFrame(frames=tuple([entry[1] for entry in run])),
-                    parts=[entry[2] for entry in run],
-                )
-            )
-            transport._inc("cluster.transport.batches")
-            transport._inc("cluster.transport.batched_frames", len(run))
-            transport._gauge_max("cluster.transport.max_batch", len(run))
+        if run and not wire.is_closing():
+            wire.write(b"".join(run))
 
     def _arm_backstop(self) -> None:
         """Restart the no-progress clock, and the timer if it stopped."""
@@ -491,8 +511,8 @@ class Transport:
             :mod:`repro.cluster.trace`) receiving reconnect and
             high-water events and, with a ``tracer``, send/recv spans.
         tracer: optional :class:`~repro.obs.spans.SpanTracer` enabling
-            causal tracing: outgoing data frames are stamped with the
-            trace extension, stamped frames emit send/recv events with
+            causal tracing: outgoing envelopes are stamped with the
+            trace extension, stamped ones emit send/recv events with
             span ids and HLC timestamps, and inbound deliveries carry
             their enqueue time for the node's queue-wait accounting.
             ``None`` (the default) keeps the untraced hot path
@@ -501,18 +521,18 @@ class Transport:
         backoff_base / backoff_cap: reconnect backoff curve parameters.
         retransmit_interval: seconds a link's window may stay open
             without an ack advancing it before the whole window is
-            resent (batched, like any write).
-        batch_bytes: soft cap on one coalesced batch write; queued
-            frames are batched until their encoded size reaches this
-            (``0`` disables batching — every frame is its own write).
-        queue_high_water: per-link backlog (queued + unacked frames)
+            resent (in writes of about ``batch_bytes``).
+        batch_bytes: soft cap on one data frame; a flush adds queued
+            envelopes to a frame until their encoded size reaches this
+            (``0`` puts every envelope in a frame of its own).
+        queue_high_water: per-link backlog (queued + unacked envelopes)
             above which :meth:`send` logs once, bumps the overload
             metrics, and — with ``backpressure`` — raises.  ``None``
             (default) keeps the queues unbounded and silent.
         backpressure: raise :class:`TransportOverloadedError` from
             :meth:`send` while a link sits at its high-water mark.
-        trace_sample: with a tracer, stamp-and-span one outgoing frame
-            in this many per link (``1`` = every message).  Sampling
+        trace_sample: with a tracer, stamp-and-span one outgoing
+            envelope in this many per link (``1`` = every message).  Sampling
             only thins send/recv spans; every delivery still carries
             its enqueue instant, so segment decomposition stays exact.
     """
@@ -572,6 +592,9 @@ class Transport:
         #: peer's reconnects, which is what makes dedup work.
         self._rx_expected: dict[int, int] = {}
         self._inbound_connections: set[_Connection] = set()
+        #: Where every connection of this transport, dialed or accepted,
+        #: reads (see :class:`_Connection`).
+        self._read_buffer = memoryview(bytearray(READ_BUFFER_SIZE))
         #: One-entry payload-encode memo, keyed on *identity*: the n−1
         #: remote sends of one broadcast carry the same message object
         #: and share one encoding.  Holding the reference keeps its id
@@ -588,7 +611,9 @@ class Transport:
     async def serve(self, host: str = "127.0.0.1", port: int = 0) -> tuple:
         """Bind the accept socket; returns the (host, port) peers dial."""
         self._server = await asyncio.get_running_loop().create_server(
-            lambda: _Connection(self._on_inbound, self._inbound_connections),
+            lambda: _Connection(
+                self._on_inbound, self._read_buffer, self._inbound_connections
+            ),
             host=host,
             port=port,
         )
@@ -664,7 +689,7 @@ class Transport:
         link.send(instance, envelope, self._memo_bytes)
 
     def backlog(self) -> int:
-        """Total frames queued or unacknowledged across all links."""
+        """Total envelopes queued or unacknowledged across all links."""
         return sum(link.backlog for link in self._links.values())
 
     # ------------------------------------------------------------------ #
@@ -673,8 +698,8 @@ class Transport:
 
     def _on_inbound(self, connection: _Connection, frames) -> None:
         """A peer link's data: deliver in order, then send one cumulative
-        ack per read chunk that carried data, however many frames and
-        batches it held — the sender's clock ticks once per round trip."""
+        ack per read chunk that carried data, however many frames it
+        held — the sender's clock ticks once per round trip."""
         # One enqueue timestamp per chunk, not per frame: every envelope
         # in the chunk *arrived* at the same instant, so sharing the read
         # is both cheaper and the more accurate queue-wait boundary
@@ -688,10 +713,6 @@ class Transport:
                 peer = connection.peer = self._handshake(frame)
             elif isinstance(frame, DataFrame):
                 delivered += self._receive_data(peer, frame, enqueued_at)
-                carried_data = True
-            elif isinstance(frame, BatchFrame):
-                for inner in frame.frames:
-                    delivered += self._receive_data(peer, inner, enqueued_at)
                 carried_data = True
             elif isinstance(frame, ByeFrame):
                 connection.wire.close()
@@ -726,50 +747,39 @@ class Transport:
     def _receive_data(
         self, peer: int, frame: DataFrame, enqueued_at: float
     ) -> int:
-        """Deliver one in-order frame (returns 1), or count it as a
-        duplicate or a gap (returns 0)."""
+        """Deliver every envelope of one in-order frame (returns how
+        many), or count them as duplicates or a gap (returns 0)."""
         expected = self._rx_expected.get(peer, 0)
+        entries = frame.entries
         if frame.link_seq == expected:
             self._rx_expected[peer] = expected + 1
-            # Transport-level authentication: the delivered envelope's
-            # sender is the *handshaken* peer id, whatever the wire said.
-            envelope = Envelope(
-                sender=peer,
-                recipient=self.pid,
-                payload=frame.envelope.payload,
-                seq=frame.envelope.seq,
-            )
-            # The enqueue is the "node-enqueue" segment boundary: traced
-            # deliveries carry their chunk's arrival instant (queue-wait
-            # attribution covers all envelopes); untraced ones share the
-            # NO_ENQUEUE_TS placeholder, keeping this path at its
-            # historic one-tuple-per-delivery allocation.
-            self.inbound.put((frame.instance, envelope, enqueued_at))
-            tracer = self.tracer
-            if (
-                tracer is not None
-                and frame.trace is not None
-                and self.trace is not None
-            ):
-                # Only stamped frames merge the sender's HLC and emit a
-                # recv span — the receive half of send-span sampling.
-                fields = {
-                    "pid": self.pid,
-                    "peer": peer,
-                    "instance": frame.instance,
-                    "payload": envelope.payload,
-                }
-                tracer.extend_causal(
-                    fields, frame.instance, frame.trace
-                )
-                self.trace.record_fields("recv", fields)
-            return 1
+            pid = self.pid
+            put = self.inbound.put
+            tracer = self.tracer if self.trace is not None else None
+            for instance, payload, trace in entries:
+                # Transport-level authentication: the sender is the
+                # *handshaken* peer id, whatever the wire said.  The
+                # enqueue is the "node-enqueue" segment boundary (see
+                # NO_ENQUEUE_TS for untraced deliveries).
+                put((instance, Envelope(peer, pid, payload), enqueued_at))
+                if tracer is not None and trace is not None:
+                    # Only stamped envelopes merge the sender's HLC and
+                    # emit a recv span (send-span sampling's other half).
+                    fields = {
+                        "pid": pid,
+                        "peer": peer,
+                        "instance": instance,
+                        "payload": payload,
+                    }
+                    tracer.extend_causal(fields, instance, trace)
+                    self.trace.record_fields("recv", fields)
+            return len(entries)
         if frame.link_seq < expected:
-            self._inc("cluster.transport.duplicates")
+            self._inc("cluster.transport.duplicates", len(entries))
         else:
             # A gap: some earlier frame was dropped in flight.  Go-back-n
             # discards everything until the retransmission arrives.
-            self._inc("cluster.transport.gaps")
+            self._inc("cluster.transport.gaps", len(entries))
         return 0
 
     # ------------------------------------------------------------------ #

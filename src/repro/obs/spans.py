@@ -194,11 +194,11 @@ class SpanTracer:
         return span_id
 
     def stamp(self, instance: int) -> tuple[str, str, int, int]:
-        """The wire trace extension for one outgoing data frame.
+        """The wire trace extension for one outgoing envelope.
 
         Returns ``(trace_id, span_id, physical_us, logical)`` — exactly
-        the tuple :class:`~repro.cluster.codec.DataFrame` carries — after
-        advancing this tracer's clock for the send event.
+        the tuple a :class:`~repro.cluster.codec.DataFrame` entry
+        carries — after advancing this tracer's clock for the send event.
         """
         span_id = self.next_span_id()
         physical, logical = self.hlc.tick()

@@ -6,6 +6,7 @@ malformed byte streams (truncation, bad magic, version skew, hostile
 length prefixes) with :class:`CodecError` rather than garbled frames.
 """
 
+import json
 import random
 import struct
 
@@ -13,16 +14,15 @@ import pytest
 
 import repro.cluster.codec as codec_module
 from repro.cluster.codec import (
+    ENTRY_HEADER_SIZE,
     HEADER_SIZE,
     KIND_ACK,
-    KIND_BATCH,
     KIND_DATA,
     KIND_HELLO,
     MAGIC,
     MAX_BODY,
     WIRE_VERSION,
     AckFrame,
-    BatchFrame,
     ByeFrame,
     CodecError,
     DataFrame,
@@ -83,6 +83,28 @@ def random_data_frame(rng: random.Random, link_seq: int) -> DataFrame:
     )
 
 
+def random_trace(rng: random.Random):
+    """A trace extension on about one entry in four."""
+    if rng.random() < 0.75:
+        return None
+    return (f"r-i{rng.randrange(9)}", f"0:{rng.randrange(99)}", 1_700_000, 2)
+
+
+def random_multi_frame(
+    rng: random.Random, link_seq: int, count: int
+) -> DataFrame:
+    """One write's data frame: ``count`` entries on one link."""
+    return DataFrame.of(
+        link_seq,
+        rng.randrange(10),
+        rng.randrange(10),
+        tuple(
+            (rng.randrange(100), random_payload(rng), random_trace(rng))
+            for _ in range(count)
+        ),
+    )
+
+
 class TestFrameRoundTrip:
     def frames(self, rng: random.Random, count: int):
         out = []
@@ -96,12 +118,7 @@ class TestFrameRoundTrip:
                 out.append(AckFrame(acked=rng.randrange(1000)))
             elif choice == 3:
                 out.append(
-                    BatchFrame(
-                        frames=tuple(
-                            random_data_frame(rng, index * 100 + offset)
-                            for offset in range(rng.randrange(1, 6))
-                        )
-                    )
+                    random_multi_frame(rng, index, rng.randrange(1, 6))
                 )
             else:
                 out.append(ByeFrame())
@@ -198,14 +215,18 @@ class TestPayloadKinds:
             instance=4,
             trace=trace,
         )
-        for blob in (encode_frame(frame), encode_frame(BatchFrame((frame,)))):
-            (decoded,) = decode_frame_bytes(blob)
-            if isinstance(decoded, BatchFrame):
-                (decoded,) = decoded.frames
-            assert decoded == frame
-            assert type(decoded.envelope.payload) is type(payload)
+        # Alone, and as the middle entry of a write.
+        batch = DataFrame.of(
+            8, 1, 2, ((0, 1, None), *frame.entries, (9, None, None))
+        )
+        for sent in (frame, batch):
+            (decoded,) = decode_frame_bytes(encode_frame(sent))
+            assert decoded == sent
+            (entry,) = [e for e in decoded.entries if e[0] == 4]
+            assert entry[2] == trace
+            assert type(entry[1]) is type(payload)
             if getattr(payload, "phaseno", None) is STAR:
-                assert decoded.envelope.payload.phaseno is STAR
+                assert entry[1].phaseno is STAR
 
     def test_payload_bytes_are_the_trace_payload_codec(self):
         """The wire payload is exactly json(encode_payload(...)), and a
@@ -221,15 +242,27 @@ class TestPayloadKinds:
             frame = DataFrame(
                 link_seq=0, envelope=Envelope(0, 1, payload, seq=1)
             )
-            assert encode_frame(frame, encoded) == encode_frame(frame)
+            assert encode_frame(frame, [encoded]) == encode_frame(frame)
             assert encode_frame(frame).endswith(encoded)
 
 
+def data_prefix(link_seq: int = 0, sender: int = 0, recipient: int = 1):
+    """A hand-packed data frame prefix."""
+    return struct.pack(">QHH", link_seq, sender, recipient)
+
+
+def entry_bytes(payload: bytes, instance: int = 0, ext: bytes = b"") -> bytes:
+    """One hand-packed data frame entry."""
+    head = struct.pack(">QHI", instance, len(ext), len(payload))
+    return head + ext + payload
+
+
 class TestBatchFrames:
-    def batch(self, rng: random.Random, count: int) -> BatchFrame:
-        return BatchFrame(
-            frames=tuple(random_data_frame(rng, seq) for seq in range(count))
-        )
+    """Multi-entry data frames: everything one flush writes to a link,
+    under one ``link_seq``."""
+
+    def batch(self, rng: random.Random, count: int) -> DataFrame:
+        return random_multi_frame(rng, rng.randrange(1000), count)
 
     def test_batch_round_trips_under_arbitrary_chunking(self):
         rng = random.Random(13)
@@ -247,26 +280,37 @@ class TestBatchFrames:
             reader.finish()
             assert decoded == [batch]
 
-    def test_batch_body_is_the_concatenated_data_frames(self):
+    def test_batch_body_is_the_prefix_then_the_entries(self):
         batch = self.batch(random.Random(19), 4)
-        parts = [encode_frame(inner) for inner in batch.frames]
+        payloads = [encode_payload_bytes(entry[1]) for entry in batch.entries]
         blob = encode_frame(batch)
-        assert blob[HEADER_SIZE:] == b"".join(parts)
-        # Handing the parts over yields the same bytes without
-        # encoding any inner frame again.
-        assert encode_frame(batch, parts=parts) == blob
-        with pytest.raises(CodecError, match="parts"):
-            encode_frame(batch, parts=parts[:-1])
+        assert blob[HEADER_SIZE:] == data_prefix(
+            batch.link_seq, batch.sender, batch.recipient
+        ) + b"".join(
+            entry_bytes(
+                payload,
+                instance,
+                b"" if trace is None else json.dumps(
+                    list(trace), separators=(",", ":")
+                ).encode(),
+            )
+            for (instance, _, trace), payload in zip(batch.entries, payloads)
+        )
+        # Handing the payloads over yields the same bytes without
+        # encoding any payload again.
+        assert encode_frame(batch, payloads) == blob
+        with pytest.raises(CodecError, match="payloads"):
+            encode_frame(batch, payloads[:-1])
 
     def test_raw_reader_yields_a_batch_as_one_unit(self):
-        """The chaos proxy drops or delays a batch whole: a raw reader
-        must not split the concatenated body into its inner frames."""
+        """The chaos proxy drops or delays one write whole: a raw reader
+        yields a multi-entry frame as one unit."""
         batch = self.batch(random.Random(20), 5)
         blob = encode_frame(batch)
         reader = FrameReader(raw=True)
         reader.feed(blob + encode_frame(AckFrame(acked=4)))
         assert list(reader.frames()) == [
-            (KIND_BATCH, blob),
+            (KIND_DATA, blob),
             (KIND_ACK, encode_frame(AckFrame(acked=4))),
         ]
 
@@ -277,81 +321,61 @@ class TestBatchFrames:
                 decode_frame_bytes(blob[:cut])
 
     def test_batch_body_cut_short_inside_its_declared_length_rejected(self):
-        """A batch whose own header is consistent but whose body ends
-        inside an inner frame (at every offset) is rejected, not
-        mis-split; ending between inner frames is a shorter batch."""
+        """A frame whose own header is consistent but whose body ends
+        inside its prefix or an entry (at every offset) is rejected, not
+        mis-split; ending between entries is a frame of fewer entries."""
         batch = self.batch(random.Random(21), 3)
         body = encode_frame(batch)[HEADER_SIZE:]
-        boundaries = {}  # body offset where inner frame #count ends
-        offset = 0
-        for count, inner in enumerate(batch.frames, start=1):
-            offset += len(encode_frame(inner))
+        boundaries = {}  # body offset where entry #count ends
+        offset = len(data_prefix())
+        for count, entry in enumerate(batch.entries, start=1):
+            alone = encode_frame(DataFrame.of(0, 0, 1, (entry,)))
+            offset += len(alone) - HEADER_SIZE - len(data_prefix())
             boundaries[offset] = count
+        assert offset == len(body)
         for cut in range(1, len(body) + 1):
-            blob = header(KIND_BATCH, cut) + body[:cut]
+            blob = header(KIND_DATA, cut) + body[:cut]
             if cut in boundaries:
                 (decoded,) = decode_frame_bytes(blob)
-                assert decoded.frames == batch.frames[: boundaries[cut]]
+                assert decoded.entries == batch.entries[: boundaries[cut]]
             else:
                 with pytest.raises(CodecError):
                     decode_frame_bytes(blob)
 
     def test_empty_batch_rejected_on_encode(self):
         with pytest.raises(CodecError, match="empty"):
-            encode_frame(BatchFrame(frames=()))
+            encode_frame(DataFrame.of(0, 0, 1, ()))
 
     def test_empty_batch_rejected_on_decode(self):
         with pytest.raises(CodecError, match="empty"):
-            decode_frame_bytes(header(KIND_BATCH, 0))
-
-    def inner_and_tail(self):
-        rng = random.Random(22)
-        good = encode_frame(random_data_frame(rng, 0))
-        return bytearray(encode_frame(random_data_frame(rng, 1))), good
-
-    def wrap(self, *parts: bytes) -> bytes:
-        body = b"".join(parts)
-        return header(KIND_BATCH, len(body)) + body
-
-    def test_inner_frame_with_wrong_magic_rejected(self):
-        inner, good = self.inner_and_tail()
-        inner[0:2] = b"ZZ"
-        with pytest.raises(CodecError, match="magic"):
-            decode_frame_bytes(self.wrap(good, bytes(inner)))
-
-    def test_inner_frame_of_another_version_rejected(self):
-        for version in (WIRE_VERSION - 1, WIRE_VERSION + 1):
-            inner, good = self.inner_and_tail()
-            inner[2] = version
-            with pytest.raises(CodecError, match="version mismatch"):
-                decode_frame_bytes(self.wrap(good, bytes(inner)))
-
-    def test_inner_frame_of_non_data_kind_rejected(self):
-        ack = encode_frame(AckFrame(acked=1))
-        nested = encode_frame(self.batch(random.Random(23), 1))
-        _inner, good = self.inner_and_tail()
-        for other in (ack, nested, encode_frame(ByeFrame())):
-            with pytest.raises(CodecError, match="kind"):
-                decode_frame_bytes(self.wrap(good, other))
+            decode_frame_bytes(header(KIND_DATA, 12) + data_prefix())
 
     def test_inner_length_overrunning_the_batch_rejected(self):
-        inner, good = self.inner_and_tail()
-        length = struct.unpack_from(">I", inner, 4)[0]
-        struct.pack_into(">I", inner, 4, length + 1)
-        with pytest.raises(CodecError, match="overruns"):
-            decode_frame_bytes(self.wrap(good, bytes(inner)))
+        """An entry whose header, extension or payload runs past the
+        frame body is rejected."""
+        good = entry_bytes(encode_payload_bytes(None))
+        payload = encode_payload_bytes(7)
+        for last, reason in (
+            (struct.pack(">QHI", 0, 0, len(payload) + 1) + payload, "overruns"),
+            (entry_bytes(payload)[:-1], "overruns"),
+            (struct.pack(">QHI", 0, 4, len(payload)) + payload, "overruns"),
+            (good[:ENTRY_HEADER_SIZE - 1], "entry header"),
+        ):
+            body = data_prefix() + good + last
+            with pytest.raises(CodecError, match=reason):
+                decode_frame_bytes(header(KIND_DATA, len(body)) + body)
 
     def test_assembled_batch_over_max_body_rejected(self):
-        """MAX_BODY holds for the assembled batch, not just its parts."""
+        """MAX_BODY holds for the assembled frame, not just its entries."""
         payload = encode_payload_bytes("x" * (MAX_BODY // 2))
-        frame = DataFrame(link_seq=0, envelope=Envelope(0, 1, None, seq=0))
-        part = encode_frame(frame, payload)
+        frame = DataFrame.of(0, 0, 1, ((0, None, None), (1, None, None)))
         with pytest.raises(CodecError, match="MAX_BODY"):
-            encode_frame(BatchFrame((frame, frame)), parts=[part, part])
+            encode_frame(frame, [payload, payload])
 
 
 class TestLegacyWireVersion:
-    """There is one wire revision: older ones are refused outright."""
+    """There is one wire revision: older ones, v3 included, are refused
+    outright."""
 
     def test_v1_frames_rejected_by_default(self):
         blob = encode_frame(
@@ -387,17 +411,18 @@ class TestInterning:
             lambda record: decodes.append(record) or real(record),
         )
         frames = self.echo_frames(6)
+        batch = DataFrame.of(
+            1, 0, 1, tuple(frame.entries[0] for frame in frames[1:])
+        )
         reader = FrameReader()
         reader.feed(encode_frame(frames[0]))
-        reader.feed(encode_frame(BatchFrame(tuple(frames[1:]))))
-        first, batch = reader.frames()
-        decoded = [first, *batch.frames]
-        assert decoded == frames
+        reader.feed(encode_frame(batch))
+        decoded = list(reader.frames())
+        assert decoded == [frames[0], batch]
         assert len(decodes) == 1
-        assert all(
-            frame.envelope.payload is first.envelope.payload
-            for frame in decoded
-        )
+        payloads = [entry[1] for frame in decoded for entry in frame.entries]
+        assert len(payloads) == 6
+        assert all(payload is payloads[0] for payload in payloads)
 
     def test_tables_are_per_reader(self):
         blob = encode_frame(self.echo_frames(1)[0])
@@ -417,7 +442,7 @@ class TestInterning:
                 )
             )
             (decoded,) = reader.frames()
-            assert decoded.envelope.payload == tag
+            assert decoded.entries[0][1] == tag
             assert len(reader._interned) <= 8
 
     def test_oversized_payloads_are_not_interned(self):
@@ -427,14 +452,14 @@ class TestInterning:
             encode_frame(DataFrame(link_seq=0, envelope=Envelope(0, 1, big)))
         )
         (decoded,) = reader.frames()
-        assert decoded.envelope.payload == big
+        assert decoded.entries[0][1] == big
         assert reader._interned == {}
 
     def test_rejected_payloads_are_not_interned(self):
         frame = DataFrame(link_seq=0, envelope=Envelope(0, 1, None, seq=0))
         reader = FrameReader()
         for _ in range(2):
-            reader.feed(encode_frame(frame, b'{"kind":"NoSuchMessage"}'))
+            reader.feed(encode_frame(frame, [b'{"kind":"NoSuchMessage"}']))
             with pytest.raises(CodecError, match="payload"):
                 list(reader.frames())
         assert reader._interned == {}
@@ -489,27 +514,30 @@ class TestRejection:
         # Every JSON part of the wire goes through it: a hello body, a
         # data frame's payload, and its trace extension.
         junk = b"\xff\xfe\xfd"
-        prefix = struct.pack(">QQQHHH", 0, 0, 0, 0, 1, 0)
-        traced = struct.pack(">QQQHHH", 0, 0, 0, 0, 1, len(junk))
         for kind, body in (
             (KIND_HELLO, junk),
-            (KIND_DATA, prefix + junk),
-            (KIND_DATA, traced + junk + encode_payload_bytes(None)),
+            (KIND_DATA, data_prefix() + entry_bytes(junk)),
+            (
+                KIND_DATA,
+                data_prefix()
+                + entry_bytes(encode_payload_bytes(None), ext=junk),
+            ),
         ):
             with pytest.raises(CodecError, match="UnicodeDecodeError"):
                 decode_frame_bytes(header(kind, len(body)) + body)
+        body = data_prefix() + entry_bytes(b"{")
         with pytest.raises(CodecError, match="JSONDecodeError"):
-            decode_frame_bytes(header(KIND_DATA, len(prefix) + 1) + prefix + b"{")
+            decode_frame_bytes(header(KIND_DATA, len(body)) + body)
 
     def test_malformed_fixed_width_bodies_rejected(self):
-        prefix = struct.pack(">QQQHHH", 0, 0, 0, 0, 1, 0)
         payload = encode_payload_bytes(None)
+        # The extension claims more bytes than the body has left.
+        overrun = struct.pack(">QHI", 0, 0x40, len(payload)) + payload
         for kind, body, reason in (
             (KIND_ACK, b"\x00" * 7, "ack body"),
             (KIND_ACK, b"\x00" * 9, "ack body"),
-            (KIND_DATA, prefix[:-1], "prefix"),
-            # The extension claims more bytes than the body has left.
-            (KIND_DATA, prefix[:-2] + b"\x00\x40" + payload, "overruns"),
+            (KIND_DATA, data_prefix()[:-1], "prefix"),
+            (KIND_DATA, data_prefix() + overrun, "overruns"),
         ):
             with pytest.raises(CodecError, match=reason):
                 decode_frame_bytes(header(kind, len(body)) + body)
@@ -517,18 +545,20 @@ class TestRejection:
     def test_malformed_trace_extension_rejected(self):
         payload = encode_payload_bytes(None)
         for ext in (b'["r",1,2]', b'{"a":1}', b"7"):
-            body = struct.pack(">QQQHHH", 0, 0, 0, 0, 1, len(ext)) + ext + payload
+            body = data_prefix() + entry_bytes(payload, ext=ext)
             with pytest.raises(CodecError, match="trace extension"):
                 decode_frame_bytes(header(KIND_DATA, len(body)) + body)
 
     def test_out_of_range_prefix_fields_raise_codec_error(self):
-        """The prefix is fixed-width: a field that does not fit is a
-        CodecError from encode_frame, never a bare struct.error."""
-        def frame(link_seq=0, instance=0, sender=0, recipient=1, seq=0):
+        """The prefix and entry headers are fixed-width: a field that
+        does not fit is a CodecError from encode_frame, never a bare
+        struct.error — in a frame's only entry or a later one."""
+        def frame(link_seq=0, instance=0, sender=0, recipient=1, trace=None):
             return DataFrame(
                 link_seq=link_seq,
-                envelope=Envelope(sender, recipient, None, seq=seq),
+                envelope=Envelope(sender, recipient, None),
                 instance=instance,
+                trace=trace,
             )
 
         for bad in (
@@ -536,23 +566,28 @@ class TestRejection:
             frame(link_seq=1 << 64),
             frame(instance=-1),
             frame(instance=1 << 64),
-            frame(seq=-1),
             frame(sender=1 << 16),
             frame(recipient=-1),
             frame(recipient=1 << 16),
             frame(sender="0"),
+            frame(trace=("x" * (1 << 16), "0:1", 1, 0)),
         ):
             with pytest.raises(CodecError, match="out of range"):
                 encode_frame(bad)
+            second = DataFrame.of(
+                bad.link_seq,
+                bad.sender,
+                bad.recipient,
+                frame().entries + bad.entries,
+            )
             with pytest.raises(CodecError, match="out of range"):
-                encode_frame(BatchFrame((frame(), bad)))
+                encode_frame(second)
         with pytest.raises(CodecError, match="out of range"):
             encode_frame(AckFrame(acked=1 << 63))
         # The extremes that do fit round-trip.
         edge = frame(
             link_seq=(1 << 64) - 1,
             instance=(1 << 64) - 1,
-            seq=(1 << 64) - 1,
             sender=(1 << 16) - 1,
             recipient=(1 << 16) - 1,
         )
@@ -570,7 +605,11 @@ class TestRejection:
 
         blobs = (
             self.encoded(),
-            encode_frame(BatchFrame(decode_frame_bytes(self.encoded()))),
+            encode_frame(
+                DataFrame.of(
+                    3, 0, 1, decode_frame_bytes(self.encoded())[0].entries * 2
+                )
+            ),
             encode_frame(HelloFrame(pid=0, n=4)),
         )
         monkeypatch.setattr(codec_module, "_loads", buggy_loads)

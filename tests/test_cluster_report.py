@@ -131,40 +131,35 @@ class TestSpanTracer:
 
 
 class TestTraceExtensionInterop:
-    def frame(self):
-        return DataFrame(
-            link_seq=3,
-            envelope=Envelope(
-                sender=0,
-                recipient=1,
-                payload=SimpleMessage(phaseno=1, value=1),
-            ),
-            trace=("r-i0", "0:1", 123456, 0),
-        )
+    envelope = Envelope(
+        sender=0, recipient=1, payload=SimpleMessage(phaseno=1, value=1)
+    )
+
+    def frame(self, trace=("r-i0", "0:1", 123456, 0)):
+        return DataFrame(link_seq=3, envelope=self.envelope, trace=trace)
 
     def test_v2_round_trips_the_trace_extension(self):
-        # The extension arrived with wire v2 and survives v3 unchanged.
+        # The extension arrived with wire v2; v4 carries it per entry.
         decoded, = decode_frame_bytes(encode_frame(self.frame()))
-        assert decoded.trace == ("r-i0", "0:1", 123456, 0)
+        ((_instance, _payload, trace),) = decoded.entries
+        assert trace == ("r-i0", "0:1", 123456, 0)
 
     def test_untraced_frame_carries_a_zero_length_extension(self):
-        """Untraced and traced peers interoperate: the prefix always has
-        the extension-length field, an untraced frame sets it to 0 and
-        decodes with ``trace is None``."""
-        frame = DataFrame(link_seq=3, envelope=self.frame().envelope)
-        blob = encode_frame(frame)
-        ext_len = struct.unpack_from(">H", blob, HEADER_SIZE + 28)[0]
+        """Untraced and traced peers interoperate: every entry header
+        has the extension-length field, an untraced entry sets it to 0
+        and decodes with ``trace is None``."""
+        blob = encode_frame(self.frame(trace=None))
+        # After the 12-byte prefix, the entry header's u64 instance.
+        ext_len = struct.unpack_from(">H", blob, HEADER_SIZE + 12 + 8)[0]
         assert ext_len == 0
         decoded, = decode_frame_bytes(blob)
-        assert decoded.trace is None
+        assert decoded.entries[0][2] is None
         assert decoded.link_seq == 3
 
     def test_untraced_v2_body_carries_no_trace_key(self):
         # Untraced frames pay no bytes for tracing: the traced encoding
         # of the same frame is longer by exactly the extension.
-        untraced = encode_frame(
-            DataFrame(link_seq=3, envelope=self.frame().envelope)
-        )
+        untraced = encode_frame(self.frame(trace=None))
         traced = encode_frame(self.frame())
         extension = b'["r-i0","0:1",123456,0]'
         assert extension in traced and b"r-i0" not in untraced

@@ -11,15 +11,11 @@ import random
 
 import pytest
 
-import repro.cluster.chaos as chaos_module
 import repro.cluster.codec as codec_module
 import repro.cluster.transport as transport_module
 from repro.cluster.chaos import ChaosConfig, ChaosProxy
 from repro.cluster.codec import (
-    HEADER_SIZE,
-    KIND_BATCH,
     KIND_DATA,
-    BatchFrame,
     DataFrame,
     FrameReader,
     HelloFrame,
@@ -223,7 +219,7 @@ class TestReliabilityUnderChaos:
         assert snapshot.counters.get("cluster.transport.retransmits", 0) > 0
 
     def test_batched_frames_recover_from_drops(self):
-        """A dropped BatchFrame is a run of gaps; go-back-n refills it."""
+        """A dropped multi-entry frame is one gap; go-back-n refills it."""
 
         async def scenario():
             registry = MetricsRegistry()
@@ -329,12 +325,13 @@ class TestInstanceTagging:
 
 class TestBatching:
     def test_queued_frames_coalesce_into_batches(self):
-        """A backlog flushed at once rides in BatchFrames, in order."""
+        """A backlog flushed at once rides in multi-entry frames, in
+        order, and every envelope sent is received once."""
 
         async def scenario():
             registry = MetricsRegistry()
             a = Transport(0, 2, registry=registry, seed=0)
-            b = Transport(1, 2, seed=1)
+            b = Transport(1, 2, registry=registry, seed=1)
             addr_b = await b.serve()
             await a.serve()
             try:
@@ -356,6 +353,8 @@ class TestBatching:
         assert snapshot.counters.get("cluster.transport.batches", 0) > 0
         assert snapshot.counters.get("cluster.transport.batched_frames", 0) > 1
         assert snapshot.gauges.get("cluster.transport.max_batch", 0) > 1
+        assert snapshot.counters["cluster.transport.sent"] == 200
+        assert snapshot.counters["cluster.transport.received"] == 200
 
     def test_batching_disabled_still_delivers(self):
         async def scenario():
@@ -496,24 +495,22 @@ class TestEncodeOncePerBroadcast:
 
 
 def data_bytes(units) -> bytes:
-    """The data frames inside raw ``(kind, bytes)`` wire units, back to
-    back: a single as written, a batch without its own header."""
-    return b"".join(
-        raw[HEADER_SIZE:] if kind == KIND_BATCH else raw
-        for kind, raw in units
-        if kind in (KIND_DATA, KIND_BATCH)
-    )
+    """The data frames among raw ``(kind, bytes)`` wire units, back to
+    back."""
+    return b"".join(raw for kind, raw in units if kind == KIND_DATA)
 
 
-def data_frame_count(units) -> int:
-    return len(decode_frame_bytes(data_bytes(units))) if units else 0
+def envelope_count(units) -> int:
+    """Envelopes in the data frames among raw wire units."""
+    frames = decode_frame_bytes(data_bytes(units))
+    return sum(len(frame.entries) for frame in frames)
 
 
 class TestBytesWrittenOnce:
-    def test_batch_on_the_wire_is_one_raw_unit_of_concatenated_frames(self):
-        """What a transport writes for a backlog is one batch unit to a
-        raw reader (the chaos proxy's view), whose body is exactly the
-        data frames it would have written singly."""
+    def test_a_backlog_is_one_raw_unit_of_one_data_frame(self):
+        """What a transport writes for a backlog is one data frame, one
+        unit to a raw reader (the chaos proxy's view), carrying every
+        queued envelope in order under one link_seq."""
         COUNT = 40
 
         async def scenario():
@@ -522,7 +519,7 @@ class TestBytesWrittenOnce:
 
             async def peer(reader, writer):
                 frames = FrameReader(raw=True)
-                while data_frame_count(units) < COUNT:
+                while envelope_count(units) < COUNT:
                     chunk = await reader.read(65536)
                     if not chunk:
                         break
@@ -546,16 +543,12 @@ class TestBytesWrittenOnce:
                 await server.wait_closed()
 
         units = asyncio.run(scenario())
-        batches = [raw for kind, raw in units if kind == KIND_BATCH]
-        assert batches, [kind for kind, _ in units]
-        for raw in batches:
-            (batch,) = decode_frame_bytes(raw)
-            assert isinstance(batch, BatchFrame) and len(batch.frames) > 1
-            assert raw[HEADER_SIZE:] == b"".join(
-                encode_frame(inner) for inner in batch.frames
-            )
-        frames = decode_frame_bytes(data_bytes(units))
-        assert [frame.link_seq for frame in frames] == list(range(COUNT))
+        ((kind, raw),) = [unit for unit in units if unit[0] == KIND_DATA]
+        (frame,) = decode_frame_bytes(raw)
+        assert frame.link_seq == 0
+        assert [(instance, payload.phaseno) for instance, payload, _ in
+                frame.entries] == [(tag % 3, tag) for tag in range(COUNT)]
+        assert encode_frame(frame) == raw
 
     def test_retransmission_resends_the_first_transmission_bytes(self):
         """A connection reset before any ack: on reconnect the sender
@@ -586,7 +579,7 @@ class TestBytesWrittenOnce:
                 ack_task = None if first else asyncio.create_task(acks())
                 frames = FrameReader(raw=True)
                 try:
-                    while not (first and data_frame_count(units) >= COUNT):
+                    while not (first and envelope_count(units) >= COUNT):
                         chunk = await reader.read(65536)
                         if not chunk:
                             break
@@ -630,7 +623,7 @@ class TestBytesWrittenOnce:
 
         connections, received, extras, snapshot = asyncio.run(scenario())
         first = data_bytes(connections[0])
-        assert data_frame_count(connections[0]) == COUNT
+        assert envelope_count(connections[0]) == COUNT
         assert data_bytes(connections[1])[: len(first)] == first
         assert [env.payload.phaseno for env in envelopes(received)] == list(
             range(COUNT + LATER)
@@ -996,9 +989,9 @@ class TestAckClock:
         assert waiting == (BURST, False)
         assert len(writes) == 2
         for write, first in zip(writes, (1, BURST + 1)):
-            (batch,) = decode_frame_bytes(write)
-            assert [f.envelope.payload.phaseno for f in batch.frames] == list(
-                range(first, first + BURST)
+            (frame,) = decode_frame_bytes(write)
+            assert [payload.phaseno for _, payload, _ in frame.entries] == (
+                list(range(first, first + BURST))
             )
         assert [env.payload.phaseno for env in envelopes(received)] == list(
             range(1, 2 * BURST + 1)
@@ -1018,48 +1011,35 @@ class _ScriptedDrops:
         return 0.0 if self.unit in self.drops else 1.0
 
 
-def resend_runs(units) -> list[list]:
-    """The retransmissions among a link's wire units: maximal runs of
-    consecutive data units that write already-written sequence numbers,
+def resend_runs(writes) -> list[list]:
+    """The retransmissions among a link's writes: maximal runs of
+    consecutive writes that carry already-written sequence numbers,
     each picking up where the previous one stopped."""
     runs: list[list] = []
     seen: set = set()
-    last = None  # (sequence numbers, was a resend) of the previous unit
-    for unit in units:
-        if unit[0] not in (KIND_DATA, KIND_BATCH):
-            continue
-        frames = decode_frame_bytes(data_bytes([unit]))
-        seqs = [frame.link_seq for frame in frames]
+    last = None  # (sequence numbers, was a resend) of the previous write
+    for write in writes:
+        seqs = [frame.link_seq for frame in decode_frame_bytes(write)]
         resend = seqs[0] in seen
         if resend:
             if last is not None and last[1] and seqs[0] == last[0][-1] + 1:
-                runs[-1].append(unit)
+                runs[-1].append(write)
             else:
-                runs.append([unit])
+                runs.append([write])
         seen.update(seqs)
         last = (seqs, resend)
     return runs
 
 
 class TestDropRecovery:
-    def test_a_dropped_batch_is_resent_in_batches_and_delivered_once(
-        self, monkeypatch
-    ):
+    def test_a_dropped_batch_is_resent_in_batches_and_delivered_once(self):
         """One scripted drop through the chaos proxy on a link that always
         has traffic in flight: the link recovers exactly once and in
-        order, and every retransmission of a W-frame window costs at
-        most ceil(window bytes / batch_bytes) + 1 wire writes — resending
+        order, and every retransmission of a window costs at most
+        ceil(window bytes / batch_bytes) + 1 wire writes — resending
         frame by frame is what stalled a 2%-lossy link."""
         TOTAL, IN_FLIGHT, BATCH = 300, 40, 400
-        units = []
-
-        class RecordingReader(FrameReader):
-            def frames(self):
-                for unit in super().frames():
-                    units.append(unit)
-                    yield unit
-
-        monkeypatch.setattr(chaos_module, "FrameReader", RecordingReader)
+        writes = []
 
         async def scenario():
             registry = MetricsRegistry()
@@ -1069,7 +1049,7 @@ class TestDropRecovery:
                 ChaosConfig(drop_rate=0.5),
                 registry=registry,
             )
-            proxy.rng = _ScriptedDrops({2})  # the third wire write
+            proxy.rng = _ScriptedDrops({2})  # the third data frame
             proxy_addr = await proxy.serve()
             sender = Transport(
                 0, 2, registry=registry, seed=0,
@@ -1077,9 +1057,21 @@ class TestDropRecovery:
             )
             await sender.serve()
             sender.connect({1: proxy_addr})
+            link = sender._links[1]
             received, sent = [], 0
             try:
-                # Continuous traffic: IN_FLIGHT frames outstanding at
+                for _ in range(500):
+                    if link.connected:
+                        break
+                    await asyncio.sleep(0.01)
+                real_write = link.wire.write
+
+                def recorded_write(data):
+                    writes.append(data)
+                    real_write(data)
+
+                link.wire.write = recorded_write
+                # Continuous traffic: IN_FLIGHT envelopes outstanding at
                 # all times, topped up as deliveries land.
                 while len(received) < TOTAL:
                     while sent < min(TOTAL, len(received) + IN_FLIGHT):
@@ -1097,12 +1089,189 @@ class TestDropRecovery:
             range(TOTAL)
         )
         assert snapshot.counters.get("cluster.chaos.dropped") == 1
-        runs = resend_runs(units)
+        runs = resend_runs(writes)
         assert runs, "the drop was never retransmitted"
-        for run in runs:
-            window_bytes = len(data_bytes(run))
-            assert len(run) <= math.ceil(window_bytes / BATCH) + 1, (
-                f"{data_frame_count(run)} frames resent in {len(run)} writes"
+        resent = [
+            sum(
+                len(frame.entries)
+                for write in run
+                for frame in decode_frame_bytes(write)
             )
-        # The resent window really was many frames, coalesced.
-        assert max(data_frame_count(run) - len(run) for run in runs) > 0
+            for run in runs
+        ]
+        for run, count in zip(runs, resent):
+            window_bytes = sum(len(write) for write in run)
+            assert len(run) <= math.ceil(window_bytes / BATCH) + 1, (
+                f"{count} envelopes resent in {len(run)} writes"
+            )
+        # The resent window really was many envelopes, coalesced.
+        assert max(count - len(run) for run, count in zip(runs, resent)) > 0
+
+
+class _CountedConnection(transport_module._Connection):
+    """A connection that records itself and counts its reads."""
+
+    made: list = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.reads = 0
+        self.made.append(self)
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.reads += 1
+        super().buffer_updated(nbytes)
+
+
+async def raw_peer(addr, pid: int, n: int):
+    """A hand-driven dialer that has sent its handshake."""
+    reader, writer = await asyncio.open_connection(*addr)
+    writer.write(encode_frame(HelloFrame(pid=pid, n=n)))
+    await writer.drain()
+    return reader, writer
+
+
+async def until(condition, what: str) -> None:
+    """Yield to the loop until ``condition()`` holds (bounded)."""
+    for _ in range(2000):
+        if condition():
+            return
+        await asyncio.sleep(0.001)
+    raise AssertionError(f"timed out waiting for {what}")
+
+
+class TestReadBuffer:
+    """Every connection of a transport reads into one buffer it owns."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        monkeypatch.setattr(_CountedConnection, "made", [])
+        monkeypatch.setattr(
+            transport_module, "_Connection", _CountedConnection
+        )
+        return _CountedConnection.made
+
+    def test_connection_is_a_buffered_protocol(self):
+        connection = transport_module._Connection
+        assert issubclass(connection, asyncio.BufferedProtocol)
+        assert not hasattr(connection, "data_received")
+
+    def test_dialed_and_accepted_connections_share_one_buffer(self, made):
+        async def scenario():
+            a, b = await mesh(2)
+            try:
+                a.send(envelope(0, 1, 0))
+                b.send(envelope(1, 0, 1))
+                await drain(a, 1)
+                await drain(b, 1)
+                return {
+                    t.pid: (
+                        [
+                            c for c in made
+                            if c.on_frames.__self__ is t._links[1 - t.pid]
+                        ],
+                        list(t._inbound_connections),
+                    )
+                    for t in (a, b)
+                }
+            finally:
+                await close_all([a, b])
+
+        by_pid = asyncio.run(scenario())
+        buffers = []
+        for pid, ((dialed,), (accepted,)) in by_pid.items():
+            buffer = dialed.get_buffer(-1)
+            assert accepted.get_buffer(-1) is buffer
+            assert len(buffer) == transport_module.READ_BUFFER_SIZE
+            buffers.append(buffer)
+        assert buffers[0] is not buffers[1]
+
+    def test_interleaved_reads_on_two_connections_both_decode(self, made):
+        """Two peers' frames arrive a few bytes at a time, their reads
+        alternating through the one buffer: both decode intact."""
+        def frame(sender: int) -> bytes:
+            return encode_frame(
+                DataFrame.of(
+                    0,
+                    sender,
+                    0,
+                    tuple(
+                        (sender, SimpleMessage(phaseno=tag, value=1), None)
+                        for tag in range(4)
+                    ),
+                )
+            )
+
+        async def scenario():
+            b = Transport(0, 3, seed=0)
+            addr = await b.serve()
+            try:
+                peers = [await raw_peer(addr, pid, 3) for pid in (1, 2)]
+                await until(lambda: len(made) == 2, "both connections")
+                blobs = [frame(1), frame(2)]
+                for start in range(0, len(blobs[0]), 7):
+                    for (_reader, writer), blob in zip(peers, blobs):
+                        reads = sum(c.reads for c in made)
+                        writer.write(blob[start : start + 7])
+                        await until(
+                            lambda: sum(c.reads for c in made) > reads,
+                            "the read",
+                        )
+                received = await drain(b, 8)
+                for _reader, writer in peers:
+                    writer.close()
+                return received
+            finally:
+                await b.close()
+
+        received = asyncio.run(scenario())
+        for sender in (1, 2):
+            assert [
+                (instance, env.payload.phaseno)
+                for instance, env, _ts in received
+                if env.sender == sender
+            ] == [(sender, tag) for tag in range(4)]
+
+    def test_a_frame_larger_than_the_buffer_arrives_over_several_reads(
+        self, made
+    ):
+        big = "x" * 200_000
+
+        async def scenario():
+            a, b = await mesh(2)
+            try:
+                a.send(Envelope(0, 1, big))
+                (delivered,) = await drain(b, 1)
+                (accepted,) = b._inbound_connections
+                return delivered, accepted.reads
+            finally:
+                await close_all([a, b])
+
+        (_instance, delivered, _ts), reads = asyncio.run(scenario())
+        assert delivered.payload == big
+        assert reads >= math.ceil(200_000 / transport_module.READ_BUFFER_SIZE)
+
+    def test_a_codec_error_aborts_only_its_connection(self, made):
+        async def scenario():
+            b = Transport(0, 3, seed=0)
+            addr = await b.serve()
+            try:
+                (bad_reader, bad), (_reader, good) = [
+                    await raw_peer(addr, pid, 3) for pid in (1, 2)
+                ]
+                good.write(encode_frame(DataFrame(0, envelope(2, 0, 0))))
+                received = await drain(b, 1)
+                bad.write(b"ZZ" + bytes(30))  # bad magic
+                eof = await asyncio.wait_for(bad_reader.read(), timeout=5)
+                good.write(encode_frame(DataFrame(1, envelope(2, 0, 1))))
+                received += await drain(b, 1)
+                good.close()
+                bad.close()
+                return eof, received
+            finally:
+                await b.close()
+
+        eof, received = asyncio.run(scenario())
+        assert eof == b""
+        assert [env.payload.phaseno for env in envelopes(received)] == [0, 1]
+        assert all(env.sender == 2 for env in envelopes(received))
