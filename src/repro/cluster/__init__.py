@@ -36,8 +36,8 @@ pieces:
   agreement/validity oracles over the collected decision records.
 * :mod:`repro.cluster.report` — stitches a traced run's per-node JSONL
   shards into one HLC-ordered timeline and renders the operational run
-  report (latency decomposition, chaos correlation, backpressure
-  timeline, SLO gates) behind ``repro-consensus report``.
+  report (latency decomposition, chaos correlation, SMR commit latency,
+  SLO gates) behind ``repro-consensus report``.
 """
 
 from repro.cluster.codec import (

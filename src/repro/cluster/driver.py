@@ -396,7 +396,6 @@ class ClusterMesh:
                     pid,
                     spec.n,
                     registry=self.registry,
-                    trace=writer,
                     seed=spec.seed * 1_000_003 + pid,
                     tracer=tracer,
                     trace_sample=self.trace_sample,
@@ -432,7 +431,6 @@ class ClusterMesh:
                         transport,
                         factory,
                         registry=self.registry,
-                        trace=transport.trace,
                         seed=spec.seed * 9_973 + pid,
                         tracer=transport.tracer,
                         **node_kwargs,

@@ -33,8 +33,9 @@ rather than resurrecting it.
 There is one wait: :meth:`ClusterNode.decide_instance` blocks on the
 instance's event, which fires when its process decides *or crashes* —
 the two ways the paper's run ends for one process — so no caller polls.
-``decide()`` (instance 0) and ``decide_many()`` (a pipelined set) are
-conveniences over it.
+``decide()`` is the convenience for instance 0; a set of instances is
+awaited by gathering their ``decide_instance`` calls, as
+:meth:`~repro.cluster.driver.ClusterMesh.await_decisions` does.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import asyncio
 import random
 from dataclasses import dataclass
 from time import monotonic
-from typing import Any, Callable, Dict, Iterable, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.cluster.transport import NO_ENQUEUE_TS, Transport
 from repro.errors import ConfigurationError
@@ -150,15 +151,14 @@ class ClusterNode:
             the transport's ``(pid, n)``.
         registry: optional metrics registry (decide latency histogram,
             step counters, per-instance decision counters).
-        trace: optional :class:`~repro.cluster.trace.ClusterTraceWriter`;
-            events carry an ``instance`` field.
         tracer: optional :class:`~repro.obs.spans.SpanTracer` (shared
             with this node's transport) enabling causal tracing:
-            client-submit and phase-transition spans, per-instance
-            queue-wait/compute segment accounting, and HLC-stamped
-            decide events carrying the latency decomposition.  ``None``
-            keeps the consumer loop's untraced path free of clock reads
-            and allocations.
+            lifecycle events (carrying an ``instance`` field) through
+            its writer, client-submit and phase-transition spans,
+            per-instance queue-wait/compute segment accounting, and
+            HLC-stamped decide events carrying the latency
+            decomposition.  ``None`` keeps the consumer loop's untraced
+            path free of clock reads and allocations.
         instance_linger: seconds a decided instance's process state is
             kept before garbage collection.
         seed: seed for the delivery-order RNG.  The paper's message
@@ -176,7 +176,6 @@ class ClusterNode:
         transport: Transport,
         process_factory: InstanceFactory,
         registry: Optional[MetricsRegistry] = None,
-        trace: Any = None,
         tracer: Any = None,
         instance_linger: float = DEFAULT_INSTANCE_LINGER,
         seed: Optional[int] = None,
@@ -187,7 +186,8 @@ class ClusterNode:
             )
         self.transport = transport
         self.registry = registry
-        self.trace = trace
+        #: The tracer's trace writer (``None`` untraced).
+        self.trace = tracer.writer if tracer is not None else None
         self.tracer = tracer
         self.process_factory = process_factory
         self.instance_linger = instance_linger
@@ -465,7 +465,7 @@ class ClusterNode:
                 self.registry.observe(
                     "cluster.decide.latency_ms", latency * 1000.0
                 )
-            if self.trace is not None and self.tracer is not None:
+            if self.tracer is not None:
                 # The decide boundary closes the trace: the event
                 # carries the full latency decomposition.  Queue and
                 # compute are measured sums; transport is the residual —
@@ -539,9 +539,9 @@ class ClusterNode:
         """Release one undecided instance after its last waiter gave up.
 
         The linger GC only ever arms for *decided* instances, so before
-        this path existed a ``decide_many``/``decide_instance`` caller
-        timing out (or being cancelled) left the instance's demux state
-        in the table forever — thousands of timed-out client calls
+        this path existed a ``decide_instance`` caller timing out (or
+        being cancelled) left the instance's demux state in the table
+        forever — thousands of timed-out client calls
         accumulated thousands of dead protocol cores.  Abandonment
         mirrors GC: the process state is dropped, the instance is marked
         retired so late frames are counted and discarded instead of
@@ -626,46 +626,3 @@ class ClusterNode:
             raise
         state.waiters -= 1
         return self._records.get(instance)
-
-    async def decide_many(
-        self,
-        instances: Optional[Iterable[int]] = None,
-        timeout: Optional[float] = None,
-    ) -> Dict[int, DecisionRecord]:
-        """Pipelined client API: await many instances' decisions at once.
-
-        Args:
-            instances: instance ids to await; ``None`` means every
-                instance currently live at this node.  Unknown ids are
-                started (their opening broadcasts go out immediately, so
-                k instances overlap in flight rather than running
-                back-to-back).
-            timeout: one shared wall-clock budget for the whole set.
-
-        Raises:
-            asyncio.TimeoutError: some instance did not decide in time.
-        """
-        ids = (
-            sorted(self._instances) if instances is None else list(instances)
-        )
-        for instance in ids:
-            self.start_instance(instance)
-
-        async def _gather() -> Dict[int, DecisionRecord]:
-            return {
-                instance: await self.decide_instance(instance)
-                for instance in ids
-            }
-
-        if timeout is None:
-            return await _gather()
-        try:
-            return await asyncio.wait_for(_gather(), timeout=timeout)
-        except (asyncio.TimeoutError, asyncio.CancelledError):
-            # The gather awaits sequentially, so only the instance it was
-            # blocked on when the timeout fired cleaned up after itself;
-            # the rest of the batch never registered a waiter and would
-            # leak their demux state without this sweep.
-            for instance in ids:
-                self._abandon_if_unwaited(instance)
-            raise

@@ -19,8 +19,7 @@ facts an on-call reader wants:
 * a chaos-correlation table — for every decision, how many chaos-proxy
   perturbations (delays, drops, partitions, resets) fell inside its
   latency window;
-* the backpressure timeline: transport queue high-water marks in HLC
-  order.
+* for SMR runs, the commit latency and apply/snapshot counts.
 
 :func:`check_slos` turns an analysis into a pass/fail verdict (used by
 ``repro-consensus report --check``): termination must have held, the
@@ -215,16 +214,6 @@ def analyze_run(stitched: StitchedTrace) -> dict:
         overall["segment_residual_pct"] = round(
             abs(segment_sum_p50 - e2e_p50) / e2e_p50 * 100.0, 3
         ) if e2e_p50 > 0 else 0.0
-    backpressure = [
-        {
-            "pid": event.get("pid"),
-            "peer": event.get("peer"),
-            "backlog": event.get("backlog"),
-            "limit": event.get("limit"),
-            "hlc": event.get("hlc"),
-        }
-        for event in stitched.by_type("high-water")
-    ]
     span_counts: dict = {}
     for event in stitched.by_type("span"):
         name = event.get("name", "?")
@@ -280,7 +269,6 @@ def analyze_run(stitched: StitchedTrace) -> dict:
             "events": chaos_totals,
             "in_decide_windows": correlated_totals,
         },
-        "backpressure": backpressure,
         "smr": smr,
     }
 
@@ -458,26 +446,6 @@ def render_report_markdown(
         ]
         parts.append(
             render_markdown(["event", "total", "in decide windows"], rows)
-        )
-
-    parts.append("## Backpressure timeline")
-    backpressure = analysis.get("backpressure", [])
-    if not backpressure:
-        parts.append("No transport queue high-water marks were hit.")
-    else:
-        rows = [
-            [
-                entry.get("pid"),
-                entry.get("peer"),
-                entry.get("backlog"),
-                entry.get("limit"),
-            ]
-            for entry in backpressure
-        ]
-        parts.append(
-            render_markdown(
-                ["node", "peer", "backlog", "limit"], rows
-            )
         )
 
     smr = analysis.get("smr")

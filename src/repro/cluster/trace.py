@@ -15,7 +15,7 @@ Each line is one event::
 ``ts`` is seconds since the writer was created (the cluster epoch).
 Event types: ``node-start``, ``send``, ``recv``, ``step``, ``decide``,
 ``exit``, ``crash``, ``reconnect``, ``chaos-drop``, ``chaos-delay``,
-``chaos-partition``, ``chaos-reset``, ``high-water``, ``span``.
+``chaos-partition``, ``chaos-reset``, ``span``.
 
 Traced runs (a :class:`~repro.obs.spans.SpanTracer` per node) add causal
 fields to events: ``trace`` (per-decision trace id), ``span`` (unique

@@ -36,7 +36,7 @@ LAN) TCP:
   outage, only latency — which is precisely the paper's "arbitrarily
   slow" envelope.
 
-Three additions serve sustained multi-instance traffic:
+Two additions serve sustained multi-instance traffic:
 
 * **One frame per write.**  A flush puts every envelope queued on the
   link into one :class:`~repro.cluster.codec.DataFrame` — one entry
@@ -50,20 +50,15 @@ Three additions serve sustained multi-instance traffic:
   the same bytes; a frame's bytes are built once, when its link
   assigns the sequence number, and those bytes are what the write and
   any retransmission send.
-* **Bounded queues.**  Per-peer outbound queues carry a configurable
-  high-water mark (``queue_high_water``).  Crossing it is logged once
-  per transport and exported as a gauge; with ``backpressure=True``,
-  :meth:`Transport.send` additionally raises
-  :class:`~repro.errors.TransportOverloadedError` so producers feel the
-  overload instead of the queue growing silently.  The default keeps
-  the paper's model (no flow control) but makes runaway configurations
-  loudly visible.
+
+There is no flow control: as in the paper's message system (§2.1),
+per-peer queues are unbounded and :meth:`Transport.send` never refuses
+a message.
 """
 
 from __future__ import annotations
 
 import asyncio
-import logging
 import random
 from collections import deque
 from time import monotonic
@@ -81,11 +76,9 @@ from repro.cluster.codec import (
     encode_frame,
     encode_payload_bytes,
 )
-from repro.errors import ConfigurationError, TransportOverloadedError
+from repro.errors import ConfigurationError
 from repro.net.message import Envelope
 from repro.obs.metrics import MetricsRegistry
-
-logger = logging.getLogger(__name__)
 
 #: Default soft cap on one data frame.  A flush stops adding entries to
 #: a frame once they reach this many bytes, so one write stays well
@@ -103,9 +96,8 @@ READ_BUFFER_SIZE = 64 * 1024
 NO_ENQUEUE_TS = 0.0
 
 #: Default send/recv span sampling: stamp (and span) one envelope in
-#: this many per link, the first always.  Decide segments, chaos windows,
-#: and backpressure events are exact regardless; ``1`` records every
-#: message.
+#: this many per link, the first always.  Decide segments and chaos
+#: windows are exact regardless; ``1`` records every message.
 DEFAULT_TRACE_SAMPLE = 64
 
 #: Initial value of the payload-encode memo: no payload is this object
@@ -231,8 +223,8 @@ class _PeerLink:
         self.in_flight = 0
         self.next_seq = 0
         #: The live connection.  ``None`` for the whole reconnect window
-        #: (backoff + redial), during which the unacked window belongs to
-        #: the *resume path* — see :meth:`send`'s backpressure accounting.
+        #: (backoff + redial); sends meanwhile only queue, and the
+        #: unacked window goes again once the link is back.
         self.wire: Optional[asyncio.Transport] = None
         #: Span-sampling countdown: envelopes until the next causal stamp
         #: (0 = stamp the next one, so a link's first envelope always
@@ -247,11 +239,6 @@ class _PeerLink:
         self._task: Optional[asyncio.Task] = None
         self._closed = False
 
-    @property
-    def connected(self) -> bool:
-        """True while a live connection carries this link."""
-        return self.wire is not None
-
     def start(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._task = self._loop.create_task(
@@ -259,30 +246,6 @@ class _PeerLink:
         )
 
     def send(self, instance: int, envelope: Envelope, payload: bytes) -> None:
-        transport = self.transport
-        high_water = transport.queue_high_water
-        if high_water is not None and self.backlog >= high_water:
-            transport._note_high_water(self.peer, self.backlog)
-            # Backpressure judges only the frames the producer can
-            # influence: the queued-but-unsent ones, plus — while the
-            # connection is live — the in-flight window acks are
-            # actively draining.  During a reconnect window the unacked
-            # frames are the *resume path's* responsibility (they are
-            # retransmitted wholesale when the link comes back), and
-            # counting them here wedged the sender: a high-water mark
-            # crossed exactly at reconnect made every send raise until
-            # reconnect, and each raise dropped a frame the go-back-n
-            # layer had no copy of — an unrecoverable hole for the
-            # receiver even after the link resumed.
-            producer_backlog = len(self.pending) + (
-                self.in_flight if self.connected else 0
-            )
-            if transport.backpressure and producer_backlog >= high_water:
-                raise TransportOverloadedError(
-                    f"link {transport.pid}->{self.peer} backlog "
-                    f"{producer_backlog} at its high-water mark "
-                    f"({high_water})"
-                )
         self.pending.append((instance, envelope, payload))
         if not self.unacked and not self._flush_due and self.wire is not None:
             # No ack is coming to clock this out: write at the end of
@@ -325,9 +288,10 @@ class _PeerLink:
             else:
                 if self.connected_once:
                     transport._inc("cluster.transport.reconnects")
-                    transport._trace(
-                        "reconnect", pid=transport.pid, peer=self.peer
-                    )
+                    if transport.trace is not None:
+                        transport.trace.record(
+                            "reconnect", pid=transport.pid, peer=self.peer
+                        )
                 self.connected_once = True
                 attempt = 0
                 wire.write(
@@ -402,8 +366,8 @@ class _PeerLink:
                 # 1-in-`trace_sample` per link (first envelope always)
                 # — per-message stamping and span emission is the bulk
                 # of tracing's hot-path tax, and the exact artefacts
-                # (decide segments, chaos windows, backpressure) never
-                # ride on send/recv spans.
+                # (decide segments, chaos windows) never ride on
+                # send/recv spans.
                 ext = None
                 if tracer is not None:
                     stamp_count -= 1
@@ -415,7 +379,7 @@ class _PeerLink:
                 size += ENTRY_HEADER_SIZE + len(payload)
                 # Only stamped (sampled) envelopes get a send span —
                 # unstamped ones stay event-free.
-                if ext is not None and transport.trace is not None:
+                if ext is not None:
                     transport.trace.record_fields(
                         "send",
                         {
@@ -507,16 +471,14 @@ class Transport:
             cluster are rejected.
         registry: optional :class:`~repro.obs.metrics.MetricsRegistry`
             receiving send/recv/reconnect/queue-depth metrics.
-        trace: optional cluster trace writer (see
-            :mod:`repro.cluster.trace`) receiving reconnect and
-            high-water events and, with a ``tracer``, send/recv spans.
         tracer: optional :class:`~repro.obs.spans.SpanTracer` enabling
             causal tracing: outgoing envelopes are stamped with the
             trace extension, stamped ones emit send/recv events with
-            span ids and HLC timestamps, and inbound deliveries carry
-            their enqueue time for the node's queue-wait accounting.
-            ``None`` (the default) keeps the untraced hot path
-            allocation-free.
+            span ids and HLC timestamps through the tracer's writer
+            (which also records reconnects), and inbound deliveries
+            carry their enqueue time for the node's queue-wait
+            accounting.  ``None`` (the default) keeps the untraced hot
+            path allocation-free.
         seed: seed for the backoff-jitter RNG (deterministic tests).
         backoff_base / backoff_cap: reconnect backoff curve parameters.
         retransmit_interval: seconds a link's window may stay open
@@ -525,12 +487,6 @@ class Transport:
         batch_bytes: soft cap on one data frame; a flush adds queued
             envelopes to a frame until their encoded size reaches this
             (``0`` puts every envelope in a frame of its own).
-        queue_high_water: per-link backlog (queued + unacked envelopes)
-            above which :meth:`send` logs once, bumps the overload
-            metrics, and — with ``backpressure`` — raises.  ``None``
-            (default) keeps the queues unbounded and silent.
-        backpressure: raise :class:`TransportOverloadedError` from
-            :meth:`send` while a link sits at its high-water mark.
         trace_sample: with a tracer, stamp-and-span one outgoing
             envelope in this many per link (``1`` = every message).  Sampling
             only thins send/recv spans; every delivery still carries
@@ -542,15 +498,12 @@ class Transport:
         pid: int,
         n: int,
         registry: Optional[MetricsRegistry] = None,
-        trace: Any = None,
         tracer: Any = None,
         seed: Optional[int] = None,
         backoff_base: float = 0.05,
         backoff_cap: float = 2.0,
         retransmit_interval: float = 0.5,
         batch_bytes: int = DEFAULT_BATCH_BYTES,
-        queue_high_water: Optional[int] = None,
-        backpressure: bool = False,
         trace_sample: int = DEFAULT_TRACE_SAMPLE,
     ) -> None:
         if not 0 <= pid < n:
@@ -563,25 +516,18 @@ class Transport:
             raise ConfigurationError(
                 f"trace_sample must be >= 1, got {trace_sample}"
             )
-        if queue_high_water is not None and queue_high_water < 1:
-            raise ConfigurationError(
-                f"queue_high_water must be >= 1, got {queue_high_water}"
-            )
         self.pid = pid
         self.n = n
         self.registry = registry
-        self.trace = trace
+        #: The tracer's trace writer (``None`` untraced).
+        self.trace = tracer.writer if tracer is not None else None
         self.tracer = tracer
         self.rng = random.Random(seed)
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self.retransmit_interval = retransmit_interval
         self.batch_bytes = batch_bytes
-        self.queue_high_water = queue_high_water
-        self.backpressure = backpressure
         self.trace_sample = trace_sample
-        self._high_water_logged = False
-        self._high_water_traced_peak = 0
         #: Delivered ``(instance, envelope)`` pairs, sender-authenticated,
         #: exactly once, in per-link order.  The node actor consumes this
         #: inbox and demultiplexes on the instance id.
@@ -667,11 +613,6 @@ class Transport:
         The payload is encoded here, not when the link gets round to
         writing it: the wire carries the message as of the atomic step
         that sent it.
-
-        Raises:
-            TransportOverloadedError: the recipient link's backlog is at
-                its high-water mark and this transport was configured
-                with ``backpressure=True``.
         """
         if envelope.sender != self.pid:
             raise ConfigurationError(
@@ -755,7 +696,7 @@ class Transport:
             self._rx_expected[peer] = expected + 1
             pid = self.pid
             put = self.inbound.put
-            tracer = self.tracer if self.trace is not None else None
+            tracer = self.tracer
             for instance, payload, trace in entries:
                 # Transport-level authentication: the sender is the
                 # *handshaken* peer id, whatever the wire said.  The
@@ -786,38 +727,6 @@ class Transport:
     # Observability plumbing
     # ------------------------------------------------------------------ #
 
-    def _note_high_water(self, peer: int, backlog: int) -> None:
-        """Record a queue high-water excursion: log once, gauge always.
-
-        Traced runs additionally get a ``high-water`` event per *new*
-        backlog peak — the backpressure timeline of the run report —
-        which bounds event volume by peak growth, not by send rate.
-        """
-        self._inc("cluster.transport.high_water_hits")
-        self._gauge_max("cluster.transport.queue_depth", backlog)
-        if self.tracer is not None and backlog > self._high_water_traced_peak:
-            self._high_water_traced_peak = backlog
-            physical, logical = self.tracer.hlc.tick()
-            self._trace(
-                "high-water",
-                pid=self.pid,
-                peer=peer,
-                backlog=backlog,
-                limit=self.queue_high_water,
-                hlc=[physical, logical],
-            )
-        if not self._high_water_logged:
-            self._high_water_logged = True
-            logger.warning(
-                "transport %d: link to peer %d reached its send-queue "
-                "high-water mark (%d frames backlogged, limit %d)%s",
-                self.pid,
-                peer,
-                backlog,
-                self.queue_high_water,
-                "; applying backpressure" if self.backpressure else "",
-            )
-
     def _inc(self, name: str, amount: int = 1) -> None:
         if self.registry is not None:
             self.registry.inc(name, amount)
@@ -825,7 +734,3 @@ class Transport:
     def _gauge_max(self, name: str, value: float) -> None:
         if self.registry is not None:
             self.registry.gauge_max(name, value)
-
-    def _trace(self, event: str, **fields) -> None:
-        if self.trace is not None:
-            self.trace.record(event, **fields)

@@ -53,14 +53,3 @@ class AgreementViolation(InvariantViolation):
 
 class SimulationLimitError(ReproError):
     """A simulation exceeded its step budget without reaching its goal."""
-
-
-class TransportOverloadedError(ReproError):
-    """A cluster transport's send queue crossed its high-water mark with
-    backpressure enabled.
-
-    Raised from :meth:`repro.cluster.transport.Transport.send` so the
-    producer sees the overload instead of the queue growing without
-    bound; with backpressure disabled the transport only logs and
-    gauges the excursion.
-    """

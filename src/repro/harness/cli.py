@@ -30,7 +30,7 @@ Subcommands:
 * ``report`` — stitch a traced cluster run's per-node shards into one
   HLC-ordered timeline and render the operational run report: decide
   latency decomposed into queue/transport/compute segments, chaos
-  events correlated with decision windows, the backpressure timeline;
+  events correlated with decision windows, SMR commit latency;
   ``--check`` turns the SLO gates into a non-zero exit code for CI.
 
 The same experiment implementations back the pytest benchmarks; the CLI
@@ -1022,8 +1022,8 @@ def build_parser() -> argparse.ArgumentParser:
         trace_out="write one JSONL trace per node into DIR",
         trace_sample="with --trace-out: stamp-and-span one wire frame in "
         "N per link; 1 records every message (default: "
-        f"{DEFAULT_TRACE_SAMPLE}; decide segments, chaos windows and "
-        "backpressure are exact at any rate)",
+        f"{DEFAULT_TRACE_SAMPLE}; decide segments and chaos windows "
+        "are exact at any rate)",
     )
     cluster_parser.add_argument(
         "--inputs",
@@ -1103,7 +1103,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report",
         help="stitch a cluster run's per-node trace shards into one "
         "HLC-ordered timeline and render the operational run report "
-        "(latency decomposition, chaos correlation, backpressure)",
+        "(latency decomposition, chaos correlation, SMR commit latency)",
     )
     report_parser.add_argument(
         "trace_dir",

@@ -352,14 +352,9 @@ class MetricsRegistry:
       exactly the names the named path would have created — snapshots
       are byte-identical between the two implementations, and the
       name→value dict is only materialised at :meth:`snapshot` time.
-
-    ``enabled`` exists so a registry can be handed around and switched
-    off wholesale; the hot paths in the kernel avoid even that check by
-    holding ``None`` instead of a disabled registry.
     """
 
     __slots__ = (
-        "enabled",
         "_counters",
         "_gauges",
         "_histograms",
@@ -368,8 +363,7 @@ class MetricsRegistry:
         "_slot_index",
     )
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._counters: dict[str, int] = {}
         self._gauges: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}

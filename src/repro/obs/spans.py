@@ -204,10 +204,10 @@ class SpanTracer:
         physical, logical = self.hlc.tick()
         return (self.trace_id(instance), span_id, physical, logical)
 
-    def causal_fields(
-        self, instance: int, parent: Optional[tuple] = None
-    ) -> dict:
-        """Causal fields to splice into an existing trace event.
+    def extend_causal(
+        self, fields: dict, instance: int, parent: Optional[tuple] = None
+    ) -> None:
+        """Add the causal keys to an event dict the caller already built.
 
         With ``parent`` (a received frame's trace extension) the local
         clock merges the remote timestamp first — this is the receive
@@ -215,16 +215,6 @@ class SpanTracer:
         the parent span and the sender's timestamp for one-way latency
         estimation.  Without it, the clock just ticks.
         """
-        fields: dict = {}
-        self.extend_causal(fields, instance, parent)
-        return fields
-
-    def extend_causal(
-        self, fields: dict, instance: int, parent: Optional[tuple] = None
-    ) -> None:
-        """In-place variant of :meth:`causal_fields` for hot call sites:
-        adds the causal keys to an event dict the caller already built,
-        avoiding a second dict and a splat-merge per received frame."""
         span_id = self.next_span_id()
         if parent is not None:
             physical, logical = self.hlc.merge(parent[2], parent[3])

@@ -440,9 +440,20 @@ def _mesh_pair(registry=None):
     return build
 
 
+async def decide_all(node, instances, timeout):
+    """Await several instances' decisions at once, the way
+    ``ClusterMesh.await_decisions`` does: ``wait_for`` over a ``gather``
+    of ``decide_instance`` calls."""
+    records = await asyncio.wait_for(
+        asyncio.gather(*(node.decide_instance(i) for i in instances)),
+        timeout,
+    )
+    return dict(zip(instances, records))
+
+
 class TestMultiInstanceNode:
-    def test_decide_many_pipelines_and_lazily_instantiates(self):
-        """A's decide_many opens instances B has never heard of; B's
+    def test_gathered_decides_pipeline_and_lazily_instantiate(self):
+        """A's gathered waits open instances B has never heard of; B's
         demultiplexer instantiates them from its factory on first frame
         and decides them too."""
 
@@ -452,8 +463,8 @@ class TestMultiInstanceNode:
             try:
                 await a.start(instances=1)
                 await b.start(instances=1)
-                a_records = await a.decide_many([0, 1, 2], timeout=20)
-                b_records = await b.decide_many([0, 1, 2], timeout=20)
+                a_records = await decide_all(a, [0, 1, 2], 20)
+                b_records = await decide_all(b, [0, 1, 2], 20)
                 return a_records, b_records, b.active_instances
             finally:
                 await a.shutdown()
@@ -513,8 +524,8 @@ class TestMultiInstanceNode:
         assert snapshot.counters.get("cluster.node.late_frames", 0) >= 1
         assert snapshot.counters.get("cluster.node.instances_gc", 0) == 1
 
-    def test_decide_many_timeout_releases_demux_state(self):
-        """Regression: a timed-out decide_many must not leak instances.
+    def test_gathered_decide_timeout_releases_demux_state(self):
+        """Regression: a timed-out gathered wait must not leak instances.
 
         The linger GC only arms for *decided* instances, so before the
         abandonment path a caller timing out mid-batch left every
@@ -540,7 +551,7 @@ class TestMultiInstanceNode:
                 await node.start(instances=1)
                 baseline = node.active_instances
                 with pytest.raises(asyncio.TimeoutError):
-                    await node.decide_many([0, 1, 2], timeout=0.2)
+                    await decide_all(node, [0, 1, 2], 0.2)
                 after_batch = node.active_instances
                 with pytest.raises(asyncio.TimeoutError):
                     await node.decide_instance(7, timeout=0.2)

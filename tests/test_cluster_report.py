@@ -123,7 +123,9 @@ class TestSpanTracer:
             _ListWriter(), pid=1, run_id="r", clock=lambda: 1.0
         )
         parent = ("r-i0", "0:9", 5_000_000, 2)
-        fields = tracer.causal_fields(0, parent)
+        fields = {"pid": 1}
+        tracer.extend_causal(fields, 0, parent)
+        assert fields["pid"] == 1  # the caller's keys stay
         assert fields["trace"] == "r-i0"
         assert fields["parent"] == "0:9"
         assert fields["sent_hlc"] == [5_000_000, 2]
@@ -247,11 +249,13 @@ class TestTracedChaosRun:
             "# Cluster run report",
             "## Latency decomposition",
             "## Chaos correlation",
-            "## Backpressure timeline",
             "## SLO gates",
         ):
             assert heading in markdown
+        # The transport has no flow control, so nothing to chart.
+        assert "Backpressure" not in markdown
         payload = report_json_payload(analysis, [])
+        assert "backpressure" not in payload
         assert payload["slo"]["ok"]
         json.dumps(payload)  # must be JSON-serialisable as-is
 
@@ -403,7 +407,6 @@ class TestSpanSampling:
             a = Transport(
                 0,
                 2,
-                trace=writer,
                 tracer=SpanTracer(writer, 0, "sampled"),
                 seed=0,
                 trace_sample=4,
@@ -412,7 +415,6 @@ class TestSpanSampling:
             b = Transport(
                 1,
                 2,
-                trace=writer,
                 tracer=SpanTracer(writer, 1, "sampled"),
                 seed=1,
                 trace_sample=4,

@@ -680,216 +680,14 @@ class TestInternTableBound:
         assert all(len(reader._interned) <= BOUND for reader in readers)
 
 
-class TestQueueHighWater:
-    def test_high_water_logs_once_and_gauges(self, caplog):
-        async def scenario():
-            registry = MetricsRegistry()
-            a = Transport(
-                0, 2, registry=registry, seed=0, queue_high_water=5
-            )
-            await a.serve()
-            # Dead peer address: nothing drains, the queue just grows.
-            a.connect({1: ("127.0.0.1", 1)})
-            try:
-                for tag in range(20):
-                    a.send(envelope(0, 1, tag))
-            finally:
-                await a.close()
-            return registry.snapshot()
-
-        with caplog.at_level("WARNING", logger="repro.cluster.transport"):
-            snapshot = asyncio.run(scenario())
-        hits = snapshot.counters.get("cluster.transport.high_water_hits", 0)
-        assert hits >= 15
-        assert snapshot.gauges.get("cluster.transport.queue_depth", 0) >= 5
-        overload_logs = [
-            record
-            for record in caplog.records
-            if "high-water" in record.getMessage()
-        ]
-        assert len(overload_logs) == 1  # warn once, not per send
-
-    def test_backpressure_raises_at_the_mark(self):
-        from repro.errors import TransportOverloadedError
-
-        async def scenario():
-            a = Transport(
-                0, 2, seed=0, queue_high_water=3, backpressure=True
-            )
-            await a.serve()
-            a.connect({1: ("127.0.0.1", 1)})
-            try:
-                accepted = 0
-                with pytest.raises(TransportOverloadedError):
-                    for tag in range(10):
-                        a.send(envelope(0, 1, tag))
-                        accepted += 1
-                return accepted
-            finally:
-                await a.close()
-
-        accepted = asyncio.run(scenario())
-        assert accepted == 3
-
-    def test_backpressure_does_not_wedge_sender_across_reconnect(self):
-        """Regression: the mark crossed exactly at reconnect must not wedge.
-
-        A mute peer accepts (drops) frames without ever acking, then
-        resets the connection with the go-back-n window sitting exactly
-        at the high-water mark.  During the reconnect window the backlog
-        is all *unacked* frames — in-flight work only the resume path's
-        retransmission can drain — so a send must be accepted, not
-        refused: pre-fix it raised TransportOverloadedError, and the
-        refused frame was lost for good (the transport had no copy to
-        retransmit), wedging the receiver even after the link resumed.
-        """
-        from repro.cluster.codec import FrameReader
-        from repro.errors import TransportOverloadedError
-
-        HIGH_WATER = 4
-
-        async def scenario():
-            registry = MetricsRegistry()
-            # Reserve a port for the peer so the mute impostor and the
-            # real receiver can serve the same address in turn.
-            probe = await asyncio.start_server(
-                lambda r, w: None, host="127.0.0.1", port=0
-            )
-            host, port = probe.sockets[0].getsockname()[:2]
-            probe.close()
-            await probe.wait_closed()
-
-            seen = asyncio.Event()
-
-            async def mute_peer(reader, writer):
-                # Read (and drop) hello + HIGH_WATER data frames, ack
-                # nothing, then reset the connection.
-                frames = FrameReader()
-                count = 0
-                while count < 1 + HIGH_WATER:
-                    chunk = await reader.read(65536)
-                    if not chunk:
-                        break
-                    frames.feed(chunk)
-                    count += sum(1 for _ in frames.frames())
-                seen.set()
-                writer.close()
-
-            mute = await asyncio.start_server(
-                mute_peer, host=host, port=port
-            )
-            sender = Transport(
-                0,
-                2,
-                registry=registry,
-                seed=0,
-                queue_high_water=HIGH_WATER,
-                backpressure=True,
-                batch_bytes=0,
-                retransmit_interval=0.05,
-                backoff_base=0.2,
-                backoff_cap=0.5,
-            )
-            await sender.serve()
-            sender.connect({1: (host, port)})
-            receiver = Transport(1, 2, seed=1)
-            try:
-                for tag in range(HIGH_WATER):
-                    sender.send(envelope(0, 1, tag))
-                await asyncio.wait_for(seen.wait(), timeout=10)
-                # Tear the mute peer down entirely so redials fail and
-                # the link sits in its reconnect window.
-                mute.close()
-                await mute.wait_closed()
-                link = sender._links[1]
-                for _ in range(200):
-                    if not link.connected:
-                        break
-                    await asyncio.sleep(0.02)
-                assert not link.connected
-                assert len(link.unacked) >= HIGH_WATER
-                # The queue is across the mark mid-reconnect: sends must
-                # be accepted (the regression raised here).
-                wedged = False
-                try:
-                    sender.send(envelope(0, 1, HIGH_WATER))
-                    sender.send(envelope(0, 1, HIGH_WATER + 1))
-                except TransportOverloadedError:
-                    wedged = True
-                # The real peer appears on the reserved address; the
-                # resume path must deliver everything exactly once.
-                await receiver.serve(host=host, port=port)
-                received = []
-                if not wedged:
-                    received = await drain(
-                        receiver, HIGH_WATER + 2, timeout=30
-                    )
-                return wedged, received, registry.snapshot()
-            finally:
-                await sender.close()
-                await receiver.close()
-
-        wedged, received, snapshot = asyncio.run(scenario())
-        assert not wedged, (
-            "send during the reconnect window raised "
-            "TransportOverloadedError: the high-water mark wedged the "
-            "sender on in-flight frames it cannot influence"
-        )
-        assert [env.payload.phaseno for env in envelopes(received)] == list(
-            range(HIGH_WATER + 2)
-        )
-        # The excursion itself is still observable.
-        assert snapshot.counters.get(
-            "cluster.transport.high_water_hits", 0
-        ) >= 1
-
-    def test_backpressure_still_raises_while_connected_at_the_mark(self):
-        """A live, draining link at the mark keeps refusing producers:
-        the reconnect carve-out must not disable backpressure outright."""
-        from repro.errors import TransportOverloadedError
-
-        async def scenario():
-            receiver = Transport(1, 2, seed=1)
-            addr = await receiver.serve()
-            sender = Transport(
-                0, 2, seed=0, queue_high_water=2, backpressure=True
-            )
-            await sender.serve()
-            sender.connect({1: addr})
-            try:
-                # Wait for the live connection.
-                link = sender._links[1]
-                for _ in range(200):
-                    if link.connected:
-                        break
-                    await asyncio.sleep(0.02)
-                assert link.connected
-                raised = False
-                try:
-                    # The speak loop drains as we enqueue, so pump until
-                    # the producer-facing backlog trips the mark.
-                    for tag in range(200):
-                        sender.send(envelope(0, 1, tag))
-                except TransportOverloadedError:
-                    raised = True
-                return raised
-            finally:
-                await sender.close()
-                await receiver.close()
-
-        assert asyncio.run(scenario())
-
-    def test_high_water_validation(self):
-        with pytest.raises(ConfigurationError):
-            Transport(0, 2, queue_high_water=0)
-        with pytest.raises(ConfigurationError):
-            Transport(0, 2, batch_bytes=-1)
-
-
 class TestTransportValidation:
     def test_pid_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError):
             Transport(5, 3)
+
+    def test_negative_batch_bytes_rejected(self):
+        with pytest.raises(ConfigurationError):
+            Transport(0, 2, batch_bytes=-1)
 
     def test_send_without_link_rejected(self):
         async def scenario():
@@ -1061,7 +859,7 @@ class TestDropRecovery:
             received, sent = [], 0
             try:
                 for _ in range(500):
-                    if link.connected:
+                    if link.wire is not None:
                         break
                     await asyncio.sleep(0.01)
                 real_write = link.wire.write
@@ -1106,6 +904,77 @@ class TestDropRecovery:
             )
         # The resent window really was many envelopes, coalesced.
         assert max(count - len(run) for run, count in zip(runs, resent)) > 0
+
+    def test_window_survives_a_reconnect_outage(self):
+        """A mute peer swallows the window without acking and drops the
+        connection; sends made while redials fail only queue.  Once the
+        real peer appears on that address, go-back-n resends the window
+        and everything arrives exactly once, in order."""
+        WINDOW = 4
+
+        async def scenario():
+            registry = MetricsRegistry()
+            # Reserve a port for the peer so the mute impostor and the
+            # real receiver can serve the same address in turn.
+            probe = await asyncio.start_server(
+                lambda r, w: None, host="127.0.0.1", port=0
+            )
+            host, port = probe.sockets[0].getsockname()[:2]
+            probe.close()
+            await probe.wait_closed()
+            seen = asyncio.Event()
+
+            async def mute_peer(reader, writer):
+                # Read (and drop) hello + WINDOW data frames, ack
+                # nothing, then close the connection.
+                frames = FrameReader()
+                count = 0
+                while count < 1 + WINDOW:
+                    chunk = await reader.read(65536)
+                    if not chunk:
+                        break
+                    frames.feed(chunk)
+                    count += sum(1 for _ in frames.frames())
+                seen.set()
+                writer.close()
+
+            mute = await asyncio.start_server(mute_peer, host=host, port=port)
+            sender = Transport(
+                0, 2, registry=registry, seed=0, batch_bytes=0,
+                retransmit_interval=0.05, backoff_base=0.2, backoff_cap=0.5,
+            )
+            await sender.serve()
+            sender.connect({1: (host, port)})
+            receiver = Transport(1, 2, seed=1)
+            try:
+                for tag in range(WINDOW):
+                    sender.send(envelope(0, 1, tag))
+                await asyncio.wait_for(seen.wait(), timeout=10)
+                # Tear the mute peer down so redials fail and the link
+                # sits in its reconnect window.
+                mute.close()
+                await mute.wait_closed()
+                link = sender._links[1]
+                await until(lambda: link.wire is None, "the disconnect")
+                unacked = len(link.unacked)
+                sender.send(envelope(0, 1, WINDOW))
+                sender.send(envelope(0, 1, WINDOW + 1))
+                await receiver.serve(host=host, port=port)
+                received = await drain(receiver, WINDOW + 2, timeout=30)
+                await asyncio.sleep(0.1)
+                extras = len(receiver.inbound.items)
+                return unacked, received, extras, registry.snapshot()
+            finally:
+                await sender.close()
+                await receiver.close()
+
+        unacked, received, extras, snapshot = asyncio.run(scenario())
+        assert unacked == WINDOW
+        assert [env.payload.phaseno for env in envelopes(received)] == list(
+            range(WINDOW + 2)
+        )
+        assert extras == 0
+        assert snapshot.counters["cluster.transport.retransmits"] >= WINDOW
 
 
 class _CountedConnection(transport_module._Connection):
