@@ -3,7 +3,7 @@
 A *campaign* is a batch of :class:`~repro.faults.plans.FaultPlan` runs,
 each executed with an armed :class:`~repro.check.oracles.OracleSuite` and
 a recording scheduler, fanned out through the existing parallel
-:meth:`~repro.harness.runner.ExperimentRunner.run_many` machinery.  The
+:meth:`~repro.harness.runner.ExperimentRunner.iter_runs` machinery.  The
 sampler has two modes matching the paper's two-sided claims:
 
 * **at-bound** (default): every sampled plan respects the resilience
@@ -297,13 +297,13 @@ def run_campaign(
         metrics: optional registry fed campaign counters
             (``fuzz.plans``, ``fuzz.outcome.*``, ``fuzz.violations.*``).
         record: capture each run's delivery schedule for shrinking.
-        deadline: ``time.monotonic()`` timestamp after which no further
-            plans are *started*.  The campaign dispatches worker-sized
-            slices and checks the clock between them, so a time budget
-            is respected inside one plan list rather than only at its
-            end; at least one slice always runs.  Finished plans are
-            reported normally — the returned report simply covers fewer
-            plans than were passed.
+        deadline: ``time.monotonic()`` timestamp after which the
+            campaign stops taking results.  The clock is checked after
+            every worker-count of results, so a time budget is respected
+            inside one plan list rather than only at its end; the first
+            worker-count of plans is always reported.  Stopping cancels the
+            chunks no worker has started — the returned report simply
+            covers fewer plans than were passed.
     """
     plans = list(plans)
     plan_by_seed = {plan.seed: plan for plan in plans}
@@ -323,30 +323,23 @@ def run_campaign(
         require_termination=False,
         metrics=False,
     )
-    seeds = [plan.seed for plan in plans]
-    # The runner's pool stays warm across the sliced fan-out below (the
-    # whole point of the persistent pool); the try/finally reaps it when
-    # the campaign is done instead of leaving that to GC timing.
+    # The clock is consulted every `slice_size` results, not once per
+    # call.  Closing the iterator on the way out cancels the chunks no
+    # worker has started and joins the workers.
+    slice_size = max(1, workers if workers is not None else default_workers())
+    results: list[RunResult] = []
+    runs = runner.iter_runs([plan.seed for plan in plans], workers)
     try:
-        if deadline is None:
-            results = runner.run_many(seeds, workers=workers).results
-        else:
-            # Slice the fan-out so the clock is consulted every
-            # `slice_size` plans, not once per call.
-            slice_size = max(
-                1, workers if workers is not None else default_workers()
-            )
-            results = []
-            for start in range(0, len(seeds), slice_size):
-                results.extend(
-                    runner.run_many(
-                        seeds[start : start + slice_size], workers=workers
-                    ).results
-                )
-                if monotonic() >= deadline:
-                    break
+        for result in runs:
+            results.append(result)
+            if (
+                deadline is not None
+                and len(results) % slice_size == 0
+                and monotonic() >= deadline
+            ):
+                break
     finally:
-        runner.close()
+        runs.close()
     verdicts = []
     for plan, result in zip(plans, results):
         verdicts.append(_verdict(plan, result))

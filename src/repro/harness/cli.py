@@ -236,7 +236,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         try:
             runs = runner.run_many(seeds, workers=args.workers)
         finally:
-            runner.close()
             if args.trace_out is not None:
                 collector.finish()
         merged = runs.merged_metrics()
@@ -303,8 +302,7 @@ def _metrics_check() -> int:
 
     seeds = list(range(6))
     serial = ExperimentRunner(factory, metrics=True).run_many(seeds, workers=1)
-    with ExperimentRunner(factory, metrics=True) as parallel_runner:
-        parallel = parallel_runner.run_many(seeds, workers=2)
+    parallel = ExperimentRunner(factory, metrics=True).run_many(seeds, workers=2)
     check(
         "parallel run_many metrics identical to serial (per seed + merged)",
         [r.metrics.stable() for r in serial.results]

@@ -110,12 +110,11 @@ def e1_failstop_protocol(
             pid: {"crash_at_step": 3 + pid, "keep_sends": pid % 3}
             for pid in range(crashes)
         }
-        with ExperimentRunner(
+        runs_result = ExperimentRunner(
             lambda seed, n=n, k=k, plan=crash_plan: build_failstop_processes(
                 n, k, balanced_inputs(n), crashes=plan
             ),
-        ) as runner:
-            runs_result = runner.run_many(_seed_range(1000 * n + k, runs))
+        ).run_many(_seed_range(1000 * n + k, runs))
         stats = runs_result.decision_phase_stats()
         report.rows.append(
             [
@@ -162,13 +161,12 @@ def e2_malicious_protocol(
     for n, k in cells:
         for name, factory in adversaries.items():
             byzantine = {n - 1 - i: factory for i in range(k)}
-            with ExperimentRunner(
+            runs_result = ExperimentRunner(
                 lambda seed, n=n, k=k, byz=byzantine: build_malicious_processes(
                     n, k, balanced_inputs(n), byzantine=byz
                 ),
                 max_steps=3_000_000,
-            ) as runner:
-                runs_result = runner.run_many(_seed_range(2000 * n + k, runs))
+            ).run_many(_seed_range(2000 * n + k, runs))
             stats = runs_result.decision_phase_stats()
             report.rows.append(
                 [
@@ -426,41 +424,36 @@ def e8_fast_paths(runs: int = 20) -> ExperimentReport:
         headers=["claim", "protocol", "n", "k", "phases(max over runs)", "promise"],
     )
     # Figure 1, unanimous inputs: "within two steps" (phases).
-    with ExperimentRunner(
+    stats = ExperimentRunner(
         lambda seed: build_failstop_processes(9, 4, unanimous_inputs(9, 1))
-    ) as runner:
-        stats = runner.run_many(_seed_range(81, runs)).decision_phase_stats()
+    ).run_many(_seed_range(81, runs)).decision_phase_stats()
     report.rows.append(["unanimity", "Fig.1", 9, 4, stats.maximum, "≤ ~2–3"])
     # Figure 1, > (n+k)/2 supermajority: "in just three phases".
-    with ExperimentRunner(
+    stats = ExperimentRunner(
         lambda seed: build_failstop_processes(9, 4, supermajority_inputs(9, 4, 1))
-    ) as runner:
-        stats = runner.run_many(_seed_range(82, runs)).decision_phase_stats()
+    ).run_many(_seed_range(82, runs)).decision_phase_stats()
     report.rows.append(["supermajority", "Fig.1", 9, 4, stats.maximum, "≤ 3"])
     # Figure 2, unanimous: "within two phases".
-    with ExperimentRunner(
+    stats = ExperimentRunner(
         lambda seed: build_malicious_processes(7, 2, unanimous_inputs(7, 0)),
         max_steps=3_000_000,
-    ) as runner:
-        stats = runner.run_many(_seed_range(83, runs)).decision_phase_stats()
+    ).run_many(_seed_range(83, runs)).decision_phase_stats()
     report.rows.append(["unanimity", "Fig.2", 7, 2, stats.maximum, "≤ 2"])
     # Figure 2, supermajority: "in just two phases".
-    with ExperimentRunner(
+    stats = ExperimentRunner(
         lambda seed: build_malicious_processes(7, 2, supermajority_inputs(7, 2, 1)),
         max_steps=3_000_000,
-    ) as runner:
-        stats = runner.run_many(_seed_range(84, runs)).decision_phase_stats()
+    ).run_many(_seed_range(84, runs)).decision_phase_stats()
     report.rows.append(["supermajority", "Fig.2", 7, 2, stats.maximum, "≤ 2"])
     # Figure 2, k < n/5: decide spread ≤ 1 phase after the first decision.
     spreads = []
-    with ExperimentRunner(
+    runs_result = ExperimentRunner(
         lambda seed: build_malicious_processes(
             11, 2, balanced_inputs(11),
             byzantine={10: BalancingEchoByzantine, 9: BalancingEchoByzantine},
         ),
         max_steps=3_000_000,
-    ) as runner:
-        runs_result = runner.run_many(_seed_range(85, runs))
+    ).run_many(_seed_range(85, runs))
     for result in runs_result.results:
         phases = result.phases_to_decide()
         spreads.append(max(phases) - min(phases))
@@ -511,14 +504,11 @@ def e9_benor_comparison(
             benor_coins.append(
                 sum(getattr(p, "coin_flips", 0) for p in processes)
             )
-        with ExperimentRunner(
+        failstop_stats = ExperimentRunner(
             lambda seed, n=n, t=t: build_failstop_processes(
                 n, t, balanced_inputs(n)
             )
-        ) as failstop_runner:
-            failstop_stats = failstop_runner.run_many(
-                _seed_range(9100 + n, runs)
-            ).decision_phase_stats()
+        ).run_many(_seed_range(9100 + n, runs)).decision_phase_stats()
         report.rows.append(
             [
                 n,

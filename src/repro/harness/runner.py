@@ -5,35 +5,27 @@ validates every run (agreement + unanimous validity, unless the
 experiment deliberately breaks the model), and aggregates the metrics
 the paper talks about: phases to decision, steps, messages.
 
-Seed fan-out can run in parallel: ``run_many`` accepts a ``workers``
-count and farms contiguous seed chunks to a persistent
-:class:`~repro.harness.pool.WorkerPool` (fork start method, so the
-runner's factories — often closures — need no pickling).  The pool is
-forked once per runner configuration and stays warm across ``run_many``
-calls — repeated batches (the fuzzer's sliced campaigns, bench loops)
-pay queue dispatch, not pool spin-up.  Chunks are sized from a measured
-per-seed cost estimate (a calibration run on the first batch, worker
-timings afterwards).  Every seed still gets its own
+Seed fan-out can run in parallel: ``iter_runs`` (and ``run_many`` on
+top of it) accepts a ``workers`` count and maps contiguous seed chunks
+over a ``concurrent.futures.ProcessPoolExecutor`` that lives only for
+the call (fork start method, so the runner's factories — often
+closures — need no pickling).  No worker outlives the call, so a pool
+never runs a stale configuration.  Every seed gets its own
 ``random.Random(seed)``, so per-seed results are identical whether
 computed serially or by any worker: the parallel path only changes
-*where* a seed runs, never what it computes, and results are
-re-assembled in seed order.  ``workers=1`` (the default) bypasses the
-pool entirely.  ``close()`` (or ``with runner:``) reaps the pool;
-otherwise a ``weakref.finalize`` reaps it when the runner is collected,
-and an ``atexit`` hook sweeps up at interpreter exit.
+*where* a seed runs, never what it computes, and results come back in
+seed order.  ``workers=1`` (the default) never imports
+:mod:`multiprocessing`.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-import weakref
 from dataclasses import dataclass, field
-from time import perf_counter
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from repro.errors import ConfigurationError, SimulationLimitError
-from repro.harness.pool import WorkerPool, fork_context, plan_chunks
 from repro.harness.stats import SummaryStats, summarize
 from repro.net.message import reset_envelope_sequence
 from repro.net.schedulers import Scheduler
@@ -45,9 +37,9 @@ from repro.sim.kernel import HaltPredicate, Simulation, StepObserver
 from repro.sim.results import HaltReason, RunResult
 
 #: The runner being executed by the current pool's workers.  Set (in the
-#: parent) immediately before the pool is forked; workers inherit it via
-#: fork, which is what lets lambda/closure factories cross the process
-#: boundary without pickling.
+#: parent) while the pool forks; workers inherit it via fork, which is
+#: what lets lambda/closure factories cross the process boundary without
+#: pickling.
 _POOL_RUNNER: Optional["ExperimentRunner"] = None
 
 #: Whether the fork-unavailable fallback warning has fired this process.
@@ -125,10 +117,6 @@ class ReplicatedRuns:
 
     results: list[RunResult] = field(default_factory=list)
 
-    def append(self, result: RunResult) -> None:
-        """Record one run's result."""
-        self.results.append(result)
-
     @property
     def count(self) -> int:
         """Number of recorded runs."""
@@ -192,8 +180,9 @@ class ExperimentRunner:
             (disable only for deliberate out-of-bounds experiments).
         require_termination: raise if a run fails to reach its goal
             within ``max_steps``.
-        workers: default parallelism for :meth:`run_many`; ``None`` means
-            :func:`default_workers` (the REPRO_WORKERS env var, else 1).
+        workers: default parallelism for :meth:`iter_runs` and
+            :meth:`run_many`; ``None`` means :func:`default_workers` (the
+            REPRO_WORKERS env var, else 1).
         metrics: collect per-run metrics snapshots
             (``RunResult.metrics``).  ``None`` (the default) defers to an
             open :mod:`repro.obs.collector` window or the REPRO_METRICS
@@ -227,89 +216,11 @@ class ExperimentRunner:
         self.workers = workers
         self.metrics = metrics
         self.observer_factory = observer_factory
-        # Persistent pool state: the warm pool, the configuration
-        # fingerprint it was forked under, a measured per-seed cost
-        # estimate (seconds), and the finalizer reaping the pool when
-        # this runner is garbage collected.
-        self._pool: Optional[WorkerPool] = None
-        self._pool_key: Optional[tuple] = None
-        self._seed_cost: Optional[float] = None
-        self._pool_finalizer = None
 
     def _metrics_enabled(self) -> bool:
         if self.metrics is not None:
             return self.metrics
         return collector.is_active() or default_metrics()
-
-    # ------------------------------------------------------------------ #
-    # Pool lifecycle
-    # ------------------------------------------------------------------ #
-
-    def close(self) -> None:
-        """Reap the runner's worker pool (idempotent).
-
-        The runner stays usable: the next parallel ``run_many`` forks a
-        fresh pool.  Serial runs never create one.
-        """
-        pool, self._pool, self._pool_key = self._pool, None, None
-        if pool is not None:
-            pool.close()
-
-    def __enter__(self) -> "ExperimentRunner":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _pool_fingerprint(self, nworkers: int) -> tuple:
-        """Everything a forked worker snapshots that could go stale.
-
-        Workers inherit the runner *and* the collector state at fork
-        time; if any of it changes (a collection window opens, a factory
-        is swapped), the old pool would silently run the old
-        configuration, so ``_ensure_pool`` retires it and forks afresh.
-        Holding the factories in the key also keeps their ids from being
-        recycled.
-        """
-        return (
-            nworkers,
-            self._metrics_enabled(),
-            collector.is_active(),
-            collector.trace_out_dir(),
-            self.process_factory,
-            self.scheduler_factory,
-            self.observer_factory,
-            self.halt_when,
-            self.max_steps,
-            self.validate,
-            self.require_termination,
-        )
-
-    def _ensure_pool(self, nworkers: int) -> Optional[WorkerPool]:
-        """The warm pool for the current configuration (fork if needed).
-
-        Returns None when the platform cannot fork, which callers treat
-        as "degrade to serial".
-        """
-        key = self._pool_fingerprint(nworkers)
-        pool = self._pool
-        if pool is not None and not pool.closed and self._pool_key == key:
-            return pool
-        self.close()
-        context = fork_context()
-        if context is None:
-            return None
-        global _POOL_RUNNER
-        previous = _POOL_RUNNER
-        _POOL_RUNNER = self
-        try:
-            pool = WorkerPool(nworkers, _run_seed_chunk, context)
-        finally:
-            _POOL_RUNNER = previous
-        self._pool = pool
-        self._pool_key = key
-        self._pool_finalizer = weakref.finalize(self, pool.close)
-        return pool
 
     def run_one(self, seed: int) -> RunResult:
         """Execute a single seeded run, with validation."""
@@ -365,80 +276,77 @@ class ExperimentRunner:
             )
         return result
 
-    def run_many(
+    def iter_runs(
         self, seeds: Sequence[int], workers: Optional[int] = None
-    ) -> ReplicatedRuns:
-        """Execute every seed and return the aggregate.
+    ) -> Iterator[RunResult]:
+        """Yield each seed's validated result, in seed order.
 
-        With ``workers > 1`` the seeds are split into contiguous,
-        cost-aware chunks and executed on the runner's persistent warm
-        worker pool (forked on first use, reused across calls); results
-        come back in seed order, so the aggregate is identical to a
-        serial run of the same seed list (each seed's execution depends
-        only on its own ``random.Random(seed)``).  Falls back to the
-        serial path when ``workers`` resolves to 1, fewer than two seeds
-        are given, or the platform cannot fork.
+        With ``workers > 1`` and at least two seeds, contiguous chunks of
+        ⌈len/(4·workers)⌉ seeds are mapped over a fork-context
+        ``ProcessPoolExecutor`` that lives only as long as this
+        iterator.  Each seed's execution depends only on its own
+        ``random.Random(seed)``, so the results equal the serial loop's.
+        Closing the iterator early (a campaign deadline) cancels the
+        chunks no worker has started and joins the workers.  An
+        exception in a worker re-raises here; a worker that dies raises
+        ``BrokenProcessPool``.  Runs serially when ``workers`` resolves
+        to 1, fewer than two seeds are given, or the platform cannot
+        fork.
         """
+        global _POOL_RUNNER
         if workers is None:
             workers = self.workers if self.workers is not None else default_workers()
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         seeds = list(seeds)
-        runs = ReplicatedRuns()
-        parallel_done = False
+        context = None
         if workers > 1 and len(seeds) > 1:
-            chunks = self._run_chunks_parallel(seeds, workers)
-            if chunks is not None:
-                for chunk in chunks:
-                    for result in chunk:
-                        runs.append(result)
-                parallel_done = True
-            else:
+            import multiprocessing
+
+            try:
+                context = multiprocessing.get_context("fork")
+            except ValueError:  # non-POSIX platforms (or tests) without fork
                 # The caller asked for parallelism it silently would not
                 # get; say so once, then degrade gracefully.
                 _warn_fork_unavailable()
-        if not parallel_done:
-            started = perf_counter()
+        if context is None:
             for seed in seeds:
-                runs.append(self.run_one(seed))
-            if seeds:
-                # Serial batches calibrate the chunker too, so a later
-                # parallel batch starts cost-aware instead of static.
-                self._seed_cost = max(
-                    (perf_counter() - started) / len(seeds), 1e-9
-                )
+                yield self.run_one(seed)
+            return
+        from concurrent.futures import ProcessPoolExecutor
+
+        size = -(-len(seeds) // (4 * workers))
+        chunks = [seeds[i : i + size] for i in range(0, len(seeds), size)]
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            # Workers fork as chunks are submitted — all at the first
+            # submit on Python 3.11+, one per submit on 3.10 — so the
+            # runner stays published until every chunk is queued.
+            previous, _POOL_RUNNER = _POOL_RUNNER, self
+            try:
+                chunk_results = pool.map(_run_seed_chunk, chunks)
+            finally:
+                _POOL_RUNNER = previous
+            try:
+                for chunk in chunk_results:
+                    yield from chunk
+            finally:
+                # The with block's shutdown would run every queued chunk
+                # first; after an early close or a failed chunk, cancel
+                # the ones no worker has started, then join.
+                pool.shutdown(cancel_futures=True)
+
+    def run_many(
+        self, seeds: Sequence[int], workers: Optional[int] = None
+    ) -> ReplicatedRuns:
+        """Execute every seed through :meth:`iter_runs`; return the aggregate.
+
+        Results are in seed order, so the aggregate is identical to a
+        serial run of the same seed list for any worker count.
+        """
+        runs = ReplicatedRuns(list(self.iter_runs(seeds, workers)))
         if collector.is_active():
             # Fold snapshots in seed order, in the parent only, so the
             # collected aggregate is identical for any worker count.
             for result in runs.results:
                 collector.record(result.metrics)
         return runs
-
-    def _run_chunks_parallel(
-        self, seeds: list[int], nworkers: int
-    ) -> Optional[list[list[RunResult]]]:
-        """Run seed chunks on the warm pool; None if fork is unavailable.
-
-        The first batch ever calibrates the per-seed cost estimate by
-        running ``seeds[0]`` in the parent, timed (with the envelope
-        counter reset, exactly like a worker chunk, so trace envelope
-        ids stay deterministic); later batches reuse the previous
-        batch's worker-side timings.
-        """
-        pool = self._ensure_pool(nworkers)
-        if pool is None:
-            return None
-        prefix: list[list[RunResult]] = []
-        remaining = seeds
-        if self._seed_cost is None and len(seeds) > 1:
-            reset_envelope_sequence()
-            started = perf_counter()
-            first = self.run_one(seeds[0])
-            self._seed_cost = max(perf_counter() - started, 1e-9)
-            prefix.append([first])
-            remaining = seeds[1:]
-        chunks = plan_chunks(remaining, nworkers, self._seed_cost)
-        payloads, busy_seconds = pool.map_chunks(chunks)
-        if remaining:
-            self._seed_cost = max(busy_seconds / len(remaining), 1e-9)
-        return prefix + payloads

@@ -7,7 +7,7 @@ Three concerns, one subsystem:
   :class:`MetricsRegistry` and frozen into mergeable
   :class:`MetricsSnapshot` values (``RunResult.metrics``).
 * **Structured tracing** (:mod:`repro.obs.sinks`) — streaming event
-  sinks (in-memory, JSONL, sampling) replacing the monolithic trace
+  sinks (in-memory, JSONL) replacing the monolithic trace
   list as the kernel's recording backend.
 * **Profiling** (:mod:`repro.obs.timing`) — wall-clock spans around the
   kernel's hot-path stages, reported in the snapshot's ``timers``
@@ -40,7 +40,6 @@ from repro.obs.sinks import (
     JsonlTraceSink,
     NullSink,
     OpaquePayload,
-    SamplingSink,
     TraceSink,
     event_from_dict,
     event_to_dict,
@@ -72,7 +71,6 @@ __all__ = [
     "JsonlTraceSink",
     "NullSink",
     "OpaquePayload",
-    "SamplingSink",
     "SpanTracer",
     "TraceSink",
     "event_from_dict",

@@ -12,9 +12,6 @@ parallel fan-out scale.  A *sink* decouples recording from storage:
 * :class:`JsonlTraceSink` — streams events as JSON Lines to a file, one
   object per event, so traces of arbitrarily long runs use O(1) memory
   and can be post-processed by anything that reads JSONL.
-* :class:`SamplingSink` — wraps another sink with every-Nth-event
-  sampling and/or per-event-type filters, making tracing affordable on
-  runs where a full trace would be gigabytes.
 * :class:`CountingSink` — test/CI instrument: counts ``emit`` calls.
 
 The JSONL codec round-trips the protocol message payloads of
@@ -30,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Any, Iterator, Optional, Sequence, Union
+from typing import IO, Any, Iterator, Optional, Union
 
 from repro.core.messages import (
     STAR,
@@ -123,53 +120,6 @@ class CountingSink(TraceSink):
     def close(self) -> None:
         if self.inner is not None:
             self.inner.close()
-
-
-class SamplingSink(TraceSink):
-    """Every-Nth-event sampling and per-type filtering over an inner sink.
-
-    Args:
-        inner: the sink that stores whatever survives sampling.
-        every: keep one event out of every ``every`` that pass the type
-            filter (1 = keep all).
-        include: event classes (or their names, e.g. ``"SendEvent"``) to
-            keep; ``None`` keeps every type.
-
-    The Nth-event counter runs over *included* events only, so a filter
-    for decisions with ``every=1`` records every decision regardless of
-    how much send/deliver traffic surrounds them.
-    """
-
-    def __init__(
-        self,
-        inner: TraceSink,
-        every: int = 1,
-        include: Optional[Sequence[Union[type, str]]] = None,
-    ) -> None:
-        if every < 1:
-            raise ConfigurationError(f"every must be >= 1, got {every}")
-        self.inner = inner
-        self.every = every
-        self._seen = 0
-        self._include_names: Optional[frozenset[str]] = None
-        if include is not None:
-            self._include_names = frozenset(
-                item if isinstance(item, str) else item.__name__
-                for item in include
-            )
-
-    def emit(self, event: TraceEvent) -> None:
-        if (
-            self._include_names is not None
-            and type(event).__name__ not in self._include_names
-        ):
-            return
-        self._seen += 1
-        if (self._seen - 1) % self.every == 0:
-            self.inner.emit(event)
-
-    def close(self) -> None:
-        self.inner.close()
 
 
 class JsonlTraceSink(TraceSink):

@@ -1,4 +1,4 @@
-"""Tests for trace sinks: in-memory, JSONL round-trip, sampling, null."""
+"""Tests for trace sinks: in-memory, JSONL round-trip, null, counting."""
 
 import pytest
 
@@ -14,7 +14,6 @@ from repro.obs.sinks import (
     JsonlTraceSink,
     NullSink,
     OpaquePayload,
-    SamplingSink,
     decode_payload,
     encode_payload,
     event_from_dict,
@@ -133,42 +132,6 @@ class TestJsonlRoundTrip:
             if line.strip()
         ]
         assert all(line["seed"] == 7 for line in lines)
-
-
-class TestSampling:
-    def _events(self, count):
-        return [StartEvent(step, step % 5) for step in range(count)]
-
-    def test_every_nth_keeps_first_then_every_nth(self):
-        inner = InMemorySink()
-        sampler = SamplingSink(inner, every=3)
-        for event in self._events(10):
-            sampler.emit(event)
-        assert [e.step for e in inner.events] == [0, 3, 6, 9]
-
-    def test_type_filter_applies_before_nth_counter(self):
-        inner = InMemorySink()
-        sampler = SamplingSink(inner, every=2, include=[DecideEvent])
-        sampler.emit(StartEvent(0, 0))
-        sampler.emit(DecideEvent(1, 0, 1))
-        sampler.emit(StartEvent(2, 1))
-        sampler.emit(DecideEvent(3, 1, 1))
-        sampler.emit(DecideEvent(4, 2, 1))
-        # Starts never count against the decision sampler.
-        assert [e.step for e in inner.events] == [1, 4]
-
-    def test_type_filter_accepts_names(self):
-        inner = InMemorySink()
-        sampler = SamplingSink(inner, include=["DecideEvent"])
-        sampler.emit(StartEvent(0, 0))
-        sampler.emit(DecideEvent(1, 0, 1))
-        assert [type(e).__name__ for e in inner.events] == ["DecideEvent"]
-
-    def test_every_must_be_positive(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            SamplingSink(InMemorySink(), every=0)
 
 
 class TestNullAndCounting:

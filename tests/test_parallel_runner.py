@@ -1,6 +1,11 @@
-"""Determinism and fallback behaviour of the parallel ``run_many``."""
+"""Determinism, fallback and pool lifetime of the parallel ``run_many``."""
 
 from __future__ import annotations
+
+import multiprocessing
+import os
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -49,14 +54,12 @@ class TestParallelDeterminism:
 class TestWorkersPlumbing:
     def test_workers_1_is_serial_fallback(self, monkeypatch):
         # The serial path must never touch multiprocessing.
-        import repro.harness.runner as runner_module
+        import multiprocessing
 
         def boom(*args, **kwargs):
             raise AssertionError("pool used for workers=1")
 
-        monkeypatch.setattr(
-            runner_module.ExperimentRunner, "_run_chunks_parallel", boom
-        )
+        monkeypatch.setattr(multiprocessing, "get_context", boom)
         results = make_runner().run_many(SEEDS[:3], workers=1)
         assert results.count == 3
 
@@ -64,16 +67,15 @@ class TestWorkersPlumbing:
         # Regression: when fork is unavailable, run_many used to drop to
         # the serial path without a word — workers=4 silently meant
         # workers=1.  The degradation must now be announced (once).
+        import multiprocessing
         import warnings
 
         import repro.harness.runner as runner_module
 
-        def no_fork(self, seeds, nworkers):
-            return None  # what _run_chunks_parallel returns without fork
+        def no_fork(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
 
-        monkeypatch.setattr(
-            runner_module.ExperimentRunner, "_run_chunks_parallel", no_fork
-        )
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
         monkeypatch.setattr(runner_module, "_FORK_FALLBACK_WARNED", False)
         with pytest.warns(RuntimeWarning, match="fork"):
             first = make_runner().run_many(SEEDS, workers=4)
@@ -86,7 +88,6 @@ class TestWorkersPlumbing:
         assert second.count == 3
 
     def test_get_context_valueerror_triggers_fallback(self, monkeypatch):
-        # Exercise the real _run_chunks_parallel guard, not a stub.
         import multiprocessing
 
         import repro.harness.runner as runner_module
@@ -121,6 +122,55 @@ class TestWorkersPlumbing:
         monkeypatch.setenv("REPRO_WORKERS", "0")
         with pytest.raises(ConfigurationError):
             default_workers()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="fork start method unavailable",
+)
+class TestPoolLifetime:
+    """One pool per call: no worker outlives it, and no failure hangs it."""
+
+    @staticmethod
+    def _runner_failing_in_workers(fail):
+        parent = os.getpid()
+
+        def factory(seed):
+            if os.getpid() != parent:
+                fail(seed)
+            return build_failstop_processes(5, 2, balanced_inputs(5))
+
+        return ExperimentRunner(factory)
+
+    def test_no_children_after_run_many_returns(self):
+        make_runner().run_many(SEEDS, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exception_reraises_and_leaves_no_children(self):
+        def fail(seed):
+            raise RuntimeError(f"seed {seed} failed in a worker")
+
+        runner = self._runner_failing_in_workers(fail)
+        with pytest.raises(RuntimeError, match="failed in a worker"):
+            runner.run_many(SEEDS, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_dying_worker_raises_instead_of_hanging(self):
+        runner = self._runner_failing_in_workers(lambda seed: os._exit(3))
+        started = time.monotonic()
+        with pytest.raises(BrokenProcessPool):
+            runner.run_many(SEEDS, workers=2)
+        assert time.monotonic() - started < 10.0
+        assert multiprocessing.active_children() == []
+
+    def test_closing_iter_runs_early_returns_promptly(self):
+        started = time.monotonic()
+        runs = make_runner().iter_runs(range(40), workers=2)
+        first = next(runs)
+        runs.close()
+        assert time.monotonic() - started < 10.0
+        assert multiprocessing.active_children() == []
+        assert first == make_runner().run_one(0)
 
 
 class TestWorkerEnvelopeDeterminism:
