@@ -52,7 +52,6 @@ from repro.net import (
     MessageSystem,
     RandomScheduler,
     FifoScheduler,
-    PartitionScheduler,
     ScriptedScheduler,
     BalancingDelayScheduler,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "MessageSystem",
     "RandomScheduler",
     "FifoScheduler",
-    "PartitionScheduler",
     "ScriptedScheduler",
     "BalancingDelayScheduler",
     "Process",

@@ -25,7 +25,7 @@ pieces:
   decision or a crash), lazy instance instantiation and
   decided-instance GC.
 * :mod:`repro.cluster.chaos` — a frame-aware TCP chaos proxy injecting
-  delay/drop/partition/reset schedules, the live-network analogue of the
+  delay/drop/reset schedules, the live-network analogue of the
   simulator's adversarial schedulers.
 * :mod:`repro.cluster.driver` — turns a spec into a running n-node
   loopback mesh (:class:`~repro.cluster.driver.ClusterMesh`, the one

@@ -1,7 +1,7 @@
 """Frame-aware TCP chaos proxy: adversarial delivery for live clusters.
 
 The simulator expresses the paper's adversary through schedulers
-(fair-views delays, partitions, filtered delivery).  On a real network
+(fair-views delays, withholding by predicate).  On a real network
 the same power lives in the transport path, so the cluster driver can
 interpose one :class:`ChaosProxy` in front of each node: every inbound
 connection to that node flows through the proxy, which parses the wire
@@ -16,16 +16,14 @@ framing (:mod:`repro.cluster.codec`) and applies a seeded schedule of
   with probability ``drop_rate``.  That is one gap for the transport's
   go-back-n layer, which retransmits, so drops cost latency, never
   safety: exactly the paper's reliable-but-slow message system.
-* **partition** — during configured ``(start, end)`` windows (seconds
-  since proxy start) the proxy stalls all forwarding; frames queue
-  behind the partition and flow again when it heals.
 * **reset** — after every ``reset_every`` forwarded data frames the
   proxy kills the connection, exercising the transport's
   reconnect/backoff/retransmit machinery.
 
-Handshake and ack frames pass through with the same delays but are never
-dropped — dropping them would also be survivable, but keeping them clean
-makes drop metrics attribute cleanly to protocol traffic.
+Only data frames are delayed or dropped.  Hello and bye frames pass
+through undelayed, and acks flow back raw in the node→client direction —
+losing them would also be survivable, but keeping them clean makes drop
+metrics attribute cleanly to protocol traffic.
 
 All randomness comes from one ``random.Random(seed)`` per proxy, so a
 chaos schedule is reproducible run to run (modulo wall-clock timing).
@@ -35,8 +33,7 @@ from __future__ import annotations
 
 import asyncio
 import random
-from dataclasses import dataclass, field
-from time import monotonic
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.cluster.codec import KIND_DATA, FrameReader
@@ -52,8 +49,6 @@ class ChaosConfig:
         delay_min / delay_max: per-frame forwarding delay bounds
             (seconds).
         drop_rate: probability of discarding a data frame.
-        partitions: ``(start, end)`` windows, in seconds since the proxy
-            started, during which nothing is forwarded.
         reset_every: kill the connection after this many forwarded data
             frames (None = never).
         reset_grace: seconds the reverse (ack) direction keeps flowing
@@ -68,7 +63,6 @@ class ChaosConfig:
     delay_min: float = 0.0
     delay_max: float = 0.0
     drop_rate: float = 0.0
-    partitions: tuple = field(default_factory=tuple)
     reset_every: Optional[int] = None
     reset_grace: float = 0.05
     seed: int = 0
@@ -91,12 +85,6 @@ class ChaosConfig:
             raise ConfigurationError(
                 f"reset_grace must be >= 0, got {self.reset_grace}"
             )
-        for window in self.partitions:
-            start, end = window
-            if start < 0 or end < start:
-                raise ConfigurationError(
-                    f"malformed partition window {window!r}"
-                )
 
     @property
     def active(self) -> bool:
@@ -104,7 +92,6 @@ class ChaosConfig:
         return bool(
             self.delay_max > 0
             or self.drop_rate > 0
-            or self.partitions
             or self.reset_every is not None
         )
 
@@ -143,7 +130,6 @@ class ChaosProxy:
         self.tracer = tracer
         self.rng = random.Random(config.seed)
         self._server: Optional[asyncio.AbstractServer] = None
-        self._epoch: Optional[float] = None
         self._pumps: set[asyncio.Task] = set()
         self._closed = False
 
@@ -152,7 +138,6 @@ class ChaosProxy:
         self._server = await asyncio.start_server(
             self._accept, host=host, port=port
         )
-        self._epoch = monotonic()
         sockname = self._server.sockets[0].getsockname()
         return sockname[0], sockname[1]
 
@@ -222,7 +207,6 @@ class ChaosProxy:
                 return
             frames.feed(chunk)
             for kind, frame_bytes in frames.frames():
-                await self._respect_partitions()
                 if kind == KIND_DATA:
                     if self.rng.random() < config.drop_rate:
                         self._inc("cluster.chaos.dropped")
@@ -260,25 +244,6 @@ class ChaosProxy:
                 return
             writer.write(chunk)
             await writer.drain()
-
-    async def _respect_partitions(self) -> None:
-        """Sleep out any partition window covering the current instant."""
-        if not self.config.partitions or self._epoch is None:
-            return
-        while True:
-            now = monotonic() - self._epoch
-            remaining = [
-                end - now
-                for start, end in self.config.partitions
-                if start <= now < end
-            ]
-            if not remaining:
-                return
-            self._inc("cluster.chaos.partition_stalls")
-            self._trace_event(
-                "chaos-partition", stall_ms=round(max(remaining) * 1000.0, 3)
-            )
-            await asyncio.sleep(max(remaining))
 
     # ------------------------------------------------------------------ #
     # Observability plumbing

@@ -17,7 +17,7 @@ facts an on-call reader wants:
   each node (the segments tile each decision's wall clock, so their sum
   tracks the end-to-end latency);
 * a chaos-correlation table — for every decision, how many chaos-proxy
-  perturbations (delays, drops, partitions, resets) fell inside its
+  perturbations (delays, drops, resets) fell inside its
   latency window;
 * for SMR runs, the commit latency and apply/snapshot counts.
 
@@ -42,9 +42,7 @@ from repro.obs.spans import hlc_key
 SEGMENT_KEYS = ("queue_ms", "transport_ms", "compute_ms")
 
 #: Chaos event types the correlator recognises.
-CHAOS_EVENTS = (
-    "chaos-delay", "chaos-drop", "chaos-partition", "chaos-reset",
-)
+CHAOS_EVENTS = ("chaos-delay", "chaos-drop", "chaos-reset")
 
 
 class StitchedTrace:

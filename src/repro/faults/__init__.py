@@ -1,6 +1,6 @@
 """Fault injection: fail-stop crash plans, Byzantine strategies, fault plans."""
 
-from repro.faults.crash import CrashableProcess, crash_plan
+from repro.faults.crash import CrashableProcess
 from repro.faults.byzantine import (
     BYZANTINE_STRATEGIES,
     SilentByzantine,
@@ -21,7 +21,6 @@ from repro.faults.plans import (
 
 __all__ = [
     "CrashableProcess",
-    "crash_plan",
     "SilentByzantine",
     "RandomNoiseByzantine",
     "BalancingEchoByzantine",

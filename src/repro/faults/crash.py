@@ -163,29 +163,3 @@ class CrashableProcess(Process):
             inner_key() if inner_key is not None else None,
         )
 
-
-def crash_plan(
-    processes: list[Process],
-    victims: dict[int, dict],
-) -> list[Process]:
-    """Wrap selected processes in :class:`CrashableProcess`.
-
-    Args:
-        processes: the full pid-ordered process list.
-        victims: maps pid → kwargs for :class:`CrashableProcess`
-            (``crash_at_step`` / ``crash_at_phase`` / ``keep_sends``).
-
-    Returns:
-        A new pid-ordered list with victims wrapped.
-
-    Example:
-        >>> procs = crash_plan(procs, {0: {"crash_at_phase": 1},
-        ...                            3: {"crash_at_step": 5, "keep_sends": 2}})
-    """
-    wrapped: list[Process] = []
-    for process in processes:
-        if process.pid in victims:
-            wrapped.append(CrashableProcess(process, **victims[process.pid]))
-        else:
-            wrapped.append(process)
-    return wrapped

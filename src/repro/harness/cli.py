@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* ``list`` — show the experiment registry (E1–E10) with titles;
+* ``list`` — show the experiment registry (E1–E11) with titles;
   ``--json`` emits a machine-readable inventory of experiments,
   fuzzable protocols, and cluster capabilities.
 * ``run E3 [E4 ...]`` — run experiments and print their report tables;
@@ -86,16 +86,27 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.workers is None:
+        return _run_experiments(args)
+    if args.workers < 1:
+        print(f"--workers must be >= 1, got {args.workers}")
+        return 2
+    # Experiments construct their own ExperimentRunners, which pick up
+    # REPRO_WORKERS through default_workers(); the caller's value returns.
+    previous = os.environ.get("REPRO_WORKERS")
+    os.environ["REPRO_WORKERS"] = str(args.workers)
+    try:
+        return _run_experiments(args)
+    finally:
+        os.environ.pop("REPRO_WORKERS", None)
+        if previous is not None:
+            os.environ["REPRO_WORKERS"] = previous
+
+
+def _run_experiments(args: argparse.Namespace) -> int:
     from repro.harness.tables import render_markdown, to_csv
     from repro.obs.report import render_metrics_summary
 
-    if args.workers is not None:
-        if args.workers < 1:
-            print(f"--workers must be >= 1, got {args.workers}")
-            return 2
-        # Experiments construct their own ExperimentRunners, which pick
-        # up REPRO_WORKERS through default_workers().
-        os.environ["REPRO_WORKERS"] = str(args.workers)
     observing = args.metrics or args.trace_out is not None
     if args.trace_out is not None:
         os.makedirs(args.trace_out, exist_ok=True)

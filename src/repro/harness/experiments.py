@@ -1,4 +1,4 @@
-"""The experiment registry: one function per paper artifact (E1–E10).
+"""The experiment registry: one function per paper artifact (E1–E11).
 
 Each experiment function runs a (possibly quick-scaled) version of the
 corresponding reproduction and returns an :class:`ExperimentReport` —
@@ -106,12 +106,12 @@ def e1_failstop_protocol(
     )
     for n, k in cells:
         crashes = int(k * crash_fraction)
-        crash_plan = {
+        victims = {
             pid: {"crash_at_step": 3 + pid, "keep_sends": pid % 3}
             for pid in range(crashes)
         }
         runs_result = ExperimentRunner(
-            lambda seed, n=n, k=k, plan=crash_plan: build_failstop_processes(
+            lambda seed, n=n, k=k, plan=victims: build_failstop_processes(
                 n, k, balanced_inputs(n), crashes=plan
             ),
         ).run_many(_seed_range(1000 * n + k, runs))

@@ -82,16 +82,6 @@ def default_workers() -> int:
     return value
 
 
-def default_metrics() -> bool:
-    """Default metrics enablement: the REPRO_METRICS env var, else off.
-
-    Off by default to keep the hot path instrumentation-free; set
-    ``REPRO_METRICS=1`` (or pass ``--metrics`` on the CLI, which opens a
-    collection window via :mod:`repro.obs.collector`) to opt in.
-    """
-    return os.environ.get("REPRO_METRICS", "").strip() not in ("", "0")
-
-
 def _run_seed_chunk(seeds: Sequence[int]) -> list[RunResult]:
     """Worker body: run a contiguous chunk of seeds on the inherited runner."""
     # Envelope ids are tracing metadata, but forked workers inherit the
@@ -185,9 +175,9 @@ class ExperimentRunner:
             REPRO_WORKERS env var, else 1).
         metrics: collect per-run metrics snapshots
             (``RunResult.metrics``).  ``None`` (the default) defers to an
-            open :mod:`repro.obs.collector` window or the REPRO_METRICS
-            env var, so ``repro-consensus run <id> --metrics`` reaches
-            runners the experiment registry constructs internally.
+            open :mod:`repro.obs.collector` window, so
+            ``repro-consensus run <id> --metrics`` reaches runners the
+            experiment registry constructs internally.
         observer_factory: seed → fresh per-run safety observer (e.g. an
             :class:`~repro.check.oracles.OracleSuite`); a flagged
             violation ends the run early and lands in
@@ -218,9 +208,7 @@ class ExperimentRunner:
         self.observer_factory = observer_factory
 
     def _metrics_enabled(self) -> bool:
-        if self.metrics is not None:
-            return self.metrics
-        return collector.is_active() or default_metrics()
+        return collector.is_active() if self.metrics is None else self.metrics
 
     def run_one(self, seed: int) -> RunResult:
         """Execute a single seeded run, with validation."""

@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 from repro.core.common import max_failstop_resilience
 from repro.core.simple_majority import SimpleMajorityConsensus
 from repro.errors import ConfigurationError
-from repro.net.schedulers import PartitionScheduler
+from repro.net.schedulers import FilteredRandomScheduler
 from repro.sim.kernel import Simulation
 from repro.sim.results import HaltReason, RunResult
 
@@ -173,7 +173,12 @@ def theorem1_partition_scenario(
     processes = build_ensemble(
         cores[protocol], n, k, inputs, allow_excessive_k=True
     )
-    scheduler = PartitionScheduler([group_s, group_t])
+
+    def within(group: tuple[int, ...]):
+        # Legal: §2.1 delivers arbitrarily slowly, so cross-group mail waits.
+        return lambda env: env.sender in group and env.recipient in group
+
+    scheduler = FilteredRandomScheduler(within(group_s))
     sim = Simulation(processes, scheduler=scheduler, seed=seed)
 
     def group_done(group: tuple[int, ...]):
@@ -189,7 +194,7 @@ def theorem1_partition_scenario(
     first = sim.run(max_steps=stage_steps, halt_when=group_done(group_s))
     stalled = first.halt_reason is not HaltReason.GOAL_REACHED
     # σ₁: only S̄ runs, appended to the same execution.
-    scheduler.activate(1)
+    scheduler.predicate = within(group_t)
     result = sim.run(max_steps=stage_steps, halt_when=group_done(group_t))
     stalled = stalled and result.halt_reason is not HaltReason.GOAL_REACHED
     no_decisions = all(value is None for value in result.decisions)

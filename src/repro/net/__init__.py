@@ -27,7 +27,6 @@ from repro.net.schedulers import (
     Scheduler,
     RandomScheduler,
     FifoScheduler,
-    PartitionScheduler,
     ScriptedScheduler,
     BalancingDelayScheduler,
     ExponentialDelayScheduler,
@@ -42,7 +41,6 @@ __all__ = [
     "Scheduler",
     "RandomScheduler",
     "FifoScheduler",
-    "PartitionScheduler",
     "ScriptedScheduler",
     "BalancingDelayScheduler",
     "ExponentialDelayScheduler",

@@ -225,26 +225,6 @@ class MessageBuffer:
         """Return a snapshot of the buffer contents without removing them."""
         return tuple(self._items)
 
-    def remove_where(self, predicate) -> int:
-        """Drop every envelope matching ``predicate``; return the count.
-
-        Used by fault injection (e.g. modelling a crash that loses the
-        victim's pending inbound messages is *not* in the paper's model, but
-        partition experiments use this to discard cross-partition traffic).
-        """
-        kept: list[Envelope] = []
-        removed: list[Envelope] = []
-        for env in self._items:
-            (removed if predicate(env) else kept).append(env)
-        if not removed:
-            return 0
-        self._items[:] = kept
-        self._index = {id(env): i for i, env in enumerate(kept)}
-        if self._listener is not None:
-            for env in removed:
-                self._listener._buffer_removed(self._pid, env)
-        return len(removed)
-
     def __len__(self) -> int:
         return len(self._items)
 

@@ -88,7 +88,7 @@ class ReferenceFifoScheduler(Scheduler):
 
 
 class ReferencePartitionScheduler(Scheduler):
-    """Verbatim pre-optimisation :class:`~repro.net.schedulers.PartitionScheduler`.
+    """Verbatim old partition scheduler: the partition predicate's oracle.
 
     Includes the original's missing ``reset`` forwarding (the satellite
     bug): resetting this scheduler does *not* reset ``inner``.  Kept that

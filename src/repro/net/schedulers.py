@@ -6,7 +6,7 @@ of an execution therefore lives in (a) which process steps next and
 (b) which message (if any) its receive returns.  A :class:`Scheduler`
 resolves exactly these two choices.
 
-The library ships four schedulers:
+Two schedulers carry the paper's model:
 
 :class:`RandomScheduler`
     Picks uniformly among all pending (process, envelope) options.  This
@@ -16,23 +16,19 @@ The library ships four schedulers:
     zero of being the view seen.  It is the scheduler under which the
     convergence theorems apply.
 
-:class:`FifoScheduler`
-    Deterministic: round-robin over processes, oldest envelope first.
-    Not part of the model; used for reproducible unit tests.
+:class:`FilteredRandomScheduler`
+    Uniform random delivery among the envelopes a predicate lets through;
+    the rest are withheld, which §2.1's arbitrarily slow delivery allows.
+    Every partition is this scheduler: delivering only messages whose
+    sender *and* recipient lie in S runs S as if everyone outside had
+    died (Lemma 1), and reassigning the predicate splices σ = σ₀·σ₁
+    (Theorem 1) or withholds a rewound overlap's stale traffic (Theorem 3).
 
-:class:`PartitionScheduler`
-    Delivers only messages whose sender *and* recipient belong to the
-    currently active group.  This is the executable form of the
-    sub-configuration machinery of Section 2.2: running the active group
-    in isolation simulates "all processes outside S have died" (Lemma 1)
-    and, by switching groups, the schedule splice σ = σ₀·σ₁ used in the
-    proof of Theorem 1.
-
-:class:`BalancingDelayScheduler`
-    A message-delaying adversary that tries to keep each recipient's view
-    of 0-valued and 1-valued traffic balanced — the slow-convergence
-    behaviour Section 4 ascribes to worst-case faulty processes, applied
-    here to the network itself as a stress test.
+Beside them: :class:`FifoScheduler` (deterministic round-robin, for unit
+tests), :class:`ExponentialDelayScheduler` (delays on a virtual clock),
+:class:`ScriptedScheduler` / :class:`ScheduleRecorder` (exact replay),
+and :class:`BalancingDelayScheduler` (an adversary keeping each
+recipient's 0/1 intake balanced — a stress test, not the model).
 
 Performance architecture.  Every scheduler here is written against the
 message system's incremental structures instead of per-step rescans:
@@ -230,118 +226,6 @@ class FifoScheduler(Scheduler):
         return chosen, system._buffers[chosen].take_oldest()
 
 
-class PartitionScheduler(Scheduler):
-    """Deliver only within the active group; everything else stays buffered.
-
-    Used by the lower-bound scenarios: running group S alone is
-    operationally identical to every process outside S being dead
-    (their messages exist but are never delivered, and they take no
-    steps).  Switching the active group replays the complement.
-
-    Args:
-        groups: disjoint-or-not collections of process ids.  The scheduler
-            does not require a partition in the strict sense; Theorem 3's
-            scenario uses *overlapping* S and T.
-        inner: scheduler used to pick among deliverable intra-group
-            messages (defaults to :class:`RandomScheduler`).
-    """
-
-    def __init__(
-        self, groups: Sequence[Iterable[int]], inner: Scheduler | None = None
-    ) -> None:
-        self.groups = [frozenset(group) for group in groups]
-        if not self.groups:
-            raise ConfigurationError("PartitionScheduler needs at least one group")
-        self.active_index = 0
-        self.inner = inner if inner is not None else RandomScheduler()
-        self._system: Optional[MessageSystem] = None
-        #: per-pid list of per-group pending counts (sender in group).
-        self._group_counts: list[list[int]] = []
-
-    @property
-    def active_group(self) -> frozenset[int]:
-        """The group whose intra-group messages are currently deliverable."""
-        return self.groups[self.active_index]
-
-    def activate(self, index: int) -> None:
-        """Make ``groups[index]`` the active group."""
-        if not 0 <= index < len(self.groups):
-            raise ConfigurationError(
-                f"group index {index} out of range ({len(self.groups)} groups)"
-            )
-        self.active_index = index
-
-    def reset(self) -> None:
-        # Forward to the inner scheduler so its state (e.g. a Fifo
-        # cursor) does not leak across simulations.
-        self.inner.reset()
-        self._system = None
-
-    def attach(self, system: MessageSystem) -> None:
-        self._system = system
-        counts = [[0] * len(self.groups) for _ in range(system.n)]
-        self._group_counts = counts
-        for pid, buffer in enumerate(system._buffers):
-            for env in buffer.peek_all():
-                row = counts[pid]
-                for gi, group in enumerate(self.groups):
-                    if env.sender in group:
-                        row[gi] += 1
-        system.register_observer(self)
-        self.inner.attach(system)
-
-    def on_put(self, pid: int, envelope: Envelope) -> None:
-        """Observer hook: count the new envelope toward its sender's groups."""
-        row = self._group_counts[pid]
-        sender = envelope.sender
-        for gi, group in enumerate(self.groups):
-            if sender in group:
-                row[gi] += 1
-
-    def on_removed(self, pid: int, envelope: Envelope) -> None:
-        """Observer hook: uncount a delivered/dropped envelope."""
-        row = self._group_counts[pid]
-        sender = envelope.sender
-        for gi, group in enumerate(self.groups):
-            if sender in group:
-                row[gi] -= 1
-
-    def choose(
-        self, system: MessageSystem, alive: Iterable[int], rng: random.Random
-    ) -> Decision:
-        if self._system is not system:
-            self.attach(system)
-        group = self.active_group
-        gi = self.active_index
-        counts = self._group_counts
-        # Count intra-group candidates per member, preserving the given
-        # alive order (the historical candidate enumeration order).
-        members: list[tuple[int, int]] = []
-        total = 0
-        for pid in alive:
-            if pid in group:
-                count = counts[pid][gi]
-                if count:
-                    members.append((pid, count))
-                    total += count
-        if not total:
-            return None
-        # Same RNG state transition as rng.choice(candidate_list).
-        k = rng.randrange(total)
-        buffers = system._buffers
-        for pid, count in members:
-            if k >= count:
-                k -= count
-                continue
-            buffer = buffers[pid]
-            for index, env in enumerate(buffer._items):
-                if env.sender in group:
-                    if k == 0:
-                        return pid, buffer.take_at(index)
-                    k -= 1
-        raise AssertionError("partition candidate counts out of sync")
-
-
 class ExponentialDelayScheduler(Scheduler):
     """Virtual-time delivery: every message gets an exponential delay.
 
@@ -483,9 +367,10 @@ class FilteredRandomScheduler(Scheduler):
     :class:`~repro.net.message.Envelope` and returns whether it may be
     delivered now.  Withholding messages indefinitely is a *legal*
     scheduler in the asynchronous model (delays are unbounded), which is
-    exactly what the lower-bound scenarios need: Theorem 3's replay
-    withholds the malicious overlap's pre-reset messages from the second
-    group forever.
+    exactly what the lower-bound scenarios need: Theorem 1's splice
+    withholds every cross-group message, and Theorem 3's replay withholds
+    the malicious overlap's pre-reset messages from the second group
+    forever.
 
     Predicate results are cached incrementally: each envelope is
     classified once when it enters a buffer, and the whole cache is

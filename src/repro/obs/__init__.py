@@ -9,10 +9,10 @@ Three concerns, one subsystem:
 * **Structured tracing** (:mod:`repro.obs.sinks`) — streaming event
   sinks (in-memory, JSONL) replacing the monolithic trace
   list as the kernel's recording backend.
-* **Profiling** (:mod:`repro.obs.timing`) — wall-clock spans around the
-  kernel's hot-path stages, reported in the snapshot's ``timers``
-  section and stripped by ``MetricsSnapshot.stable()`` for
-  determinism-sensitive comparisons.
+* **Profiling** (``MetricsRegistry.time_add`` / ``timer_cell``) —
+  wall-clock spans the kernel times inline around its hot-path stages,
+  reported in the snapshot's ``timers`` section and stripped by
+  ``MetricsSnapshot.stable()`` for determinism-sensitive comparisons.
 * **Causal tracing** (:mod:`repro.obs.spans`) — hybrid logical clocks
   and per-decision trace/span ids for the cluster runtime: spans are
   written through the cluster's JSONL trace writers, and HLC order makes
@@ -47,7 +47,6 @@ from repro.obs.sinks import (
     read_jsonl,
 )
 from repro.obs.spans import HLC, SpanTracer, hlc_key, make_trace_id
-from repro.obs.timing import Timer
 from repro.obs.report import (
     metrics_json_payload,
     per_phase_series,
@@ -79,7 +78,6 @@ __all__ = [
     "make_trace_id",
     "payload_type_name",
     "read_jsonl",
-    "Timer",
     "metrics_json_payload",
     "per_phase_series",
     "render_metrics_summary",

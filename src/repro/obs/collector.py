@@ -1,6 +1,6 @@
 """Process-wide observability collection for the experiment harness.
 
-The experiment registry (E1–E10) constructs its own
+The experiment registry (E1–E11) constructs its own
 :class:`~repro.harness.runner.ExperimentRunner` instances internally, so
 the CLI cannot hand a metrics flag down the call chain.  This module is
 the narrow waist that makes ``repro-consensus run e1 --metrics`` work:

@@ -458,12 +458,6 @@ class MetricsRegistry:
             cell[0] += 1
             cell[1] += seconds
 
-    def timer(self, name: str):
-        """Context manager recording a span into timer ``name``."""
-        from repro.obs.timing import Timer
-
-        return Timer(self, name)
-
     # ------------------------------------------------------------------ #
     # Reading
     # ------------------------------------------------------------------ #

@@ -1,6 +1,7 @@
 """Tests for the repro-consensus CLI."""
 
 import argparse
+import os
 
 from repro.harness.cli import build_parser, main
 
@@ -49,6 +50,16 @@ class TestCli:
         assert main(["run", "e6", "--format", "csv"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "protocol,n,k,regime,outcome"
+
+    def test_run_workers_leaves_no_repro_workers_behind(self, monkeypatch):
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        assert main(["run", "e5", "--workers", "2"]) == 0
+        assert "REPRO_WORKERS" not in os.environ
+
+    def test_run_workers_restores_callers_repro_workers(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        assert main(["run", "e5", "--workers", "2"]) == 0
+        assert os.environ["REPRO_WORKERS"] == "3"
 
     def test_demo_runs(self, capsys):
         assert main(["demo"]) == 0

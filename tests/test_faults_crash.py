@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.fail_stop import FailStopConsensus
 from repro.errors import ConfigurationError
-from repro.faults.crash import CrashableProcess, crash_plan
-from repro.harness.workloads import unanimous_inputs
+from repro.faults.crash import CrashableProcess
+from repro.harness.builders import build_failstop_processes
 from repro.sim.kernel import Simulation
 
 
@@ -70,9 +70,9 @@ class TestCrashTriggers:
 
 class TestMirroring:
     def test_decision_mirrored_from_inner(self):
-        n, k = 5, 2
-        inner_list = [FailStopConsensus(pid, n, k, 1) for pid in range(n)]
-        processes = crash_plan(inner_list, {4: {"crash_at_step": 500_000}})
+        processes = build_failstop_processes(
+            5, 2, [1] * 5, crashes={4: {"crash_at_step": 500_000}}
+        )
         result = Simulation(processes, seed=0).run(max_steps=500_000)
         assert result.decisions[4] == 1
         assert processes[4].decided
@@ -85,15 +85,18 @@ class TestMirroring:
 
 class TestCrashPlanHelper:
     def test_wraps_only_victims(self):
-        processes = [FailStopConsensus(pid, 5, 2, 0) for pid in range(5)]
-        wrapped = crash_plan(processes, {1: {"crash_at_step": 2}})
-        assert isinstance(wrapped[1], CrashableProcess)
-        assert wrapped[0] is processes[0]
+        wrapped = build_failstop_processes(
+            5, 2, [0] * 5, crashes={1: {"crash_at_step": 2}}
+        )
+        wrapped_pids = [
+            p.pid for p in wrapped if isinstance(p, CrashableProcess)
+        ]
+        assert wrapped_pids == [1]
 
     def test_crashed_pids_reported(self):
-        processes = [FailStopConsensus(pid, 5, 2, 1) for pid in range(5)]
-        wrapped = crash_plan(
-            processes, {0: {"crash_at_step": 1}, 1: {"crash_at_step": 0}}
+        wrapped = build_failstop_processes(
+            5, 2, [1] * 5,
+            crashes={0: {"crash_at_step": 1}, 1: {"crash_at_step": 0}},
         )
         result = Simulation(wrapped, seed=1).run(max_steps=500_000)
         assert result.crashed_pids == {0, 1}

@@ -77,14 +77,6 @@ class TestMessageBuffer:
         buffer.put(_env(2))
         assert len(snapshot) == 1
 
-    def test_remove_where(self):
-        buffer = MessageBuffer()
-        for i in range(6):
-            buffer.put(_env(i, sender=i % 2))
-        removed = buffer.remove_where(lambda env: env.sender == 0)
-        assert removed == 3
-        assert all(env.sender == 1 for env in buffer.peek_all())
-
     def test_iteration_does_not_consume(self):
         buffer = MessageBuffer()
         buffer.put(_env(1))

@@ -9,7 +9,6 @@ from repro.net.schedulers import (
     BalancingDelayScheduler,
     FifoScheduler,
     FilteredRandomScheduler,
-    PartitionScheduler,
     RandomScheduler,
     ScriptedScheduler,
 )
@@ -95,10 +94,16 @@ class TestFifoScheduler:
         assert scheduler._cursor == 0
 
 
+def _within(group):
+    return lambda env: env.sender in group and env.recipient in group
+
+
 class TestPartitionScheduler:
+    """A partition is FilteredRandomScheduler with a within-group predicate."""
+
     def test_delivers_only_within_active_group(self):
         system = _loaded_system(4)
-        scheduler = PartitionScheduler([{0, 1}, {2, 3}])
+        scheduler = FilteredRandomScheduler(_within({0, 1}))
         rng = random.Random(0)
         for _ in range(8):
             decision = scheduler.choose(system, [0, 1, 2, 3], rng)
@@ -111,34 +116,20 @@ class TestPartitionScheduler:
     def test_quiescent_when_no_intragroup_traffic(self):
         system = MessageSystem(4)
         system.send(0, 2, "cross")  # crosses the partition
-        scheduler = PartitionScheduler([{0, 1}, {2, 3}])
+        scheduler = FilteredRandomScheduler(_within({0, 1}))
         assert scheduler.choose(system, [0, 1, 2, 3], random.Random(0)) is None
 
-    def test_activate_switches_group(self):
+    def test_reassigning_predicate_switches_group(self):
         system = _loaded_system(4)
-        scheduler = PartitionScheduler([{0, 1}, {2, 3}])
-        scheduler.activate(1)
-        pid, env = scheduler.choose(system, [0, 1, 2, 3], random.Random(0))
-        assert pid in {2, 3}
-        assert env.sender in {2, 3}
-
-    def test_activate_bounds_checked(self):
-        scheduler = PartitionScheduler([{0}])
-        with pytest.raises(ConfigurationError):
-            scheduler.activate(3)
-
-    def test_needs_a_group(self):
-        with pytest.raises(ConfigurationError):
-            PartitionScheduler([])
-
-    def test_reset_forwards_to_inner(self):
-        # Regression: reset() used to leave the inner scheduler's state
-        # (e.g. a Fifo cursor) intact across simulations.
-        inner = FifoScheduler()
-        inner._cursor = 3
-        scheduler = PartitionScheduler([{0, 1}], inner=inner)
-        scheduler.reset()
-        assert inner._cursor == 0
+        scheduler = FilteredRandomScheduler(_within({0, 1}))
+        rng = random.Random(0)
+        scheduler.choose(system, [0, 1, 2, 3], rng)  # attaches to system
+        scheduler.predicate = _within({2, 3})
+        for _ in range(4):
+            pid, env = scheduler.choose(system, [0, 1, 2, 3], rng)
+            assert pid in {2, 3}
+            assert env.sender in {2, 3}
+        assert scheduler.choose(system, [0, 1, 2, 3], rng) is None
 
 
 class TestFilteredRandomScheduler:

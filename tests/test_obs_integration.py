@@ -64,14 +64,6 @@ class TestParallelDeterminism:
         assert all(r.metrics is None for r in runs.results)
         assert runs.merged_metrics() is None
 
-    def test_env_var_enables_metrics(self, monkeypatch):
-        monkeypatch.setenv("REPRO_METRICS", "1")
-        runner = ExperimentRunner(
-            lambda seed: build_failstop_processes(5, 2, balanced_inputs(5)),
-        )
-        result = runner.run_one(0)
-        assert result.metrics is not None
-
 
 class TestZeroOverheadPath:
     def test_disabled_hot_path_makes_no_sink_calls(self):

@@ -33,7 +33,6 @@ from repro.net.schedulers import (
     ExponentialDelayScheduler,
     FifoScheduler,
     FilteredRandomScheduler,
-    PartitionScheduler,
     RandomScheduler,
     ScriptedScheduler,
 )
@@ -147,12 +146,17 @@ def test_filtered_random_equivalence(seed):
     assert new == ref
 
 
+def within(group):
+    """The partition predicate: deliver only inside ``group``."""
+    return lambda env: env.sender in group and env.recipient in group
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_partition_equivalence(seed):
     groups = [[0, 1, 2, 3], [3, 4, 5, 6]]
     new, ref = run_both(
         malicious_processes,
-        PartitionScheduler(groups),
+        FilteredRandomScheduler(within(set(groups[0]))),
         ReferencePartitionScheduler(groups),
         seed,
         max_steps=5_000,
@@ -164,16 +168,19 @@ def test_partition_equivalence(seed):
 def test_partition_equivalence_after_group_switch(seed):
     groups = [[0, 1, 2, 3], [3, 4, 5, 6]]
 
-    def run(scheduler):
+    def run(scheduler, switch):
         sim = Simulation(malicious_processes(), scheduler=scheduler, seed=seed)
         first = sim.run(max_steps=2_000)
-        scheduler.activate(1)
+        switch(scheduler)
         second = sim.run(max_steps=2_000)
         return first, second
 
-    assert run(PartitionScheduler(groups)) == run(
-        ReferencePartitionScheduler(groups)
-    )
+    def reassign(scheduler):
+        scheduler.predicate = within(set(groups[1]))
+
+    new = run(FilteredRandomScheduler(within(set(groups[0]))), reassign)
+    ref = run(ReferencePartitionScheduler(groups), lambda s: s.activate(1))
+    assert new == ref
 
 
 @pytest.mark.parametrize("seed", SEEDS)
