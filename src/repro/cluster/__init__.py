@@ -73,7 +73,6 @@ from repro.cluster.report import (
 from repro.cluster.trace import (
     ClusterTraceReader,
     ClusterTraceWriter,
-    read_cluster_trace,
 )
 from repro.cluster.transport import Transport
 
@@ -103,7 +102,6 @@ __all__ = [
     "check_slos",
     "decode_frame_bytes",
     "encode_frame",
-    "read_cluster_trace",
     "render_report_markdown",
     "run_cluster",
     "run_cluster_sync",

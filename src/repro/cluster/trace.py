@@ -162,10 +162,3 @@ class ClusterTraceReader(JsonlReader):
             record["payload"] = decode_payload(record["payload"])
         return record
 
-
-def read_cluster_trace(path: str) -> ClusterTraceReader:
-    """Lazily parse a cluster JSONL trace; payloads are decoded back to
-    their protocol message objects under the ``payload`` key.  A trailing
-    truncated line (node killed mid-write) ends iteration cleanly and
-    sets the returned reader's ``truncated`` flag rather than raising."""
-    return ClusterTraceReader(path)

@@ -30,7 +30,7 @@ from repro.harness.stats import SummaryStats, summarize
 from repro.net.message import reset_envelope_sequence
 from repro.net.schedulers import Scheduler
 from repro.obs import collector
-from repro.obs.metrics import HistogramSnapshot, MetricsSnapshot, merge_snapshots
+from repro.obs.metrics import MetricsSnapshot, merge_snapshots
 from repro.obs.sinks import JsonlTraceSink
 from repro.procs.base import Process
 from repro.sim.kernel import HaltPredicate, Simulation, StepObserver
@@ -116,10 +116,6 @@ class ReplicatedRuns:
         """Stats over each run's *last* decision phase (system latency)."""
         return summarize([max(r.phases_to_decide()) for r in self.results])
 
-    def first_decision_phase_stats(self) -> SummaryStats:
-        """Stats over each run's earliest decision phase."""
-        return summarize([min(r.phases_to_decide()) for r in self.results])
-
     def steps_stats(self) -> SummaryStats:
         """Stats over total atomic steps per run."""
         return summarize([r.steps for r in self.results])
@@ -145,17 +141,10 @@ class ReplicatedRuns:
 
         ``None`` when no run collected metrics.  The fold is associative
         and performed on the seed-ordered result list, so the merged
-        snapshot is byte-identical whether the runs executed serially or
-        on a worker pool (timers aside — strip them with ``.stable()``).
+        snapshot compares equal (``==``) whether the runs executed
+        serially or on a worker pool.
         """
         return merge_snapshots(r.metrics for r in self.results)
-
-    def metrics_histogram(self, name: str) -> Optional[HistogramSnapshot]:
-        """The cross-run merge of one named histogram (None if absent)."""
-        merged = self.merged_metrics()
-        if merged is None:
-            return None
-        return merged.histograms.get(name)
 
 
 class ExperimentRunner:

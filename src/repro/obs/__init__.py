@@ -9,18 +9,17 @@ Three concerns, one subsystem:
 * **Structured tracing** (:mod:`repro.obs.sinks`) — streaming event
   sinks (in-memory, JSONL) replacing the monolithic trace
   list as the kernel's recording backend.
-* **Profiling** (``MetricsRegistry.time_add`` / ``timer_cell``) —
-  wall-clock spans the kernel times inline around its hot-path stages,
-  reported in the snapshot's ``timers`` section and stripped by
-  ``MetricsSnapshot.stable()`` for determinism-sensitive comparisons.
 * **Causal tracing** (:mod:`repro.obs.spans`) — hybrid logical clocks
   and per-decision trace/span ids for the cluster runtime: spans are
   written through the cluster's JSONL trace writers, and HLC order makes
   per-node shards stitchable into one cluster-wide timeline.
 
-Everything is zero-cost when disabled: the kernel holds ``None`` instead
-of a registry and an inactive :class:`NullSink`, so the per-step cost of
-the disabled path is a handful of ``is not None`` / ``active`` checks.
+Off is ``None``: the kernel holds ``None`` instead of a registry and
+instead of a sink, so the per-step cost of the disabled path is a
+handful of local flag checks.  A snapshot is a pure function of the run
+(no wall-clock section), so snapshots of one seed compare equal with
+``==``; wall-clock timing of the layers comes from the benchmark
+suite's per-layer metrics.
 """
 
 from repro.obs.metrics import (
@@ -29,16 +28,12 @@ from repro.obs.metrics import (
     HistogramSnapshot,
     MetricsRegistry,
     MetricsSnapshot,
-    TimerSnapshot,
     merge_snapshots,
 )
 from repro.obs.sinks import (
-    NULL_SINK,
-    CountingSink,
     InMemorySink,
     JsonlReader,
     JsonlTraceSink,
-    NullSink,
     OpaquePayload,
     TraceSink,
     event_from_dict,
@@ -60,15 +55,11 @@ __all__ = [
     "HistogramSnapshot",
     "MetricsRegistry",
     "MetricsSnapshot",
-    "TimerSnapshot",
     "merge_snapshots",
     "HLC",
-    "NULL_SINK",
-    "CountingSink",
     "InMemorySink",
     "JsonlReader",
     "JsonlTraceSink",
-    "NullSink",
     "OpaquePayload",
     "SpanTracer",
     "TraceSink",

@@ -14,11 +14,12 @@ Design rules:
   to the registry (or ``None``) and guard every record with a single
   ``is not None`` check; no metric names are formatted and no objects
   are allocated on the disabled path.
-* **Determinism.**  Counters, gauges, and histograms record only values
-  derived from the simulated execution, never wall-clock time, so two
-  runs of the same (processes, scheduler, seed) triple produce identical
-  snapshots.  Wall-clock profiling lives in a separate ``timers``
-  section that :meth:`MetricsSnapshot.stable` strips.
+* **Determinism.**  A snapshot holds only counters, gauges, and
+  histograms of values derived from the simulated execution, never
+  wall-clock time, so two runs of the same (processes, scheduler, seed)
+  triple produce snapshots that compare equal with ``==`` — across
+  processes and machines too.  Wall-clock timing of the layers is the
+  benchmark suite's job (``benchmarks/suite``), not the registry's.
 * **Mergeability.**  ``MetricsSnapshot.merge`` is associative, so
   ``run_many`` workers can return per-seed snapshots that the parent
   folds together in seed order with a result identical to a serial run.
@@ -33,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from repro.errors import ConfigurationError
 
@@ -125,25 +126,6 @@ class HistogramSnapshot:
         }
 
 
-@dataclass(frozen=True)
-class TimerSnapshot:
-    """Accumulated wall-clock spans of one named timer."""
-
-    calls: int
-    seconds: float
-
-    def merge(self, other: "TimerSnapshot") -> "TimerSnapshot":
-        """Sum call counts and accumulated seconds."""
-        return TimerSnapshot(
-            calls=self.calls + other.calls,
-            seconds=self.seconds + other.seconds,
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-ready form."""
-        return {"calls": self.calls, "seconds": self.seconds}
-
-
 class Histogram:
     """Mutable fixed-bucket histogram (the registry's working form).
 
@@ -197,12 +179,13 @@ class Histogram:
         distinct small integers, so one bisect per *distinct* value
         replaces one per observation.  Bucketing is order-independent
         and ``total`` uses ``sum(pending)`` either way, so the snapshot
-        is identical to the element-at-a-time path.
+        is identical to the element-at-a-time path.  The list is
+        emptied in place, never rebound: a hot site may hold a bound
+        ``pending.append`` across a mid-run snapshot.
         """
         pending = self.pending
         if not pending:
             return
-        self.pending = []
         counts = self.counts
         bounds = self.bounds
         if len(pending) > 64:
@@ -218,6 +201,7 @@ class Histogram:
             self.minimum = low
         if self.maximum is None or high > self.maximum:
             self.maximum = high
+        pending.clear()
 
     def snapshot(self) -> HistogramSnapshot:
         """Freeze the current state into an immutable snapshot."""
@@ -237,19 +221,17 @@ class MetricsSnapshot:
     """Immutable metrics of one run (or a merge of several).
 
     ``counters``/``gauges``/``histograms`` are deterministic functions of
-    the simulated execution; ``timers`` hold wall-clock profiling spans
-    and therefore vary between otherwise identical runs.  Equality
-    compares everything; use :meth:`stable` before comparing snapshots
-    across processes or machines.
+    the simulated execution, so equality is the determinism check: the
+    snapshots of one seed compare equal across runs, processes and
+    machines.
     """
 
     counters: dict[str, int] = field(default_factory=dict)
     gauges: dict[str, float] = field(default_factory=dict)
     histograms: dict[str, HistogramSnapshot] = field(default_factory=dict)
-    timers: dict[str, TimerSnapshot] = field(default_factory=dict)
 
     def merge(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
-        """Associative fold: sum counters/histograms/timers, max gauges.
+        """Associative fold: sum counters/histograms, max gauges.
 
         Gauges record per-run peaks (e.g. maximum pending messages), so
         the cross-run aggregate takes the maximum — the only reduction
@@ -266,37 +248,9 @@ class MetricsSnapshot:
             histograms[name] = (
                 histograms[name].merge(hist) if name in histograms else hist
             )
-        timers = dict(self.timers)
-        for name, timer in other.timers.items():
-            timers[name] = timers[name].merge(timer) if name in timers else timer
         return MetricsSnapshot(
-            counters=counters,
-            gauges=gauges,
-            histograms=histograms,
-            timers=timers,
+            counters=counters, gauges=gauges, histograms=histograms
         )
-
-    def stable(self) -> "MetricsSnapshot":
-        """This snapshot without wall-clock timers.
-
-        Counters, gauges, and histograms are deterministic per seed, so
-        the stable view is byte-identical between serial and parallel
-        executions of the same seed list.
-        """
-        return MetricsSnapshot(
-            counters=dict(self.counters),
-            gauges=dict(self.gauges),
-            histograms=dict(self.histograms),
-            timers={},
-        )
-
-    def counters_with_prefix(self, prefix: str) -> dict[str, int]:
-        """Counters whose name starts with ``prefix`` (sorted by name)."""
-        return {
-            name: value
-            for name, value in sorted(self.counters.items())
-            if name.startswith(prefix)
-        }
 
     def to_dict(self) -> dict:
         """JSON-ready form (keys sorted for byte-stable serialisation)."""
@@ -307,15 +261,7 @@ class MetricsSnapshot:
                 name: hist.to_dict()
                 for name, hist in sorted(self.histograms.items())
             },
-            "timers": {
-                name: timer.to_dict()
-                for name, timer in sorted(self.timers.items())
-            },
         }
-
-    @classmethod
-    def empty(cls) -> "MetricsSnapshot":
-        return cls()
 
 
 def merge_snapshots(
@@ -340,14 +286,14 @@ class MetricsRegistry:
     Two write paths coexist:
 
     * **Named (cold) path** — :meth:`inc` / :meth:`observe` /
-      :meth:`gauge_max` / :meth:`time_add`: dictionary upserts keyed by
+      :meth:`gauge_max`: dictionary upserts keyed by
       the metric name, fine for sites that fire rarely.
     * **Slot (hot) path** — a site registers a counter once with
       :meth:`counter_slot` and receives an integer index into the
       preallocated :attr:`slots` list; per-event updates are then
       ``registry.slots[i] += 1`` with no string hashing or dict lookup.
-      :meth:`histogram_handle` and :meth:`timer_cell` are the analogous
-      resolve-once handles for histograms and timers.  Slots are created
+      :meth:`histogram_handle` is the analogous resolve-once handle for
+      histograms.  Slots are created
       lazily at a site's *first* event, so a run's snapshot contains
       exactly the names the named path would have created — snapshots
       are byte-identical between the two implementations, and the
@@ -358,7 +304,6 @@ class MetricsRegistry:
         "_counters",
         "_gauges",
         "_histograms",
-        "_timers",
         "slots",
         "_slot_index",
     )
@@ -367,7 +312,6 @@ class MetricsRegistry:
         self._counters: dict[str, int] = {}
         self._gauges: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._timers: dict[str, list] = {}  # name -> [calls, seconds]
         #: Array-backed counter values; index via :meth:`counter_slot`.
         self.slots: list[int] = []
         self._slot_index: dict[str, int] = {}
@@ -410,18 +354,6 @@ class MetricsRegistry:
             histogram = self._histograms[name] = Histogram(bounds)
         return histogram
 
-    def timer_cell(self, name: str) -> list:
-        """The mutable ``[calls, seconds]`` cell for timer ``name``.
-
-        Hot sites keep the cell and update it in place
-        (``cell[0] += 1; cell[1] += dt``) instead of paying
-        :meth:`time_add`'s name lookup per span.
-        """
-        cell = self._timers.get(name)
-        if cell is None:
-            cell = self._timers[name] = [0, 0.0]
-        return cell
-
     def gauge_set(self, name: str, value: float) -> None:
         """Set gauge ``name`` to ``value`` (last write wins)."""
         self._gauges[name] = value
@@ -449,30 +381,9 @@ class MetricsRegistry:
             histogram = self._histograms[name] = Histogram(bounds)
         histogram.observe(value)
 
-    def time_add(self, name: str, seconds: float) -> None:
-        """Accumulate one wall-clock span into timer ``name``."""
-        cell = self._timers.get(name)
-        if cell is None:
-            self._timers[name] = [1, seconds]
-        else:
-            cell[0] += 1
-            cell[1] += seconds
-
     # ------------------------------------------------------------------ #
     # Reading
     # ------------------------------------------------------------------ #
-
-    def counter(self, name: str) -> int:
-        """Current value of counter ``name`` (0 if never incremented).
-
-        Sums the named and slot-backed paths, so readers need not know
-        which write path an instrumentation site uses.
-        """
-        value = self._counters.get(name, 0)
-        index = self._slot_index.get(name)
-        if index is not None:
-            value += self.slots[index]
-        return value
 
     def snapshot(self) -> MetricsSnapshot:
         """Freeze the current state into an immutable snapshot.
@@ -496,31 +407,10 @@ class MetricsRegistry:
                 name: hist.snapshot()
                 for name, hist in self._histograms.items()
             },
-            timers={
-                name: TimerSnapshot(calls=cell[0], seconds=cell[1])
-                for name, cell in self._timers.items()
-            },
         )
-
-    def reset(self) -> None:
-        """Drop all recorded metrics (the registry stays usable).
-
-        Slot *registrations* are dropped too, so indices (and histogram
-        handles / timer cells) resolved before a reset are stale; hot
-        sites cache handles per registry identity and no site resets a
-        registry mid-run, but direct users of the slot API must
-        re-resolve after calling this.
-        """
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-        self._timers.clear()
-        self.slots.clear()
-        self._slot_index.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"MetricsRegistry(counters={len(self._counters)}, "
-            f"gauges={len(self._gauges)}, histograms={len(self._histograms)}, "
-            f"timers={len(self._timers)})"
+            f"gauges={len(self._gauges)}, histograms={len(self._histograms)})"
         )

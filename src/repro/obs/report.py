@@ -1,6 +1,6 @@
 """Rendering metrics snapshots: summary tables and ``metrics.json``.
 
-One metrics snapshot holds flat counter/gauge/histogram/timer maps; this
+One metrics snapshot holds flat counter/gauge/histogram maps; this
 module turns them into the views the CLI prints — overall counts, the
 per-phase witness/accept tables the paper's Section 4 reasons about, and
 decision-latency histograms — and serialises them to ``metrics.json``
@@ -74,8 +74,7 @@ def render_metrics_summary(
     """The full human-readable digest of one snapshot.
 
     Sections: totals (counters/gauges), per-phase witness and accept
-    tables when the corresponding protocols ran, every histogram, and
-    wall-clock timer spans when profiling was on.
+    tables when the corresponding protocols ran, and every histogram.
     """
     from repro.harness.tables import render_table
 
@@ -105,16 +104,6 @@ def render_metrics_summary(
             parts.append(render_per_phase_table(snapshot, prefix, label))
     for name, histogram in sorted(snapshot.histograms.items()):
         parts.append(render_histogram(name, histogram))
-    if snapshot.timers:
-        parts.append(
-            render_table(
-                ["timer", "calls", "seconds"],
-                [
-                    [name, timer.calls, round(timer.seconds, 6)]
-                    for name, timer in sorted(snapshot.timers.items())
-                ],
-            )
-        )
     return "\n\n".join(parts)
 
 
@@ -123,7 +112,7 @@ def metrics_json_payload(
 ) -> dict:
     """JSON-ready payload for one or more named snapshots."""
     return {
-        "format": "repro-metrics/1",
+        "format": "repro-metrics/2",
         "snapshots": {
             name: snapshot.to_dict() for name, snapshot in sorted(snapshots.items())
         },

@@ -4,15 +4,14 @@ The original kernel recorded traces by appending every event to one
 in-memory list, which is prohibitive for echo-heavy runs and useless at
 parallel fan-out scale.  A *sink* decouples recording from storage:
 
-* :class:`NullSink` — the disabled recorder.  Its ``active`` flag is
-  ``False``, so the kernel's single ``if record:`` guard skips event
-  construction entirely; ``emit`` is never called on the hot path.
 * :class:`InMemorySink` — ``Simulation(sink=InMemorySink())`` collects
   the events in a list, read back as ``sim.sink.events``.
 * :class:`JsonlTraceSink` — streams events as JSON Lines to a file, one
   object per event, so traces of arbitrarily long runs use O(1) memory
   and can be post-processed by anything that reads JSONL.
-* :class:`CountingSink` — test/CI instrument: counts ``emit`` calls.
+
+Recording is off when the kernel's sink is ``None`` (the default): its
+single ``if record:`` guard then skips event construction entirely.
 
 The JSONL codec round-trips the protocol message payloads of
 :mod:`repro.core.messages` exactly, so a written trace can be read back
@@ -50,14 +49,8 @@ from repro.sim.events import (
 
 
 class TraceSink:
-    """Base class for event sinks.
-
-    ``active`` is the kernel's single-guard flag: when ``False`` the
-    kernel does not construct events or call :meth:`emit` at all, which
-    is what keeps the disabled hot path allocation-free.
-    """
-
-    active: bool = True
+    """Base class for event sinks (``Simulation(sink=None)`` records
+    nothing, so no sink object exists on the disabled path)."""
 
     def emit(self, event: TraceEvent) -> None:
         """Record one event."""
@@ -73,19 +66,6 @@ class TraceSink:
         self.close()
 
 
-class NullSink(TraceSink):
-    """The disabled recorder: inactive, drops anything emitted anyway."""
-
-    active = False
-
-    def emit(self, event: TraceEvent) -> None:
-        pass
-
-
-#: Shared inactive sink; the kernel's default recording backend.
-NULL_SINK = NullSink()
-
-
 class InMemorySink(TraceSink):
     """Collects events in a list (``sink.events``)."""
 
@@ -94,32 +74,6 @@ class InMemorySink(TraceSink):
 
     def emit(self, event: TraceEvent) -> None:
         self.events.append(event)
-
-
-class CountingSink(TraceSink):
-    """Counts emitted events, optionally forwarding to an inner sink.
-
-    Used by the zero-overhead smoke test (and ``repro-consensus metrics
-    --check``) to prove the kernel never calls a sink when recording is
-    off: install a counting sink with ``active=False`` and assert the
-    count stays zero.
-    """
-
-    def __init__(
-        self, inner: Optional[TraceSink] = None, active: bool = True
-    ) -> None:
-        self.inner = inner
-        self.active = active
-        self.emitted = 0
-
-    def emit(self, event: TraceEvent) -> None:
-        self.emitted += 1
-        if self.inner is not None:
-            self.inner.emit(event)
-
-    def close(self) -> None:
-        if self.inner is not None:
-            self.inner.close()
 
 
 class JsonlTraceSink(TraceSink):

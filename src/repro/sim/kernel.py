@@ -23,28 +23,28 @@ Observability (see :mod:`repro.obs`): the kernel can record a structured
 event stream into any :class:`~repro.obs.sinks.TraceSink` (``sink=`` is
 the one way to record; ``sink=InMemorySink()`` keeps the events in
 ``sim.sink.events``) and feed a
-:class:`~repro.obs.metrics.MetricsRegistry` with per-step counters,
-histograms, and wall-clock timer spans.  Both are strictly read-only
-with respect to the execution — they never touch the RNG or alter
-scheduling — so enabling them does not change what a seed computes.
-There is one step loop (:meth:`Simulation._run_loop`); when recording
-and metrics are disabled (the default) each step pays only a handful of
-local flag checks around it, and no events or metric names are
-constructed.
+:class:`~repro.obs.metrics.MetricsRegistry` with per-step counters and
+histograms.  Both are strictly read-only with respect to the execution —
+they never touch the RNG or alter scheduling — so enabling them does not
+change what a seed computes, and a metrics snapshot is a pure function
+of the run.  Off is ``None`` for both (the default): there is one step
+loop (:meth:`Simulation._run_loop`), each step then pays only a handful
+of local flag checks, and no events or metric names are constructed.
+Wall-clock timing of the kernel's layers comes from the benchmark
+suite's per-layer metrics, not from the registry.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from time import perf_counter
 from typing import Callable, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError, InvariantViolation
 from repro.net.schedulers import RandomScheduler, Scheduler
 from repro.net.system import AliveView, MessageSystem
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.sinks import NULL_SINK, TraceSink
+from repro.obs.sinks import TraceSink
 from repro.procs.base import Process
 from repro.sim.events import (
     CrashEvent,
@@ -164,12 +164,13 @@ class Simulation:
             :func:`all_correct_decided`.
         metrics: ``True`` to collect metrics into a fresh
             :class:`~repro.obs.metrics.MetricsRegistry`, or a registry
-            instance to feed one shared by several simulations.  The
-            frozen snapshot lands in ``RunResult.metrics``.
+            instance to feed one shared by several simulations; ``False``
+            (the default) or ``None`` records nothing.  The frozen
+            snapshot lands in ``RunResult.metrics``.
         sink: structured-event recording backend (see
             :mod:`repro.obs.sinks`), e.g. ``InMemorySink()`` to keep the
-            events in ``sim.sink.events``; defaults to the inactive
-            :data:`~repro.obs.sinks.NULL_SINK`.
+            events in ``sim.sink.events``; ``None`` (the default)
+            records nothing.
         observer: optional :class:`StepObserver` (e.g. an oracle suite
             from :mod:`repro.check.oracles`) notified after every atomic
             step; a non-None ``observer.violation`` halts the run with
@@ -208,9 +209,9 @@ class Simulation:
         self.rng = random.Random(seed)
         self.halt_when = halt_when if halt_when is not None else all_correct_decided
         self.steps = 0
-        self._sink: TraceSink = sink if sink is not None else NULL_SINK
-        # The single enabled check guarding all event recording.
-        self._record: bool = bool(getattr(self._sink, "active", True))
+        self._sink = sink
+        # The single check guarding all event recording (None = off).
+        self._record = sink is not None
         # Metrics registry (None = disabled; the hot path guards on it).
         if metrics is True:
             self.metrics: Optional[MetricsRegistry] = MetricsRegistry()
@@ -255,8 +256,8 @@ class Simulation:
         )
 
     @property
-    def sink(self) -> TraceSink:
-        """The structured-event sink recording this run."""
+    def sink(self) -> Optional[TraceSink]:
+        """The structured-event sink recording this run (None = off)."""
         return self._sink
 
     def max_phase(self) -> int:
@@ -330,16 +331,11 @@ class Simulation:
         predicates (:data:`_STATUS_PREDICATES`), which read nothing else.
         A caller-supplied predicate is evaluated after every step.
 
-        With metrics on, deterministic data (counters, histogram
-        samples) is recorded on every step through buffered appends.
-        Wall-clock timers are different: their values are stripped from
-        stable snapshots (see :meth:`MetricsSnapshot.stable`), so the
-        loop records *call counts exactly* but samples the
-        ``perf_counter`` spans on a deterministic 1-in-16 cadence and
-        scales the sampled seconds by the true event/sample ratio at
-        loop exit.  Sampling is keyed to the iteration counter, never
-        the RNG, so metrics-on and metrics-off runs of a seed stay
-        step-identical.
+        With metrics on, every step's captures — histogram samples and
+        counter keys — go into buffered appends that the ``finally``
+        block folds into the registry once per call.  They are values of
+        the simulated execution only, so a snapshot is a pure function
+        of the run.
         """
         halt_reason = HaltReason.MAX_STEPS
         record = self._record
@@ -352,11 +348,9 @@ class Simulation:
         deliver = system.send
         obs = self.metrics
         metered = obs is not None
-        sampled = False
         halt_each_step = halt not in _STATUS_PREDICATES
         alive = self._alive_view()
         if metered:
-            perf = perf_counter
             # ``_with_mail`` is mutated in place (never rebound), so one
             # binding outlives the loop; ``_pending`` is an int and must
             # be re-read from the system each step.
@@ -385,22 +379,12 @@ class Simulation:
             phase_append = step_phases.append
             sent_types: list = []
             sent_append = sent_types.append
-            entry_steps = self.steps
-            route_calls = tick = samples = 0
-            pick_seconds = step_seconds = route_seconds = 0.0
         try:
             while self.steps < deadline:
                 if metered:
                     pending_append(system._pending)
                     candidates_append(length(with_mail))
-                    tick += 1
-                    # Phase 1 of the cycle (not 0) so 1-step runs still sample.
-                    sampled = (tick & 15) == 1
-                    if sampled:
-                        picked_at = perf()
                 decision = scheduler.choose(system, alive, rng)
-                if sampled:
-                    pick_seconds += perf() - picked_at
                 if decision is None:
                     halt_reason = HaltReason.QUIESCENT
                     break
@@ -426,9 +410,6 @@ class Simulation:
                         None if envelope is None else envelope.payload.__class__
                     )
                     phase_append(process.phaseno)
-                    if sampled:
-                        samples += 1
-                        stepped_at = perf()
                 if observer is None:
                     sends = process.step(envelope)
                 else:
@@ -437,12 +418,7 @@ class Simulation:
                     except InvariantViolation as exc:
                         observer.note_invariant_exception(self, pid, exc)
                         sends = ()
-                if sampled:
-                    routed_at = perf()
-                    step_seconds += routed_at - stepped_at
                 process.steps_taken += 1
-                if metered:
-                    route_calls += 1
                 # _route's body, inline: as a call it measured ~1% slower
                 # with metrics off and ~5% slower with them on.
                 for send in sends:
@@ -454,8 +430,6 @@ class Simulation:
                         sink.emit(
                             SendEvent(self.steps, pid, send.recipient, payload)
                         )
-                if sampled:
-                    route_seconds += perf() - routed_at
                 changed = process.decision.get() is not was_value or not process.alive
                 if changed:
                     self._note_transitions(process, was_value is not None, False)
@@ -472,44 +446,26 @@ class Simulation:
                     halt_reason = HaltReason.GOAL_REACHED
                     break
         finally:
-            # Fold the buffered captures, exact call counts, and scaled
-            # sampled spans into the registry, once per run() instead of
-            # per step.  This runs even when a step raises — the buffers
-            # already hold the failing step's captures — which is exactly
-            # what eager per-step accounting would have recorded on that
-            # path.
+            # Fold the buffered captures into the registry, once per
+            # run() instead of per step.  This runs even when a step
+            # raises — the buffers already hold the failing step's
+            # captures — which is exactly what eager per-step accounting
+            # would have recorded on that path.
             if metered:
-                self._fold_captures(
-                    route_calls, sent_types, delivered_classes, step_phases
-                )
-                pick_cell = obs.timer_cell("time.scheduler_pick")
-                pick_cell[0] += tick
-                steps_run = self.steps - entry_steps
-                if steps_run:
-                    step_cell = obs.timer_cell("time.protocol_step")
-                    step_cell[0] += steps_run
-                    if samples:
-                        step_scale = steps_run / samples
-                        pick_cell[1] += pick_seconds * (tick / samples)
-                        step_cell[1] += step_seconds * step_scale
-                        obs.timer_cell("time.routing")[1] += (
-                            route_seconds * step_scale
-                        )
+                self._fold_captures(sent_types, delivered_classes, step_phases)
         return halt_reason
 
     def _fold_captures(
-        self, route_calls, sent_types, delivered_classes=(), step_phases=()
+        self, sent_types, delivered_classes=(), step_phases=()
     ) -> None:
         """Fold buffered step captures into the registry (metrics on only).
 
         One ``Counter`` pass per buffer and one slot update per distinct
         key; counter names are built — and their slots created — only
         for keys that actually occurred, exactly as eager per-event
-        accounting would.  ``time.routing`` gets its exact call count
-        here; the loop adds the sampled seconds.
+        accounting would.
         """
         obs = self.metrics
-        obs.timer_cell("time.routing")[0] += route_calls
         slots = obs.slots
         for captured, name_of in (
             (delivered_classes, _delivered_counter),
@@ -578,7 +534,7 @@ class Simulation:
         sent_types: list = []
         self._route(pid, sends, sent_types)
         if self.metrics is not None:
-            self._fold_captures(1, sent_types)
+            self._fold_captures(sent_types)
         self._note_transitions(process, was_decided, was_exited)
         if observer is not None:
             observer.on_step(self, pid, None, sends)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from repro.errors import AgreementViolation
 
@@ -126,10 +126,10 @@ class RunResult:
         halt_reason: why the run loop stopped.
         seed: the RNG seed, for exact replay.
         metrics: frozen :class:`~repro.obs.metrics.MetricsSnapshot` when
-            the run collected metrics, else ``None``.  The snapshot's
-            counters/gauges/histograms are deterministic per seed; its
-            ``timers`` hold wall-clock profiling (use
-            ``metrics.stable()`` before cross-process comparisons).
+            the run collected metrics, else ``None``.  The snapshot is a
+            pure function of the run (counters, gauges and histograms
+            only), so the snapshots of one seed compare equal with
+            ``==`` across processes and machines.
         violation: the first safety-oracle violation, when an observer
             was attached and flagged one; ``None`` otherwise.
         schedule: the recorded delivery schedule ``(pid, sender, skip)``
@@ -303,10 +303,3 @@ def validity_problems(
         if value != unanimous
     ]
 
-
-def aggregate_decision_phases(results: Sequence[RunResult]) -> list[int]:
-    """Flatten the per-process decision phases of many runs into one list."""
-    phases: list[int] = []
-    for result in results:
-        phases.extend(result.phases_to_decide())
-    return phases

@@ -13,9 +13,6 @@ schedule:
 * :func:`message_complexity` — messages sent, delivered, and left in
   flight, grouped by payload type; the n² (Figure 1) vs n³ (Figure 2)
   per-phase scaling shows up here.
-* :func:`decision_timeline` — (step, pid, value) of every decision.
-* :func:`lifecycle_summary` — per-process counts of sends/receives and
-  final status, the "who did how much" view.
 
 Every function accepts any *iterable* of events — an in-memory trace
 tuple, a list from an :class:`~repro.obs.sinks.InMemorySink`, or the
@@ -38,7 +35,6 @@ from repro.sim.events import (
     DeliverEvent,
     ExitEvent,
     SendEvent,
-    StartEvent,
     TraceEvent,
 )
 
@@ -129,33 +125,3 @@ def message_complexity(trace: Iterable[TraceEvent]) -> dict[str, dict[str, int]]
         counts["in_flight"] = counts["sent"] - counts["delivered"]
     return dict(stats)
 
-
-def decision_timeline(trace: Iterable[TraceEvent]) -> list[tuple[int, int, int]]:
-    """Chronological (step, pid, value) triples of every decision."""
-    return [
-        (event.step, event.pid, event.value)
-        for event in trace
-        if isinstance(event, DecideEvent)
-    ]
-
-
-def lifecycle_summary(trace: Iterable[TraceEvent]) -> dict[int, dict[str, int | str]]:
-    """Per-process activity counts and final status."""
-    summary: dict[int, dict] = defaultdict(
-        lambda: {"sends": 0, "receives": 0, "status": "running"}
-    )
-    for event in trace:
-        if isinstance(event, StartEvent):
-            summary[event.pid]["status"] = "running"
-        elif isinstance(event, SendEvent):
-            summary[event.pid]["sends"] += 1
-        elif isinstance(event, DeliverEvent):
-            summary[event.pid]["receives"] += 1
-        elif isinstance(event, DecideEvent):
-            summary[event.pid]["status"] = f"decided {event.value}"
-        elif isinstance(event, CrashEvent):
-            summary[event.pid]["status"] = "crashed"
-        elif isinstance(event, ExitEvent):
-            if "decided" not in str(summary[event.pid]["status"]):
-                summary[event.pid]["status"] = "exited"
-    return dict(summary)

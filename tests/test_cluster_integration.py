@@ -13,7 +13,7 @@ import pytest
 
 from repro.cluster.chaos import ChaosConfig
 from repro.cluster.driver import ClusterSpec, run_cluster_sync
-from repro.cluster.trace import read_cluster_trace
+from repro.cluster.trace import ClusterTraceReader
 from repro.errors import ConfigurationError
 
 pytestmark = pytest.mark.cluster
@@ -120,7 +120,7 @@ class TestByzantineClusterUnderChaos:
         assert report.ok
         for pid in range(4):
             path = os.path.join(trace_dir, f"node-{pid}.jsonl")
-            events = list(read_cluster_trace(path))
+            events = list(ClusterTraceReader(path))
             kinds = {event["t"] for event in events}
             assert "node-start" in kinds
             assert "decide" in kinds
@@ -145,7 +145,7 @@ class TestByzantineClusterUnderChaos:
         )
         assert report.ok
         events = list(
-            read_cluster_trace(os.path.join(trace_dir, "node-0.jsonl"))
+            ClusterTraceReader(os.path.join(trace_dir, "node-0.jsonl"))
         )
         decides = [e for e in events if e["t"] == "decide"]
         assert sorted(e["instance"] for e in decides) == [0, 1]

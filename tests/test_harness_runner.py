@@ -72,13 +72,3 @@ class TestExperimentRunner:
         )
         runner.run_many(range(3))
         assert built == [0, 1, 2]
-
-    def test_first_vs_last_decision_phase(self):
-        runner = ExperimentRunner(
-            lambda seed: build_failstop_processes(7, 3, balanced_inputs(7))
-        )
-        runs = runner.run_many(range(4))
-        assert (
-            runs.first_decision_phase_stats().mean
-            <= runs.decision_phase_stats().mean
-        )

@@ -9,7 +9,6 @@ from repro.obs.metrics import (
     HistogramSnapshot,
     MetricsRegistry,
     MetricsSnapshot,
-    TimerSnapshot,
     merge_snapshots,
 )
 
@@ -88,7 +87,6 @@ class TestMergeSemantics:
                 counters={"c": counter, f"only.{counter}": 1},
                 gauges={"peak": gauge},
                 histograms={"h": self._snap(values)},
-                timers={"t": TimerSnapshot(calls=1, seconds=0.5)},
             )
 
         a, b, c = snap(1, 3.0, [1]), snap(10, 7.0, [50]), snap(100, 5.0, [500])
@@ -97,13 +95,12 @@ class TestMergeSemantics:
         assert left == right
         assert left.counters["c"] == 111
         assert left.gauges["peak"] == 7.0  # gauges merge by max
-        assert left.timers["t"] == TimerSnapshot(calls=3, seconds=1.5)
 
     def test_sampled_shard_folds_are_byte_identical(self):
         """Associativity over registry-sampled shards, byte-for-byte.
 
         Three shards populated through the real registry API (counters,
-        gauges, sampled timer cells, histogram observations, plus keys
+        gauges, histogram observations, plus keys
         present in only some shards) must fold to the same serialised
         bytes whether the parent folds left-to-right or the shards are
         pre-merged pairwise — the property the cluster driver relies on
@@ -117,9 +114,6 @@ class TestMergeSemantics:
                 registry.inc("steps")
                 registry.observe("latency_ms", float(seed * 10 + index))
             registry.gauge_max("peak", float(seed * 7 % 5))
-            cell = registry.timer_cell("phase.total")
-            cell[0] += seed
-            cell[1] += seed * 0.125  # exactly representable: no FP drift
             registry.inc(f"shard.only.{seed}")
             return registry.snapshot()
 
@@ -133,7 +127,6 @@ class TestMergeSemantics:
         }
         assert len(blobs) == 1
         assert left.counters["steps"] == 18
-        assert left.timers["phase.total"].calls == 6
 
     def test_merge_snapshots_skips_none(self):
         a = MetricsSnapshot(counters={"x": 1})
@@ -142,19 +135,6 @@ class TestMergeSemantics:
         assert merged is not None and merged.counters["x"] == 3
         assert merge_snapshots([None, None]) is None
         assert merge_snapshots([]) is None
-
-    def test_stable_strips_timers_only(self):
-        snap = MetricsSnapshot(
-            counters={"c": 1},
-            gauges={"g": 2.0},
-            histograms={"h": self._snap([1])},
-            timers={"t": TimerSnapshot(calls=1, seconds=0.1)},
-        )
-        stable = snap.stable()
-        assert stable.timers == {}
-        assert stable.counters == snap.counters
-        assert stable.gauges == snap.gauges
-        assert stable.histograms == snap.histograms
 
 
 class TestRegistry:
@@ -167,30 +147,13 @@ class TestRegistry:
         reg.gauge_max("peak", 5)
         reg.gauge_set("final", 2)
         reg.observe("latency", 7, bounds=(1, 10))
-        reg.time_add("span", 0.25)
-        reg.time_add("span", 0.25)
         snap = reg.snapshot()
         assert snap.counters["sends"] == 5
-        assert reg.counter("sends") == 5
-        assert reg.counter("never") == 0
         assert snap.gauges["peak"] == 9
         assert snap.gauges["final"] == 2
         assert snap.histograms["latency"].count == 1
-        assert snap.timers["span"] == TimerSnapshot(calls=2, seconds=0.5)
-
-    def test_reset_clears_everything(self):
-        reg = MetricsRegistry()
-        reg.inc("c")
-        reg.observe("h", 1)
-        reg.reset()
-        snap = reg.snapshot()
-        assert snap == MetricsSnapshot.empty()
-
-    def test_counters_with_prefix_sorted(self):
-        snap = MetricsSnapshot(
-            counters={"b.two": 2, "a.other": 9, "b.one": 1}
-        )
-        assert snap.counters_with_prefix("b.") == {"b.one": 1, "b.two": 2}
+        # A snapshot holds the three deterministic sections and nothing else.
+        assert set(snap.to_dict()) == {"counters", "gauges", "histograms"}
 
     def test_to_dict_is_json_ready_and_sorted(self):
         reg = MetricsRegistry()

@@ -1,4 +1,4 @@
-"""Tests for trace sinks: in-memory, JSONL round-trip, null, counting."""
+"""Tests for trace sinks: in-memory and JSONL round-trip."""
 
 import pytest
 
@@ -9,10 +9,8 @@ from repro.harness.builders import (
 )
 from repro.harness.workloads import balanced_inputs
 from repro.obs.sinks import (
-    CountingSink,
     InMemorySink,
     JsonlTraceSink,
-    NullSink,
     OpaquePayload,
     decode_payload,
     encode_payload,
@@ -38,8 +36,7 @@ class TestBackwardCompat:
     def test_default_sink_is_inactive_and_trace_empty(self):
         processes = build_failstop_processes(5, 2, balanced_inputs(5))
         sim, _ = _run(processes)
-        assert isinstance(sim.sink, NullSink)
-        assert not sim.sink.active
+        assert sim.sink is None
 
 
 class TestJsonlRoundTrip:
@@ -133,15 +130,3 @@ class TestJsonlRoundTrip:
         ]
         assert all(line["seed"] == 7 for line in lines)
 
-
-class TestNullAndCounting:
-    def test_null_sink_is_inactive(self):
-        assert NullSink.active is False
-
-    def test_counting_sink_counts_and_forwards(self):
-        inner = InMemorySink()
-        probe = CountingSink(inner=inner)
-        probe.emit(StartEvent(0, 0))
-        probe.emit(StartEvent(1, 1))
-        assert probe.emitted == 2
-        assert len(inner.events) == 2

@@ -159,7 +159,7 @@ class TestMetricsOnOffEquivalence:
             assert getattr(observed, field) == getattr(plain, field), field
 
 
-#: sha256 of (JSONL event stream, stable metrics snapshot) per
+#: sha256 of (JSONL event stream, metrics snapshot) per
 #: (configuration, seed), computed at the commit before the two step
 #: loops were merged (2770758) and unchanged by the merge.
 GOLDEN_DIGESTS = {
@@ -197,13 +197,21 @@ GOLDEN_DIGESTS = {
 
 
 def _digests(sim):
-    """(event-stream sha256, stable-metrics sha256) of one finished run."""
+    """(event-stream sha256, metrics sha256) of one finished run.
+
+    The metrics bytes keep an empty ``"timers"`` key: snapshots once
+    carried a wall-clock timer section, and with it empty this is the
+    exact form the recorded digests were taken over, so they still pin
+    counters, gauges and histograms byte for byte.
+    """
     result = sim.run(max_steps=500_000)
     stream = "".join(
         json.dumps(event_to_dict(event), sort_keys=True) + "\n"
         for event in sim.sink.events
     )
-    snapshot = json.dumps(result.metrics.stable().to_dict(), sort_keys=True)
+    snapshot = json.dumps(
+        {**result.metrics.to_dict(), "timers": {}}, sort_keys=True
+    )
     return (
         hashlib.sha256(stream.encode()).hexdigest(),
         hashlib.sha256(snapshot.encode()).hexdigest(),
@@ -211,7 +219,7 @@ def _digests(sim):
 
 
 class TestGoldenDigests:
-    """The event stream and the stable metrics snapshot of a seed are
+    """The event stream and the metrics snapshot of a seed are
     byte-for-byte what they were before the kernel was restructured."""
 
     @pytest.mark.parametrize("build", [_figure_1, _figure_2_with_byzantine])
@@ -298,7 +306,6 @@ class TestReplaceProcess:
         steps_before, calls_before = sim.steps, len(recorder.seen)
         before = sim.metrics.snapshot()
         decisions_before = before.counters.get("decisions", 0)
-        routing_before = before.timers["time.routing"].calls
 
         sim.replace_process(0, DecideAtStart(0, 2))
 
@@ -310,7 +317,6 @@ class TestReplaceProcess:
         snapshot = sim.metrics.snapshot()
         assert snapshot.counters["decisions"] == decisions_before + 1
         assert snapshot.counters["messages.sent.str"] == 2
-        assert snapshot.timers["time.routing"].calls == routing_before + 1
         assert recorder.seen[calls_before:] == [(steps_before, 0, None, 2)]
 
     def test_replacement_validated(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import AgreementViolation
-from repro.sim.results import HaltReason, RunResult, aggregate_decision_phases
+from repro.sim.results import HaltReason, RunResult
 
 
 def _result(
@@ -93,13 +93,6 @@ class TestDerivedViews:
     def test_phases_to_decide(self):
         result = _result([1, 1, None], phases=[2, 3, None])
         assert result.phases_to_decide() == [2, 3]
-
-    def test_aggregate_decision_phases(self):
-        results = [
-            _result([1, 1], phases=[1, 2]),
-            _result([0, 0], phases=[3, 1]),
-        ]
-        assert sorted(aggregate_decision_phases(results)) == [1, 1, 2, 3]
 
     def test_summary_is_one_line(self):
         assert "\n" not in _result([1, 1]).summary()

@@ -18,12 +18,7 @@ from repro.sim.events import (
     StartEvent,
 )
 from repro.sim.kernel import Simulation
-from repro.sim.trace_tools import (
-    decision_timeline,
-    lifecycle_summary,
-    message_complexity,
-    validate_trace,
-)
+from repro.sim.trace_tools import message_complexity, validate_trace
 
 
 def _traced_failstop_run(seed=0, n=5, k=2):
@@ -98,24 +93,6 @@ class TestAnalytics:
             assert counts["in_flight"] == counts["sent"] - counts["delivered"]
             assert counts["in_flight"] >= 0
 
-    def test_decision_timeline_ordered(self):
-        trace, result = _traced_failstop_run(seed=1)
-        timeline = decision_timeline(trace)
-        steps = [step for step, _pid, _value in timeline]
-        assert steps == sorted(steps)
-        assert {pid for _s, pid, _v in timeline} == {
-            pid for pid in range(5) if result.decisions[pid] is not None
-        }
-
-    def test_lifecycle_summary(self):
-        trace, result = _traced_failstop_run(seed=2)
-        summary = lifecycle_summary(trace)
-        assert summary[0]["status"] == "crashed"
-        for pid in range(1, 5):
-            assert "decided" in summary[pid]["status"]
-            assert summary[pid]["sends"] > 0
-            assert summary[pid]["receives"] > 0
-
 
 class TestIteratorInputs:
     """Every analysis function must accept a one-pass iterator.
@@ -130,14 +107,10 @@ class TestIteratorInputs:
         from_list = (
             validate_trace(trace),
             message_complexity(trace),
-            decision_timeline(trace),
-            lifecycle_summary(trace),
         )
         from_generators = (
             validate_trace(e for e in trace),
             message_complexity(e for e in trace),
-            decision_timeline(e for e in trace),
-            lifecycle_summary(e for e in trace),
         )
         assert from_generators == from_list
         audit = from_generators[0]
