@@ -150,7 +150,7 @@ class ClusterNode:
             unknown instance arrives.  Every core it builds must carry
             the transport's ``(pid, n)``.
         registry: optional metrics registry (decide latency histogram,
-            step counters, per-instance decision counters).
+            step and decision counters).
         tracer: optional :class:`~repro.obs.spans.SpanTracer` (shared
             with this node's transport) enabling causal tracing:
             lifecycle events (carrying an ``instance`` field) through
@@ -461,7 +461,6 @@ class ClusterNode:
             self._records[instance] = record
             if self.registry is not None:
                 self.registry.inc("cluster.decisions")
-                self.registry.inc(f"cluster.decisions.i{instance}")
                 self.registry.observe(
                     "cluster.decide.latency_ms", latency * 1000.0
                 )

@@ -83,11 +83,6 @@ class FailStopConsensus(Process):
         self._witness_threshold = witness_cardinality_threshold(n)
         self._defer_internally = defer_internally
         self._deferred: list[FailStopMessage] = []
-        # Resolve-once metric handles, keyed by registry identity so a
-        # rebind (replace_process, shared registries) re-resolves:
-        # (registry, witness0 slot, witness1 slot, witnesses histogram,
-        # messages histogram, {phaseno: slot}).
-        self._metric_cache: Optional[tuple] = None
 
     # ------------------------------------------------------------------ #
     # Atomic steps
@@ -170,30 +165,14 @@ class FailStopConsensus(Process):
         """Figure 1's value/cardinality update and phase increment."""
         metrics = self.metrics
         if metrics is not None:
-            cache = self._metric_cache
-            if cache is None or cache[0] is not metrics:
-                cache = self._metric_cache = (
-                    metrics,
-                    metrics.counter_slot("failstop.witness.0"),
-                    metrics.counter_slot("failstop.witness.1"),
-                    metrics.histogram_handle("failstop.witnesses_per_phase"),
-                    metrics.histogram_handle("failstop.messages_per_phase"),
-                    {},
-                )
             witnesses = self.witness_count[0] + self.witness_count[1]
-            slots = metrics.slots
-            slots[cache[1]] += self.witness_count[0]
-            slots[cache[2]] += self.witness_count[1]
-            phase_slots = cache[5]
-            index = phase_slots.get(self.phaseno)
-            if index is None:
-                index = phase_slots[self.phaseno] = metrics.counter_slot(
-                    f"failstop.witnesses.phase.{self.phaseno}"
-                )
-            slots[index] += witnesses
-            cache[3].observe(witnesses)
-            cache[4].observe(
-                self.message_count[0] + self.message_count[1]
+            metrics.inc("failstop.witness.0", self.witness_count[0])
+            metrics.inc("failstop.witness.1", self.witness_count[1])
+            metrics.inc(f"failstop.witnesses.phase.{self.phaseno}", witnesses)
+            metrics.observe("failstop.witnesses_per_phase", witnesses)
+            metrics.observe(
+                "failstop.messages_per_phase",
+                self.message_count[0] + self.message_count[1],
             )
         if self.witness_count[0] > 0 and self.witness_count[1] > 0:
             raise InvariantViolation(

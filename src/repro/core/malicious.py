@@ -56,26 +56,6 @@ from repro.net.message import Envelope
 from repro.procs.base import Process, Send
 
 
-class _MetricHandles:
-    """Resolve-once metric slots for one registry binding.
-
-    Each handle is resolved at its site's *first* event (never eagerly),
-    so the registry holds exactly the metric names the per-name ``inc``/
-    ``observe`` path would have created — snapshots stay byte-identical.
-    Per event, the hot echo path then costs one integer-indexed list
-    update instead of a string hash and dict upsert.
-    """
-
-    __slots__ = ("registry", "echoes", "accepts", "accepts_hist", "phase_slots")
-
-    def __init__(self, registry) -> None:
-        self.registry = registry
-        self.echoes: Optional[int] = None
-        self.accepts: Optional[int] = None
-        self.accepts_hist = None
-        self.phase_slots: dict[int, int] = {}
-
-
 class MaliciousConsensus(Process):
     """One correct process running the Figure 2 protocol.
 
@@ -139,9 +119,6 @@ class MaliciousConsensus(Process):
         self.accept_hook = None
         # Diagnostics.
         self.forged_initials_dropped = 0
-        # Resolve-once metric handles (see _MetricHandles), rebuilt if
-        # the bound registry changes.
-        self._metric_cache: Optional[_MetricHandles] = None
 
     # ------------------------------------------------------------------ #
     # Atomic steps
@@ -251,23 +228,10 @@ class MaliciousConsensus(Process):
         if self._phase_complete():
             self._advance_phases(sends)
 
-    def _metric_handles(self, metrics) -> _MetricHandles:
-        """The slot cache for the currently bound registry."""
-        handles = self._metric_cache
-        if handles is None or handles.registry is not metrics:
-            handles = self._metric_cache = _MetricHandles(metrics)
-        return handles
-
     def _apply_echo(self, origin: int, value: int, star: bool = False) -> None:
         metrics = self.metrics
         if metrics is not None:
-            handles = self._metric_handles(metrics)
-            index = handles.echoes
-            if index is None:
-                index = handles.echoes = metrics.counter_slot(
-                    "malicious.echoes_counted"
-                )
-            metrics.slots[index] += 1
+            metrics.inc("malicious.echoes_counted")
         if star:
             self._star_echo_count[(origin, value)] += 1
         self._echo_count[(origin, value)] += 1
@@ -295,13 +259,7 @@ class MaliciousConsensus(Process):
             self._accepted_origins.add(origin)
             self.message_count[value] += 1
             if metrics is not None:
-                handles = self._metric_handles(metrics)
-                index = handles.accepts
-                if index is None:
-                    index = handles.accepts = metrics.counter_slot(
-                        "malicious.accepts"
-                    )
-                metrics.slots[index] += 1
+                metrics.inc("malicious.accepts")
             if self.accept_hook is not None:
                 self.accept_hook(self.pid, self.phaseno, origin, value)
 
@@ -325,23 +283,11 @@ class MaliciousConsensus(Process):
         """
         star_only_budget = [1]
         metrics = self.metrics
-        handles = self._metric_handles(metrics) if metrics is not None else None
         while True:
             if metrics is not None:
                 accepted = self.message_count[0] + self.message_count[1]
-                phase_slots = handles.phase_slots
-                index = phase_slots.get(self.phaseno)
-                if index is None:
-                    index = phase_slots[self.phaseno] = metrics.counter_slot(
-                        f"malicious.accepts.phase.{self.phaseno}"
-                    )
-                metrics.slots[index] += accepted
-                hist = handles.accepts_hist
-                if hist is None:
-                    hist = handles.accepts_hist = metrics.histogram_handle(
-                        "malicious.accepts_per_phase"
-                    )
-                hist.observe(accepted)
+                metrics.inc(f"malicious.accepts.phase.{self.phaseno}", accepted)
+                metrics.observe("malicious.accepts_per_phase", accepted)
             self.value = majority_value(self.message_count[0], self.message_count[1])
             decided_now = None
             for candidate in (0, 1):

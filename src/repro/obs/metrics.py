@@ -32,7 +32,6 @@ a plain element-wise sum.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -127,20 +126,9 @@ class HistogramSnapshot:
 
 
 class Histogram:
-    """Mutable fixed-bucket histogram (the registry's working form).
+    """Mutable fixed-bucket histogram (the registry's working form)."""
 
-    Two recording paths: :meth:`observe` buckets immediately;
-    ``pending.append`` (a plain C-level list append, the cheapest thing
-    Python can do per event) defers bucketing until the histogram is
-    read.  The kernel's per-step distributions use the deferred path —
-    values are bucketed in recorded order at snapshot time, so the
-    resulting snapshot is identical as long as deferred values are
-    exact (integers, as every kernel site's are).
-    """
-
-    __slots__ = (
-        "bounds", "counts", "count", "total", "minimum", "maximum", "pending",
-    )
+    __slots__ = ("bounds", "counts", "count", "total", "minimum", "maximum")
 
     def __init__(self, bounds: Iterable[float] = DEFAULT_BOUNDS) -> None:
         self.bounds: tuple[float, ...] = tuple(bounds)
@@ -158,54 +146,19 @@ class Histogram:
         self.total = 0.0
         self.minimum: Optional[float] = None
         self.maximum: Optional[float] = None
-        #: Deferred observations, bucketed on flush (hot-path append target).
-        self.pending: list = []
 
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        self.counts[bisect_left(self.bounds, value)] += 1
-        self.count += 1
-        self.total += value
+    def observe(self, value: float, times: int = 1) -> None:
+        """Record ``value`` as ``times`` identical observations."""
+        self.counts[bisect_left(self.bounds, value)] += times
+        self.count += times
+        self.total += value * times
         if self.minimum is None or value < self.minimum:
             self.minimum = value
         if self.maximum is None or value > self.maximum:
             self.maximum = value
 
-    def flush(self) -> None:
-        """Bucket every deferred ``pending`` observation.
-
-        Large batches collapse through a :class:`collections.Counter`
-        first — the kernel's per-step samples draw from a few dozen
-        distinct small integers, so one bisect per *distinct* value
-        replaces one per observation.  Bucketing is order-independent
-        and ``total`` uses ``sum(pending)`` either way, so the snapshot
-        is identical to the element-at-a-time path.  The list is
-        emptied in place, never rebound: a hot site may hold a bound
-        ``pending.append`` across a mid-run snapshot.
-        """
-        pending = self.pending
-        if not pending:
-            return
-        counts = self.counts
-        bounds = self.bounds
-        if len(pending) > 64:
-            for value, multiplicity in Counter(pending).items():
-                counts[bisect_left(bounds, value)] += multiplicity
-        else:
-            for value in pending:
-                counts[bisect_left(bounds, value)] += 1
-        self.count += len(pending)
-        self.total += sum(pending)
-        low, high = min(pending), max(pending)
-        if self.minimum is None or low < self.minimum:
-            self.minimum = low
-        if self.maximum is None or high > self.maximum:
-            self.maximum = high
-        pending.clear()
-
     def snapshot(self) -> HistogramSnapshot:
         """Freeze the current state into an immutable snapshot."""
-        self.flush()
         return HistogramSnapshot(
             bounds=self.bounds,
             counts=tuple(self.counts),
@@ -283,38 +236,20 @@ def merge_snapshots(
 class MetricsRegistry:
     """Mutable collection point for one run's metrics.
 
-    Two write paths coexist:
-
-    * **Named (cold) path** — :meth:`inc` / :meth:`observe` /
-      :meth:`gauge_max`: dictionary upserts keyed by
-      the metric name, fine for sites that fire rarely.
-    * **Slot (hot) path** — a site registers a counter once with
-      :meth:`counter_slot` and receives an integer index into the
-      preallocated :attr:`slots` list; per-event updates are then
-      ``registry.slots[i] += 1`` with no string hashing or dict lookup.
-      :meth:`histogram_handle` is the analogous resolve-once handle for
-      histograms.  Slots are created
-      lazily at a site's *first* event, so a run's snapshot contains
-      exactly the names the named path would have created — snapshots
-      are byte-identical between the two implementations, and the
-      name→value dict is only materialised at :meth:`snapshot` time.
+    One write method per kind, keyed by metric name: :meth:`inc`,
+    :meth:`observe`, :meth:`gauge_set` and :meth:`gauge_max`.  A name
+    exists from its first write, so a snapshot holds exactly the metrics
+    a run touched.  Sites that fire every step buffer their raw values
+    and write once per distinct value (``amount`` / ``times``), as the
+    kernel does (DESIGN §7).
     """
 
-    __slots__ = (
-        "_counters",
-        "_gauges",
-        "_histograms",
-        "slots",
-        "_slot_index",
-    )
+    __slots__ = ("_counters", "_gauges", "_histograms")
 
     def __init__(self) -> None:
         self._counters: dict[str, int] = {}
         self._gauges: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}
-        #: Array-backed counter values; index via :meth:`counter_slot`.
-        self.slots: list[int] = []
-        self._slot_index: dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # Recording
@@ -324,35 +259,6 @@ class MetricsRegistry:
         """Add ``amount`` to counter ``name`` (creating it at 0)."""
         counters = self._counters
         counters[name] = counters.get(name, 0) + amount
-
-    def counter_slot(self, name: str) -> int:
-        """Register counter ``name`` as an array slot; return its index.
-
-        Idempotent: the same name always maps to the same index for the
-        life of the registry.  Hot sites call this once (at their first
-        event) and afterwards update ``registry.slots[index]`` directly.
-        A name should go through either the slot path or :meth:`inc`,
-        not both; if both are used anyway, :meth:`snapshot` sums them.
-        """
-        index = self._slot_index.get(name)
-        if index is None:
-            index = self._slot_index[name] = len(self.slots)
-            self.slots.append(0)
-        return index
-
-    def histogram_handle(
-        self, name: str, bounds: Iterable[float] = DEFAULT_BOUNDS
-    ) -> Histogram:
-        """The mutable histogram for ``name`` (created on first call).
-
-        Hot sites keep the returned object and call ``handle.observe``
-        (or batch values through ``handle.pending.append``) without
-        re-hashing the name per observation.
-        """
-        histogram = self._histograms.get(name)
-        if histogram is None:
-            histogram = self._histograms[name] = Histogram(bounds)
-        return histogram
 
     def gauge_set(self, name: str, value: float) -> None:
         """Set gauge ``name`` to ``value`` (last write wins)."""
@@ -369,8 +275,9 @@ class MetricsRegistry:
         name: str,
         value: float,
         bounds: Iterable[float] = DEFAULT_BOUNDS,
+        times: int = 1,
     ) -> None:
-        """Record ``value`` in histogram ``name``.
+        """Record ``value`` in histogram ``name``, ``times`` times over.
 
         The histogram is created with ``bounds`` on first observation;
         later calls reuse the existing boundaries (fixed buckets are what
@@ -379,29 +286,16 @@ class MetricsRegistry:
         histogram = self._histograms.get(name)
         if histogram is None:
             histogram = self._histograms[name] = Histogram(bounds)
-        histogram.observe(value)
+        histogram.observe(value, times)
 
     # ------------------------------------------------------------------ #
     # Reading
     # ------------------------------------------------------------------ #
 
     def snapshot(self) -> MetricsSnapshot:
-        """Freeze the current state into an immutable snapshot.
-
-        This is where slot-backed counters materialise into the
-        name→value dict — once per run, instead of per increment.
-        """
-        slots = self.slots
-        counters = {
-            name: slots[index] for name, index in self._slot_index.items()
-        }
-        for name, value in self._counters.items():
-            if name in counters:
-                counters[name] += value
-            else:
-                counters[name] = value
+        """Freeze the current state into an immutable snapshot."""
         return MetricsSnapshot(
-            counters=counters,
+            counters=dict(self._counters),
             gauges=dict(self._gauges),
             histograms={
                 name: hist.snapshot()

@@ -332,10 +332,11 @@ class Simulation:
         A caller-supplied predicate is evaluated after every step.
 
         With metrics on, every step's captures — histogram samples and
-        counter keys — go into buffered appends that the ``finally``
-        block folds into the registry once per call.  They are values of
-        the simulated execution only, so a snapshot is a pure function
-        of the run.
+        counter keys — go into local lists that the ``finally`` block
+        folds into the registry once per call, so a snapshot taken
+        during a call holds the captures of completed calls only.  They
+        are values of the simulated execution only, so a snapshot is a
+        pure function of the run.
         """
         halt_reason = HaltReason.MAX_STEPS
         record = self._record
@@ -346,8 +347,7 @@ class Simulation:
         processes = self.processes
         rng = self.rng
         deliver = system.send
-        obs = self.metrics
-        metered = obs is not None
+        metered = self.metrics is not None
         halt_each_step = halt not in _STATUS_PREDICATES
         alive = self._alive_view()
         if metered:
@@ -356,23 +356,19 @@ class Simulation:
             # be re-read from the system each step.
             with_mail = system._with_mail
             length = len
-            # The loop body always executes at least once when reached,
-            # so resolving the histograms here creates exactly the
-            # metrics the first iteration would.
-            pending_append = obs.histogram_handle(
-                "scheduler.pending_messages"
-            ).pending.append
-            candidates_append = obs.histogram_handle(
-                "scheduler.candidate_processes"
-            ).pending.append
             # Per-call capture buffers: the loop appends raw observations
-            # (delivered payload classes — None marks a φ step — phase
-            # numbers, sent payload classes) and the ``finally`` block
-            # folds them into registry slots via one Counter pass per
-            # buffer.  Buffered values are plain ints and existing
-            # classes — nothing GC-tracked is allocated per step (a
-            # consolidated per-step record tuple measured ~2x worse: 24k
-            # young container allocations per run is pure gen0 churn).
+            # (pending-message and candidate-process counts, delivered
+            # payload classes — None marks a φ step — phase numbers, sent
+            # payload classes) and the ``finally`` block folds them into
+            # the registry via one Counter pass per buffer.  Buffered
+            # values are plain ints and existing classes — nothing
+            # GC-tracked is allocated per step (a consolidated per-step
+            # record tuple measured ~2x worse: 24k young container
+            # allocations per run is pure gen0 churn).
+            pending_counts: list = []
+            pending_append = pending_counts.append
+            candidate_counts: list = []
+            candidates_append = candidate_counts.append
             delivered_classes: list = []
             delivered_append = delivered_classes.append
             step_phases: list = []
@@ -452,28 +448,44 @@ class Simulation:
             # captures — which is exactly what eager per-step accounting
             # would have recorded on that path.
             if metered:
-                self._fold_captures(sent_types, delivered_classes, step_phases)
+                self._fold_captures(
+                    sent_types,
+                    delivered_classes,
+                    step_phases,
+                    pending_counts,
+                    candidate_counts,
+                )
         return halt_reason
 
     def _fold_captures(
-        self, sent_types, delivered_classes=(), step_phases=()
+        self,
+        sent_types,
+        delivered_classes=(),
+        step_phases=(),
+        pending_counts=(),
+        candidate_counts=(),
     ) -> None:
         """Fold buffered step captures into the registry (metrics on only).
 
-        One ``Counter`` pass per buffer and one slot update per distinct
-        key; counter names are built — and their slots created — only
-        for keys that actually occurred, exactly as eager per-event
-        accounting would.
+        One ``Counter`` pass per buffer and one ``inc`` / ``observe`` per
+        distinct key; counter and histogram names are created only for
+        keys that actually occurred, exactly as per-event accounting
+        would.
         """
         obs = self.metrics
-        slots = obs.slots
         for captured, name_of in (
             (delivered_classes, _delivered_counter),
             (step_phases, _phase_counter),
             (sent_types, _sent_counter),
         ):
             for key, multiplicity in Counter(captured).items():
-                slots[obs.counter_slot(name_of(key))] += multiplicity
+                obs.inc(name_of(key), multiplicity)
+        for captured, name in (
+            (pending_counts, "scheduler.pending_messages"),
+            (candidate_counts, "scheduler.candidate_processes"),
+        ):
+            for value, times in Counter(captured).items():
+                obs.observe(name, value, times=times)
 
     def replace_process(self, pid: int, replacement: Process) -> None:
         """Swap in a new process object for ``pid`` and run its start step.

@@ -133,22 +133,28 @@ class TestExceptionPathFold:
         assert counters["messages.sent.str"] == n * n
 
 
+class SnapshotAtStep(StepObserver):
+    """Takes ``sim.metrics.snapshot()`` after the step that brings
+    ``sim.steps`` to ``at``."""
+
+    def __init__(self, at):
+        self.at = at
+        self.taken = None
+
+    def on_step(self, sim, pid, envelope, sends):
+        if sim.steps == self.at:
+            self.taken = sim.metrics.snapshot()
+
+
 class TestMidRunSnapshot:
     def test_snapshot_during_run_drops_no_histogram_samples(self):
         """An observer (or a ``halt_when`` predicate) may read
-        ``sim.metrics.snapshot()`` mid-run.  The step loop holds
-        ``pending.append`` of its per-step histograms, so flushing them
-        must empty the deferred list in place: every loop step still
-        records one ``scheduler.pending_messages`` sample."""
-
-        class SnapshotAtStep(StepObserver):
-            def __init__(self, at):
-                self.at = at
-                self.taken = None
-
-            def on_step(self, sim, pid, envelope, sends):
-                if sim.steps == self.at:
-                    self.taken = sim.metrics.snapshot()
+        ``sim.metrics.snapshot()`` mid-run.  Reading is side-effect
+        free: the step loop keeps its per-step histogram samples in
+        local lists that only the end of the ``run()`` call folds in, so
+        a mid-run snapshot neither loses samples nor changes the run —
+        every loop step still records one ``scheduler.pending_messages``
+        sample."""
 
         def run(observer):
             n = 5
@@ -171,6 +177,35 @@ class TestMidRunSnapshot:
         ):
             assert observed.metrics.histograms[name].count == loop_steps
         assert observed.metrics == plain.metrics
+
+    def test_mid_call_snapshot_holds_completed_calls_only(self):
+        """A snapshot taken partway into a ``run()`` call holds the
+        kernel's captures of the completed calls — its per-step
+        histograms and its per-phase step counters alike, so each
+        histogram counts exactly the steps the counters count."""
+        n = 5
+        first_call_steps = 30
+        probe = SnapshotAtStep(at=None)
+        sim = Simulation(
+            build_failstop_processes(n, 2, balanced_inputs(n)),
+            seed=0,
+            metrics=True,
+            observer=probe,
+        )
+        sim.run(max_steps=first_call_steps)
+        probe.at = sim.steps + 8
+        sim.run(max_steps=300_000)
+        assert probe.taken is not None
+        counters = probe.taken.counters
+        phase_steps = sum(
+            value for name, value in counters.items()
+            if name.startswith("kernel.steps.phase.")
+        )
+        assert phase_steps == first_call_steps - n
+        for name in (
+            "scheduler.pending_messages", "scheduler.candidate_processes",
+        ):
+            assert probe.taken.histograms[name].count == phase_steps
 
 
 class TestCli:

@@ -155,6 +155,15 @@ class TestRegistry:
         # A snapshot holds the three deterministic sections and nothing else.
         assert set(snap.to_dict()) == {"counters", "gauges", "histograms"}
 
+    def test_observe_times_equals_repeated_observe(self):
+        once = MetricsRegistry()
+        once.observe("h", 7, times=3)
+        repeated = MetricsRegistry()
+        for _ in range(3):
+            repeated.observe("h", 7)
+        assert once.snapshot() == repeated.snapshot()
+        assert once.snapshot().histograms["h"].count == 3
+
     def test_to_dict_is_json_ready_and_sorted(self):
         reg = MetricsRegistry()
         reg.inc("z")
