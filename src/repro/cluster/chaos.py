@@ -102,15 +102,19 @@ class ChaosProxy:
     Args:
         target: ``(host, port)`` of the real node server.
         config: the misbehaviour schedule.
-        registry: optional metrics registry
-            (``cluster.chaos.delayed/dropped/resets``).
-        trace: optional cluster trace writer.
+        registry: the metrics registry
+            (``cluster.chaos.delayed/dropped/resets``) — the mesh's; a
+            fresh private one when omitted.
         label: identifier stamped on trace events (usually the fronted
             node's pid).
-        tracer: optional :class:`repro.obs.spans.SpanTracer`; when set,
-            chaos events carry an ``hlc`` timestamp so the report
-            analyzer can place them on the cluster-wide causal timeline
-            alongside node spans.
+        tracer: optional :class:`repro.obs.spans.SpanTracer` — the
+            fronted node's; when set, chaos events go to its writer
+            carrying an ``hlc`` timestamp, so the report analyzer can
+            place them on the cluster-wide causal timeline alongside
+            node spans.
+
+    Chaos events are recorded through ``trace``, the tracer's writer
+    (``None`` untraced).
     """
 
     def __init__(
@@ -118,16 +122,15 @@ class ChaosProxy:
         target: tuple,
         config: ChaosConfig,
         registry: Optional[MetricsRegistry] = None,
-        trace: Any = None,
         label: Any = None,
         tracer: Any = None,
     ) -> None:
         self.target = target
         self.config = config
-        self.registry = registry
-        self.trace = trace
+        self.registry = registry if registry is not None else MetricsRegistry()
         self.label = label
         self.tracer = tracer
+        self.trace = tracer.writer if tracer is not None else None
         self.rng = random.Random(config.seed)
         self._server: Optional[asyncio.AbstractServer] = None
         self._pumps: set[asyncio.Task] = set()
@@ -209,7 +212,7 @@ class ChaosProxy:
             for kind, frame_bytes in frames.frames():
                 if kind == KIND_DATA:
                     if self.rng.random() < config.drop_rate:
-                        self._inc("cluster.chaos.dropped")
+                        self.registry.inc("cluster.chaos.dropped")
                         self._trace_event("chaos-drop")
                         continue
                     if config.delay_max > 0:
@@ -217,7 +220,7 @@ class ChaosProxy:
                             config.delay_min, config.delay_max
                         )
                         await asyncio.sleep(pause)
-                        self._inc("cluster.chaos.delayed")
+                        self.registry.inc("cluster.chaos.delayed")
                         self._trace_event(
                             "chaos-delay", delay_ms=round(pause * 1000.0, 3)
                         )
@@ -229,7 +232,7 @@ class ChaosProxy:
                     and config.reset_every is not None
                     and forwarded_data % config.reset_every == 0
                 ):
-                    self._inc("cluster.chaos.resets")
+                    self.registry.inc("cluster.chaos.resets")
                     self._trace_event("chaos-reset")
                     # Let the ack direction drain before the kill (see
                     # ChaosConfig.reset_grace).
@@ -248,10 +251,6 @@ class ChaosProxy:
     # ------------------------------------------------------------------ #
     # Observability plumbing
     # ------------------------------------------------------------------ #
-
-    def _inc(self, name: str) -> None:
-        if self.registry is not None:
-            self.registry.inc(name)
 
     def _trace_event(self, event: str, **fields: Any) -> None:
         if self.trace is None:

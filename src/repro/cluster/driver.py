@@ -346,18 +346,19 @@ class ClusterMesh:
 
     def open_shard(
         self, label: Union[int, str], clock_pid: int
-    ) -> tuple[Optional[ClusterTraceWriter], Optional[SpanTracer]]:
-        """Open trace shard ``node-<label>.jsonl`` and its span tracer
-        (HLC identity ``clock_pid``); ``(None, None)`` when the run is
+    ) -> Optional[SpanTracer]:
+        """Open trace shard ``node-<label>.jsonl`` and return the span
+        tracer writing it (HLC identity ``clock_pid``, the shard's
+        writer as ``tracer.writer``); ``None`` when the run is
         untraced.  :meth:`close` closes the writer."""
         if self.trace_dir is None:
-            return None, None
+            return None
         writer = ClusterTraceWriter(
             os.path.join(self.trace_dir, f"node-{label}.jsonl"),
             extra={"node": label},
         )
         self._writers.append(writer)
-        return writer, SpanTracer(writer, clock_pid, self.run_id)
+        return SpanTracer(writer, clock_pid, self.run_id)
 
     async def open(self) -> None:
         """Bring the mesh up; a failure part-way closes what was opened
@@ -391,7 +392,7 @@ class ClusterMesh:
         try:
             dial_addrs: dict[int, tuple] = {}
             for pid in range(spec.n):
-                writer, tracer = self.open_shard(pid, pid)
+                tracer = self.open_shard(pid, pid)
                 transport = Transport(
                     pid,
                     spec.n,
@@ -411,7 +412,6 @@ class ClusterMesh:
                             spec.chaos, seed=spec.chaos.seed + 7919 * pid
                         ),
                         registry=self.registry,
-                        trace=writer,
                         label=pid,
                         tracer=tracer,
                     )

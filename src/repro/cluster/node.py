@@ -149,8 +149,9 @@ class ClusterNode:
             whether the client API opens the instance or traffic for an
             unknown instance arrives.  Every core it builds must carry
             the transport's ``(pid, n)``.
-        registry: optional metrics registry (decide latency histogram,
-            step and decision counters).
+        registry: the metrics registry (decide latency histogram, step
+            and decision counters) — the mesh's; a fresh private one
+            when omitted.
         tracer: optional :class:`~repro.obs.spans.SpanTracer` (shared
             with this node's transport) enabling causal tracing:
             lifecycle events (carrying an ``instance`` field) through
@@ -185,9 +186,7 @@ class ClusterNode:
                 f"instance_linger must be >= 0, got {instance_linger}"
             )
         self.transport = transport
-        self.registry = registry
-        #: The tracer's trace writer (``None`` untraced).
-        self.trace = tracer.writer if tracer is not None else None
+        self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer
         self.process_factory = process_factory
         self.instance_linger = instance_linger
@@ -244,17 +243,16 @@ class ClusterNode:
                 f"process_factory built ({process.pid}, n={process.n}) "
                 f"for node ({self.pid}, n={self.transport.n})"
             )
-        if self.registry is not None:
-            process.bind_metrics(self.registry)
+        process.bind_metrics(self.registry)
         state = _InstanceState(process, monotonic())
         self._instances[instance] = state
-        if self.registry is not None:
-            self.registry.gauge_max(
-                "cluster.node.instances_active", len(self._instances)
-            )
-        if self.trace is not None:
-            self.trace.record("instance-start", pid=self.pid, instance=instance)
+        self.registry.gauge_max(
+            "cluster.node.instances_active", len(self._instances)
+        )
         if self.tracer is not None:
+            self.tracer.writer.record(
+                "instance-start", pid=self.pid, instance=instance
+            )
             # The client-submit boundary: this node's segment of the
             # decision's timeline opens here (explicitly via the client
             # API, or lazily when the instance's first frame arrives).
@@ -294,8 +292,8 @@ class ClusterNode:
             raise ConfigurationError(
                 f"instances must be >= 1, got {instances}"
             )
-        if self.trace is not None:
-            self.trace.record("node-start", pid=self.pid)
+        if self.tracer is not None:
+            self.tracer.writer.record("node-start", pid=self.pid)
         for instance in range(instances):
             self.start_instance(instance)
         self._task = asyncio.get_running_loop().create_task(
@@ -357,8 +355,7 @@ class ClusterNode:
                 if instance in self._retired:
                     # Late traffic for a collected instance: the decision
                     # stands; the frame is deliberately dropped.
-                    if registry is not None:
-                        registry.inc("cluster.node.late_frames")
+                    registry.inc("cluster.node.late_frames")
                     continue
                 # First sight of this instance at this node: instantiate
                 # and take the opening step, then deliver the envelope.
@@ -406,8 +403,7 @@ class ClusterNode:
                         previous=previous,
                         steps=process.steps_taken,
                     )
-            if registry is not None:
-                registry.inc("cluster.node.steps")
+            registry.inc("cluster.node.steps")
             self._after_step(instance, state, sends)
 
     async def stop(self) -> None:
@@ -459,11 +455,10 @@ class ClusterNode:
                 instance=instance,
             )
             self._records[instance] = record
-            if self.registry is not None:
-                self.registry.inc("cluster.decisions")
-                self.registry.observe(
-                    "cluster.decide.latency_ms", latency * 1000.0
-                )
+            self.registry.inc("cluster.decisions")
+            self.registry.observe(
+                "cluster.decide.latency_ms", latency * 1000.0
+            )
             if self.tracer is not None:
                 # The decide boundary closes the trace: the event
                 # carries the full latency decomposition.  Queue and
@@ -477,7 +472,7 @@ class ClusterNode:
                 if transport_ms < 0.0:
                     transport_ms = 0.0
                 physical, logical = self.tracer.hlc.tick()
-                self.trace.record_fields(
+                self.tracer.writer.record_fields(
                     "decide",
                     {
                         "pid": self.pid,
@@ -502,8 +497,8 @@ class ClusterNode:
             # instance here is done waiting (PAPER.md §2 demands
             # termination of the survivors only).
             state.decided_event.set()
-        if process.exited and self.trace is not None:
-            self.trace.record("exit", pid=self.pid, instance=instance)
+        if process.exited and self.tracer is not None:
+            self.tracer.writer.record("exit", pid=self.pid, instance=instance)
 
     def _schedule_gc(self, instance: int) -> None:
         """Arm the linger timer that collects a decided instance."""
@@ -529,10 +524,11 @@ class ClusterNode:
         if state is None:
             return
         self._retired[instance] = state.process.crashed
-        if self.registry is not None:
-            self.registry.inc("cluster.node.instances_gc")
-        if self.trace is not None:
-            self.trace.record("instance-gc", pid=self.pid, instance=instance)
+        self.registry.inc("cluster.node.instances_gc")
+        if self.tracer is not None:
+            self.tracer.writer.record(
+                "instance-gc", pid=self.pid, instance=instance
+            )
 
     def _abandon_if_unwaited(self, instance: int) -> None:
         """Release one undecided instance after its last waiter gave up.
@@ -556,10 +552,9 @@ class ClusterNode:
             return
         del self._instances[instance]
         self._retired[instance] = state.process.crashed
-        if self.registry is not None:
-            self.registry.inc("cluster.node.instances_abandoned")
-        if self.trace is not None:
-            self.trace.record(
+        self.registry.inc("cluster.node.instances_abandoned")
+        if self.tracer is not None:
+            self.tracer.writer.record(
                 "instance-abandoned", pid=self.pid, instance=instance
             )
 

@@ -72,7 +72,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.cluster.codec import decode_canonical, encode_canonical
 from repro.cluster.driver import ClusterMesh, ClusterSpec, latency_summary_ms
 from repro.cluster.node import ClusterNode
-from repro.cluster.trace import ClusterTraceWriter
 from repro.cluster.transport import DEFAULT_TRACE_SAMPLE
 from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
@@ -369,7 +368,7 @@ class SMRNode:
 
     async def _apply_loop(self) -> None:
         registry = self.node.registry
-        trace = self.node.trace
+        tracer = self.node.tracer
         while True:
             slot = await self._submitted.get()
             record = await self.node.decide_instance(slot)
@@ -378,14 +377,13 @@ class SMRNode:
                 outcomes = self.machine.apply_slot(slot, commands)
                 self.applied_entries.append((slot, commands))
                 results = tuple(result for result, _ in outcomes)
-                if registry is not None:
-                    registry.inc("cluster.smr.applied", len(commands))
-                    hits = sum(deduped for _, deduped in outcomes)
-                    if hits:
-                        registry.inc("cluster.smr.dedup_hits", hits)
-                if trace is not None:
+                registry.inc("cluster.smr.applied", len(commands))
+                hits = sum(deduped for _, deduped in outcomes)
+                if hits:
+                    registry.inc("cluster.smr.dedup_hits", hits)
+                if tracer is not None:
                     for command, (_, deduped) in zip(commands, outcomes):
-                        trace.record(
+                        tracer.writer.record(
                             "smr-apply",
                             pid=self.pid,
                             instance=slot,
@@ -397,8 +395,7 @@ class SMRNode:
             else:
                 results = (None,) * len(commands)
                 self.aborted_slots += 1
-                if registry is not None:
-                    registry.inc("cluster.smr.aborted")
+                registry.inc("cluster.smr.aborted")
             self.applied_through = slot
             self.cluster._on_applied(self.pid, slot, record.value, results)
             if (
@@ -420,13 +417,12 @@ class SMRNode:
         ]
         self.compacted_entries += len(dropped)
         registry = self.node.registry
-        if registry is not None:
-            registry.inc("cluster.smr.snapshots")
-            registry.gauge_max(
-                "cluster.smr.snapshot_bytes", len(self.snapshot_blob)
-            )
-        if self.node.trace is not None:
-            self.node.trace.record(
+        registry.inc("cluster.smr.snapshots")
+        registry.gauge_max(
+            "cluster.smr.snapshot_bytes", len(self.snapshot_blob)
+        )
+        if self.node.tracer is not None:
+            self.node.tracer.writer.record(
                 "smr-snapshot",
                 pid=self.pid,
                 instance=slot,
@@ -520,7 +516,6 @@ class SMRCluster:
         self.compact_every = compact_every
         self._mesh = ClusterMesh(self.spec, registry, trace_dir, trace_sample)
         self.registry = self._mesh.registry
-        self._client_writer: Optional[ClusterTraceWriter] = None
         self._client_tracer: Optional[SpanTracer] = None
         self._replicas: Dict[int, SMRNode] = {}
         self._next_slot = 0
@@ -572,7 +567,7 @@ class SMRCluster:
         # The commit boundary is a cluster-level (client-side)
         # observation, so it gets its own shard; "node-client" matches
         # the stitcher's shard glob.
-        self._client_writer, self._client_tracer = mesh.open_shard(
+        self._client_tracer = mesh.open_shard(
             "client", self.spec.n
         )
         for pid in sorted(self.correct_pids):
@@ -747,9 +742,9 @@ class SMRCluster:
             latency = now - self._submit_ts[slot]
             latency_ms = latency * 1000.0
             self.registry.inc("cluster.smr.committed", len(futures))
-            if self._client_writer is not None:
+            if self._client_tracer is not None:
                 physical, logical = self._client_tracer.hlc.tick()
-                self._client_writer.record_fields(
+                self._client_tracer.writer.record_fields(
                     "smr-commit",
                     {
                         "slot": slot,

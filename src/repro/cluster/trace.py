@@ -31,54 +31,44 @@ from __future__ import annotations
 import json
 import threading
 from time import monotonic
-from typing import IO, Any, Optional, Union
+from typing import IO, Any, Optional
 
 from repro.obs.sinks import JsonlReader, decode_payload, encode_payload
+
+#: Spooled events that trigger a :meth:`ClusterTraceWriter.flush`.
+SPOOL_LIMIT = 8192
 
 
 class ClusterTraceWriter:
     """Spools cluster events and writes them as JSON Lines.
 
-    Accepts a path (opened/closed by the writer) or an open text handle
-    (flushed but not closed).  Thread-safe: asyncio callbacks and the
-    driver share one writer.
+    Writes the file at ``path``, which it opens and closes itself.
+    Thread-safe: asyncio callbacks and the driver share one writer.
 
     The hot path (`record` / `record_fields`) only timestamps the event
     and appends the raw field dict to an in-memory spool; JSON encoding,
     payload encoding, and file I/O all happen in :meth:`flush` — which
-    runs when the spool reaches ``spool_limit`` events and at
+    runs when the spool reaches :data:`SPOOL_LIMIT` events and at
     :meth:`close`.  This keeps the per-event tax on a live, traced
     cluster to an append instead of a serialisation, at the cost that a
-    process killed mid-run loses at most ``spool_limit`` spooled events
-    (the JSONL readers tolerate the torn tail either way).
+    process killed mid-run loses at most :data:`SPOOL_LIMIT` spooled
+    events (the JSONL readers tolerate the torn tail either way).
 
     Callers must not mutate a fields dict after handing it over; event
     payloads are the protocols' immutable messages, encoded at flush.
     """
 
-    def __init__(
-        self,
-        target: Union[str, IO[str]],
-        extra: Optional[dict] = None,
-        spool_limit: int = 8192,
-    ) -> None:
-        if isinstance(target, str):
-            # Lazy open: in spool mode nothing touches the file until
-            # the first flush, so the open's syscalls stay out of the
-            # traced run's measured window.
-            self._handle: Optional[IO[str]] = None
-            self._path: Optional[str] = target
-            self._owns_handle = True
-        else:
-            self._handle = target
-            self._path = None
-            self._owns_handle = False
+    def __init__(self, path: str, extra: Optional[dict] = None) -> None:
+        # Lazy open: nothing touches the file until the first flush, so
+        # the open's syscalls stay out of the traced run's measured
+        # window.
+        self._handle: Optional[IO[str]] = None
+        self._path = path
         self._extra = dict(extra) if extra else None
         self._epoch = monotonic()
         self._lock = threading.Lock()
         self._closed = False
         self._spool: list = []
-        self._spool_limit = spool_limit
 
     def record(self, event: str, **fields: Any) -> None:
         """Spool one event line (no-op after close)."""
@@ -93,7 +83,7 @@ class ClusterTraceWriter:
         if self._closed:
             return
         self._spool.append((monotonic(), event, fields))
-        if len(self._spool) >= self._spool_limit:
+        if len(self._spool) >= SPOOL_LIMIT:
             self.flush()
 
     def _render(self, spooled: tuple) -> str:
@@ -120,20 +110,17 @@ class ClusterTraceWriter:
             self._handle.flush()
 
     def close(self) -> None:
-        """Flush and release the handle (idempotent).  A path-backed
-        writer always leaves a file behind, even when nothing was ever
-        spooled — readers expect every node's shard to exist."""
+        """Flush and close the file (idempotent).  The writer always
+        leaves a file behind, even when nothing was ever spooled —
+        readers expect every node's shard to exist."""
         self.flush()
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            if self._handle is None and self._path is not None:
+            if self._handle is None:
                 self._handle = open(self._path, "w", encoding="utf-8")
-            if self._handle is not None:
-                self._handle.flush()
-                if self._owns_handle:
-                    self._handle.close()
+            self._handle.close()
 
     def __enter__(self) -> "ClusterTraceWriter":
         return self

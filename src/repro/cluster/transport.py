@@ -283,13 +283,13 @@ class _PeerLink:
                     *self.addr,
                 )
             except OSError:
-                transport._inc("cluster.transport.connect_failures")
+                transport.registry.inc("cluster.transport.connect_failures")
                 attempt += 1
             else:
                 if self.connected_once:
-                    transport._inc("cluster.transport.reconnects")
-                    if transport.trace is not None:
-                        transport.trace.record(
+                    transport.registry.inc("cluster.transport.reconnects")
+                    if transport.tracer is not None:
+                        transport.tracer.writer.record(
                             "reconnect", pid=transport.pid, peer=self.peer
                         )
                 self.connected_once = True
@@ -349,6 +349,7 @@ class _PeerLink:
         unacked = self.unacked
         if not unacked:
             self._arm_backstop()
+        registry = transport.registry
         tracer = transport.tracer
         sample = transport.trace_sample
         cap = transport.batch_bytes
@@ -380,7 +381,7 @@ class _PeerLink:
                 # Only stamped (sampled) envelopes get a send span —
                 # unstamped ones stay event-free.
                 if ext is not None:
-                    transport.trace.record_fields(
+                    tracer.writer.record_fields(
                         "send",
                         {
                             "pid": transport.pid,
@@ -403,19 +404,21 @@ class _PeerLink:
             self.in_flight += count
             seq += 1
             if count > 1:
-                transport._inc("cluster.transport.batches")
-                transport._inc("cluster.transport.batched_frames", count)
-                transport._gauge_max("cluster.transport.max_batch", count)
+                registry.inc("cluster.transport.batches")
+                registry.inc("cluster.transport.batched_frames", count)
+                registry.gauge_max("cluster.transport.max_batch", count)
         self.next_seq = seq
         self._stamp_count = stamp_count
-        transport._inc("cluster.transport.sent", sent)
-        transport._gauge_max("cluster.transport.queue_depth", self.in_flight)
+        registry.inc("cluster.transport.sent", sent)
+        registry.gauge_max("cluster.transport.queue_depth", self.in_flight)
         self._write(wire, fresh)
 
     def _resend(self) -> None:
         """Go-back-n: write the whole window again, from the bytes that
         were written the first time."""
-        self.transport._inc("cluster.transport.retransmits", self.in_flight)
+        self.transport.registry.inc(
+            "cluster.transport.retransmits", self.in_flight
+        )
         self._arm_backstop()
         self._write(self.wire, self.unacked)
 
@@ -469,8 +472,9 @@ class Transport:
         pid: this node's process id (the identity its handshakes claim).
         n: cluster size; handshakes from peers of a different-shaped
             cluster are rejected.
-        registry: optional :class:`~repro.obs.metrics.MetricsRegistry`
-            receiving send/recv/reconnect/queue-depth metrics.
+        registry: the :class:`~repro.obs.metrics.MetricsRegistry`
+            receiving send/recv/reconnect/queue-depth metrics (the
+            mesh's; a fresh private one when omitted).
         tracer: optional :class:`~repro.obs.spans.SpanTracer` enabling
             causal tracing: outgoing envelopes are stamped with the
             trace extension, stamped ones emit send/recv events with
@@ -518,9 +522,7 @@ class Transport:
             )
         self.pid = pid
         self.n = n
-        self.registry = registry
-        #: The tracer's trace writer (``None`` untraced).
-        self.trace = tracer.writer if tracer is not None else None
+        self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer
         self.rng = random.Random(seed)
         self.backoff_base = backoff_base
@@ -588,10 +590,9 @@ class Transport:
         if self._closed:
             return
         self._closed = True
-        if self.registry is not None:
-            self.registry.gauge_max(
-                "cluster.transport.final_backlog", self.backlog()
-            )
+        self.registry.gauge_max(
+            "cluster.transport.final_backlog", self.backlog()
+        )
         for link in self._links.values():
             await link.close()
         if self._server is not None:
@@ -660,7 +661,7 @@ class Transport:
                 return
             # Acks never arrive on accepted connections; ignore.
         if carried_data:
-            self._inc("cluster.transport.received", delivered)
+            self.registry.inc("cluster.transport.received", delivered)
             acked = self._rx_expected.get(peer, 0) - 1
             connection.wire.write(encode_frame(AckFrame(acked=acked)))
 
@@ -713,24 +714,13 @@ class Transport:
                         "payload": payload,
                     }
                     tracer.extend_causal(fields, instance, trace)
-                    self.trace.record_fields("recv", fields)
+                    tracer.writer.record_fields("recv", fields)
             return len(entries)
         if frame.link_seq < expected:
-            self._inc("cluster.transport.duplicates", len(entries))
+            self.registry.inc("cluster.transport.duplicates", len(entries))
         else:
             # A gap: some earlier frame was dropped in flight.  Go-back-n
             # discards everything until the retransmission arrives.
-            self._inc("cluster.transport.gaps", len(entries))
+            self.registry.inc("cluster.transport.gaps", len(entries))
         return 0
 
-    # ------------------------------------------------------------------ #
-    # Observability plumbing
-    # ------------------------------------------------------------------ #
-
-    def _inc(self, name: str, amount: int = 1) -> None:
-        if self.registry is not None:
-            self.registry.inc(name, amount)
-
-    def _gauge_max(self, name: str, value: float) -> None:
-        if self.registry is not None:
-            self.registry.gauge_max(name, value)

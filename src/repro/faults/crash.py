@@ -18,6 +18,7 @@ sends of the fatal step survive.
 
 from __future__ import annotations
 
+import random
 from typing import Optional
 
 from repro.errors import ConfigurationError
@@ -32,8 +33,8 @@ class CrashableProcess(Process):
     protocol process and mirrors its decision/exit state, so results and
     halting predicates see one coherent process.  It forwards the whole
     harness contract of :class:`~repro.procs.base.Process` too —
-    ``phaseno``, ``input_value``, ``core``, ``bind_metrics`` and
-    ``is_correct`` are the wrapped process's, so a crashing Byzantine
+    ``phaseno``, ``input_value``, ``rng``, ``core``, ``bind_metrics``
+    and ``is_correct`` are the wrapped process's, so a crashing Byzantine
     process is still a Byzantine one.
 
     Args:
@@ -94,6 +95,15 @@ class CrashableProcess(Process):
     def core(self) -> Process:
         """The wrapped process's protocol core."""
         return self.inner.core
+
+    @property
+    def rng(self) -> Optional[random.Random]:
+        """The wrapped process's coin source (set through to it)."""
+        return self.inner.rng
+
+    @rng.setter
+    def rng(self, rng: Optional[random.Random]) -> None:
+        self.inner.rng = rng
 
     def bind_metrics(self, registry) -> None:
         """Bind this wrapper and everything it wraps to ``registry``."""

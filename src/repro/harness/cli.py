@@ -162,42 +162,31 @@ def _run_experiments(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(_args: argparse.Namespace) -> int:
-    from repro.faults.byzantine import BalancingEchoByzantine
-    from repro.harness.builders import (
-        build_failstop_processes,
-        build_malicious_processes,
-    )
-    from repro.harness.workloads import balanced_inputs
     from repro.sim.kernel import Simulation
     from repro.sim.results import Outcome
 
+    configs = _metrics_configs()
     status = 0
-
-    print("Figure 1 (fail-stop), n=7, k=3, one mid-broadcast crash:")
-    processes = build_failstop_processes(
-        7, 3, balanced_inputs(7), crashes={0: {"crash_at_step": 3, "keep_sends": 2}}
-    )
-    result = Simulation(processes, seed=7).run()
-    print(" ", result.summary())
-    if result.outcome is not Outcome.DECIDED:
-        status = 1
-
-    print("Figure 2 (malicious), n=7, k=2, balancing adversaries:")
-    processes = build_malicious_processes(
-        7, 2, balanced_inputs(7),
-        byzantine={5: BalancingEchoByzantine, 6: BalancingEchoByzantine},
-    )
-    result = Simulation(processes, seed=7).run(max_steps=3_000_000)
-    print(" ", result.summary())
-    if result.outcome is not Outcome.DECIDED:
-        status = 1
+    for title, name in (
+        ("Figure 1 (fail-stop), n=7, k=3, one mid-broadcast crash:",
+         "failstop-n7k3"),
+        ("Figure 2 (malicious), n=7, k=2, balancing adversaries:",
+         "malicious-n7k2"),
+    ):
+        print(title)
+        processes = configs[name](7)
+        result = Simulation(processes, seed=7).run(max_steps=3_000_000)
+        print(" ", result.summary())
+        if result.outcome is not Outcome.DECIDED:
+            status = 1
     if status:
         print("demo run did not decide (budget exhausted or quiescent)")
     return status
 
 
 #: The instrumented reference configurations the ``metrics`` subcommand
-#: runs: one per figure protocol, at the canonical (n, k) cells.
+#: runs (and ``demo`` narrates): one per figure protocol, at the
+#: canonical (n, k) cells.
 def _metrics_configs():
     from repro.faults.byzantine import BalancingEchoByzantine
     from repro.harness.builders import (

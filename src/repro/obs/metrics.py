@@ -10,10 +10,11 @@ carries in ``RunResult.metrics``.
 
 Design rules:
 
-* **Zero cost when disabled.**  Instrumentation sites hold a reference
-  to the registry (or ``None``) and guard every record with a single
-  ``is not None`` check; no metric names are formatted and no objects
-  are allocated on the disabled path.
+* **Zero cost when disabled.**  Simulator-side instrumentation sites
+  hold a reference to the registry (or ``None``) and guard every record
+  with a single ``is not None`` check; no metric names are formatted
+  and no objects are allocated on the disabled path.  (Cluster layers
+  always have a registry — the mesh's, or a private one.)
 * **Determinism.**  A snapshot holds only counters, gauges, and
   histograms of values derived from the simulated execution, never
   wall-clock time, so two runs of the same (processes, scheduler, seed)

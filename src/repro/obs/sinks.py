@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Any, Iterator, Optional, Union
+from typing import Any, Iterator, Optional
 
 from repro.core.messages import (
     STAR,
@@ -79,23 +79,13 @@ class InMemorySink(TraceSink):
 class JsonlTraceSink(TraceSink):
     """Streams events to a JSON Lines file (one JSON object per event).
 
-    Accepts a path (opened/closed by the sink) or an already-open text
-    handle (flushed but not closed).  Extra constant fields — e.g.
-    ``{"seed": 7}`` — can be stamped onto every line to make multi-run
-    files self-describing.
+    Writes the file at ``path``, which it opens and closes itself.
+    Extra constant fields — e.g. ``{"seed": 7}`` — can be stamped onto
+    every line to make multi-run files self-describing.
     """
 
-    def __init__(
-        self,
-        target: Union[str, IO[str]],
-        extra: Optional[dict] = None,
-    ) -> None:
-        if isinstance(target, str):
-            self._handle: IO[str] = open(target, "w", encoding="utf-8")
-            self._owns_handle = True
-        else:
-            self._handle = target
-            self._owns_handle = False
+    def __init__(self, path: str, extra: Optional[dict] = None) -> None:
+        self._handle = open(path, "w", encoding="utf-8")
         self._extra = dict(extra) if extra else None
         self._closed = False
 
@@ -109,9 +99,7 @@ class JsonlTraceSink(TraceSink):
         if self._closed:
             return
         self._closed = True
-        self._handle.flush()
-        if self._owns_handle:
-            self._handle.close()
+        self._handle.close()
 
 
 # ---------------------------------------------------------------------- #

@@ -18,6 +18,7 @@ transport senders even for Byzantine processes.
 
 from __future__ import annotations
 
+import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -73,6 +74,9 @@ class Process(ABC):
     phaseno: Optional[int] = None
     #: The initial value x_p; processes constructed with one overwrite it.
     input_value: int = 0
+    #: Source of local coin flips.  ``None`` until a process is seeded;
+    #: the simulator hands its run RNG to every process still at ``None``.
+    rng: Optional[random.Random] = None
 
     def __init__(self, pid: int, n: int) -> None:
         self.pid = pid

@@ -224,7 +224,7 @@ class Simulation:
         # Give randomized processes (e.g. Ben-Or's local coin) access to
         # the run's RNG without them having to be constructed with it.
         for proc in self.processes:
-            if getattr(proc, "rng", None) is None and hasattr(proc, "rng"):
+            if proc.rng is None:
                 proc.rng = self.rng
         if self.metrics is not None:
             for proc in self.processes:

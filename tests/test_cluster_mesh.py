@@ -103,6 +103,36 @@ class TestSeedDerivation:
         assert proxies == []
 
 
+class TestTracedProxies:
+    def test_each_proxy_traces_through_its_nodes_tracer(
+        self, monkeypatch, tmp_path
+    ):
+        """A chaos proxy shares the fronted pid's tracer, so its events
+        land in that pid's shard on that pid's clock."""
+        proxies = []
+        record_constructions(monkeypatch, ChaosProxy, proxies)
+
+        async def scenario():
+            mesh = ClusterMesh(SPEC, trace_dir=str(tmp_path / "traces"))
+            await mesh.open()
+            try:
+                return [
+                    (proxy.tracer, proxy.trace, proxy.registry)
+                    for proxy, _, _ in proxies
+                ], [node.tracer for node in mesh.nodes], mesh.registry
+            finally:
+                await mesh.close()
+
+        handles, tracers, registry = asyncio.run(scenario())
+        assert len(handles) == len(tracers) == SPEC.n
+        for (tracer, trace, proxy_registry), node_tracer in zip(
+            handles, tracers
+        ):
+            assert tracer is node_tracer
+            assert trace is node_tracer.writer
+            assert proxy_registry is registry
+
+
 class TestEnsembleValidation:
     """The mesh builds nodes from single-member factories; the checks
     only a whole ensemble can make still run before anything opens."""

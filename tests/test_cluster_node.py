@@ -479,6 +479,33 @@ class TestMultiInstanceNode:
         )
         assert b_active == 3  # instances 1 and 2 were lazily created
 
+    def test_node_without_a_registry_counts_into_its_own(self):
+        """Every node has a registry: built without ``registry=`` it
+        counts into a private one, its cores bound to it too."""
+
+        async def scenario():
+            a, b = await _mesh_pair()()
+            try:
+                await a.start(instances=1)
+                await b.start(instances=1)
+                await decide_all(a, [0], 20)
+                process = a.instance_process(0)
+                return (
+                    a.registry.snapshot(),
+                    process.steps_taken,
+                    process.metrics is a.registry,
+                    a.registry is not b.registry,
+                )
+            finally:
+                await a.shutdown()
+                await b.shutdown()
+
+        snapshot, steps_taken, bound, private = asyncio.run(scenario())
+        assert bound and private
+        # The opening step is taken outside the consumer loop.
+        assert snapshot.counters["cluster.node.steps"] == steps_taken - 1
+        assert snapshot.counters["cluster.decisions"] == 1
+
     def test_gc_retires_instances_and_drops_late_frames(self):
         async def scenario():
             registry = MetricsRegistry()

@@ -1,8 +1,8 @@
 """The protocol-core contract and the one member constructor.
 
-Every harness reads ``phaseno``, ``input_value``, ``core`` and
+Every harness reads ``phaseno``, ``input_value``, ``rng``, ``core`` and
 ``is_correct`` from a process, and calls ``bind_metrics`` on it, with no
-``getattr`` fallback (DESIGN.md §2); every ensemble is built by
+``getattr`` or ``hasattr`` fallback (DESIGN.md §2); every ensemble is built by
 ``repro.harness.builders.build_ensemble``.  These tests hold both
 promises for every ``Process`` subclass the package ships.
 """
@@ -10,6 +10,7 @@ promises for every ``Process`` subclass the package ships.
 import asyncio
 import importlib
 import pkgutil
+import random
 
 import pytest
 
@@ -79,6 +80,10 @@ class TestContract:
         assert wrapped.phaseno == bare.phaseno
         assert wrapped.input_value == bare.input_value
         assert wrapped.is_correct == bare.is_correct
+        assert wrapped.rng is wrapped.inner.rng
+        coin = random.Random(0)
+        wrapped.rng = coin
+        assert wrapped.inner.rng is coin
         assert wrapped.core is wrapped.inner
         assert type(wrapped.core) is cls
         registry = MetricsRegistry()
@@ -92,6 +97,18 @@ class TestContract:
         wrapped = _never_crashing(build_failstop_processes(3, 1, "101")[0])
         wrapped.inner.phaseno = 7
         assert wrapped.phaseno == 7
+
+    def test_kernel_hands_its_rng_through_a_crash_wrapper(self):
+        """Regression: a crash-wrapped Ben-Or core used to keep
+        ``rng=None`` and flip a fresh ``Random(pid)`` coin — the same
+        face on every flip, under every seed."""
+        processes = build_benor_processes(
+            5, 2, "11000", crashes={0: {"crash_at_step": 10**9}}
+        )
+        sim = Simulation(processes, seed=3)
+        assert type(processes[0]) is CrashableProcess
+        assert processes[0].core.rng is sim.rng
+        assert all(proc.core.rng is sim.rng for proc in processes)
 
     def test_kernel_binds_a_double_wrap_all_the_way_down(self):
         processes = [
