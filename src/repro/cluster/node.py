@@ -566,9 +566,7 @@ class ClusterNode:
         """
         pid = self.pid
         for send in sends:
-            envelope = Envelope(
-                sender=pid, recipient=send.recipient, payload=send.payload
-            )
+            envelope = Envelope(pid, send.recipient, send.payload)
             if send.recipient == pid:
                 self.transport.inbound.put((instance, envelope, send_ts))
             else:

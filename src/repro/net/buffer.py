@@ -8,16 +8,21 @@ random draw and by index.
 
 The implementation keeps envelopes in a plain list and removes with the
 swap-pop idiom, making both insertion and random removal O(1).  On top of
-that list the buffer maintains incremental indexes so schedulers never
-have to rescan the whole buffer:
+that list the buffer builds three indexes, each on the first call that
+reads it and maintained from then on, so schedulers never have to rescan
+the whole buffer and schedulers that never read one never pay for it:
 
 * a position index (envelope identity → current list index), updated in
-  O(1) per mutation, which powers membership tests and targeted removal;
-* a lazily-built min-heap over sequence numbers, giving
-  :meth:`take_oldest` amortized O(log m) instead of a full min-scan;
-* a lazily-built per-sender family of heaps, giving
-  :meth:`take_oldest_from` (used by scripted/adversarial schedulers) the
-  same amortized O(log m) cost.
+  O(1) per mutation once built, which powers membership tests and
+  targeted removal (:meth:`index_of`, and the two ``take_oldest*``);
+* a min-heap over sequence numbers, giving :meth:`take_oldest` amortized
+  O(log m) instead of a full min-scan;
+* a per-sender family of heaps, giving :meth:`take_oldest_from` (used by
+  scripted/adversarial schedulers) the same amortized O(log m) cost.
+
+A uniform draw (:meth:`take_random`, and the random schedulers' own
+draw through :meth:`take_at`) reads none of them, so under those
+schedulers a message costs one list append and one swap-pop.
 
 Both heaps use *lazy invalidation*: removal through any other path leaves
 a stale heap entry behind, which is skipped (and discarded) the next time
@@ -71,8 +76,9 @@ class MessageBuffer:
 
     def __init__(self, listener=None, pid: int = 0) -> None:
         self._items: list[Envelope] = []
-        #: id(envelope) -> current index in ``_items``.
-        self._index: dict[int, int] = {}
+        #: lazy id(envelope) -> current index in ``_items``; None until
+        #: first read.
+        self._index: Optional[dict[int, int]] = None
         #: lazy min-heap of (seq, tiebreak, envelope); None until first use.
         self._oldest: Optional[list] = None
         #: lazy {sender: min-heap of (seq, tiebreak, envelope)}.
@@ -84,7 +90,9 @@ class MessageBuffer:
     def put(self, envelope: Envelope) -> None:
         """Add ``envelope`` to the buffer (the ``send`` half of delivery)."""
         items = self._items
-        self._index[id(envelope)] = len(items)
+        index = self._index
+        if index is not None:
+            index[id(envelope)] = len(items)
         items.append(envelope)
         tiebreak = self._tiebreak
         self._tiebreak = tiebreak + 1
@@ -116,8 +124,11 @@ class MessageBuffer:
         last = items.pop()
         if index < len(items):
             items[index] = last
-            self._index[id(last)] = index
-        del self._index[id(envelope)]
+        positions = self._index
+        if positions is not None:
+            del positions[id(envelope)]
+            if index < len(items):
+                positions[id(last)] = index
         if self._listener is not None:
             self._listener._buffer_removed(self._pid, envelope)
         return envelope
@@ -144,6 +155,8 @@ class MessageBuffer:
             ]
             heapq.heapify(heap)
         index = self._index
+        if index is None:
+            index = self._build_index()
         while True:
             _seq, _tb, env = heap[0]
             pos = index.get(id(env))
@@ -171,6 +184,8 @@ class MessageBuffer:
                 heapq.heapify(heap)
         heap = by_sender.get(sender)
         index = self._index
+        if index is None:
+            index = self._build_index()
         while heap:
             _seq, _tb, env = heap[0]
             pos = index.get(id(env))
@@ -216,10 +231,19 @@ class MessageBuffer:
     def index_of(self, envelope: Envelope) -> Optional[int]:
         """Current index of ``envelope`` (by identity), or None if absent.
 
-        O(1); schedulers use this both as a membership test for lazy
+        O(1) once the position index is built (the first call builds it
+        in O(m)); schedulers use this both as a membership test for lazy
         heap invalidation and to hand a valid index to :meth:`take_at`.
         """
-        return self._index.get(id(envelope))
+        index = self._index
+        if index is None:
+            index = self._build_index()
+        return index.get(id(envelope))
+
+    def _build_index(self) -> dict[int, int]:
+        """Build the position index from ``_items``; mutations keep it."""
+        index = self._index = {id(env): i for i, env in enumerate(self._items)}
+        return index
 
     def peek_all(self) -> tuple[Envelope, ...]:
         """Return a snapshot of the buffer contents without removing them."""

@@ -11,19 +11,23 @@ by :class:`repro.net.system.MessageSystem` from the identity of the process
 performing the ``send`` and can therefore never be forged, while
 ``payload`` is whatever object the sending process chose — protocols must
 treat it as untrusted when Byzantine processes are in play.
+
+An envelope is a tuple record: one allocation per message on the
+simulator's send path, immutable (assigning a field raises
+``AttributeError``), and equal and hashed by its four fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import count
-from typing import Any
+from typing import Any, Optional
 
 _envelope_counter = count()
+_tuple_new = tuple.__new__
 
 
-@dataclass(frozen=True, slots=True)
-class Envelope:
+class Envelope(namedtuple("Envelope", "sender recipient payload seq")):
     """One message in flight: authenticated sender, recipient, payload.
 
     Attributes:
@@ -35,10 +39,14 @@ class Envelope:
             message system itself is unordered.
     """
 
-    sender: int
-    recipient: int
-    payload: Any
-    seq: int = field(default_factory=lambda: next(_envelope_counter))
+    __slots__ = ()
+
+    def __new__(
+        cls, sender: int, recipient: int, payload: Any, seq: Optional[int] = None
+    ) -> "Envelope":
+        if seq is None:
+            seq = next(_envelope_counter)
+        return _tuple_new(cls, (sender, recipient, payload, seq))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -48,7 +48,7 @@ message system's incremental structures instead of per-step rescans:
   length exceeds it.  Per-step cost is O(n + one partial buffer scan),
   not O(total pending), while every (processes, scheduler, seed) triple
   replays bit-identically against the pre-optimisation implementations
-  (``repro.net.reference``, the equivalence tests, DESIGN.md §7).
+  (``tests/reference_schedulers.py``, the equivalence tests, DESIGN.md §7).
 * :class:`ExponentialDelayScheduler` keeps a min-heap of
   (deadline, seq) with lazy invalidation, assigning delays to newly
   observed envelopes in exactly the historical scan order so the RNG

@@ -13,7 +13,8 @@ Two properties of the paper's model are enforced here:
   by the system from the identity passed by the simulation kernel, not
   from anything the sending process controls.  A malicious process can
   put arbitrary *payloads* on the wire but cannot impersonate another
-  transport identity.
+  transport identity, and an envelope is an immutable tuple record, so
+  no process can rewrite the sender of one it received.
 
 Performance architecture.  The system maintains incremental aggregate
 structures so per-step scheduler queries are O(1)/O(live) instead of
@@ -105,7 +106,8 @@ class MessageSystem:
         Mirrors the paper's ``send(p, m)``: instantaneous and reliable.
         Self-sends are legal and used by the protocols to defer messages
         from future phases (Fig. 1 and Fig. 2 both re-``send`` such
-        messages to the receiving process itself).
+        messages to the receiving process itself).  The one allocation
+        per message is the :class:`Envelope`; its ``seq`` is drawn here.
         """
         if not (
             sender.__class__ is recipient.__class__ is int
@@ -114,7 +116,7 @@ class MessageSystem:
         ):  # off the hot path: the full check (int subclasses pass)
             self._check_pid(sender, "sender")
             self._check_pid(recipient, "recipient")
-        envelope = Envelope(sender=sender, recipient=recipient, payload=payload)
+        envelope = Envelope(sender, recipient, payload)
         self._buffers[recipient].put(envelope)
         self.messages_sent += 1
         return envelope

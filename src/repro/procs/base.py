@@ -20,16 +20,14 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from repro.net.message import Envelope
 from repro.procs.registers import DecisionRegister
 
 
-@dataclass(frozen=True, slots=True)
-class Send:
-    """One outgoing message produced by an atomic step."""
+class Send(NamedTuple):
+    """One outgoing message produced by an atomic step (a tuple record)."""
 
     recipient: int
     payload: Any

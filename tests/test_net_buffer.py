@@ -3,9 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.harness.builders import build_malicious_processes
+from repro.harness.workloads import balanced_inputs
 from repro.net.buffer import MessageBuffer
 from repro.net.message import Envelope
+from repro.net.schedulers import RandomScheduler
+from repro.sim.kernel import Simulation
 
 
 def _env(seq: int, sender: int = 0, recipient: int = 1, payload="m") -> Envelope:
@@ -82,3 +88,98 @@ class TestMessageBuffer:
         buffer.put(_env(1))
         assert [e.seq for e in buffer] == [1]
         assert len(buffer) == 1
+
+
+# One buffer operation: (name, sender or list position, rank).
+_OPS = st.tuples(
+    st.sampled_from(
+        [
+            "put",
+            "take_at",
+            "take_random",
+            "take_oldest",
+            "take_oldest_from",
+            "take_nth_oldest_from",
+            "index_of",
+        ]
+    ),
+    st.integers(0, 40),
+    st.integers(0, 3),
+)
+
+_INDEX_READERS = {"take_oldest", "take_oldest_from", "index_of"}
+
+
+def _swap_pop(model: list, position: int):
+    envelope = model[position]
+    last = model.pop()
+    if position < len(model):
+        model[position] = last
+    return envelope
+
+
+class TestLazyPositionIndex:
+    """The position index is built on first read and agrees from then on."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ops=st.lists(_OPS, max_size=60), seed=st.integers(0, 2**16))
+    def test_matches_a_plain_list_model(self, ops, seed):
+        buffer = MessageBuffer()
+        model: list[Envelope] = []  # the buffer's list, swap-pop and all
+        sent: list[Envelope] = []
+        rng, mirror = random.Random(seed), random.Random(seed)
+        index_read = False
+        for name, arg, rank in ops:
+            sender = arg % 3
+            if name == "put":
+                env = _env(len(sent), sender=sender)
+                sent.append(env)
+                buffer.put(env)
+                model.append(env)
+            elif name == "index_of":
+                if not sent:
+                    continue
+                env = sent[arg % len(sent)]
+                expected = next((i for i, e in enumerate(model) if e is env), None)
+                assert buffer.index_of(env) == expected
+            elif name in ("take_oldest_from", "take_nth_oldest_from"):
+                if name == "take_oldest_from":
+                    rank = 0
+                    got = buffer.take_oldest_from(sender)
+                else:
+                    got = buffer.take_nth_oldest_from(sender, rank)
+                matches = sorted(
+                    (e.seq, i) for i, e in enumerate(model) if e.sender == sender
+                )
+                if rank < len(matches):
+                    assert got is _swap_pop(model, matches[rank][1])
+                else:
+                    assert got is None
+            elif not model:
+                continue
+            elif name == "take_at":
+                assert buffer.take_at(arg % len(model)) is _swap_pop(
+                    model, arg % len(model)
+                )
+            elif name == "take_random":
+                got = buffer.take_random(rng)
+                assert got is _swap_pop(model, mirror.randrange(len(model)))
+            else:  # take_oldest
+                oldest = min(range(len(model)), key=lambda i: model[i].seq)
+                assert buffer.take_oldest() is _swap_pop(model, oldest)
+            index_read = index_read or name in _INDEX_READERS or (
+                name == "take_nth_oldest_from" and rank == 0
+            )
+            assert (buffer._index is not None) == index_read
+            snapshot = buffer.peek_all()
+            assert len(snapshot) == len(model)
+            assert all(a is b for a, b in zip(snapshot, model))
+
+    def test_random_scheduler_run_never_builds_it(self):
+        processes = build_malicious_processes(
+            4, 1, balanced_inputs(4), byzantine={3: "balancing_echo"}
+        )
+        sim = Simulation(processes, scheduler=RandomScheduler(), seed=3)
+        result = sim.run(max_steps=2000, halt_when=lambda _sim: False)
+        assert result.steps == 2000
+        assert all(buffer._index is None for buffer in sim.system._buffers)

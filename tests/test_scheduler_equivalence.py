@@ -3,7 +3,7 @@
 The indexed schedulers in :mod:`repro.net.schedulers` promise that every
 (processes, scheduler, seed) triple produces a bit-identical execution to
 the pre-optimisation implementations preserved in
-:mod:`repro.net.reference`.  These tests run both against the same
+:mod:`tests.reference_schedulers`.  These tests run both against the same
 configurations and compare complete :class:`RunResult` values — decisions,
 step counts, message counts, halt reasons — which pins down every RNG
 draw and every delivery choice.
@@ -19,7 +19,7 @@ from repro.harness.builders import (
     build_malicious_processes,
 )
 from repro.harness.workloads import balanced_inputs
-from repro.net.reference import (
+from tests.reference_schedulers import (
     ReferenceBalancingDelayScheduler,
     ReferenceExponentialDelayScheduler,
     ReferenceFifoScheduler,

@@ -2,7 +2,7 @@
 
 ``test_scheduler_equivalence.py`` compares whole runs; here a single pick
 on a hand-made system must return the same ``(pid, envelope)`` as
-:class:`~repro.net.reference.ReferenceRandomScheduler` and leave the RNG
+:class:`~tests.reference_schedulers.ReferenceRandomScheduler` and leave the RNG
 in the same state — over dead pids holding mail, live pids with nothing
 to receive, and every shape of ``alive`` the signature accepts.
 """
@@ -12,9 +12,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.reference import ReferenceRandomScheduler
 from repro.net.schedulers import RandomScheduler
 from repro.net.system import AliveView, MessageSystem
+from tests.reference_schedulers import ReferenceRandomScheduler
 
 
 def _system(buffer_sizes):
