@@ -47,6 +47,8 @@ def supermajority_inputs(n: int, k: int, value: int = 1) -> list[int]:
     value, every correct process decides that value in just three [two]
     phases."
     """
+    if value not in (0, 1):
+        raise ConfigurationError(f"value must be 0 or 1, got {value!r}")
     majority = (n + k) // 2 + 1
     if majority > n:
         raise ConfigurationError(

@@ -50,9 +50,13 @@ message system's incremental structures instead of per-step rescans:
   replays bit-identically against the pre-optimisation implementations
   (``tests/reference_schedulers.py``, the equivalence tests, DESIGN.md §7).
 * :class:`ExponentialDelayScheduler` keeps a min-heap of
-  (deadline, seq) with lazy invalidation, assigning delays to newly
-  observed envelopes in exactly the historical scan order so the RNG
-  stream is unchanged.
+  (deadline, seq) with lazy invalidation against its own set of
+  buffered seqs, assigning delays to newly observed envelopes in
+  exactly the historical scan order so the RNG stream is unchanged.
+* The buffer keeps no index of its own.  The ordered takes that
+  :class:`FifoScheduler` and :class:`ScriptedScheduler` use, and
+  :class:`ScheduleRecorder`'s rank count, are scans of one buffer,
+  which holds a few dozen envelopes.
 """
 
 from __future__ import annotations
@@ -247,11 +251,11 @@ class ExponentialDelayScheduler(Scheduler):
     draw for draw.
 
     Delivery order is resolved by a min-heap of (deadline, seq) with
-    lazy invalidation: entries whose envelope has already left its
-    buffer are discarded when they surface; entries whose recipient is
-    currently not schedulable are deferred and re-pushed.  Per-step cost
-    is O(log m) plus the stamping of new arrivals, replacing the former
-    full scan over every pending envelope.
+    lazy invalidation: the send hook keeps the set of buffered seqs, and
+    entries whose seq has left it are discarded when they surface;
+    entries whose recipient is currently not schedulable are deferred
+    and re-pushed.  Per-step cost is O(log m) plus the stamping of new
+    arrivals and one scan of the winner's buffer for its position.
 
     Every view of a phase still has positive probability (delays are
     independent and unbounded-support), so the paper's probabilistic
@@ -272,6 +276,9 @@ class ExponentialDelayScheduler(Scheduler):
         #: envelopes seen by the send hook but not yet deadline-stamped,
         #: grouped by recipient in arrival order.
         self._unstamped: dict[int, list[Envelope]] = {}
+        #: seqs of the envelopes currently buffered; heap and queue
+        #: entries whose seq is not here are stale.
+        self._live: set[int] = set()
         self._system: Optional[MessageSystem] = None
 
     def reset(self) -> None:
@@ -279,12 +286,14 @@ class ExponentialDelayScheduler(Scheduler):
         self._deadlines.clear()
         self._heap.clear()
         self._unstamped.clear()
+        self._live.clear()
         self._system = None
 
     def attach(self, system: MessageSystem) -> None:
         self._system = system
         self._heap.clear()
         self._unstamped.clear()
+        self._live.clear()
         for pid, buffer in enumerate(system._buffers):
             for env in buffer.peek_all():
                 self.on_put(pid, env)
@@ -292,6 +301,7 @@ class ExponentialDelayScheduler(Scheduler):
 
     def on_put(self, pid: int, envelope: Envelope) -> None:
         """Observer hook: queue the envelope for lazy deadline stamping."""
+        self._live.add(envelope.seq)
         deadline = self._deadlines.get(envelope.seq)
         if deadline is not None:
             # Re-inserted envelope that already carries a delay.
@@ -303,12 +313,13 @@ class ExponentialDelayScheduler(Scheduler):
             queue.append(envelope)
 
     def on_removed(self, pid: int, envelope: Envelope) -> None:
-        """Observer hook: no-op — stale heap entries are invalidated lazily.
+        """Observer hook: mark the envelope's seq as no longer buffered.
 
         Removal through any path leaves the heap/queue entry behind; it
-        is re-checked against the buffer (``index_of``) and discarded
-        the next time it surfaces.
+        is discarded the next time it surfaces, because its seq is no
+        longer live.
         """
+        self._live.discard(envelope.seq)
 
     def choose(
         self, system: MessageSystem, alive: Iterable[int], rng: random.Random
@@ -322,6 +333,7 @@ class ExponentialDelayScheduler(Scheduler):
         deadlines = self._deadlines
         heap = self._heap
         unstamped = self._unstamped
+        live = self._live
         rate = 1.0 / self.mean_delay
         now = self.now
         # Stamp new arrivals for schedulable recipients, in recipient
@@ -330,9 +342,8 @@ class ExponentialDelayScheduler(Scheduler):
             queue = unstamped.get(pid)
             if not queue:
                 continue
-            buffer = buffers[pid]
             for env in queue:
-                if env.seq in deadlines or buffer.index_of(env) is None:
+                if env.seq in deadlines or env.seq not in live:
                     continue
                 deadline = now + rng.expovariate(rate)
                 deadlines[env.seq] = deadline
@@ -343,17 +354,19 @@ class ExponentialDelayScheduler(Scheduler):
         try:
             while heap:
                 deadline, seq, pid, env = heap[0]
-                position = buffers[pid].index_of(env)
-                if position is None:
+                if seq not in live:
                     heappop(heap)  # envelope already delivered/dropped
                     continue
                 if pid not in candidate_set:
                     deferred.append(heappop(heap))
                     continue
                 heappop(heap)
-                deadlines.pop(seq, None)
-                self.now = max(self.now, deadline)
-                return pid, buffers[pid].take_at(position)
+                buffer = buffers[pid]
+                for position, item in enumerate(buffer._items):
+                    if item is env:
+                        deadlines.pop(seq, None)
+                        self.now = max(self.now, deadline)
+                        return pid, buffer.take_at(position)
         finally:
             for item in deferred:
                 heappush(heap, item)
@@ -475,9 +488,13 @@ class ScriptedScheduler(Scheduler):
     the Theorem 1 splice σ = σ₀·σ₁ and the equivocation attack on the
     echo-less variant are both expressed as scripts in the test suite,
     and the fuzzer's shrunk counterexamples replay through it
-    bit-identically.  Each rank-0 lookup uses the buffer's per-sender
-    index (:meth:`~repro.net.buffer.MessageBuffer.take_oldest_from`), so
-    it is O(log m) instead of a full buffer scan.
+    bit-identically.  Each lookup scans the recipient's buffer
+    (:meth:`~repro.net.buffer.MessageBuffer.take_nth_oldest_from`).
+
+    Scripts are input from outside the program (counterexample files),
+    so a malformed entry raises :class:`~repro.errors.ConfigurationError`
+    up front: at construction for its shape and rank, at :meth:`attach`
+    for pids that are not pids of the system.
     """
 
     def __init__(
@@ -486,6 +503,20 @@ class ScriptedScheduler(Scheduler):
         fallback: Scheduler | None = None,
     ) -> None:
         self.script = list(script)
+        for entry in self.script:
+            if not isinstance(entry, (tuple, list)) or len(entry) not in (2, 3):
+                raise ConfigurationError(
+                    f"schedule entry {entry!r} is not (recipient, sender[, rank])"
+                )
+            rank = entry[2] if len(entry) == 3 else 0
+            if type(rank) is not int or rank < 0:
+                raise ConfigurationError(
+                    f"schedule entry {entry!r}: rank must be a non-negative int"
+                )
+            if entry[1] is None and rank:
+                raise ConfigurationError(
+                    f"schedule entry {entry!r}: a φ step takes rank 0"
+                )
         self.fallback = fallback
         self._position = 0
 
@@ -495,6 +526,10 @@ class ScriptedScheduler(Scheduler):
             self.fallback.reset()
 
     def attach(self, system: MessageSystem) -> None:
+        for entry in self.script:
+            system._check_pid(entry[0], "schedule recipient")
+            if entry[1] is not None:
+                system._check_pid(entry[1], "schedule sender")
         if self.fallback is not None:
             self.fallback.attach(system)
 

@@ -28,7 +28,9 @@ O(n)/O(pending):
   scheduler see every envelope as it enters or leaves a buffer
   (``on_put(pid, envelope)`` / ``on_removed(pid, envelope)``), which is
   how the heap/count-based schedulers keep their candidate bookkeeping
-  incremental instead of rescanning buffers each step.
+  incremental instead of rescanning buffers each step.  The buffers
+  themselves are plain swap-pop lists with no index; a scheduler that
+  needs more than a count keeps it in its own hooks.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Tests for the fault-campaign engine (repro.check.campaign)."""
 
+from dataclasses import replace
 from time import monotonic
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from repro.check.campaign import run_campaign, sample_plans
 from repro.check.shrink import replay_plan
 from repro.errors import ConfigurationError
+from repro.faults.plans import SCHEDULERS
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.results import Outcome
 
@@ -128,13 +130,17 @@ class TestOutcomes:
 
 
 class TestRecordReplay:
-    def test_recorded_schedule_replays_to_identical_run(self):
-        # any deterministic at-bound plan will do; record then replay
-        plan = sample_plans(1, campaign_seed=11)[0]
+    @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+    def test_recorded_schedule_replays_to_identical_run(self, scheduler):
+        # one at-bound plan under every scheduler: record, replay, re-record
+        plan = replace(sample_plans(1, campaign_seed=11)[0], scheduler=scheduler)
         recorded = replay_plan(plan, record=True, max_steps=50_000)
         replayed = replay_plan(
-            plan, schedule=recorded.schedule, max_steps=50_000
+            plan, schedule=recorded.schedule, record=True, max_steps=50_000
         )
         assert replayed.steps == recorded.steps
         assert replayed.consensus_value == recorded.consensus_value
         assert replayed.violation == recorded.violation
+        assert replayed.schedule == recorded.schedule
+        if scheduler != "fifo":  # out-of-seq deliveries need non-zero ranks
+            assert any(rank for _pid, _sender, rank in recorded.schedule)

@@ -47,6 +47,11 @@ class TestWorkloads:
         zeros = supermajority_inputs(9, 4, 0)
         assert zeros.count(0) >= decision_threshold(9, 4)
 
+    def test_supermajority_value_must_be_binary(self):
+        for value in (2, -1, None):
+            with pytest.raises(ConfigurationError):
+                supermajority_inputs(7, 2, value)
+
     def test_supermajority_impossible_rejected(self):
         with pytest.raises(ConfigurationError):
             supermajority_inputs(3, 3, 1)

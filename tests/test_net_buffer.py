@@ -6,12 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.harness.builders import build_malicious_processes
-from repro.harness.workloads import balanced_inputs
 from repro.net.buffer import MessageBuffer
 from repro.net.message import Envelope
-from repro.net.schedulers import RandomScheduler
-from repro.sim.kernel import Simulation
 
 
 def _env(seq: int, sender: int = 0, recipient: int = 1, payload="m") -> Envelope:
@@ -98,16 +94,12 @@ _OPS = st.tuples(
             "take_at",
             "take_random",
             "take_oldest",
-            "take_oldest_from",
             "take_nth_oldest_from",
-            "index_of",
         ]
     ),
     st.integers(0, 40),
     st.integers(0, 3),
 )
-
-_INDEX_READERS = {"take_oldest", "take_oldest_from", "index_of"}
 
 
 def _swap_pop(model: list, position: int):
@@ -119,7 +111,7 @@ def _swap_pop(model: list, position: int):
 
 
 class TestLazyPositionIndex:
-    """The position index is built on first read and agrees from then on."""
+    """Under any interleaving the buffer is exactly a swap-pop list."""
 
     @settings(max_examples=300, deadline=None)
     @given(ops=st.lists(_OPS, max_size=60), seed=st.integers(0, 2**16))
@@ -128,7 +120,6 @@ class TestLazyPositionIndex:
         model: list[Envelope] = []  # the buffer's list, swap-pop and all
         sent: list[Envelope] = []
         rng, mirror = random.Random(seed), random.Random(seed)
-        index_read = False
         for name, arg, rank in ops:
             sender = arg % 3
             if name == "put":
@@ -136,18 +127,8 @@ class TestLazyPositionIndex:
                 sent.append(env)
                 buffer.put(env)
                 model.append(env)
-            elif name == "index_of":
-                if not sent:
-                    continue
-                env = sent[arg % len(sent)]
-                expected = next((i for i, e in enumerate(model) if e is env), None)
-                assert buffer.index_of(env) == expected
-            elif name in ("take_oldest_from", "take_nth_oldest_from"):
-                if name == "take_oldest_from":
-                    rank = 0
-                    got = buffer.take_oldest_from(sender)
-                else:
-                    got = buffer.take_nth_oldest_from(sender, rank)
+            elif name == "take_nth_oldest_from":
+                got = buffer.take_nth_oldest_from(sender, rank)
                 matches = sorted(
                     (e.seq, i) for i, e in enumerate(model) if e.sender == sender
                 )
@@ -167,19 +148,6 @@ class TestLazyPositionIndex:
             else:  # take_oldest
                 oldest = min(range(len(model)), key=lambda i: model[i].seq)
                 assert buffer.take_oldest() is _swap_pop(model, oldest)
-            index_read = index_read or name in _INDEX_READERS or (
-                name == "take_nth_oldest_from" and rank == 0
-            )
-            assert (buffer._index is not None) == index_read
             snapshot = buffer.peek_all()
             assert len(snapshot) == len(model)
             assert all(a is b for a, b in zip(snapshot, model))
-
-    def test_random_scheduler_run_never_builds_it(self):
-        processes = build_malicious_processes(
-            4, 1, balanced_inputs(4), byzantine={3: "balancing_echo"}
-        )
-        sim = Simulation(processes, scheduler=RandomScheduler(), seed=3)
-        result = sim.run(max_steps=2000, halt_when=lambda _sim: False)
-        assert result.steps == 2000
-        assert all(buffer._index is None for buffer in sim.system._buffers)

@@ -196,6 +196,38 @@ class TestScriptedScheduler:
         scheduler = ScriptedScheduler([])
         assert scheduler.choose(system, [0, 1], random.Random(0)) is None
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            (1, 0, -1),  # negative rank
+            (1, 0, 1.0),  # rank not an int
+            (1, 0, True),  # a bool is not a rank
+            (1, None, 2),  # φ step with a rank
+            (1,),  # too short
+            (1, 0, 0, 0),  # too long
+            7,  # not a sequence
+        ],
+    )
+    def test_malformed_entry_rejected_at_construction(self, entry):
+        with pytest.raises(ConfigurationError):
+            ScriptedScheduler([(0, 1), entry])
+
+    @pytest.mark.parametrize("entry", [(2, 0), (-1, 0), (0, 2), (0, "1"), ("0", None)])
+    def test_pid_outside_the_system_rejected_at_attach(self, entry):
+        scheduler = ScriptedScheduler([(0, 1), entry])
+        with pytest.raises(ConfigurationError):
+            scheduler.attach(MessageSystem(2))
+
+    def test_entries_as_lists_and_phi_steps_accepted(self):
+        system = MessageSystem(2)
+        system.send(1, 0, "a")
+        scheduler = ScriptedScheduler([[0, None], (0, None, 0), [0, 1, 0]])
+        scheduler.attach(system)
+        rng = random.Random(0)
+        assert scheduler.choose(system, [0, 1], rng) == (0, None)
+        assert scheduler.choose(system, [0, 1], rng) == (0, None)
+        assert scheduler.choose(system, [0, 1], rng)[1].payload == "a"
+
 
 class TestBalancingDelayScheduler:
     def test_prefers_underrepresented_value(self):

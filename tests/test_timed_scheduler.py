@@ -62,6 +62,37 @@ class TestMechanics:
         # probability ~0 or ~1.
         assert 5 < early_first < 45
 
+    def test_skips_a_stamped_envelope_removed_by_another_path(self):
+        scheduler = ExponentialDelayScheduler()
+        system = MessageSystem(2)
+        scheduler.attach(system)
+        for i in range(5):
+            system.send(0, 1, f"m{i}")
+        rng = random.Random(4)
+        scheduler.choose(system, [0, 1], rng)  # stamps all five
+        deadlines = dict(scheduler._deadlines)
+        buffer = system.buffer_of(1)
+        removed = buffer.take_at(1)
+        remaining = sorted(buffer.peek_all(), key=lambda env: deadlines[env.seq])
+        delivered = []
+        while (decision := scheduler.choose(system, [0, 1], rng)) is not None:
+            delivered.append(decision[1])
+        assert all(env is not removed for env in delivered)
+        assert [env.seq for env in delivered] == [env.seq for env in remaining]
+
+    def test_never_stamps_an_envelope_removed_before_its_turn(self):
+        scheduler = ExponentialDelayScheduler()
+        system = MessageSystem(2)
+        scheduler.attach(system)
+        for i in range(3):
+            system.send(0, 1, f"m{i}")
+        removed = system.buffer_of(1).take_at(0)
+        _pid, first = scheduler.choose(system, [0, 1], random.Random(4))
+        assert first is not removed
+        assert set(scheduler._deadlines) == {
+            env.seq for env in system.buffer_of(1).peek_all()
+        }
+
 
 class TestConsensusUnderVirtualTime:
     @pytest.mark.parametrize("seed", range(4))
