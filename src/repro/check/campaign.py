@@ -1,8 +1,10 @@
 """Fault-campaign engine: sample fault plans, run them, aggregate verdicts.
 
 A *campaign* is a batch of :class:`~repro.faults.plans.FaultPlan` runs,
-each executed with an armed :class:`~repro.check.oracles.OracleSuite` and
-a recording scheduler, fanned out through the existing parallel
+each executed with an armed :class:`~repro.check.oracles.OracleSuite` under
+the plan's own, unrecorded scheduler (a plan and its seed pin the run
+down; :func:`~repro.check.shrink.shrink` re-records a violating one),
+fanned out through the existing parallel
 :meth:`~repro.harness.runner.ExperimentRunner.iter_runs` machinery.  The
 sampler has two modes matching the paper's two-sided claims:
 
@@ -26,6 +28,7 @@ from time import monotonic
 from typing import Optional, Sequence
 
 from repro.check.oracles import OracleSuite
+from repro.check.shrink import replay_plan
 from repro.errors import ConfigurationError
 from repro.faults.byzantine import BYZANTINE_STRATEGIES
 from repro.faults.plans import (
@@ -62,20 +65,31 @@ _SIMPLE_STRATEGIES = tuple(
 
 @dataclass(frozen=True)
 class PlanVerdict:
-    """One plan's outcome under the oracles."""
+    """One plan's outcome under the oracles; no schedule (see :meth:`reproduce`)."""
 
     plan: FaultPlan
     outcome: Outcome
     violation: Optional[Violation]
     steps: int
-    #: recorded delivery schedule, kept only for violating runs (it is
-    #: the shrinker's raw material); None otherwise.
-    schedule: Optional[tuple]
 
     @property
     def violated(self) -> bool:
         """True when the run tripped a safety oracle."""
         return self.violation is not None
+
+    def reproduce(self, max_steps: int) -> None:
+        """Re-run the plan from its seed; raise unless it trips this violation.
+
+        Checked before shrinking, which re-records the schedule from the
+        seed: a re-run that ends differently is replay nondeterminism — a
+        bug, so a ``ConfigurationError`` naming the seed, not a statistic.
+        """
+        again = replay_plan(self.plan, max_steps=max_steps).violation
+        if again != self.violation:
+            raise ConfigurationError(
+                f"plan seed={self.plan.seed} is not reproducible: the "
+                f"campaign saw {self.violation}, a re-run saw {again}"
+            )
 
 
 @dataclass(frozen=True)
@@ -278,15 +292,13 @@ def run_campaign(
     max_steps: int = 20_000,
     workers: Optional[int] = None,
     metrics: Optional[MetricsRegistry] = None,
-    record: bool = True,
     deadline: Optional[float] = None,
 ) -> CampaignReport:
     """Run every plan with oracles armed; aggregate per-plan verdicts.
 
     Plans are keyed by their (unique) seeds so the parallel seed fan-out
     can dispatch them; each run gets a fresh process ensemble, scheduler
-    (wrapped in a :class:`~repro.net.schedulers.ScheduleRecorder` when
-    ``record``), and :class:`~repro.check.oracles.OracleSuite`.
+    and :class:`~repro.check.oracles.OracleSuite`.
 
     Args:
         plans: the campaign, e.g. from :func:`sample_plans`.  Seeds must
@@ -296,7 +308,6 @@ def run_campaign(
         workers: parallel fan-out width (None → REPRO_WORKERS, else 1).
         metrics: optional registry fed campaign counters
             (``fuzz.plans``, ``fuzz.outcome.*``, ``fuzz.violations.*``).
-        record: capture each run's delivery schedule for shrinking.
         deadline: ``time.monotonic()`` timestamp after which the
             campaign stops taking results.  The clock is checked after
             every worker-count of results, so a time budget is respected
@@ -314,9 +325,7 @@ def run_campaign(
         )
     runner = ExperimentRunner(
         process_factory=lambda seed: plan_by_seed[seed].build_processes(),
-        scheduler_factory=lambda seed: plan_by_seed[seed].build_scheduler(
-            record=record
-        ),
+        scheduler_factory=lambda seed: plan_by_seed[seed].build_scheduler(),
         observer_factory=lambda seed: OracleSuite(),
         max_steps=max_steps,
         validate=False,
@@ -340,10 +349,12 @@ def run_campaign(
                 break
     finally:
         runs.close()
-    verdicts = []
-    for plan, result in zip(plans, results):
-        verdicts.append(_verdict(plan, result))
-    report = CampaignReport(verdicts=tuple(verdicts))
+    report = CampaignReport(
+        verdicts=tuple(
+            PlanVerdict(plan, result.outcome, result.violation, result.steps)
+            for plan, result in zip(plans, results)
+        )
+    )
     if metrics is not None:
         metrics.inc("fuzz.plans", report.plans)
         for outcome, count in report.outcome_counts().items():
@@ -355,12 +366,3 @@ def run_campaign(
         ))
     return report
 
-
-def _verdict(plan: FaultPlan, result: RunResult) -> PlanVerdict:
-    return PlanVerdict(
-        plan=plan,
-        outcome=result.outcome,
-        violation=result.violation,
-        steps=result.steps,
-        schedule=result.schedule if result.violation is not None else None,
-    )

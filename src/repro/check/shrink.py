@@ -1,8 +1,10 @@
 """Counterexample shrinking: delta-debug a violating run to a minimal replay.
 
-A violating campaign run arrives as a (plan, recorded schedule) pair.
-The shrinker reduces both — dropping Byzantine cohort members, crash
-specs, and delivery-schedule entries — while preserving the property
+A violating campaign run arrives as its plan alone: campaigns record no
+schedules, so the shrinker first re-runs the plan from its seed under a
+recording scheduler.  It then reduces the (plan, schedule) pair —
+dropping Byzantine cohort members, crash specs, and delivery-schedule
+entries — while preserving the property
 "replaying this pair still trips an oracle", then canonicalises the
 result: the final replay re-records the schedule (impossible/skipped
 entries drop out) and is verified to reproduce the *identical* violation
@@ -226,44 +228,39 @@ def _ddmin_schedule(
 
 def shrink(
     plan: FaultPlan,
-    schedule: Optional[Sequence[ScheduleEntry]] = None,
     max_steps: int = _DEFAULT_MAX_STEPS,
     metrics: Optional[MetricsRegistry] = None,
 ) -> Counterexample:
-    """Reduce a violating (plan, schedule) to a verified minimal artifact.
+    """Reduce a violating plan to a verified minimal artifact.
 
     Args:
-        plan: the violating fault plan.
-        schedule: its recorded delivery schedule; if None, the plan is
-            first re-run with its own scheduler (recording) to obtain
-            one — the plan must then violate on its own.
+        plan: the violating fault plan; it is re-run from its seed,
+            recording, for the schedule the reduction works on.
         max_steps: replay step budget.
         metrics: optional registry fed ``fuzz.shrink.*`` stats.
 
     Raises:
-        ConfigurationError: if the input does not violate, or the final
+        ConfigurationError: if the plan does not violate, its recorded
+            schedule does not replay to a violation, or the final
             canonical artifact fails to replay identically (which would
             indicate nondeterminism — a bug worth hearing about loudly).
     """
-    if schedule is None:
-        first = replay_plan(plan, record=True, max_steps=max_steps)
-        if first.violation is None:
-            raise ConfigurationError(
-                f"plan does not violate, nothing to shrink: {plan.describe()}"
-            )
-        schedule = first.schedule or ()
-    schedule = [tuple(entry) for entry in schedule]
-    if not _violates(plan, schedule, max_steps):
+    first = replay_plan(plan, record=True, max_steps=max_steps)
+    if first.violation is None:
         raise ConfigurationError(
-            "the (plan, schedule) pair does not reproduce a violation; "
-            "was the schedule recorded from a different run?"
+            f"plan does not violate, nothing to shrink: {plan.describe()}"
         )
+    schedule = list(first.schedule)
     original_len = len(schedule)
     original_faults = plan.fault_count
 
     # 1. Truncate past the violating step: replaying stops at the first
     #    violation anyway, so everything after it is dead weight.
     probe = replay_plan(plan, schedule=schedule, max_steps=max_steps)
+    if probe.violation is None:
+        raise ConfigurationError(
+            "the plan's recorded schedule does not replay to a violation"
+        )
     keep = max(0, probe.violation.step - plan.n + 1)
     if keep < len(schedule) and _violates(plan, schedule[:keep], max_steps):
         schedule = schedule[:keep]

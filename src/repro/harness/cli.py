@@ -423,12 +423,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         if args.artifacts:
             os.makedirs(args.artifacts, exist_ok=True)
         for index, verdict in enumerate(to_shrink):
+            verdict.reproduce(args.max_steps)
             try:
                 artifact = shrink(
-                    verdict.plan,
-                    schedule=verdict.schedule,
-                    max_steps=args.max_steps,
-                    metrics=metrics,
+                    verdict.plan, max_steps=args.max_steps, metrics=metrics
                 )
             except ConfigurationError as exc:
                 shrink_failures += 1

@@ -722,9 +722,8 @@ def e11_overbound_violations(runs: int = 40) -> ExperimentReport:
         replay = "-"
         if campaign.violations:
             first = campaign.violations[0]
-            artifact = shrink(
-                first.plan, schedule=first.schedule, max_steps=20_000
-            )
+            first.reproduce(20_000)
+            artifact = shrink(first.plan, max_steps=20_000)
             # shrink() verifies the exact scripted replay itself; it
             # raising would fail the experiment, so reaching this line
             # means the artifact reproduced bit-identically.

@@ -211,13 +211,10 @@ class FifoScheduler(Scheduler):
     def choose(
         self, system: MessageSystem, alive: Iterable[int], rng: random.Random
     ) -> Decision:
-        alive_set = _alive_set(alive)
         # Ascending ids with mail; pick the first at/after the cursor,
         # wrapping — identical to the historical modular scan but O(live)
         # instead of O(n).
-        candidates = [
-            pid for pid in system.processes_with_mail() if pid in alive_set
-        ]
+        candidates = deliverable_pairs(system, alive)
         if not candidates:
             return None
         cursor = self._cursor
@@ -252,10 +249,11 @@ class ExponentialDelayScheduler(Scheduler):
 
     Delivery order is resolved by a min-heap of (deadline, seq) with
     lazy invalidation: the send hook keeps the set of buffered seqs, and
-    entries whose seq has left it are discarded when they surface;
-    entries whose recipient is currently not schedulable are deferred
-    and re-pushed.  Per-step cost is O(log m) plus the stamping of new
-    arrivals and one scan of the winner's buffer for its position.
+    entries whose seq has left it are discarded when they surface; an
+    entry whose recipient is not schedulable is parked under it until it
+    is a candidate again (a crashed process's mail leaves the heap once).
+    Per-step cost is O(log m) plus the stamping of new arrivals and one
+    scan of the winner's buffer for its position.
 
     Every view of a phase still has positive probability (delays are
     independent and unbounded-support), so the paper's probabilistic
@@ -276,23 +274,25 @@ class ExponentialDelayScheduler(Scheduler):
         #: envelopes seen by the send hook but not yet deadline-stamped,
         #: grouped by recipient in arrival order.
         self._unstamped: dict[int, list[Envelope]] = {}
+        #: heap entries that surfaced while their recipient was not
+        #: schedulable, by recipient; pushed back when it is a candidate.
+        self._parked: dict[int, list[tuple[float, int, int, Envelope]]] = {}
         #: seqs of the envelopes currently buffered; heap and queue
         #: entries whose seq is not here are stale.
         self._live: set[int] = set()
         self._system: Optional[MessageSystem] = None
 
     def reset(self) -> None:
+        # The next choose() re-attaches, which clears the indexes.
         self.now = 0.0
         self._deadlines.clear()
-        self._heap.clear()
-        self._unstamped.clear()
-        self._live.clear()
         self._system = None
 
     def attach(self, system: MessageSystem) -> None:
         self._system = system
         self._heap.clear()
         self._unstamped.clear()
+        self._parked.clear()
         self._live.clear()
         for pid, buffer in enumerate(system._buffers):
             for env in buffer.peek_all():
@@ -333,12 +333,17 @@ class ExponentialDelayScheduler(Scheduler):
         deadlines = self._deadlines
         heap = self._heap
         unstamped = self._unstamped
+        parked = self._parked
         live = self._live
         rate = 1.0 / self.mean_delay
         now = self.now
         # Stamp new arrivals for schedulable recipients, in recipient
-        # order then arrival order — the exact historical draw order.
+        # order then arrival order — the exact historical draw order —
+        # and return their parked entries to the heap.
         for pid in candidates:
+            if pid in parked:
+                for item in parked.pop(pid):
+                    heappush(heap, item)
             queue = unstamped.get(pid)
             if not queue:
                 continue
@@ -350,26 +355,20 @@ class ExponentialDelayScheduler(Scheduler):
                 heappush(heap, (deadline, env.seq, pid, env))
             queue.clear()
         candidate_set = set(candidates)
-        deferred: list[tuple[float, int, int, Envelope]] = []
-        try:
-            while heap:
-                deadline, seq, pid, env = heap[0]
-                if seq not in live:
-                    heappop(heap)  # envelope already delivered/dropped
-                    continue
-                if pid not in candidate_set:
-                    deferred.append(heappop(heap))
-                    continue
-                heappop(heap)
-                buffer = buffers[pid]
-                for position, item in enumerate(buffer._items):
-                    if item is env:
-                        deadlines.pop(seq, None)
-                        self.now = max(self.now, deadline)
-                        return pid, buffer.take_at(position)
-        finally:
-            for item in deferred:
-                heappush(heap, item)
+        while heap:
+            item = heappop(heap)
+            deadline, seq, pid, env = item
+            if seq not in live:
+                continue  # envelope already delivered/dropped
+            if pid not in candidate_set:
+                parked.setdefault(pid, []).append(item)
+                continue
+            buffer = buffers[pid]
+            for position, buffered in enumerate(buffer._items):
+                if buffered is env:
+                    deadlines.pop(seq, None)
+                    self.now = max(self.now, deadline)
+                    return pid, buffer.take_at(position)
         return None
 
 
@@ -578,8 +577,8 @@ class ScheduleRecorder(Scheduler):
     deterministic function of its deliveries.
 
     The kernel surfaces :attr:`recorded` as ``RunResult.schedule`` when
-    the run's scheduler carries one, which is how the fuzzer captures a
-    violating run's schedule for shrinking.
+    the run's scheduler carries one, which is how the shrinker re-records
+    a violating plan's schedule from its seed.
     """
 
     def __init__(self, inner: Scheduler) -> None:

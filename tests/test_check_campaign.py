@@ -9,6 +9,7 @@ from repro.check.campaign import run_campaign, sample_plans
 from repro.check.shrink import replay_plan
 from repro.errors import ConfigurationError
 from repro.faults.plans import SCHEDULERS
+from repro.net.schedulers import ScheduleRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.results import Outcome
 
@@ -49,13 +50,49 @@ class TestCampaign:
         assert report.violations == ()
 
     def test_over_bound_campaign_finds_violations_with_schedules(self):
+        # Campaigns record no schedules: every violating verdict must
+        # re-run from its seed, recording, to the identical violation —
+        # the shrinker's raw material — serially and through the pool.
+        for campaign_seed in (1, 7, 11):
+            plans = sample_plans(40, campaign_seed=campaign_seed, over_bound=True)
+            serial = run_campaign(plans, max_steps=20_000, workers=1)
+            pooled = run_campaign(plans, max_steps=20_000, workers=2)
+            assert pooled.verdicts == serial.verdicts
+            assert len(serial.violations) >= 1
+            for verdict in serial.violations:
+                assert verdict.outcome is Outcome.VIOLATION
+                rerun = replay_plan(verdict.plan, record=True, max_steps=20_000)
+                assert rerun.violation == verdict.violation
+                assert rerun.schedule
+
+    def test_reproduce_rejects_a_different_violation(self):
         plans = sample_plans(40, campaign_seed=7, over_bound=True)
-        report = run_campaign(plans, max_steps=20_000)
-        assert len(report.violations) >= 1
-        for verdict in report.violations:
-            assert verdict.outcome is Outcome.VIOLATION
-            # the recorded schedule is the shrinker's raw material
-            assert verdict.schedule
+        verdict = run_campaign(plans, max_steps=20_000).violations[0]
+        verdict.reproduce(20_000)  # the campaign's own violation re-runs
+        shifted = replace(
+            verdict,
+            violation=replace(verdict.violation, step=verdict.violation.step + 1),
+        )
+        with pytest.raises(ConfigurationError, match=f"seed={verdict.plan.seed}"):
+            shifted.reproduce(20_000)
+        with pytest.raises(ConfigurationError, match=f"seed={verdict.plan.seed}"):
+            replace(verdict, violation=None).reproduce(20_000)
+
+    def test_campaign_constructs_no_schedule_recorder(self, monkeypatch):
+        built = []
+        original = ScheduleRecorder.__init__
+
+        def counting_init(self, inner):
+            built.append(inner)
+            original(self, inner)
+
+        monkeypatch.setattr(ScheduleRecorder, "__init__", counting_init)
+        report = run_campaign(sample_plans(20, campaign_seed=3), workers=1)
+        assert report.plans == 20
+        assert built == []
+        # The counter sees a recording run, so the zero above is real.
+        replay_plan(sample_plans(1, campaign_seed=3)[0], record=True)
+        assert len(built) == 1
 
     def test_duplicate_seeds_rejected(self):
         plans = sample_plans(2, campaign_seed=1)

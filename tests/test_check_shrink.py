@@ -20,9 +20,7 @@ def _first_violation(over_bound_seed=7):
 class TestShrink:
     def test_shrink_reduces_and_replays_bit_identically(self):
         verdict = _first_violation()
-        artifact = shrink(
-            verdict.plan, schedule=verdict.schedule, max_steps=20_000
-        )
+        artifact = shrink(verdict.plan, max_steps=20_000)
         assert artifact.schedule_len <= artifact.original_schedule_len
         assert artifact.plan.fault_count <= verdict.plan.fault_count
         result, exact = replay_artifact(artifact)
@@ -36,12 +34,7 @@ class TestShrink:
     def test_shrink_feeds_metrics(self):
         verdict = _first_violation()
         metrics = MetricsRegistry()
-        shrink(
-            verdict.plan,
-            schedule=verdict.schedule,
-            max_steps=20_000,
-            metrics=metrics,
-        )
+        shrink(verdict.plan, max_steps=20_000, metrics=metrics)
         snapshot = metrics.snapshot()
         assert snapshot.counters["fuzz.shrink.counterexamples"] == 1
         assert "fuzz.shrink.reduction_percent" in snapshot.histograms
@@ -55,9 +48,7 @@ class TestShrink:
 class TestArtifactSerialisation:
     def test_json_round_trip_is_identity(self, tmp_path):
         verdict = _first_violation()
-        artifact = shrink(
-            verdict.plan, schedule=verdict.schedule, max_steps=20_000
-        )
+        artifact = shrink(verdict.plan, max_steps=20_000)
         path = os.path.join(tmp_path, "counterexample.json")
         artifact.save(path)
         loaded = Counterexample.load(path)

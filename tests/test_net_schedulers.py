@@ -5,8 +5,10 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.net import schedulers
 from repro.net.schedulers import (
     BalancingDelayScheduler,
+    ExponentialDelayScheduler,
     FifoScheduler,
     FilteredRandomScheduler,
     RandomScheduler,
@@ -251,3 +253,37 @@ class TestBalancingDelayScheduler:
         system.send(0, 1, "opaque")
         decision = scheduler.choose(system, [0, 1], random.Random(0))
         assert decision is not None
+
+
+class TestExponentialDelayScheduler:
+    def test_unschedulable_recipient_is_parked_not_repushed(self, monkeypatch):
+        system = MessageSystem(3)
+        for i in range(5):
+            system.send(2, 0, f"to0-{i}")
+        for i in range(30):
+            system.send(2, 1, f"to1-{i}")
+        scheduler = ExponentialDelayScheduler()
+        rng = random.Random(7)
+        scheduler.choose(system, [0, 1, 2], rng)  # stamps all 35
+        waiting = {env.seq for env in system.buffer_of(0).peek_all()}
+        pushes = []
+        real_push = schedulers.heappush
+
+        def counting_push(heap, item):
+            pushes.append(item)
+            real_push(heap, item)
+
+        monkeypatch.setattr(schedulers, "heappush", counting_push)
+        # pid 0 crashes: its stamped mail must leave the heap once, not
+        # be popped and re-pushed on every one of pid 1's steps.
+        steps = 0
+        while scheduler.choose(system, [1, 2], rng) is not None:
+            steps += 1
+        assert steps >= 29
+        assert [item for item in pushes if item[2] == 0] == []
+        # Back among the candidates, its parked entries return, each once.
+        pid, env = scheduler.choose(system, [0, 1, 2], rng)
+        assert pid == 0 and env.seq in waiting
+        returned = [item[1] for item in pushes if item[2] == 0]
+        assert returned and len(returned) == len(set(returned))
+        assert set(returned) <= waiting
