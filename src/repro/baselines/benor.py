@@ -238,6 +238,8 @@ class BenOrConsensus(Process):
         """The protocol-internal randomness Ben-Or is famous for."""
         rng = self.rng if self.rng is not None else random.Random(self.pid)
         self.coin_flips += 1
+        if self.metrics is not None:
+            self.metrics.inc("benor.coin_flips")
         return rng.randrange(2)
 
     def _drain_deferred(self, sends: list[Send]) -> None:

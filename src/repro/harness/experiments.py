@@ -490,20 +490,21 @@ def e9_benor_comparison(
         ],
     )
     from repro.analysis.benor_chain import expected_rounds_from_balanced
-    from repro.sim.kernel import Simulation
 
     for n in ns:
         t = (n - 1) // 2
-        benor_rounds: list[int] = []
-        benor_coins: list[int] = []
-        for seed in _seed_range(9000 + n, runs):
-            processes = build_benor_processes(n, t, balanced_inputs(n))
-            result = Simulation(processes, seed=seed).run(max_steps=5_000_000)
-            result.check_agreement()
-            benor_rounds.append(max(result.phases_to_decide()))
-            benor_coins.append(
-                sum(getattr(p, "coin_flips", 0) for p in processes)
-            )
+        # Metrics stay on: the coin count is read from each run's snapshot.
+        benor_runs = ExperimentRunner(
+            lambda seed, n=n, t=t: build_benor_processes(
+                n, t, balanced_inputs(n)
+            ),
+            max_steps=5_000_000,
+            metrics=True,
+        ).run_many(_seed_range(9000 + n, runs)).results
+        benor_rounds = [max(run.phases_to_decide()) for run in benor_runs]
+        benor_coins = [
+            run.metrics.counters.get("benor.coin_flips", 0) for run in benor_runs
+        ]
         failstop_stats = ExperimentRunner(
             lambda seed, n=n, t=t: build_failstop_processes(
                 n, t, balanced_inputs(n)

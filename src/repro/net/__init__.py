@@ -21,7 +21,6 @@ probability at least ε of being the view actually seen.
 """
 
 from repro.net.message import Envelope
-from repro.net.buffer import MessageBuffer
 from repro.net.system import AliveView, MessageSystem
 from repro.net.schedulers import (
     Scheduler,
@@ -36,7 +35,6 @@ from repro.net.schedulers import (
 __all__ = [
     "AliveView",
     "Envelope",
-    "MessageBuffer",
     "MessageSystem",
     "Scheduler",
     "RandomScheduler",

@@ -53,10 +53,13 @@ message system's incremental structures instead of per-step rescans:
   (deadline, seq) with lazy invalidation against its own set of
   buffered seqs, assigning delays to newly observed envelopes in
   exactly the historical scan order so the RNG stream is unchanged.
-* The buffer keeps no index of its own.  The ordered takes that
-  :class:`FifoScheduler` and :class:`ScriptedScheduler` use, and
-  :class:`ScheduleRecorder`'s rank count, are scans of one buffer,
-  which holds a few dozen envelopes.
+* The message system's buffers keep no index: ``system.buffers[pid]``
+  is a plain list and ``system.take(pid, index)`` removes one envelope
+  by position.  The ordered picks are scheduler policy and live here as
+  scans of one buffer, which holds a few dozen envelopes:
+  :class:`FifoScheduler`'s oldest envelope, :class:`ScriptedScheduler`'s
+  ``rank``-th oldest from one sender and :class:`ScheduleRecorder`'s
+  count of the older ones left behind.
 """
 
 from __future__ import annotations
@@ -164,15 +167,15 @@ class RandomScheduler(Scheduler):
             if not isinstance(alive, (list, tuple)):
                 alive = list(alive)
             pids = deliverable_pairs(system, alive)
-        buffers = system._buffers
+        buffers = system.buffers
         weighted = self.weight_by_buffer
         if len(pids) == system.n:
             # Nobody is dead: the system's running aggregates are the sums.
-            total = system._pending if weighted else len(system._with_mail)
+            total = system.pending if weighted else len(system.with_mail)
         else:
             total = 0
             for pid in pids:
-                size = len(buffers[pid]._items)
+                size = len(buffers[pid])
                 total += size if weighted else size > 0
         if not total:
             return None
@@ -184,21 +187,22 @@ class RandomScheduler(Scheduler):
         draw = rng.random() * total if weighted else rng.randrange(total)
         cumulative = 0
         for pid in pids:
-            size = len(buffers[pid]._items)
+            size = len(buffers[pid])
             if size:
                 chosen = pid
                 cumulative += size if weighted else 1
                 if cumulative > draw:
                     break
-        buffer = buffers[chosen]
-        return chosen, buffer.take_at(rng.randrange(len(buffer._items)))
+        return chosen, system.take(chosen, rng.randrange(len(buffers[chosen])))
 
 
 class FifoScheduler(Scheduler):
     """Deterministic round-robin + oldest-first delivery (for tests).
 
     Cycles through process ids; each visited process with mail receives its
-    oldest buffered envelope.  With a fixed seed-free protocol this yields
+    oldest buffered envelope: the smallest ``seq``, found by one scan of
+    its buffer (ties, which only hand-built envelopes can have, go to the
+    lowest position).  With a fixed seed-free protocol this yields
     bit-identical executions, which the unit tests rely on.
     """
 
@@ -224,7 +228,8 @@ class FifoScheduler(Scheduler):
                 chosen = pid
                 break
         self._cursor = (chosen + 1) % system.n
-        return chosen, system._buffers[chosen].take_oldest()
+        seqs = [env.seq for env in system.buffers[chosen]]
+        return chosen, system.take(chosen, seqs.index(min(seqs)))
 
 
 class ExponentialDelayScheduler(Scheduler):
@@ -294,8 +299,8 @@ class ExponentialDelayScheduler(Scheduler):
         self._unstamped.clear()
         self._parked.clear()
         self._live.clear()
-        for pid, buffer in enumerate(system._buffers):
-            for env in buffer.peek_all():
+        for pid, buffer in enumerate(system.buffers):
+            for env in buffer:
                 self.on_put(pid, env)
         system.register_observer(self)
 
@@ -329,7 +334,7 @@ class ExponentialDelayScheduler(Scheduler):
         candidates = deliverable_pairs(system, alive)
         if not candidates:
             return None
-        buffers = system._buffers
+        buffers = system.buffers
         deadlines = self._deadlines
         heap = self._heap
         unstamped = self._unstamped
@@ -363,12 +368,11 @@ class ExponentialDelayScheduler(Scheduler):
             if pid not in candidate_set:
                 parked.setdefault(pid, []).append(item)
                 continue
-            buffer = buffers[pid]
-            for position, buffered in enumerate(buffer._items):
+            for position, buffered in enumerate(buffers[pid]):
                 if buffered is env:
                     deadlines.pop(seq, None)
                     self.now = max(self.now, deadline)
-                    return pid, buffer.take_at(position)
+                    return pid, system.take(pid, position)
         return None
 
 
@@ -420,8 +424,8 @@ class FilteredRandomScheduler(Scheduler):
     def _rebuild(self, system: MessageSystem) -> None:
         predicate = self._predicate
         self._passing = [
-            {id(env) for env in buffer.peek_all() if predicate(env)}
-            for buffer in system._buffers
+            {id(env) for env in buffer if predicate(env)}
+            for buffer in system.buffers
         ]
 
     def on_put(self, pid: int, envelope: Envelope) -> None:
@@ -449,18 +453,17 @@ class FilteredRandomScheduler(Scheduler):
             return None
         # Same RNG state transition as rng.choice(candidate_list).
         k = rng.randrange(total)
-        buffers = system._buffers
+        buffers = system.buffers
         for pid in candidates:
             count = len(passing[pid])
             if k >= count:
                 k -= count
                 continue
             allowed = passing[pid]
-            buffer = buffers[pid]
-            for index, env in enumerate(buffer._items):
+            for index, env in enumerate(buffers[pid]):
                 if id(env) in allowed:
                     if k == 0:
-                        return pid, buffer.take_at(index)
+                        return pid, system.take(pid, index)
                     k -= 1
         raise AssertionError("filtered candidate counts out of sync")
 
@@ -487,8 +490,8 @@ class ScriptedScheduler(Scheduler):
     the Theorem 1 splice σ = σ₀·σ₁ and the equivocation attack on the
     echo-less variant are both expressed as scripts in the test suite,
     and the fuzzer's shrunk counterexamples replay through it
-    bit-identically.  Each lookup scans the recipient's buffer
-    (:meth:`~repro.net.buffer.MessageBuffer.take_nth_oldest_from`).
+    bit-identically.  Each lookup sorts the ``(seq, position)`` pairs of
+    the sender's envelopes in the recipient's buffer.
 
     Scripts are input from outside the program (counterexample files),
     so a malformed entry raises :class:`~repro.errors.ConfigurationError`
@@ -553,12 +556,14 @@ class ScriptedScheduler(Scheduler):
                 continue
             if sender is None:
                 return recipient, None
-            envelope = system._buffers[recipient].take_nth_oldest_from(
-                sender, rank
+            matches = sorted(
+                (env.seq, index)
+                for index, env in enumerate(system.buffers[recipient])
+                if env.sender == sender
             )
-            if envelope is None:
+            if rank >= len(matches):
                 continue
-            return recipient, envelope
+            return recipient, system.take(recipient, matches[rank][1])
         if self.fallback is not None:
             return self.fallback.choose(system, alive, rng)
         return None
@@ -602,10 +607,15 @@ class ScheduleRecorder(Scheduler):
         if envelope is None:
             self.recorded.append((pid, None, 0))
         else:
-            rank = system._buffers[pid].count_older_from(
-                envelope.sender, envelope.seq
+            # The envelope has left the buffer: the older ones from its
+            # sender still there are the rank that re-picks it on replay.
+            sender, seq = envelope.sender, envelope.seq
+            rank = sum(
+                1
+                for env in system.buffers[pid]
+                if env.sender == sender and env.seq < seq
             )
-            self.recorded.append((pid, envelope.sender, rank))
+            self.recorded.append((pid, sender, rank))
         return decision
 
 
@@ -659,9 +669,9 @@ class BalancingDelayScheduler(Scheduler):
     def attach(self, system: MessageSystem) -> None:
         self._system = system
         pending = [[0, 0, 0] for _ in range(system.n)]
-        for pid, buffer in enumerate(system._buffers):
+        for pid, buffer in enumerate(system.buffers):
             row = pending[pid]
-            for env in buffer.peek_all():
+            for env in buffer:
                 row[_value_class(env.payload)] += 1
         self._pending = pending
         system.register_observer(self)
@@ -708,7 +718,7 @@ class BalancingDelayScheduler(Scheduler):
             return None
         # Same RNG state transition as rng.choice(tied_candidates).
         k = rng.randrange(total)
-        buffers = system._buffers
+        buffers = system.buffers
         for pid in candidates:
             tallies = delivered.get(pid)
             d = tallies[1] - tallies[0] if tallies else 0
@@ -722,11 +732,10 @@ class BalancingDelayScheduler(Scheduler):
                 k -= subtotal
                 continue
             wanted = (d == best, -d == best, 0 == best)
-            buffer = buffers[pid]
-            for index, env in enumerate(buffer._items):
+            for index, env in enumerate(buffers[pid]):
                 if wanted[_value_class(env.payload)]:
                     if k == 0:
-                        envelope = buffer.take_at(index)
+                        envelope = system.take(pid, index)
                         value = getattr(envelope.payload, "value", None)
                         if value in (0, 1):
                             if tallies is None:

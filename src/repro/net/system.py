@@ -1,9 +1,10 @@
 """The asynchronous message system of Section 2.1.
 
-A :class:`MessageSystem` owns one :class:`~repro.net.buffer.MessageBuffer`
-per process and implements the ``send`` primitive: instantaneously place a
-message in the destination buffer.  Delivery (the ``receive`` primitive) is
-driven by schedulers, which pull envelopes back out of buffers.
+A :class:`MessageSystem` owns one unordered buffer per process and
+implements the ``send`` primitive: instantaneously place a message in the
+destination buffer.  Delivery (the ``receive`` primitive) is driven by
+schedulers, which pick a buffered envelope and remove it with
+:meth:`MessageSystem.take`.
 
 Two properties of the paper's model are enforced here:
 
@@ -16,21 +17,23 @@ Two properties of the paper's model are enforced here:
   transport identity, and an envelope is an immutable tuple record, so
   no process can rewrite the sender of one it received.
 
-Performance architecture.  The system maintains incremental aggregate
-structures so per-step scheduler queries are O(1)/O(live) instead of
-O(n)/O(pending):
+The store.  ``buffers[pid]`` is a plain list used as a swap-pop multiset:
+:meth:`send` appends and :meth:`take` moves the last envelope into the
+vacated position, so both are O(1) and a message costs one append and
+one swap-pop.  The lists keep no index; all ordering belongs to the
+scheduler, which scans one buffer when it needs an ordered pick.  Two
+aggregates across all buffers are kept up to date by those two methods
+alone, so per-step scheduler queries never rescan buffers:
 
-* ``_with_mail`` — the set of pids whose buffers are non-empty, updated
-  on every buffer transition (kills the per-step ``processes_with_mail``
-  rescan);
-* ``_pending`` — a running total of undelivered envelopes;
-* an **observer (send-hook) API** — :meth:`register_observer` lets a
-  scheduler see every envelope as it enters or leaves a buffer
-  (``on_put(pid, envelope)`` / ``on_removed(pid, envelope)``), which is
-  how the heap/count-based schedulers keep their candidate bookkeeping
-  incremental instead of rescanning buffers each step.  The buffers
-  themselves are plain swap-pop lists with no index; a scheduler that
-  needs more than a count keeps it in its own hooks.
+* ``with_mail`` — the set of pids whose buffers are non-empty;
+* ``pending`` — the number of undelivered envelopes.
+
+An **observer (send-hook) API** — :meth:`register_observer` — lets a
+scheduler see every envelope as it enters or leaves a buffer
+(``on_put(pid, envelope)`` / ``on_removed(pid, envelope)``), which is how
+the heap/count-based schedulers keep their candidate bookkeeping
+incremental.  A scheduler that needs more than a count keeps it in its
+own hooks.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from __future__ import annotations
 from typing import Any, Iterable, Iterator
 
 from repro.errors import ConfigurationError
-from repro.net.buffer import MessageBuffer
 from repro.net.message import Envelope
 
 
@@ -82,25 +84,27 @@ class MessageSystem:
         n: number of processes; ids are ``0 .. n-1``.
 
     Attributes:
+        buffers: ``buffers[pid]`` lists the envelopes sent to ``pid`` and
+            not yet taken, in no meaningful order.  Read it freely;
+            change it only through :meth:`send` and :meth:`take`, which
+            keep the aggregates below and the observers in step.
+        with_mail: the pids whose buffers are non-empty (mutated in
+            place, never rebound).
+        pending: the number of undelivered envelopes across all buffers.
         messages_sent: total envelopes accepted by :meth:`send`.
-        messages_delivered: total envelopes handed to processes; updated by
-            the simulation kernel via :meth:`note_delivered`.
+        messages_delivered: total envelopes removed by :meth:`take`.
     """
 
     def __init__(self, n: int) -> None:
         if n < 1:
             raise ConfigurationError(f"need at least one process, got n={n}")
         self.n = n
-        self._buffers = [MessageBuffer(listener=self, pid=pid) for pid in range(n)]
-        self._with_mail: set[int] = set()
-        self._pending = 0
+        self.buffers: list[list[Envelope]] = [[] for _ in range(n)]
+        self.with_mail: set[int] = set()
+        self.pending = 0
         self._observers: list = []
         self.messages_sent = 0
         self.messages_delivered = 0
-
-    # ------------------------------------------------------------------ #
-    # The send primitive
-    # ------------------------------------------------------------------ #
 
     def send(self, sender: int, recipient: int, payload: Any) -> Envelope:
         """Place ``payload`` in ``recipient``'s buffer, stamped with ``sender``.
@@ -119,76 +123,49 @@ class MessageSystem:
             self._check_pid(sender, "sender")
             self._check_pid(recipient, "recipient")
         envelope = Envelope(sender, recipient, payload)
-        self._buffers[recipient].put(envelope)
+        self.buffers[recipient].append(envelope)
+        self.pending += 1
+        self.with_mail.add(recipient)
         self.messages_sent += 1
+        for observer in self._observers:
+            observer.on_put(recipient, envelope)
         return envelope
 
-    def broadcast(self, sender: int, payload: Any) -> list[Envelope]:
-        """Send ``payload`` from ``sender`` to *every* process, self included.
+    def take(self, pid: int, index: int) -> Envelope:
+        """Remove and return ``buffers[pid][index]`` (swap-pop, O(1)).
 
-        The paper's protocols all open a phase with "for all q, 1 ≤ q ≤ n,
-        send(q, ...)", which includes the sender itself.
+        The last envelope of the buffer moves into the vacated position.
+        This is the only way an envelope leaves a buffer, so it counts
+        the delivery; ``index`` must be in ``range(len(buffers[pid]))``.
         """
-        return [self.send(sender, recipient, payload) for recipient in range(self.n)]
-
-    # ------------------------------------------------------------------ #
-    # Buffer access (used by schedulers and the kernel)
-    # ------------------------------------------------------------------ #
-
-    def buffer_of(self, pid: int) -> MessageBuffer:
-        """Return the buffer of process ``pid``."""
-        self._check_pid(pid, "pid")
-        return self._buffers[pid]
-
-    def note_delivered(self, envelope: Envelope) -> None:
-        """Record that ``envelope`` was handed to its recipient."""
+        items = self.buffers[pid]
+        envelope = items[index]
+        last = items.pop()
+        if index < len(items):
+            items[index] = last
+        elif not items:
+            self.with_mail.discard(pid)
+        self.pending -= 1
         self.messages_delivered += 1
-
-    def pending_total(self) -> int:
-        """Total number of undelivered envelopes across all buffers (O(1))."""
-        return self._pending
-
-    def processes_with_mail(self) -> list[int]:
-        """Ids of processes whose buffers are non-empty (ascending)."""
-        return sorted(self._with_mail)
+        for observer in self._observers:
+            observer.on_removed(pid, envelope)
+        return envelope
 
     def snapshot(self) -> dict[int, tuple[Envelope, ...]]:
         """Immutable view of every buffer, for tests and tracing."""
-        return {pid: buf.peek_all() for pid, buf in enumerate(self._buffers)}
-
-    # ------------------------------------------------------------------ #
-    # Observer (send-hook) API
-    # ------------------------------------------------------------------ #
+        return {pid: tuple(buffer) for pid, buffer in enumerate(self.buffers)}
 
     def register_observer(self, observer) -> None:
         """Subscribe ``observer`` to buffer mutations (idempotent).
 
-        ``observer.on_put(pid, envelope)`` fires after an envelope enters
-        the buffer of ``pid``; ``observer.on_removed(pid, envelope)``
-        fires after it leaves (delivery *or* experimental drop).  Hooks
-        run synchronously on the hot path — keep them O(1).
+        ``observer.on_put(pid, envelope)`` fires after :meth:`send` puts
+        an envelope in the buffer of ``pid``;
+        ``observer.on_removed(pid, envelope)`` fires after :meth:`take`
+        removes it.  Hooks run synchronously on the hot path — keep them
+        O(1).
         """
         if observer not in self._observers:
             self._observers.append(observer)
-
-    # Buffer-listener callbacks (called by MessageBuffer).
-
-    def _buffer_put(self, pid: int, envelope: Envelope) -> None:
-        self._pending += 1
-        self._with_mail.add(pid)
-        for observer in self._observers:
-            observer.on_put(pid, envelope)
-
-    def _buffer_removed(self, pid: int, envelope: Envelope) -> None:
-        self._pending -= 1
-        if not self._buffers[pid]._items:
-            self._with_mail.discard(pid)
-        for observer in self._observers:
-            observer.on_removed(pid, envelope)
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
 
     def _check_pid(self, pid: int, role: str) -> None:
         if not isinstance(pid, int) or not 0 <= pid < self.n:
@@ -198,7 +175,7 @@ class MessageSystem:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"MessageSystem(n={self.n}, pending={self.pending_total()}, "
+            f"MessageSystem(n={self.n}, pending={self.pending}, "
             f"sent={self.messages_sent})"
         )
 
@@ -214,7 +191,7 @@ def deliverable_pairs(system: MessageSystem, alive: Iterable[int]) -> list[int]:
     kernel passes) is already ascending and is filtered without sorting
     or rebuilding the alive set.
     """
-    with_mail = system._with_mail
+    with_mail = system.with_mail
     if not with_mail:
         return []
     if isinstance(alive, AliveView):

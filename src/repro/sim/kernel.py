@@ -303,9 +303,7 @@ class Simulation:
         obs = self.metrics
         if obs is not None:
             obs.gauge_set("kernel.steps_total", self.steps)
-            obs.gauge_max(
-                "messages.pending_at_halt", self.system.pending_total()
-            )
+            obs.gauge_max("messages.pending_at_halt", self.system.pending)
         return self._build_result(halt_reason)
 
     def _run_loop(self, deadline: int, halt: HaltPredicate) -> HaltReason:
@@ -351,10 +349,10 @@ class Simulation:
         halt_each_step = halt not in _STATUS_PREDICATES
         alive = self._alive_view()
         if metered:
-            # ``_with_mail`` is mutated in place (never rebound), so one
-            # binding outlives the loop; ``_pending`` is an int and must
+            # ``with_mail`` is mutated in place (never rebound), so one
+            # binding outlives the loop; ``pending`` is an int and must
             # be re-read from the system each step.
-            with_mail = system._with_mail
+            with_mail = system.with_mail
             length = len
             # Per-call capture buffers: the loop appends raw observations
             # (pending-message and candidate-process counts, delivered
@@ -378,7 +376,7 @@ class Simulation:
         try:
             while self.steps < deadline:
                 if metered:
-                    pending_append(system._pending)
+                    pending_append(system.pending)
                     candidates_append(length(with_mail))
                 decision = scheduler.choose(system, alive, rng)
                 if decision is None:
@@ -391,16 +389,15 @@ class Simulation:
                         f"scheduler selected non-live process {pid}"
                     )
                 was_value = process.decision.get()
-                if envelope is not None:
-                    system.note_delivered(envelope)
-                    if record:
+                if record:
+                    if envelope is None:
+                        sink.emit(PhiEvent(self.steps, pid))
+                    else:
                         sink.emit(
                             DeliverEvent(
                                 self.steps, pid, envelope.sender, envelope.payload
                             )
                         )
-                elif record:
-                    sink.emit(PhiEvent(self.steps, pid))
                 if metered:
                     delivered_append(
                         None if envelope is None else envelope.payload.__class__

@@ -32,7 +32,7 @@ from repro.net.system import MessageSystem
 def _deliverable_pairs(system: MessageSystem, alive: Iterable[int]) -> list[int]:
     """The pre-indexing helper: full scan over all n buffers."""
     alive_set = set(alive)
-    with_mail = [pid for pid in range(system.n) if system._buffers[pid]]
+    with_mail = [pid for pid in range(system.n) if system.buffers[pid]]
     return [pid for pid in with_mail if pid in alive_set]
 
 
@@ -59,11 +59,11 @@ class ReferenceRandomScheduler(Scheduler):
         if self.phi_probability and rng.random() < self.phi_probability:
             return rng.choice(alive), None
         if self.weight_by_buffer:
-            weights = [len(system.buffer_of(pid)) for pid in candidates]
+            weights = [len(system.buffers[pid]) for pid in candidates]
             pid = rng.choices(candidates, weights=weights, k=1)[0]
         else:
             pid = rng.choice(candidates)
-        return pid, system.buffer_of(pid).take_random(rng)
+        return pid, system.take(pid, rng.randrange(len(system.buffers[pid])))
 
 
 class ReferenceFifoScheduler(Scheduler):
@@ -82,9 +82,10 @@ class ReferenceFifoScheduler(Scheduler):
         n = system.n
         for offset in range(n):
             pid = (self._cursor + offset) % n
-            if pid in alive_set and system.buffer_of(pid):
+            if pid in alive_set and system.buffers[pid]:
                 self._cursor = (pid + 1) % n
-                return pid, system.buffer_of(pid).take_oldest()
+                seqs = [env.seq for env in system.buffers[pid]]
+                return pid, system.take(pid, seqs.index(min(seqs)))
         return None
 
 
@@ -125,14 +126,13 @@ class ReferencePartitionScheduler(Scheduler):
         members = [pid for pid in alive if pid in group]
         candidates: list[tuple[int, int]] = []  # (pid, index into buffer)
         for pid in members:
-            buffer = system.buffer_of(pid)
-            for index, env in enumerate(buffer.peek_all()):
+            for index, env in enumerate(system.buffers[pid]):
                 if env.sender in group:
                     candidates.append((pid, index))
         if not candidates:
             return None
         pid, index = rng.choice(candidates)
-        return pid, system.buffer_of(pid).take_at(index)
+        return pid, system.take(pid, index)
 
 
 class ReferenceExponentialDelayScheduler(Scheduler):
@@ -156,7 +156,7 @@ class ReferenceExponentialDelayScheduler(Scheduler):
     ) -> Decision:
         best: Optional[tuple[float, int, int]] = None  # (deadline, pid, index)
         for pid in _deliverable_pairs(system, alive):
-            for index, env in enumerate(system.buffer_of(pid).peek_all()):
+            for index, env in enumerate(system.buffers[pid]):
                 deadline = self._deadlines.get(env.seq)
                 if deadline is None:
                     deadline = self.now + rng.expovariate(1.0 / self.mean_delay)
@@ -166,7 +166,7 @@ class ReferenceExponentialDelayScheduler(Scheduler):
         if best is None:
             return None
         deadline, pid, index = best
-        envelope = system.buffer_of(pid).take_at(index)
+        envelope = system.take(pid, index)
         self._deadlines.pop(envelope.seq, None)
         self.now = max(self.now, deadline)
         return pid, envelope
@@ -183,13 +183,13 @@ class ReferenceFilteredRandomScheduler(Scheduler):
     ) -> Decision:
         candidates: list[tuple[int, int]] = []
         for pid in _deliverable_pairs(system, alive):
-            for index, env in enumerate(system.buffer_of(pid).peek_all()):
+            for index, env in enumerate(system.buffers[pid]):
                 if self.predicate(env):
                     candidates.append((pid, index))
         if not candidates:
             return None
         pid, index = rng.choice(candidates)
-        return pid, system.buffer_of(pid).take_at(index)
+        return pid, system.take(pid, index)
 
 
 class ReferenceScriptedScheduler(Scheduler):
@@ -223,16 +223,15 @@ class ReferenceScriptedScheduler(Scheduler):
             self._position += 1
             if recipient not in alive_set:
                 continue
-            buffer = system.buffer_of(recipient)
             matches = [
                 (env.seq, index)
-                for index, env in enumerate(buffer.peek_all())
+                for index, env in enumerate(system.buffers[recipient])
                 if env.sender == sender
             ]
             if not matches:
                 continue
             _, index = min(matches)
-            return recipient, buffer.take_at(index)
+            return recipient, system.take(recipient, index)
         if self.fallback is not None:
             return self.fallback.choose(system, alive, rng)
         return None
@@ -256,7 +255,7 @@ class ReferenceBalancingDelayScheduler(Scheduler):
         best_score: float | None = None
         for pid in _deliverable_pairs(system, alive):
             counts = self._per_recipient_value_counts[pid]
-            for index, env in enumerate(system.buffer_of(pid).peek_all()):
+            for index, env in enumerate(system.buffers[pid]):
                 value = getattr(env.payload, "value", None)
                 if value in (0, 1):
                     score = counts[1 - value] - counts[value]
@@ -269,7 +268,7 @@ class ReferenceBalancingDelayScheduler(Scheduler):
         if not best:
             return None
         pid, index = rng.choice(best)
-        envelope = system.buffer_of(pid).take_at(index)
+        envelope = system.take(pid, index)
         value = getattr(envelope.payload, "value", None)
         if value in (0, 1):
             self._per_recipient_value_counts[pid][value] += 1

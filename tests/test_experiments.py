@@ -10,7 +10,9 @@ from repro.harness.experiments import (
     e4_markov_malicious,
     e5_failstop_lowerbound,
     e6_malicious_lowerbound,
+    e9_benor_comparison,
 )
+from repro.obs import collector
 
 
 class TestRegistry:
@@ -81,3 +83,14 @@ class TestReportsRender:
                 else:
                     assert violations >= 1, (label, violations)
                     assert replay == "exact"
+
+    def test_e9_collects_both_halves(self):
+        """Ben-Or's runs reach the collector too: 3 seeds each side."""
+        collector.begin()
+        try:
+            report = e9_benor_comparison(ns=[5], runs=3)
+        finally:
+            merged, runs = collector.finish()
+        assert runs == 6
+        coins_mean = report.rows[0][4]
+        assert merged.counters.get("benor.coin_flips", 0) == coins_mean * 3

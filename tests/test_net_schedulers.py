@@ -39,15 +39,15 @@ class TestRandomScheduler:
         for _ in range(20):
             pid, env = scheduler.choose(system, [1], random.Random(0))
             assert pid == 1
-            system.buffer_of(1).put(env)  # put back for the next round
+            system.send(env.sender, pid, env.payload)  # back for the next round
 
     def test_delivery_removes_from_buffer(self):
         scheduler = RandomScheduler()
         system = _loaded_system()
-        before = system.pending_total()
+        before = system.pending
         decision = scheduler.choose(system, [0, 1, 2], random.Random(1))
         assert decision is not None
-        assert system.pending_total() == before - 1
+        assert system.pending == before - 1
 
     def test_phi_probability_yields_phi_steps(self):
         scheduler = RandomScheduler(phi_probability=0.999)
@@ -265,7 +265,7 @@ class TestExponentialDelayScheduler:
         scheduler = ExponentialDelayScheduler()
         rng = random.Random(7)
         scheduler.choose(system, [0, 1, 2], rng)  # stamps all 35
-        waiting = {env.seq for env in system.buffer_of(0).peek_all()}
+        waiting = {env.seq for env in system.buffers[0]}
         pushes = []
         real_push = schedulers.heappush
 

@@ -21,7 +21,8 @@ class TestMechanics:
         scheduler = ExponentialDelayScheduler()
         system = MessageSystem(3)
         for sender in range(3):
-            system.broadcast(sender, f"m{sender}")
+            for recipient in range(3):
+                system.send(sender, recipient, f"m{sender}")
         rng = random.Random(0)
         previous = 0.0
         while True:
@@ -71,9 +72,8 @@ class TestMechanics:
         rng = random.Random(4)
         scheduler.choose(system, [0, 1], rng)  # stamps all five
         deadlines = dict(scheduler._deadlines)
-        buffer = system.buffer_of(1)
-        removed = buffer.take_at(1)
-        remaining = sorted(buffer.peek_all(), key=lambda env: deadlines[env.seq])
+        removed = system.take(1, 1)
+        remaining = sorted(system.buffers[1], key=lambda env: deadlines[env.seq])
         delivered = []
         while (decision := scheduler.choose(system, [0, 1], rng)) is not None:
             delivered.append(decision[1])
@@ -86,11 +86,11 @@ class TestMechanics:
         scheduler.attach(system)
         for i in range(3):
             system.send(0, 1, f"m{i}")
-        removed = system.buffer_of(1).take_at(0)
+        removed = system.take(1, 0)
         _pid, first = scheduler.choose(system, [0, 1], random.Random(4))
         assert first is not removed
         assert set(scheduler._deadlines) == {
-            env.seq for env in system.buffer_of(1).peek_all()
+            env.seq for env in system.buffers[1]
         }
 
 
