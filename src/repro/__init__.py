@@ -16,7 +16,8 @@ The package implements, from scratch:
   (:mod:`repro.baselines`), and Bracha reliable broadcast as the
   follow-on extension (:mod:`repro.broadcast`);
 * the Section 4 Markov-chain performance analysis, exact and closed
-  form (:mod:`repro.analysis`);
+  form (:mod:`repro.analysis`; it and :mod:`repro.sim.lockstep` are
+  all that loads numpy and scipy, so neither is re-exported here);
 * executable forms of the Theorem 1/Theorem 3 impossibility
   constructions and a bounded exhaustive schedule explorer for Lemma 2
   (:mod:`repro.lowerbounds`);
@@ -24,8 +25,8 @@ The package implements, from scratch:
   paper (:mod:`repro.harness`, driven by ``benchmarks/``);
 * a networked runtime executing the same protocol state machines over
   real loopback TCP — authenticated go-back-n transport, chaos proxy,
-  live safety oracles (:mod:`repro.cluster`, kept import-light and
-  therefore not re-exported here).
+  live safety oracles (:mod:`repro.cluster`, not re-exported here
+  either, so ``import repro`` loads neither asyncio nor sockets).
 
 Quickstart::
 

@@ -495,13 +495,15 @@ class ClusterNode:
         elif process.crashed:
             # A dead process never decides: whoever waits on this
             # instance here is done waiting (PAPER.md §2 demands
-            # termination of the survivors only).
+            # termination of the survivors only).  Nothing more will
+            # happen to it, so it is collected like a decided one.
             state.decided_event.set()
+            self._schedule_gc(instance)
         if process.exited and self.tracer is not None:
             self.tracer.writer.record("exit", pid=self.pid, instance=instance)
 
     def _schedule_gc(self, instance: int) -> None:
-        """Arm the linger timer that collects a decided instance."""
+        """Arm the linger timer that collects a settled instance."""
         if instance in self._gc_handles:
             return
         if self.instance_linger == 0:
@@ -518,7 +520,8 @@ class ClusterNode:
         )
 
     def _gc_instance(self, instance: int) -> None:
-        """Collect one decided instance's process state (record kept)."""
+        """Collect one settled (decided or crashed) instance's process
+        state; a decision record is kept."""
         self._gc_handles.pop(instance, None)
         state = self._instances.pop(instance, None)
         if state is None:
@@ -533,7 +536,7 @@ class ClusterNode:
     def _abandon_if_unwaited(self, instance: int) -> None:
         """Release one undecided instance after its last waiter gave up.
 
-        The linger GC only ever arms for *decided* instances, so before
+        The linger GC only ever arms for *settled* instances, so before
         this path existed a ``decide_instance`` caller timing out (or
         being cancelled) left the instance's demux state in the table
         forever — thousands of timed-out client calls
@@ -598,12 +601,18 @@ class ClusterNode:
         if record is not None:
             return record
         if instance in self._retired:
+            if self._retired[instance]:
+                return None  # its process crashed, then was collected
             raise ConfigurationError(
                 f"instance {instance} was abandoned at node {self.pid}; "
                 "retired instances are never reopened"
             )
         self.start_instance(instance)
-        state = self._instances[instance]
+        state = self._instances.get(instance)
+        if state is None:
+            # Settled and collected in its opening step: a process dead
+            # on arrival under a zero linger.
+            return self._records.get(instance)
         state.waiters += 1
         try:
             if timeout is None:

@@ -9,25 +9,9 @@ of every report next to the paper's claims.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from repro.analysis.failstop_chain import (
-    PAPER_L_SQUARED,
-    band_edge_state,
-    chebyshev_w_bound_eq7,
-    collapsed_chain,
-    expected_phases_bound_eq13,
-    failstop_chain,
-    majority_adoption_probability,
-)
-from repro.analysis.malicious_chain import (
-    expected_phases_bound_42,
-    l_for_k,
-    malicious_chain,
-    one_step_absorption_estimate,
-)
 from repro.core.common import max_malicious_resilience
 from repro.faults.byzantine import BalancingEchoByzantine
 from repro.harness.builders import (
@@ -195,7 +179,6 @@ def e3_markov_failstop(
     """Exact chain vs collapsed bound (13) vs chain Monte Carlo, per n."""
     if ns is None:
         ns = [12, 30, 60, 90]
-    l = math.sqrt(PAPER_L_SQUARED)
     report = ExperimentReport(
         experiment_id="E3",
         title="§4.1 Markov chain (k=n/3): expected phases from the balanced state",
@@ -203,6 +186,14 @@ def e3_markov_failstop(
             "n", "E[exact]", "E[exact,tie→0]", "E[chain MC]", "E[lockstep]",
             "collapsed R", "bound (13)", "w(band edge)", "Chebyshev (7)",
         ],
+    )
+    from repro.analysis.failstop_chain import (
+        band_edge_state,
+        chebyshev_w_bound_eq7,
+        collapsed_chain,
+        expected_phases_bound_eq13,
+        failstop_chain,
+        majority_adoption_probability,
     )
     from repro.sim.lockstep import LockstepMajoritySimulator
 
@@ -251,6 +242,12 @@ def e4_markov_malicious(
             "n", "k", "l", "E[paper chain]", "E[mechanistic]", "E[lockstep]",
             "P[absorb|1 step]", "2Φ(l) est.", "bound 1/(2Φ(l))",
         ],
+    )
+    from repro.analysis.malicious_chain import (
+        expected_phases_bound_42,
+        l_for_k,
+        malicious_chain,
+        one_step_absorption_estimate,
     )
     from repro.sim.lockstep import LockstepMajoritySimulator
 

@@ -12,7 +12,6 @@ from repro.sim.events import (
 )
 from repro.sim.results import HaltReason, RunResult
 from repro.sim.kernel import Simulation
-from repro.sim.lockstep import LockstepMajoritySimulator, LockstepResult
 
 __all__ = [
     "TraceEvent",
@@ -26,6 +25,4 @@ __all__ = [
     "HaltReason",
     "RunResult",
     "Simulation",
-    "LockstepMajoritySimulator",
-    "LockstepResult",
 ]

@@ -136,7 +136,8 @@ class LockstepMajoritySimulator:
         """Is this state in the matching chain's absorbing region?"""
         if self.faulty == 0:
             # Imported here: repro.analysis loads scipy.stats, which
-            # `import repro` would otherwise pay for on every start.
+            # only this branch needs; runs with faulty processes use
+            # numpy alone.
             from repro.analysis.failstop_chain import (
                 majority_adoption_probability,
             )

@@ -653,6 +653,35 @@ class TestMultiInstanceNode:
         assert still_live
         assert record.value == 1 and record.instance == 1
 
+    def test_dead_on_arrival_instance_is_collected_on_first_wait(self):
+        """Under a zero linger, a process dead on arrival is collected
+        inside the ``start_instance`` its first wait triggers: the wait
+        (and every later one) returns ``None`` instead of raising."""
+
+        async def scenario():
+            registry = MetricsRegistry()
+            # A dead core sends nothing, so the node needs no mesh.
+            transport = Transport(0, 4)
+            node = ClusterNode(
+                transport,
+                lambda instance: CrashableProcess(
+                    FailStopConsensus(0, 4, 1, 1), crash_at_step=0
+                ),
+                registry=registry,
+                instance_linger=0.0,
+            )
+            first = await node.decide_instance(5)
+            again = await node.decide_instance(5)
+            await transport.close()
+            return first, again, node, registry.snapshot()
+
+        first, again, node, snapshot = asyncio.run(scenario())
+        assert first is None and again is None
+        assert node.active_instances == 0
+        assert node.instance_crashed(5)
+        assert snapshot.counters["cluster.node.instances_gc"] == 1
+        assert "cluster.node.instances_abandoned" not in snapshot.counters
+
     def test_negative_linger_rejected(self):
         async def scenario():
             transport = Transport(0, 2, seed=0)
@@ -708,6 +737,29 @@ class TestMultiInstanceCluster:
         assert report.ok
         assert len(report.records) == 8
         assert report.metrics.counters.get("cluster.node.instances_gc", 0) > 0
+
+    @pytest.mark.parametrize("crash_at_step", [0, 1, 6])
+    def test_crashed_instances_are_collected_at_their_own_node(
+        self, crash_at_step
+    ):
+        """A crashed instance settles like a decided one, so the linger
+        GC collects it at the victim's node too: 4 nodes x 3 instances
+        are all collected, the victim's 3 included."""
+        report = run_cluster_sync(
+            ClusterSpec(
+                n=4,
+                k=1,
+                protocol="failstop",
+                crashes={0: {"crash_at_step": crash_at_step}},
+                instances=3,
+                instance_linger=0.0,
+                seed=4,
+            ),
+            timeout=30.0,
+        )
+        assert report.ok, report.problems
+        assert len(report.records) == 9
+        assert report.metrics.counters["cluster.node.instances_gc"] == 12
 
     def test_zero_linger_never_misses_a_due_gc(self):
         """A GC due at decision time happens in the deciding step, so

@@ -5,8 +5,11 @@ The simulator's whole value as a research artifact rests on replay: a
 trace, and statistics on every run and every entry point.
 """
 
+import ast
 import subprocess
 import sys
+
+import pytest
 
 from repro.faults.byzantine import BalancingEchoByzantine
 from repro.harness.builders import (
@@ -72,23 +75,50 @@ class TestModuleEntryPoint:
         assert "E10" in completed.stdout
 
     def test_importing_the_runtime_leaves_scipy_unloaded(self):
-        """scipy is the analysis layer's alone: the package, the SMR
-        service and the fuzzer import without it (about 0.6 s saved on
-        every start)."""
-        completed = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys, repro, repro.cluster.smr, repro.check.campaign; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] "
-                "== 'scipy'))",
-            ],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert completed.stdout.strip() == "[]"
+        """numpy and scipy are the §4 analysis layer's alone: the
+        package and the suite's runtime entry points (kernel,
+        schedulers, fuzzer, SMR service, CLI) import without either."""
+        assert _numeric_modules_after(
+            "import repro, repro.sim.kernel, repro.net.schedulers, "
+            "repro.check.campaign, repro.cluster.smr, repro.harness.cli"
+        ) == []
+
+    @pytest.mark.parametrize("argv", [["list"], ["smr", "--help"]])
+    def test_cli_commands_leave_numpy_and_scipy_unloaded(self, argv):
+        """``python -m repro list`` and ``smr --help`` load neither."""
+        assert _numeric_modules_after(
+            "import runpy\n"
+            f"sys.argv = ['repro', *{argv!r}]\n"
+            "try:\n"
+            "    runpy.run_module('repro', run_name='__main__')\n"
+            "except SystemExit as exit:\n"
+            "    assert not exit.code, exit.code\n"
+        ) == []
+
+    def test_probe_sees_the_lockstep_simulator_load_numpy(self):
+        """Positive control: the probe does see numpy when the lockstep
+        Monte Carlo (an analysis path) is imported."""
+        assert "numpy" in _numeric_modules_after("import repro.sim.lockstep")
+
+
+def _numeric_modules_after(code: str) -> list:
+    """Top-level numpy/scipy modules loaded by ``code`` in a fresh
+    interpreter (the probe prints them on the last stdout line)."""
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys\n"
+            + code
+            + "\nprint(sorted({m.split('.')[0] for m in sys.modules}"
+            " & {'numpy', 'scipy'}))",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return ast.literal_eval(completed.stdout.splitlines()[-1])
 
 
 class TestScale:
