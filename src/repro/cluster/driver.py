@@ -26,11 +26,9 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import os
 import uuid
 from dataclasses import dataclass, replace
-from time import monotonic
 from typing import Mapping, Optional, Sequence, Union
 
 from repro.cluster.chaos import ChaosConfig, ChaosProxy
@@ -40,6 +38,7 @@ from repro.cluster.transport import DEFAULT_TRACE_SAMPLE, Transport
 from repro.errors import ConfigurationError
 from repro.harness.builders import build_ensemble, build_member, parse_inputs
 from repro.harness.provenance import provenance
+from repro.harness.stats import percentile
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from repro.obs.spans import SpanTracer
 from repro.procs.base import Process
@@ -254,6 +253,8 @@ class ClusterReport:
 
     ``problems`` is the oracle verdict: an empty tuple means agreement,
     validity, and termination all held over the decision records.
+    ``wall_seconds`` is loop time (``loop.time()``) from
+    :meth:`ClusterMesh.start` to the verdict (0 if it never started).
     """
 
     spec: ClusterSpec
@@ -274,17 +275,6 @@ class ClusterReport:
             if record.is_correct:
                 return record.value
         return None
-
-
-def percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending-sorted sequence."""
-    if not sorted_values:
-        return 0.0
-    if not 0.0 <= q <= 1.0:
-        raise ConfigurationError(f"q must be in [0, 1], got {q}")
-    rank = max(1, math.ceil(q * len(sorted_values) - 1e-9))
-    index = min(len(sorted_values) - 1, rank - 1)
-    return sorted_values[index]
 
 
 def latency_summary_ms(
@@ -319,8 +309,10 @@ class ClusterMesh:
     pid, in pid order; ``registry`` is the registry every layer reports
     into, ``run_id`` the run's trace-id prefix (``None`` untraced),
     ``correct_pids`` the pids whose process is a correct one,
-    ``started_at`` the ``monotonic()`` instant of :meth:`start`
+    ``started_at`` the ``loop.time()`` instant of :meth:`start`
     (``None`` until then).
+    The loop that runs :meth:`open` is the run's one clock, the HLCs'
+    included (DESIGN.md §10).
     """
 
     def __init__(
@@ -340,6 +332,7 @@ class ClusterMesh:
         self.nodes: list[ClusterNode] = []
         self.correct_pids: frozenset[int] = frozenset()
         self.started_at: Optional[float] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._transports: list[Transport] = []
         self._proxies: list[ChaosProxy] = []
         self._writers: list[ClusterTraceWriter] = []
@@ -348,9 +341,10 @@ class ClusterMesh:
         self, label: Union[int, str], clock_pid: int
     ) -> Optional[SpanTracer]:
         """Open trace shard ``node-<label>.jsonl`` and return the span
-        tracer writing it (HLC identity ``clock_pid``, the shard's
-        writer as ``tracer.writer``); ``None`` when the run is
-        untraced.  :meth:`close` closes the writer."""
+        tracer writing it (HLC identity ``clock_pid`` on the loop's
+        clock, the shard's writer as ``tracer.writer``); ``None`` when
+        the run is untraced.  Needs an opened mesh; :meth:`close`
+        closes the writer."""
         if self.trace_dir is None:
             return None
         writer = ClusterTraceWriter(
@@ -358,7 +352,7 @@ class ClusterMesh:
             extra={"node": label},
         )
         self._writers.append(writer)
-        return SpanTracer(writer, clock_pid, self.run_id)
+        return SpanTracer(writer, clock_pid, self.run_id, self._loop.time)
 
     async def open(self) -> None:
         """Bring the mesh up; a failure part-way closes what was opened
@@ -375,6 +369,7 @@ class ClusterMesh:
         started: :meth:`start` opens instances and starts the clock.
         """
         spec = self.spec
+        self._loop = asyncio.get_running_loop()
         # One whole ensemble first: build_ensemble runs the ensemble-level
         # checks (input shape and domain, fault pids, fault count against
         # k) before any socket or trace shard opens, and says which pids
@@ -443,7 +438,7 @@ class ClusterMesh:
     async def start(self, instances: int = 1) -> None:
         """Start the run's clock, then every node with instances
         ``0 .. instances-1`` open."""
-        self.started_at = monotonic()
+        self.started_at = self._loop.time()
         for node in self.nodes:
             await node.start(instances=instances)
 
@@ -498,7 +493,7 @@ class ClusterMesh:
         manifest to call it ``ok``.
         """
         started = self.started_at is not None
-        wall = monotonic() - self.started_at if started else 0.0
+        wall = self._loop.time() - self.started_at if started else 0.0
         records = self.records()
         expected = (
             sorted({record.instance for record in records})

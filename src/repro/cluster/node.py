@@ -42,8 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import random
-from dataclasses import dataclass
-from time import monotonic
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, Optional
 
 from repro.cluster.transport import NO_ENQUEUE_TS, Transport
@@ -71,7 +70,7 @@ class DecisionRecord:
         value: the decided value.
         phase: the protocol phase at decision time (None if untracked).
         latency: seconds from the instance's start step at this node to
-            the decision.
+            the decision, on the event loop's clock (``loop.time()``).
         steps: atomic steps the instance's process had taken when it
             decided.
         is_correct: whether the deciding process is a correct one
@@ -89,15 +88,7 @@ class DecisionRecord:
 
     def to_dict(self) -> dict:
         """JSON-ready form."""
-        return {
-            "pid": self.pid,
-            "value": self.value,
-            "phase": self.phase,
-            "latency": self.latency,
-            "steps": self.steps,
-            "is_correct": self.is_correct,
-            "instance": self.instance,
-        }
+        return asdict(self)
 
 
 class _InstanceState:
@@ -106,12 +97,12 @@ class _InstanceState:
     ``queue_s``/``compute_s`` accumulate the traced latency segments:
     seconds envelopes for this instance sat in the inbox, and
     seconds spent inside its protocol core's atomic steps.  Whatever
-    wall-clock remains at decision time was spent waiting on the network
-    (the transport segment).  The segments tile the instance's wall
-    clock without overlap: many envelopes wait in the queue
+    time remains at decision time was spent waiting on the network
+    (the transport segment).  The segments tile the instance's elapsed
+    loop time without overlap: many envelopes wait in the queue
     *concurrently*, so each step's queue credit is clamped to the gap
     since this instance's previous step ended (``last_step_end``) —
-    naively summing per-envelope waits would exceed the wall clock.
+    naively summing per-envelope waits would exceed the elapsed time.
     Only updated when causal tracing is on.
     """
 
@@ -140,6 +131,9 @@ class _InstanceState:
 
 class ClusterNode:
     """One cluster member: multiplexed protocol cores plus a transport.
+
+    Built inside the running event loop, which is its clock (latencies,
+    segment instants) and timer source (linger GC), DESIGN.md §10.
 
     Args:
         transport: this node's mesh endpoint; the node's pid and n are
@@ -199,6 +193,8 @@ class ClusterNode:
         self._gc_handles: Dict[int, asyncio.TimerHandle] = {}
         self.rng = random.Random(seed)
         self._task: Optional[asyncio.Task] = None
+        #: The running loop: the node's clock and timer source.
+        self._loop = asyncio.get_running_loop()
 
     @property
     def pid(self) -> int:
@@ -244,7 +240,7 @@ class ClusterNode:
                 f"for node ({self.pid}, n={self.transport.n})"
             )
         process.bind_metrics(self.registry)
-        state = _InstanceState(process, monotonic())
+        state = _InstanceState(process, self._loop.time())
         self._instances[instance] = state
         self.registry.gauge_max(
             "cluster.node.instances_active", len(self._instances)
@@ -269,10 +265,10 @@ class ClusterNode:
             sends = process.start()
             process.steps_taken += 1
         else:
-            step_start = monotonic()
+            step_start = self._loop.time()
             sends = process.start()
             process.steps_taken += 1
-            step_end = monotonic()
+            step_end = self._loop.time()
             state.compute_s += step_end - step_start
             state.last_step_end = step_end
             state.last_phase = process.phaseno
@@ -296,7 +292,7 @@ class ClusterNode:
             self.tracer.writer.record("node-start", pid=self.pid)
         for instance in range(instances):
             self.start_instance(instance)
-        self._task = asyncio.get_running_loop().create_task(
+        self._task = self._loop.create_task(
             self._run(), name=f"node-{self.pid}"
         )
 
@@ -316,7 +312,7 @@ class ClusterNode:
         inbox = self.transport.inbound
         registry = self.registry
         tracer = self.tracer
-        clock = monotonic
+        clock = self._loop.time
         backlog: list = []
         # Traced segment accounting is *burst-granular*: the drain loop
         # below steps through everything already queued without ever
@@ -444,7 +440,7 @@ class ClusterNode:
         )
         process = state.process
         if process.decided and instance not in self._records:
-            latency = monotonic() - state.started_at
+            latency = self._loop.time() - state.started_at
             record = DecisionRecord(
                 pid=self.pid,
                 value=process.decision.value,
@@ -511,11 +507,7 @@ class ClusterNode:
             # race a zero-delay timer against whoever the decision wakes.
             self._gc_instance(instance)
             return
-        try:
-            loop = asyncio.get_running_loop()
-        except RuntimeError:  # pragma: no cover - defensive: no loop
-            return
-        self._gc_handles[instance] = loop.call_later(
+        self._gc_handles[instance] = self._loop.call_later(
             self.instance_linger, self._gc_instance, instance
         )
 

@@ -3,7 +3,7 @@
 A traced cluster run (:func:`repro.cluster.driver.run_cluster` with
 ``trace_dir``) leaves one JSONL shard per node plus a ``run.json``
 manifest.  Each shard's ``ts`` values count from that writer's own
-epoch, so wall-clock order across shards is unrecoverable from them —
+epoch, so their order across shards is unrecoverable from them —
 but every causal event carries a hybrid-logical-clock timestamp, and HLC
 order *is* consistent with causality (if event a can have influenced
 event b, ``hlc(a) < hlc(b)``).  :func:`stitch_trace_dir` therefore
@@ -14,7 +14,7 @@ facts an on-call reader wants:
 
 * per-instance and overall decide-latency percentiles, decomposed into
   the queue-wait / transport / protocol-compute segments measured at
-  each node (the segments tile each decision's wall clock, so their sum
+  each node (the segments tile each decision's elapsed time, so their sum
   tracks the end-to-end latency);
 * a chaos-correlation table — for every decision, how many chaos-proxy
   perturbations (delays, drops, resets) fell inside its
@@ -36,6 +36,7 @@ from typing import Optional, Sequence
 
 from repro.cluster.trace import ClusterTraceReader
 from repro.errors import ConfigurationError
+from repro.harness.stats import percentile
 from repro.obs.spans import hlc_key
 
 #: Decide-event keys holding the latency decomposition (milliseconds).
@@ -113,8 +114,6 @@ def stitch_trace_dir(trace_dir: str) -> StitchedTrace:
 
 
 def _percentiles(values: Sequence[float]) -> dict:
-    from repro.cluster.driver import percentile
-
     ordered = sorted(values)
     return {
         "p50": round(percentile(ordered, 0.50), 3),
@@ -137,7 +136,7 @@ def _chaos_window(decide: dict, chaos_events: Sequence[dict]) -> dict:
     """Chaos events (by type) inside one decision's latency window.
 
     The window is ``[decide_hlc - latency, decide_hlc]`` on the HLC
-    physical axis (microseconds of wall clock): every perturbation that
+    physical axis (microseconds of loop time): every perturbation that
     happened while this decision was in flight.
     """
     hlc = decide.get("hlc")
@@ -294,7 +293,7 @@ def check_slos(
       one correct decision must appear in the trace;
     * **decomposition** — the p50 of per-decision segment sums must be
       within ``max_segment_residual_pct`` of the measured end-to-end
-      p50 (the segments are supposed to tile the wall clock — drift
+      p50 (the segments are supposed to tile the elapsed time — drift
       means the tracing itself is lying);
     * **latency** — when ``max_p99_ms`` is given, overall decide p99
       must not exceed it.

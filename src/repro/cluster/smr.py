@@ -66,7 +66,6 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass, replace
-from time import monotonic
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.codec import decode_canonical, encode_canonical
@@ -285,10 +284,12 @@ class CommitResult:
     """What awaiting a submitted command resolves to.
 
     ``committed`` is False when its slot aborted (consensus decided 0);
-    ``result`` is then None and the client should retry.  ``slot`` and
+    ``result`` is then None and the client should retry.  ``slot``,
     ``latency`` (the slot's first submit → majority-applied, seconds)
-    are shared by every command of the slot; ``result`` is the
-    command's own.
+    and ``committed_at`` (the ``loop.time()`` instant the quorum was
+    reached, on the running event loop's clock — subtract other
+    ``loop.time()`` readings from it, nothing else) are shared by every
+    command of the slot; ``result`` is the command's own.
     """
 
     slot: int
@@ -487,6 +488,10 @@ class SMRCluster:
                 "SMR sets its own inputs (unanimous 1 per slot); "
                 "pass inputs=None"
             )
+        if spec.instances != 1:
+            raise ConfigurationError(
+                "SMR opens one instance per slot itself; pass instances=1"
+            )
         if compact_every < 0:
             raise ConfigurationError(
                 f"compact_every must be >= 0 (0 disables), got "
@@ -507,7 +512,6 @@ class SMRCluster:
         self.spec = replace(
             spec,
             inputs=None,
-            instances=1,
             instance_linger=linger,
             exit_after_decide=(
                 spec.exit_after_decide or spec.protocol == "malicious"
@@ -540,6 +544,8 @@ class SMRCluster:
         self.problems: List[str] = []
         self._started = False
         self._closed = False
+        #: The running loop (set by :meth:`start`): clock and futures.
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
 
     @property
     def replicas(self) -> Dict[int, SMRNode]:
@@ -560,6 +566,7 @@ class SMRCluster:
         if self._started:
             raise ConfigurationError("SMR cluster already started")
         self._started = True
+        self._loop = asyncio.get_running_loop()
         mesh = self._mesh
         await mesh.open()
         self.correct_pids = mesh.correct_pids
@@ -577,9 +584,7 @@ class SMRCluster:
         # Genesis: slot 0 is committed at startup so the log never has
         # a hole before the first client slot.
         genesis = Command(session="", request_id=0, op="noop")
-        self._commits[self._allocate_slot()].append(
-            asyncio.get_running_loop().create_future()
-        )
+        self._commits[self._allocate_slot()].append(self._loop.create_future())
         for replica in self._replicas.values():
             replica.offer(0, (genesis,))
             replica.start()
@@ -631,7 +636,7 @@ class SMRCluster:
         slot = self._next_slot
         self._next_slot += 1
         self._commits[slot] = []
-        self._submit_ts[slot] = monotonic()
+        self._submit_ts[slot] = self._loop.time()
         self._idle.clear()
         return slot
 
@@ -667,12 +672,11 @@ class SMRCluster:
             raise ConfigurationError(
                 "submit() needs a started, unclosed SMR cluster"
             )
-        loop = asyncio.get_running_loop()
         if self._open_slot is None:
             self._open_slot = self._allocate_slot()
-            self._seal_handle = loop.call_soon(self._seal)
+            self._seal_handle = self._loop.call_soon(self._seal)
         slot = self._open_slot
-        future = loop.create_future()
+        future = self._loop.create_future()
         self._commits[slot].append(future)
         self._open_commands.append(command)
         self.registry.inc("cluster.smr.submitted")
@@ -738,7 +742,7 @@ class SMRCluster:
                         f"result {ours!r} diverges from {first!r}"
                     )
         if count == self.quorum:
-            now = monotonic()
+            now = self._loop.time()
             latency = now - self._submit_ts[slot]
             latency_ms = latency * 1000.0
             self.registry.inc("cluster.smr.committed", len(futures))
@@ -934,7 +938,9 @@ async def run_smr_load(
     an overloaded cluster shows up as inflated latency rather than a
     silently throttled request stream (no coordinated omission).
     Latency is measured from the *scheduled* arrival, charging any
-    event-loop lateness to the system under test.
+    event-loop lateness to the system under test; arrivals, commits
+    (``CommitResult.committed_at``) and ``wall_seconds`` all read the
+    running loop's clock.
 
     ``retry_every`` > 0 submits every Nth request a second time — the
     client-retry path, here landing in the same slot or the next — so
@@ -961,9 +967,10 @@ async def run_smr_load(
         arrivals.append(t)
     outstanding: List[Tuple[float, asyncio.Future]] = []
     dedup_retries = 0
-    start = monotonic()
+    clock = asyncio.get_running_loop().time
+    start = clock()
     for index, arrival in enumerate(arrivals):
-        now = monotonic() - start
+        now = clock() - start
         if arrival > now:
             await asyncio.sleep(arrival - now)
         client = sessions[index % clients]
@@ -987,12 +994,12 @@ async def run_smr_load(
     # One shared budget for the whole tail, not per future — a stalled
     # run fails in commit_timeout seconds total, and the futures resolve
     # concurrently anyway.
-    commit_deadline = monotonic() + commit_timeout
+    commit_deadline = clock() + commit_timeout
     for arrival, future in outstanding:
         try:
             commit = await asyncio.wait_for(
                 asyncio.shield(future),
-                timeout=max(0.001, commit_deadline - monotonic()),
+                timeout=max(0.001, commit_deadline - clock()),
             )
         except asyncio.TimeoutError:
             uncommitted += 1

@@ -12,7 +12,8 @@ Each line is one event::
 
     {"t": "send", "ts": 0.0123, "pid": 2, "peer": 0, "payload": {...}}
 
-``ts`` is seconds since the writer was created (the cluster epoch).
+``ts`` is seconds since the writer was created (the shard's epoch) on
+the running event loop's clock, the cluster's one clock (DESIGN.md §10).
 Event types: ``node-start``, ``send``, ``recv``, ``step``, ``decide``,
 ``exit``, ``crash``, ``reconnect``, ``chaos-drop``, ``chaos-delay``,
 ``chaos-reset``, ``span``.
@@ -28,9 +29,9 @@ see :func:`repro.cluster.report.stitch_trace_dir`.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import threading
-from time import monotonic
 from typing import IO, Any, Optional
 
 from repro.obs.sinks import JsonlReader, decode_payload, encode_payload
@@ -44,6 +45,7 @@ class ClusterTraceWriter:
 
     Writes the file at ``path``, which it opens and closes itself.
     Thread-safe: asyncio callbacks and the driver share one writer.
+    Built inside the running event loop, whose clock stamps ``ts``.
 
     The hot path (`record` / `record_fields`) only timestamps the event
     and appends the raw field dict to an in-memory spool; JSON encoding,
@@ -65,7 +67,8 @@ class ClusterTraceWriter:
         self._handle: Optional[IO[str]] = None
         self._path = path
         self._extra = dict(extra) if extra else None
-        self._epoch = monotonic()
+        self._clock = asyncio.get_running_loop().time
+        self._epoch = self._clock()
         self._lock = threading.Lock()
         self._closed = False
         self._spool: list = []
@@ -82,7 +85,7 @@ class ClusterTraceWriter:
         """
         if self._closed:
             return
-        self._spool.append((monotonic(), event, fields))
+        self._spool.append((self._clock(), event, fields))
         if len(self._spool) >= SPOOL_LIMIT:
             self.flush()
 
@@ -121,12 +124,6 @@ class ClusterTraceWriter:
             if self._handle is None:
                 self._handle = open(self._path, "w", encoding="utf-8")
             self._handle.close()
-
-    def __enter__(self) -> "ClusterTraceWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
 
 class ClusterTraceReader(JsonlReader):

@@ -61,7 +61,6 @@ from __future__ import annotations
 import asyncio
 import random
 from collections import deque
-from time import monotonic
 from typing import Any, Optional
 
 from repro.cluster.codec import (
@@ -91,7 +90,7 @@ DEFAULT_BATCH_BYTES = 32 * 1024
 READ_BUFFER_SIZE = 64 * 1024
 
 #: Enqueue-timestamp placeholder for untraced inbound tuples.  A shared
-#: constant, not a fresh ``monotonic()`` float, so the untraced receive
+#: constant, not a fresh ``loop.time()`` float, so the untraced receive
 #: path allocates exactly what it always did (one tuple per delivery).
 NO_ENQUEUE_TS = 0.0
 
@@ -235,12 +234,11 @@ class _PeerLink:
         #: Loop time the window last moved: opened, acked or resent.
         self._progress_at = 0.0
         self._backstop: Optional[asyncio.TimerHandle] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._loop = transport._loop
         self._task: Optional[asyncio.Task] = None
         self._closed = False
 
     def start(self) -> None:
-        self._loop = asyncio.get_running_loop()
         self._task = self._loop.create_task(
             self._run(), name=f"link-{self.transport.pid}->{self.peer}"
         )
@@ -468,6 +466,9 @@ class _PeerLink:
 class Transport:
     """The node-side connection manager: one mesh endpoint.
 
+    Built inside the running event loop: its links' timers and its
+    enqueue stamps read that loop's clock.
+
     Args:
         pid: this node's process id (the identity its handshakes claim).
         n: cluster size; handshakes from peers of a different-shaped
@@ -530,6 +531,9 @@ class Transport:
         self.retransmit_interval = retransmit_interval
         self.batch_bytes = batch_bytes
         self.trace_sample = trace_sample
+        #: The running loop: every timer and timestamp of this endpoint
+        #: and its links reads it (DESIGN.md §10).
+        self._loop = asyncio.get_running_loop()
         #: Delivered ``(instance, envelope)`` pairs, sender-authenticated,
         #: exactly once, in per-link order.  The node actor consumes this
         #: inbox and demultiplexes on the instance id.
@@ -558,7 +562,7 @@ class Transport:
 
     async def serve(self, host: str = "127.0.0.1", port: int = 0) -> tuple:
         """Bind the accept socket; returns the (host, port) peers dial."""
-        self._server = await asyncio.get_running_loop().create_server(
+        self._server = await self._loop.create_server(
             lambda: _Connection(
                 self._on_inbound, self._read_buffer, self._inbound_connections
             ),
@@ -646,7 +650,9 @@ class Transport:
         # in the chunk *arrived* at the same instant, so sharing the read
         # is both cheaper and the more accurate queue-wait boundary
         # (decode time is the node's, not the network's).
-        enqueued_at = monotonic() if self.tracer is not None else NO_ENQUEUE_TS
+        enqueued_at = (
+            self._loop.time() if self.tracer is not None else NO_ENQUEUE_TS
+        )
         peer = connection.peer
         delivered = 0
         carried_data = False

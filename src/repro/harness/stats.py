@@ -16,7 +16,7 @@ class SummaryStats:
 
     ``ci95_halfwidth`` is the normal-approximation 95% confidence
     half-width of the mean (1.96·s/√n); fine for the replication counts
-    the benchmarks use.
+    the benchmarks use.  The quantiles are :func:`percentile`'s.
     """
 
     count: int
@@ -37,19 +37,16 @@ class SummaryStats:
         )
 
 
-def _percentile(sorted_values: Sequence[float], fraction: float) -> float:
-    """Linear-interpolation percentile on pre-sorted data."""
+def percentile(sorted_values: Sequence[float], q: float) -> float:
+    """Nearest-rank ``q``-quantile of an ascending-sorted sequence (0.0
+    when empty): the repository's one percentile, always a sample value,
+    never an interpolation between two."""
     if not sorted_values:
-        raise ConfigurationError("percentile of empty sample")
-    if len(sorted_values) == 1:
-        return float(sorted_values[0])
-    position = fraction * (len(sorted_values) - 1)
-    low = int(math.floor(position))
-    high = int(math.ceil(position))
-    if low == high:
-        return float(sorted_values[low])
-    weight = position - low
-    return float(sorted_values[low] * (1 - weight) + sorted_values[high] * weight)
+        return 0.0
+    if not 0.0 <= q <= 1.0:
+        raise ConfigurationError(f"q must be in [0, 1], got {q}")
+    rank = max(1, math.ceil(q * len(sorted_values) - 1e-9))
+    return sorted_values[min(len(sorted_values), rank) - 1]
 
 
 def summarize(values: Sequence[float]) -> SummaryStats:
@@ -64,9 +61,9 @@ def summarize(values: Sequence[float]) -> SummaryStats:
         mean=mean,
         stdev=stdev,
         minimum=data[0],
-        p25=_percentile(data, 0.25),
-        median=_percentile(data, 0.5),
-        p75=_percentile(data, 0.75),
+        p25=percentile(data, 0.25),
+        median=percentile(data, 0.5),
+        p75=percentile(data, 0.75),
         maximum=data[-1],
         ci95_halfwidth=1.96 * stdev / math.sqrt(len(data)) if len(data) > 1 else 0.0,
     )

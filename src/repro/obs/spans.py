@@ -4,11 +4,11 @@ The cluster runtime's per-node JSONL shards
 (:class:`~repro.cluster.trace.ClusterTraceWriter`) are each stamped with
 seconds since *that writer's* epoch, so timestamps from different shards
 are not directly comparable — and on a genuinely distributed deployment
-wall clocks would disagree outright.  A **hybrid logical clock** (HLC,
-Kulkarni et al.) fixes both problems with one timestamp: a
-``(physical, logical)`` pair that tracks wall-clock time when clocks are
-well behaved and falls back to Lamport-style logical increments when
-they are not.
+physical clocks would disagree outright.  A **hybrid logical clock**
+(HLC, Kulkarni et al.) fixes both problems with one timestamp: a
+``(physical, logical)`` pair that tracks the physical clock when clocks
+are well behaved and falls back to Lamport-style logical increments when
+they are not.  A cluster mesh gives every HLC its event loop's clock.
 
 The ordering guarantee the run-report stitcher relies on:
 
@@ -16,9 +16,9 @@ The ordering guarantee the run-report stitcher relies on:
   *a* is the send whose frame *b* receives), then ``hlc(a) < hlc(b)``
   under lexicographic ``(physical, logical)`` comparison.  Merging the
   sender's timestamp at receipt is what carries the order across nodes.
-* **Wall-clock proximity.**  The physical component never runs ahead of
-  the fastest wall clock that produced it, so sorting a stitched
-  timeline by HLC is sorting by "real time, corrected for causality".
+* **Clock proximity.**  The physical component never runs ahead of
+  the fastest physical clock that produced it, so sorting a stitched
+  timeline by HLC is sorting by "clock time, corrected for causality".
 
 A :class:`SpanTracer` owns one HLC per traced entity (node, chaos proxy)
 and writes ``span`` events — and causal fields on the existing
@@ -57,10 +57,10 @@ __all__ = [
 class HLC:
     """One hybrid logical clock: ``(physical_us, logical)`` timestamps.
 
-    ``physical_us`` is microseconds of wall-clock time (``time.time``),
-    ``logical`` the tie-breaking counter that absorbs same-microsecond
-    events and clock skew.  Instances are not thread-safe; each traced
-    entity owns its own clock, as HLC intends.
+    ``physical_us`` is microseconds of ``clock`` (``time.time`` unless
+    given another), ``logical`` the tie-breaking counter that absorbs
+    same-microsecond events and clock skew.  Instances are not
+    thread-safe; each traced entity owns its own clock, as HLC intends.
 
     Args:
         clock: seconds-valued time source (injectable for tests).
@@ -89,7 +89,7 @@ class HLC:
         The standard HLC receive rule: the new timestamp is strictly
         greater than both the local clock's last timestamp and the
         remote one, while the physical component stays pinned to the
-        largest wall clock seen.
+        largest physical clock seen.
         """
         now = int(self._clock() * 1_000_000)
         if now > self.physical and now > remote_physical:
@@ -132,7 +132,8 @@ class SpanTracer:
         pid: the entity's identity, used in span ids.
         run_id: prefix for trace ids, shared by every tracer of one
             cluster run.
-        clock: wall-clock source for the HLC (injectable for tests).
+        clock: seconds-valued physical source for the HLC (a cluster
+            mesh passes its event loop's ``time``).
     """
 
     __slots__ = (

@@ -9,7 +9,6 @@ from repro.cluster.driver import (
     ClusterSpec,
     check_decision_records,
     check_decision_records_by_instance,
-    percentile,
     run_cluster,
     run_cluster_sync,
 )
@@ -22,6 +21,7 @@ from repro.faults.byzantine import EquivocatingEchoByzantine, SilentByzantine
 from repro.faults.crash import CrashableProcess
 from repro.faults.plans import ByzantineSpec, CrashSpec, FaultPlan
 from repro.harness.builders import build_ensemble, build_member
+from repro.harness.stats import percentile
 from repro.obs.metrics import MetricsRegistry
 
 pytestmark = pytest.mark.cluster

@@ -240,6 +240,12 @@ class TestSMRCluster:
         with pytest.raises(ConfigurationError, match="inputs"):
             SMRCluster(_spec(inputs="1111"))
 
+    def test_rejects_explicit_instances(self):
+        """SMR opens one instance per slot; a caller's instance count is
+        refused, not silently replaced."""
+        with pytest.raises(ConfigurationError, match="instances"):
+            SMRCluster(_spec(instances=3))
+
     def test_malicious_spec_gets_exit_device(self):
         cluster = SMRCluster(_spec(protocol="malicious"))
         assert cluster.spec.exit_after_decide

@@ -23,11 +23,13 @@ class TestSummarize:
         assert stats.maximum == 5.0
         assert stats.stdev == pytest.approx(1.5811, abs=1e-3)
 
-    def test_percentiles_interpolate(self):
+    def test_percentiles_are_nearest_rank(self):
+        """Every quantile is a value the sample holds: the smallest one
+        with at least that share of the sample at or below it."""
         stats = summarize([0, 10])
-        assert stats.p25 == pytest.approx(2.5)
-        assert stats.median == pytest.approx(5.0)
-        assert stats.p75 == pytest.approx(7.5)
+        assert (stats.p25, stats.median, stats.p75) == (0.0, 0.0, 10.0)
+        stats = summarize([30, 0, 20, 10])
+        assert (stats.p25, stats.median, stats.p75) == (0.0, 10.0, 20.0)
 
     def test_order_independent(self):
         assert summarize([3, 1, 2]) == summarize([1, 2, 3])
