@@ -236,11 +236,10 @@ class BenOrConsensus(Process):
 
     def _flip_coin(self) -> int:
         """The protocol-internal randomness Ben-Or is famous for."""
-        rng = self.rng if self.rng is not None else random.Random(self.pid)
         self.coin_flips += 1
         if self.metrics is not None:
             self.metrics.inc("benor.coin_flips")
-        return rng.randrange(2)
+        return self._coin_rng().randrange(2)
 
     def _drain_deferred(self, sends: list[Send]) -> None:
         """Feed deferred messages matching the current (round, stage).

@@ -188,8 +188,7 @@ class InitiallyDeadConsensus(Process):
     # ------------------------------------------------------------------ #
 
     def _flip_close_coin(self) -> bool:
-        rng = self.rng if self.rng is not None else random.Random(self.pid)
-        return rng.random() < self.close_probability
+        return self._coin_rng().random() < self.close_probability
 
     def _close_stage_one(self, sends: list[Send]) -> None:
         self.stage = 2

@@ -4,6 +4,7 @@ from repro.broadcast.rbc import (
     RbcSend,
     RbcEcho,
     RbcReady,
+    ReliableBroadcast,
     ReliableBroadcastProcess,
     EquivocatingBroadcaster,
 )
@@ -13,6 +14,7 @@ __all__ = [
     "RbcSend",
     "RbcEcho",
     "RbcReady",
+    "ReliableBroadcast",
     "ReliableBroadcastProcess",
     "EquivocatingBroadcaster",
     "BrachaAgreementProcess",

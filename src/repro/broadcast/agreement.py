@@ -10,9 +10,13 @@ composition, including the **validation** layer that makes n > 3t work.
 Two mechanisms stack:
 
 * **Reliable broadcast** — every protocol message is disseminated
-  through its own RBC instance (keyed by origin, round, step), so a
-  Byzantine process cannot equivocate within a message: all correct
-  processes agree on what everyone said.
+  through its own instance of :mod:`repro.broadcast.rbc`'s engine,
+  tagged (origin, round, step) with content (value, marked,
+  justifiers), so a Byzantine process cannot equivocate within a
+  message: all correct processes agree on what everyone said.  Before
+  the engine sees a message, ill-formed content and a ``Send`` not from
+  the tag's origin are dropped; every delivery goes through
+  :meth:`BrachaAgreementProcess._on_rbc_delivery`.
 * **Validation** — every message (except a round-0 step-1 input, which
   is free) carries its *justification*: the n−t origins of the
   previous-step messages its sender used.  A receiver accepts a message
@@ -53,13 +57,12 @@ messages always validate everywhere, so waiting never blocks liveness.
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass
 from typing import Optional
 
+from repro.broadcast.rbc import RBC_MESSAGES, RbcSend, ReliableBroadcast
 from repro.core.common import majority_value
-from repro.errors import ConfigurationError, InvariantViolation
+from repro.errors import InvariantViolation
 from repro.net.message import Envelope
 from repro.procs.base import Process, Send
 
@@ -70,51 +73,20 @@ Tag = tuple[int, int, int]
 Content = tuple[int, bool, Optional[frozenset[int]]]
 
 
-@dataclass(frozen=True, slots=True)
-class AbaSend:
-    """RBC layer: the broadcaster's message for instance ``tag``.
-
-    ``justifiers`` is the set of origins whose previous-step messages
-    justify this one (``None`` only for round-0 step-1 inputs).
-    """
-
-    tag: Tag
-    value: int
-    marked: bool  # the step-3 decision-candidate flag ("D")
-    justifiers: Optional[frozenset[int]] = None
-
-
-@dataclass(frozen=True, slots=True)
-class AbaEcho:
-    """RBC layer: echo of ``(tag, value, marked, justifiers)``."""
-
-    tag: Tag
-    value: int
-    marked: bool
-    justifiers: Optional[frozenset[int]] = None
-
-
-@dataclass(frozen=True, slots=True)
-class AbaReady:
-    """RBC layer: ready amplification for ``(tag, value, marked, justifiers)``."""
-
-    tag: Tag
-    value: int
-    marked: bool
-    justifiers: Optional[frozenset[int]] = None
-
-
-class _RbcInstance:
-    """Per-(origin, round, step) reliable-broadcast bookkeeping."""
-
-    __slots__ = ("echoed", "readied", "delivered", "echo_senders", "ready_senders")
-
-    def __init__(self) -> None:
-        self.echoed = False
-        self.readied = False
-        self.delivered: Optional[Content] = None
-        self.echo_senders: dict[Content, set[int]] = {}
-        self.ready_senders: dict[Content, set[int]] = {}
+def _well_formed(message) -> bool:
+    """An (origin, round, step) tag of ints and a (value in {0, 1},
+    marked flag, justifiers ``None`` or frozenset) content."""
+    tag, content = message.tag, message.value
+    return (
+        isinstance(tag, tuple)
+        and len(tag) == 3
+        and all(isinstance(field, int) for field in tag)
+        and isinstance(content, tuple)
+        and len(content) == 3
+        and content[0] in (0, 1)
+        and isinstance(content[1], bool)
+        and (content[2] is None or isinstance(content[2], frozenset))
+    )
 
 
 class BrachaAgreementProcess(Process):
@@ -137,10 +109,7 @@ class BrachaAgreementProcess(Process):
         seed: Optional[int] = None,
     ) -> None:
         super().__init__(pid, n)
-        if t < 0 or n <= 3 * t:
-            raise ConfigurationError(
-                f"Bracha agreement needs n > 3t; got n={n}, t={t}"
-            )
+        self.rbc = ReliableBroadcast(n, t)
         if input_value not in (0, 1):
             raise InvariantViolation(
                 f"input value must be 0 or 1, got {input_value!r}"
@@ -154,7 +123,6 @@ class BrachaAgreementProcess(Process):
             random.Random(seed) if seed is not None else None
         )
         self.coin_flips = 0
-        self._instances: dict[Tag, _RbcInstance] = {}
         # Validated messages: (round, step) → origin → (value, marked).
         self._valid: dict[tuple[int, int], dict[int, tuple[int, bool]]] = {}
         # Origins whose (round, step) message was judged invalid.
@@ -164,9 +132,6 @@ class BrachaAgreementProcess(Process):
         # The valid-message origins this process used to complete each
         # (round, step) — its own justification for the next broadcast.
         self._used: dict[tuple[int, int], frozenset[int]] = {}
-        self._echo_quorum = math.ceil((n + t + 1) / 2)
-        self._ready_amplify = t + 1
-        self._ready_deliver = 2 * t + 1
 
     # Expose rounds to the shared metrics.
     @property
@@ -183,22 +148,18 @@ class BrachaAgreementProcess(Process):
         return self._rbc_broadcast(self.value, marked=False, justifiers=None)
 
     def step(self, envelope: Optional[Envelope]) -> list[Send]:
-        """Feed one envelope through the RBC layer, then the round logic."""
+        """Feed one envelope through the RBC engine, then the round logic."""
         if envelope is None or self.exited:
             return []
-        sends: list[Send] = []
         payload = envelope.payload
-        if isinstance(payload, AbaSend):
-            self._on_send(envelope.sender, payload, sends)
-        elif isinstance(payload, AbaEcho):
-            self._on_echo(envelope.sender, payload, sends)
-        elif isinstance(payload, AbaReady):
-            self._on_ready(envelope.sender, payload, sends)
+        if not isinstance(payload, RBC_MESSAGES) or not _well_formed(payload):
+            return []
+        if isinstance(payload, RbcSend) and envelope.sender != payload.tag[0]:
+            return []  # transport authentication: only the origin may Send
+        sends: list[Send] = []
+        if self.rbc.receive(envelope.sender, payload, sends):
+            self._on_rbc_delivery(payload.tag, payload.value, sends)
         return sends
-
-    # ------------------------------------------------------------------ #
-    # The RBC layer
-    # ------------------------------------------------------------------ #
 
     def _rbc_broadcast(
         self,
@@ -207,79 +168,12 @@ class BrachaAgreementProcess(Process):
         justifiers: Optional[frozenset[int]],
     ) -> list[Send]:
         tag: Tag = (self.pid, self.round, self.round_step)
-        return self._broadcast(
-            AbaSend(tag=tag, value=value, marked=marked, justifiers=justifiers)
-        )
+        return self._broadcast(RbcSend((value, marked, justifiers), tag))
 
-    def _instance(self, tag: Tag) -> _RbcInstance:
-        instance = self._instances.get(tag)
-        if instance is None:
-            instance = self._instances[tag] = _RbcInstance()
-        return instance
-
-    def _on_send(self, sender: int, message: AbaSend, sends: list[Send]) -> None:
-        origin = message.tag[0]
-        if sender != origin or message.value not in (0, 1):
-            return  # transport authentication: only the origin may Send
-        instance = self._instance(message.tag)
-        if instance.echoed:
-            return
-        instance.echoed = True
-        sends.extend(
-            self._broadcast(
-                AbaEcho(
-                    tag=message.tag,
-                    value=message.value,
-                    marked=message.marked,
-                    justifiers=message.justifiers,
-                )
-            )
-        )
-
-    def _on_echo(self, sender: int, message: AbaEcho, sends: list[Send]) -> None:
-        if message.value not in (0, 1):
-            return
-        instance = self._instance(message.tag)
-        content: Content = (message.value, message.marked, message.justifiers)
-        senders = instance.echo_senders.setdefault(content, set())
-        if sender in senders:
-            return
-        senders.add(sender)
-        if len(senders) >= self._echo_quorum:
-            self._send_ready(instance, message.tag, content, sends)
-
-    def _on_ready(self, sender: int, message: AbaReady, sends: list[Send]) -> None:
-        if message.value not in (0, 1):
-            return
-        instance = self._instance(message.tag)
-        content: Content = (message.value, message.marked, message.justifiers)
-        senders = instance.ready_senders.setdefault(content, set())
-        if sender in senders:
-            return
-        senders.add(sender)
-        if len(senders) >= self._ready_amplify:
-            self._send_ready(instance, message.tag, content, sends)
-        if len(senders) >= self._ready_deliver and instance.delivered is None:
-            instance.delivered = content
-            self._parked[message.tag] = content
-            self._resolve_and_advance(sends)
-
-    def _send_ready(
-        self,
-        instance: _RbcInstance,
-        tag: Tag,
-        content: Content,
-        sends: list[Send],
-    ) -> None:
-        if instance.readied:
-            return
-        instance.readied = True
-        value, marked, justifiers = content
-        sends.extend(
-            self._broadcast(
-                AbaReady(tag=tag, value=value, marked=marked, justifiers=justifiers)
-            )
-        )
+    def _on_rbc_delivery(self, tag: Tag, content: Content, sends: list[Send]) -> None:
+        """Park one delivered message and judge what it unblocks."""
+        self._parked[tag] = content
+        self._resolve_and_advance(sends)
 
     # ------------------------------------------------------------------ #
     # Validation (objective verdicts over RBC-consistent content)
@@ -407,6 +301,5 @@ class BrachaAgreementProcess(Process):
                 )
 
     def _flip_coin(self) -> int:
-        rng = self.rng if self.rng is not None else random.Random(self.pid)
         self.coin_flips += 1
-        return rng.randrange(2)
+        return self._coin_rng().randrange(2)

@@ -4,26 +4,33 @@ The initial/echo pattern of Figure 2 is the direct ancestor of Bracha's
 reliable broadcast (Bracha 1987, "Asynchronous Byzantine agreement
 protocols"), which adds a *ready* amplification layer and is the
 building block of modern asynchronous BFT systems (HoneyBadgerBFT and
-its descendants).  This module implements it over the same simulation
-substrate as an extension, to make the lineage executable:
+its descendants).  This module is the one home of that echo/ready
+machine, :class:`ReliableBroadcast`; every instance is keyed by a tag:
 
-* the designated broadcaster sends ``Send(v)`` to all;
-* on the first ``Send(v)`` from the broadcaster: send ``Echo(v)`` to all;
-* on ⌈(n+t+1)/2⌉ ``Echo(v)``, or t+1 ``Ready(v)``: send ``Ready(v)``
-  to all (once);
-* on 2t+1 ``Ready(v)``: *deliver* v.
+* the tag's origin sends ``Send(v)`` to all;
+* on the first ``Send`` of a tag: send ``Echo(v)`` to all;
+* on ⌈(n+t+1)/2⌉ ``Echo(v)``, or t+1 ``Ready(v)``, of one tag and one
+  value: send ``Ready(v)`` to all (once per tag);
+* on 2t+1 ``Ready(v)`` of one tag and one value: *deliver* v (once per
+  tag).
 
-Guarantees with n > 3t (the same bound as Theorem 3/4):
+Guarantees with n > 3t (the same bound as Theorem 3/4), per tag:
 
-* validity — a correct broadcaster's value is delivered by all correct
+* validity — a correct origin's value is delivered by all correct
   processes;
 * agreement — no two correct processes deliver different values;
 * totality — if any correct process delivers, every correct process
   eventually delivers.
 
-A Byzantine broadcaster can equivocate; the echo quorum intersection
-then guarantees at most one value can ever gather a ready quorum —
-either nobody delivers, or everybody delivers the same value.
+A Byzantine origin can equivocate; the echo quorum intersection then
+guarantees at most one value can ever gather a ready quorum — either
+nobody delivers, or everybody delivers the same value.
+
+Two protocols drive the engine.  :class:`ReliableBroadcastProcess` is
+the single-shot broadcast (one instance, tag ``None``);
+:class:`~repro.broadcast.agreement.BrachaAgreementProcess` runs one
+instance per (origin, round, step).  Each authenticates a ``Send`` (only
+the tag's origin may open an instance) before the engine sees it.
 """
 
 from __future__ import annotations
@@ -39,16 +46,18 @@ from repro.procs.base import Process, Send
 
 @dataclass(frozen=True, slots=True)
 class RbcSend:
-    """The broadcaster's message: ``Send(value)``."""
+    """The origin's message opening instance ``tag``: ``Send(value)``."""
 
     value: Any
+    tag: Any = None
 
 
 @dataclass(frozen=True, slots=True)
 class RbcEcho:
-    """First-tier relay: "I received ``Send(value)`` from the broadcaster"."""
+    """First-tier relay: "I received ``Send(value)`` for ``tag``"."""
 
     value: Any
+    tag: Any = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,6 +65,66 @@ class RbcReady:
     """Second-tier amplification: "a quorum stands behind ``value``"."""
 
     value: Any
+    tag: Any = None
+
+
+#: The three message kinds, for ``isinstance`` filters.
+RBC_MESSAGES = (RbcSend, RbcEcho, RbcReady)
+
+
+class ReliableBroadcast:
+    """One process's echo/ready state for every instance, keyed by tag.
+
+    The caller authenticates ``Send`` messages and drops ill-formed
+    values; :meth:`receive` does the rest.  Senders are counted per
+    (tag, value), so neither instances nor values ever pool.
+
+    Args:
+        n: total number of processes.
+        t: maximum number of Byzantine processes; requires n > 3t.
+    """
+
+    def __init__(self, n: int, t: int) -> None:
+        if t < 0 or n <= 3 * t:
+            raise ConfigurationError(
+                f"reliable broadcast needs n > 3t; got n={n}, t={t}"
+            )
+        self.n = n
+        self.echo_quorum = math.ceil((n + t + 1) / 2)
+        self.ready_amplify = t + 1
+        self.ready_deliver = 2 * t + 1
+        #: tag → delivered value.
+        self.delivered: dict[Any, Any] = {}
+        self._echoed: set[Any] = set()
+        self._readied: set[Any] = set()
+        #: (message kind, tag, value) → the pids that sent it.
+        self._senders: dict[tuple[type, Any, Any], set[int]] = {}
+
+    def receive(
+        self, sender: int, message: RbcSend | RbcEcho | RbcReady, sends: list[Send]
+    ) -> bool:
+        """Count ``message`` from ``sender`` and append the sends it
+        triggers; True iff it delivers ``message.value`` for its tag."""
+        tag, value = message.tag, message.value
+        if isinstance(message, RbcSend):
+            if tag not in self._echoed:
+                self._echoed.add(tag)
+                sends.extend(self._to_all(RbcEcho(value, tag)))
+            return False
+        senders = self._senders.setdefault((type(message), tag, value), set())
+        senders.add(sender)
+        echo = isinstance(message, RbcEcho)
+        quorum = self.echo_quorum if echo else self.ready_amplify
+        if len(senders) >= quorum and tag not in self._readied:
+            self._readied.add(tag)
+            sends.extend(self._to_all(RbcReady(value, tag)))
+        if echo or len(senders) < self.ready_deliver or tag in self.delivered:
+            return False
+        self.delivered[tag] = value
+        return True
+
+    def _to_all(self, payload: Any) -> list[Send]:
+        return [Send(recipient, payload) for recipient in range(self.n)]
 
 
 class ReliableBroadcastProcess(Process):
@@ -79,29 +148,19 @@ class ReliableBroadcastProcess(Process):
         value: Any = None,
     ) -> None:
         super().__init__(pid, n)
-        if t < 0 or n <= 3 * t:
-            raise ConfigurationError(
-                f"reliable broadcast needs n > 3t; got n={n}, t={t}"
-            )
+        self.rbc = ReliableBroadcast(n, t)
         if not 0 <= broadcaster < n:
             raise ConfigurationError(f"broadcaster {broadcaster} out of range")
-        self.t = t
         self.broadcaster = broadcaster
         self.value = value
         self.input_value = value if isinstance(value, int) and value in (0, 1) else 0
         self.delivered: Any = None
         self.has_delivered = False
-        self._echoed = False
-        self._readied = False
-        self._echo_senders: dict[Any, set[int]] = {}
-        self._ready_senders: dict[Any, set[int]] = {}
-        self.echo_quorum = math.ceil((n + t + 1) / 2)
-        self.ready_amplify = t + 1
-        self.ready_deliver = 2 * t + 1
 
-    # ------------------------------------------------------------------ #
-    # Atomic steps
-    # ------------------------------------------------------------------ #
+    @property
+    def echo_quorum(self) -> int:
+        """Echoes of one value that make this process ready."""
+        return self.rbc.echo_quorum
 
     def start(self) -> list[Send]:
         if self.pid == self.broadcaster:
@@ -111,55 +170,21 @@ class ReliableBroadcastProcess(Process):
     def step(self, envelope: Optional[Envelope]) -> list[Send]:
         if envelope is None or self.exited:
             return []
-        sends: list[Send] = []
         payload = envelope.payload
-        if isinstance(payload, RbcSend):
-            self._on_send(envelope.sender, payload, sends)
-        elif isinstance(payload, RbcEcho):
-            self._on_echo(envelope.sender, payload, sends)
-        elif isinstance(payload, RbcReady):
-            self._on_ready(envelope.sender, payload, sends)
-        return sends
-
-    # ------------------------------------------------------------------ #
-    # Protocol rules
-    # ------------------------------------------------------------------ #
-
-    def _on_send(self, sender: int, message: RbcSend, sends: list[Send]) -> None:
-        if sender != self.broadcaster or self._echoed:
-            return
-        self._echoed = True
-        sends.extend(self._broadcast(RbcEcho(message.value)))
-
-    def _on_echo(self, sender: int, message: RbcEcho, sends: list[Send]) -> None:
-        senders = self._echo_senders.setdefault(message.value, set())
-        if sender in senders:
-            return
-        senders.add(sender)
-        if len(senders) >= self.echo_quorum:
-            self._send_ready(message.value, sends)
-
-    def _on_ready(self, sender: int, message: RbcReady, sends: list[Send]) -> None:
-        senders = self._ready_senders.setdefault(message.value, set())
-        if sender in senders:
-            return
-        senders.add(sender)
-        if len(senders) >= self.ready_amplify:
-            self._send_ready(message.value, sends)
-        if len(senders) >= self.ready_deliver and not self.has_delivered:
-            self.delivered = message.value
+        if not isinstance(payload, RBC_MESSAGES) or payload.tag is not None:
+            return []
+        if isinstance(payload, RbcSend) and envelope.sender != self.broadcaster:
+            return []
+        sends: list[Send] = []
+        if self.rbc.receive(envelope.sender, payload, sends):
+            self.delivered = payload.value
             self.has_delivered = True
-            if message.value in (0, 1):
+            if payload.value in (0, 1):
                 # Reuse the decision register for binary payloads so the
                 # standard result validation applies.
-                self._decide(message.value)
+                self._decide(payload.value)
             self.exited = True
-
-    def _send_ready(self, value: Any, sends: list[Send]) -> None:
-        if self._readied:
-            return
-        self._readied = True
-        sends.extend(self._broadcast(RbcReady(value)))
+        return sends
 
 
 class EquivocatingBroadcaster(Process):

@@ -128,7 +128,7 @@ class RandomNoiseByzantine(Process):
         )
 
     def _noise(self) -> list[Send]:
-        rng = self.rng if self.rng is not None else random.Random(self.pid)
+        rng = self._coin_rng()
         return [
             Send(rng.randrange(self.n), self._random_payload(rng))
             for _ in range(self.messages_per_step)

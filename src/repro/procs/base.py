@@ -135,6 +135,13 @@ class Process(ABC):
             self.decided_at_phase = self.phaseno
             self.decided_at_step = self.steps_taken
 
+    def _coin_rng(self) -> random.Random:
+        """The local coin's source: ``rng``, which an unseeded process
+        stepped outside the simulator sets to ``Random(pid)`` once."""
+        if self.rng is None:
+            self.rng = random.Random(self.pid)
+        return self.rng
+
     def _broadcast(self, payload: Any) -> list[Send]:
         """Sends of ``payload`` to all n processes, self included."""
         return [Send(recipient, payload) for recipient in range(self.n)]

@@ -221,14 +221,8 @@ class Simulation:
             self.metrics = None
         self._crash_noted: set[int] = set()
         self._started = False
-        # Give randomized processes (e.g. Ben-Or's local coin) access to
-        # the run's RNG without them having to be constructed with it.
         for proc in self.processes:
-            if proc.rng is None:
-                proc.rng = self.rng
-        if self.metrics is not None:
-            for proc in self.processes:
-                proc.bind_metrics(self.metrics)
+            self._adopt(proc)
         self.scheduler.reset()
         self.scheduler.attach(self.system)
         self.observer = observer
@@ -484,6 +478,14 @@ class Simulation:
             for value, times in Counter(captured).items():
                 obs.observe(name, value, times=times)
 
+    def _adopt(self, proc: Process) -> None:
+        """Hand ``proc`` the run's RNG, unless it was seeded (so a local
+        coin needs no seed of its own), and the metrics registry."""
+        if proc.rng is None:
+            proc.rng = self.rng
+        if self.metrics is not None:
+            proc.bind_metrics(self.metrics)
+
     def replace_process(self, pid: int, replacement: Process) -> None:
         """Swap in a new process object for ``pid`` and run its start step.
 
@@ -504,8 +506,7 @@ class Simulation:
                 f"expected pid={pid}, n={self.n}"
             )
         self.processes[pid] = replacement
-        if self.metrics is not None:
-            replacement.bind_metrics(self.metrics)
+        self._adopt(replacement)
         if self._started and replacement.alive:
             self._start_step(replacement)
 

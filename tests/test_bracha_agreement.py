@@ -3,9 +3,11 @@
 import pytest
 
 from repro.broadcast.agreement import BrachaAgreementProcess
+from repro.broadcast.rbc import RbcReady
 from repro.errors import ConfigurationError, InvariantViolation
 from repro.faults.byzantine import SilentByzantine
 from repro.harness.workloads import balanced_inputs, unanimous_inputs
+from repro.net.message import Envelope
 from repro.procs.base import Send
 from repro.sim.kernel import Simulation
 
@@ -21,21 +23,15 @@ class LyingAgreementByzantine(BrachaAgreementProcess):
     is_correct = False
 
     def _rbc_broadcast(self, value, marked, justifiers=None):
-        from repro.broadcast.agreement import AbaSend
+        from repro.broadcast.rbc import RbcSend
 
         tag = (self.pid, self.round, self.round_step)
         lie = 1 - value
         fake_justifiers = (
             frozenset(range(self.n - self.t)) if self.round_step == 3 else None
         )
-        return self._broadcast(
-            AbaSend(
-                tag=tag,
-                value=lie,
-                marked=self.round_step == 3,
-                justifiers=fake_justifiers,
-            )
-        )
+        content = (lie, self.round_step == 3, fake_justifiers)
+        return self._broadcast(RbcSend(content, tag))
 
 
 def _build(n, t, inputs, byzantine=()):
@@ -70,8 +66,7 @@ class TestConstruction:
         assert len(sends) == 4
         payload = sends[0].payload
         assert payload.tag == (1, 0, 1)
-        assert payload.value == 1
-        assert not payload.marked
+        assert payload.value == (1, False, None)
 
 
 class TestNoFaults:
@@ -125,10 +120,12 @@ class TestByzantineResistance:
         processes to record different values for one tag."""
         n, t = 4, 1
         recorded: dict = {}
+        deliverers: set = set()
 
         class Recorder(BrachaAgreementProcess):
             def _on_rbc_delivery(self, tag, content, sends):
                 recorded.setdefault(tag, set()).add(content)
+                deliverers.add(self.pid)
                 super()._on_rbc_delivery(tag, content, sends)
 
         inputs = balanced_inputs(n)
@@ -136,5 +133,29 @@ class TestByzantineResistance:
         processes.append(LyingAgreementByzantine(3, n, t, inputs[3]))
         result = Simulation(processes, seed=7).run(max_steps=5_000_000)
         result.check_agreement()
+        assert recorded
+        assert deliverers == {0, 1, 2}
         for tag, variants in recorded.items():
             assert len(variants) == 1, f"tag {tag} delivered {variants}"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            RbcReady((1, False, "abc"), (3, 0, 2)),
+            RbcReady((1, [True], None), (3, 0, 1)),
+            RbcReady((1, False, None), (3, [0], 1)),
+            RbcReady((2, False, None), (3, 0, 1)),
+            RbcReady(1, (3, 0, 1)),
+            RbcReady((1, False, None)),
+        ],
+        ids=["str-justifiers", "list-mark", "list-in-tag", "value-2",
+             "bare-value", "no-tag"],
+    )
+    def test_ill_formed_messages_are_dropped(self, payload):
+        """A Byzantine sender's malformed fields never reach the engine
+        or the verdicts (unhashable ones used to raise there)."""
+        process = BrachaAgreementProcess(1, 4, 1, 0)
+        for sender in (0, 2, 3):
+            envelope = Envelope(sender=sender, recipient=1, payload=payload)
+            assert process.step(envelope) == []
+        assert process.rbc.delivered == {}

@@ -15,11 +15,18 @@ import random
 import pytest
 
 import repro
+from repro.baselines.benor import BenOrConsensus
+from repro.baselines.initially_dead import InitiallyDeadConsensus
+from repro.broadcast.agreement import BrachaAgreementProcess
 from repro.cluster.driver import ClusterMesh, ClusterSpec
 from repro.cluster.node import ClusterNode
 from repro.cluster.transport import Transport
 from repro.errors import ConfigurationError
-from repro.faults.byzantine import BalancingEchoByzantine, SilentByzantine
+from repro.faults.byzantine import (
+    BalancingEchoByzantine,
+    RandomNoiseByzantine,
+    SilentByzantine,
+)
 from repro.faults.crash import CrashableProcess
 from repro.faults.plans import CrashSpec, FaultPlan
 from repro.harness.builders import (
@@ -145,6 +152,32 @@ class TestContract:
         assert outer.metrics is registry
         assert outer.inner.metrics is registry
         assert outer.core.metrics is registry
+
+
+class TestLocalCoin:
+    """An unseeded process stepped outside the simulator draws its coin
+    from one ``Random(pid)`` stream, as one seeded with its pid does —
+    not from a fresh ``Random(pid)`` per flip, which repeats one face."""
+
+    @pytest.mark.parametrize(
+        "build, flip",
+        [
+            (lambda **kw: BenOrConsensus(2, 4, 1, 0, **kw),
+             BenOrConsensus._flip_coin),
+            (lambda **kw: BrachaAgreementProcess(2, 4, 1, 0, **kw),
+             BrachaAgreementProcess._flip_coin),
+            (lambda **kw: InitiallyDeadConsensus(2, 4, 0, 0.5, **kw),
+             InitiallyDeadConsensus._flip_close_coin),
+            (lambda **kw: RandomNoiseByzantine(2, 4, "echo", **kw),
+             RandomNoiseByzantine._noise),
+        ],
+        ids=["benor", "bracha", "initially_dead", "random_noise"],
+    )
+    def test_unseeded_flips_follow_the_pid_stream(self, build, flip):
+        unseeded, seeded = build(), build(seed=2)
+        flips = [flip(unseeded) for _ in range(12)]
+        assert flips == [flip(seeded) for _ in range(12)]
+        assert len({repr(face) for face in flips}) > 1
 
 
 class TestCrashingByzantineStaysByzantine:

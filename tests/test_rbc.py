@@ -7,6 +7,7 @@ from repro.broadcast.rbc import (
     RbcEcho,
     RbcReady,
     RbcSend,
+    ReliableBroadcast,
     ReliableBroadcastProcess,
 )
 from repro.errors import ConfigurationError
@@ -84,6 +85,17 @@ class TestHonestBroadcaster:
         )
         assert out == []
 
+    def test_tagged_messages_ignored(self):
+        """The single-shot broadcast is the instance tagged ``None``; a
+        second instance would let a Byzantine broadcaster split delivery."""
+        process = ReliableBroadcastProcess(1, 4, 1, 0, None)
+        for sender in range(3):
+            out = process.step(
+                Envelope(sender=sender, recipient=1, payload=RbcReady("v", "x"))
+            )
+            assert out == []
+        assert not process.has_delivered
+
 
 class TestQuorumMachinery:
     def test_echo_quorum_triggers_ready(self):
@@ -124,6 +136,55 @@ class TestQuorumMachinery:
         for _ in range(10):
             process.step(Envelope(sender=3, recipient=1, payload=RbcReady("v")))
         assert not process.has_delivered
+
+
+class TestKeyedEngine:
+    """``ReliableBroadcast`` driven directly: instances keyed by tag."""
+
+    @staticmethod
+    def _feed(engine, message, senders):
+        """Deliver ``message`` from each sender; return (sends, delivered?)."""
+        sends, delivered = [], False
+        for sender in senders:
+            delivered |= engine.receive(sender, message, sends)
+        return sends, delivered
+
+    def test_rejects_n_at_most_3t(self):
+        with pytest.raises(ConfigurationError):
+            ReliableBroadcast(6, 2)
+
+    def test_two_tags_from_one_origin_deliver_independently(self):
+        engine = ReliableBroadcast(4, 1)
+        tag_a, tag_b = (0, 0, 1), (0, 0, 2)
+        sends, delivered = self._feed(engine, RbcReady("v", tag_a), range(3))
+        assert delivered
+        assert {s.payload for s in sends} == {RbcReady("v", tag_a)}
+        assert engine.delivered == {tag_a: "v"}
+        sends, delivered = self._feed(engine, RbcReady("v", tag_b), range(2))
+        assert not delivered  # tag_a's readies do not count for tag_b
+        assert self._feed(engine, RbcReady("v", tag_b), [2])[1]
+        assert {s.payload for s in sends} == {RbcReady("v", tag_b)}
+        assert engine.delivered == {tag_a: "v", tag_b: "v"}
+
+    def test_second_different_send_for_a_tag_is_not_echoed(self):
+        engine = ReliableBroadcast(4, 1)
+        first, _ = self._feed(engine, RbcSend("x", "tag"), [0])
+        assert [s.payload for s in first] == [RbcEcho("x", "tag")] * 4
+        second, _ = self._feed(engine, RbcSend("y", "tag"), [0])
+        assert second == []
+        other, _ = self._feed(engine, RbcSend("y", "other"), [0])
+        assert [s.payload for s in other] == [RbcEcho("y", "other")] * 4
+
+    def test_values_of_one_tag_never_pool(self):
+        engine = ReliableBroadcast(7, 2)  # echo quorum 5, ready 3 / 5
+        sends, _ = self._feed(engine, RbcEcho("a", "tag"), range(4))
+        sends += self._feed(engine, RbcEcho("b", "tag"), range(4, 7))[0]
+        assert sends == []  # 7 echoes, but no value has 5
+        sends, delivered = self._feed(engine, RbcReady("a", "tag"), range(2))
+        more, also = self._feed(engine, RbcReady("b", "tag"), range(2, 5))
+        assert not (delivered or also)  # 5 readies, but no value has 5
+        assert [s.payload for s in sends + more] == [RbcReady("b", "tag")] * 7
+        assert engine.delivered == {}
 
 
 class TestLopsidedEquivocator:

@@ -6,6 +6,7 @@ from typing import Optional
 
 import pytest
 
+from repro.baselines.benor import BenOrConsensus
 from repro.errors import ConfigurationError
 from repro.faults.byzantine import BalancingEchoByzantine
 from repro.harness.builders import (
@@ -318,6 +319,14 @@ class TestReplaceProcess:
         assert snapshot.counters["decisions"] == decisions_before + 1
         assert snapshot.counters["messages.sent.str"] == 2
         assert recorder.seen[calls_before:] == [(steps_before, 0, None, 2)]
+
+    def test_unseeded_replacement_gets_the_run_rng(self):
+        processes = [BenOrConsensus(pid, 4, 1, pid % 2) for pid in range(4)]
+        sim = Simulation(processes, seed=0)
+        sim.run(max_steps=1)
+        replacement = BenOrConsensus(0, 4, 1, 1)
+        sim.replace_process(0, replacement)
+        assert replacement.rng is sim.rng
 
     def test_replacement_validated(self):
         processes = [DecideOnFirstMessage(pid, 2, 0) for pid in range(2)]
