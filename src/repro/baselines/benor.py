@@ -38,6 +38,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.messages import payload
 from repro.errors import ConfigurationError, InvariantViolation
 from repro.net.message import Envelope
 from repro.procs.base import Process, Send
@@ -46,6 +47,7 @@ from repro.procs.base import Process, Send
 BOTTOM = None
 
 
+@payload
 @dataclass(frozen=True, slots=True)
 class BenOrReport:
     """Step-1 message ``(R, round, value)``."""
@@ -54,6 +56,7 @@ class BenOrReport:
     value: int
 
 
+@payload
 @dataclass(frozen=True, slots=True)
 class BenOrProposal:
     """Step-2 message ``(P, round, proposal)``; ``value is None`` means ⊥."""

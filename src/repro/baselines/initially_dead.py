@@ -61,11 +61,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.common import majority_value
+from repro.core.messages import payload
 from repro.errors import ConfigurationError, InvariantViolation
 from repro.net.message import Envelope
 from repro.procs.base import Process, Send
 
 
+@payload
 @dataclass(frozen=True, slots=True)
 class StageOneMessage:
     """Stage 1: ``(origin, input)`` — the heard-from relation's edges."""
@@ -74,6 +76,7 @@ class StageOneMessage:
     value: int
 
 
+@payload
 @dataclass(frozen=True, slots=True)
 class RowMessage:
     """Stage 2: ``(origin, I(origin), input)`` — one node's in-edges."""
@@ -83,6 +86,7 @@ class RowMessage:
     value: int
 
 
+@payload
 @dataclass(frozen=True, slots=True)
 class TickMessage:
     """Self-addressed heartbeat keeping the stage-1 coin flipping."""

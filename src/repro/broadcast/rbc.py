@@ -39,11 +39,13 @@ import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro.core.messages import payload
 from repro.errors import ConfigurationError
 from repro.net.message import Envelope
 from repro.procs.base import Process, Send
 
 
+@payload
 @dataclass(frozen=True, slots=True)
 class RbcSend:
     """The origin's message opening instance ``tag``: ``Send(value)``."""
@@ -52,6 +54,7 @@ class RbcSend:
     tag: Any = None
 
 
+@payload
 @dataclass(frozen=True, slots=True)
 class RbcEcho:
     """First-tier relay: "I received ``Send(value)`` for ``tag``"."""
@@ -60,6 +63,7 @@ class RbcEcho:
     tag: Any = None
 
 
+@payload
 @dataclass(frozen=True, slots=True)
 class RbcReady:
     """Second-tier amplification: "a quorum stands behind ``value``"."""
@@ -136,7 +140,7 @@ class ReliableBroadcastProcess(Process):
         t: maximum number of Byzantine processes; requires n > 3t.
         broadcaster: pid of the designated sender.
         value: the value to broadcast (only used when
-            ``pid == broadcaster``).
+            ``pid == broadcaster``); hashable, like every value received.
     """
 
     def __init__(
@@ -151,6 +155,10 @@ class ReliableBroadcastProcess(Process):
         self.rbc = ReliableBroadcast(n, t)
         if not 0 <= broadcaster < n:
             raise ConfigurationError(f"broadcaster {broadcaster} out of range")
+        try:
+            hash(value)
+        except TypeError as exc:
+            raise ConfigurationError(f"unhashable broadcast value {value!r}") from exc
         self.broadcaster = broadcaster
         self.value = value
         self.input_value = value if isinstance(value, int) and value in (0, 1) else 0
@@ -172,6 +180,10 @@ class ReliableBroadcastProcess(Process):
             return []
         payload = envelope.payload
         if not isinstance(payload, RBC_MESSAGES) or payload.tag is not None:
+            return []
+        try:
+            hash(payload.value)  # the engine counts senders per value
+        except TypeError:
             return []
         if isinstance(payload, RbcSend) and envelope.sender != self.broadcaster:
             return []

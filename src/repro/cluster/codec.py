@@ -34,9 +34,9 @@ Everything a link sends thousands of times per second is fixed-width;
 what stays JSON is either sent once per connection (hello, bye), rare
 (the trace extension rides on one envelope in
 :data:`~repro.cluster.transport.DEFAULT_TRACE_SAMPLE`), or the payload.
-Payload bytes are exactly ``json(encode_payload(payload))`` — the JSONL
-payload codec of :mod:`repro.obs.sinks`, the same encoder that
-round-trips every protocol message type for traces — so the wire format
+Payload bytes are exactly ``json(encode_payload(payload))`` — the one
+payload codec of :mod:`repro.core.messages`, shared with the JSONL
+traces, which type-checks every field at decode — so the wire format
 and the trace format can never drift apart.  Keeping the payload an
 opaque byte string is also what makes it cheap: a sender encodes one
 broadcast's payload once and splices the same bytes into every
@@ -126,7 +126,7 @@ _MISSING = object()
 
 class CodecError(ReproError):
     """A frame failed to parse: bad magic, version mismatch, truncation,
-    an oversized length prefix, or a malformed body."""
+    an oversized length prefix, or a malformed or ill-typed body."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -259,7 +259,7 @@ def _decode_payload_bytes(data: bytes) -> Any:
     record = _loads_wire(data, "payload")
     try:
         return decode_payload(record)
-    except (KeyError, ReproError) as exc:
+    except ReproError as exc:
         raise CodecError(f"malformed payload record: {record!r}") from exc
 
 

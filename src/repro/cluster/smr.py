@@ -72,6 +72,7 @@ from repro.cluster.codec import decode_canonical, encode_canonical
 from repro.cluster.driver import ClusterMesh, ClusterSpec, latency_summary_ms
 from repro.cluster.node import ClusterNode
 from repro.cluster.transport import DEFAULT_TRACE_SAMPLE
+from repro.core.messages import payload
 from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanTracer
@@ -93,6 +94,7 @@ DEFAULT_COMPACT_EVERY = 64
 MAX_SLOT_COMMANDS = 64
 
 
+@payload
 @dataclass(frozen=True)
 class Command:
     """One client request: a state-machine operation with its identity.
@@ -118,26 +120,6 @@ class Command:
             raise ConfigurationError(
                 f"request_id must be >= 0, got {self.request_id}"
             )
-
-    def to_wire(self) -> dict:
-        """JSON-ready form (also the log-entry record)."""
-        return {
-            "session": self.session,
-            "request_id": self.request_id,
-            "op": self.op,
-            "key": self.key,
-            "value": self.value,
-        }
-
-    @classmethod
-    def from_wire(cls, record: dict) -> "Command":
-        return cls(
-            session=record["session"],
-            request_id=record["request_id"],
-            op=record["op"],
-            key=record.get("key", ""),
-            value=record.get("value"),
-        )
 
 
 class KVStateMachine:

@@ -4,9 +4,9 @@ The simulator's trace schema (:mod:`repro.obs.sinks`) is indexed by the
 kernel's global step counter, which has no cluster analogue — a live run
 is ordered by wall clock, and transport events (reconnects, retransmits)
 have no simulator counterpart.  :class:`ClusterTraceWriter` therefore
-writes its own JSONL schema, but *reuses the exact payload codec* of the
-simulator traces, so tooling that understands protocol messages reads
-both formats with one decoder.
+writes its own JSONL schema, but *reuses the one payload codec* of the
+simulator traces and the wire (:mod:`repro.core.messages`), so tooling
+that understands protocol messages reads both formats with one decoder.
 
 Each line is one event::
 

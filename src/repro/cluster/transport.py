@@ -154,15 +154,15 @@ class Inbox:
 
 class _Connection(asyncio.BufferedProtocol):
     """One TCP connection of the mesh, driven by read callbacks (no task
-    and no future per read): each read lands in ``buffer`` — shared by
-    every connection of one transport — and ``on_frames(connection,
-    frames)`` gets the complete frames it finished; ``lost`` resolves
-    once the connection has ended, and ``live`` holds it while it is
-    open."""
+    and no future per read): each read lands in ``transport``'s buffer,
+    shared by all its connections, and ``on_frames(connection, frames)``
+    gets the complete frames it finished; ``lost`` resolves once the
+    connection has ended, and ``live`` holds it while it is open."""
 
-    def __init__(self, on_frames, buffer, live: Optional[set] = None) -> None:
+    def __init__(self, on_frames, transport, live: Optional[set] = None) -> None:
         self.on_frames = on_frames
-        self.buffer = buffer
+        self.buffer = transport._read_buffer
+        self.registry = transport.registry
         self.live = live
         self.frames = FrameReader()
         self.wire: Optional[asyncio.Transport] = None
@@ -190,8 +190,9 @@ class _Connection(asyncio.BufferedProtocol):
             # buffer, on this connection or any other.
             self.frames.feed(self.buffer[:nbytes])
             self.on_frames(self, self.frames.frames())
-        except CodecError:
-            self.wire.abort()  # a peer that breaks the wire protocol
+        except CodecError:  # a peer that breaks the wire protocol
+            self.registry.inc("cluster.transport.codec_errors")
+            self.wire.abort()
 
     async def shut(self) -> None:
         """Close now, dropping unsent bytes, and wait until closed."""
@@ -277,7 +278,7 @@ class _PeerLink:
         while not self._closed:
             try:
                 wire, connection = await self._loop.create_connection(
-                    lambda: _Connection(self._on_acks, transport._read_buffer),
+                    lambda: _Connection(self._on_acks, transport),
                     *self.addr,
                 )
             except OSError:
@@ -564,7 +565,7 @@ class Transport:
         """Bind the accept socket; returns the (host, port) peers dial."""
         self._server = await self._loop.create_server(
             lambda: _Connection(
-                self._on_inbound, self._read_buffer, self._inbound_connections
+                self._on_inbound, self, self._inbound_connections
             ),
             host=host,
             port=port,

@@ -34,11 +34,9 @@ from repro.obs.sinks import (
     InMemorySink,
     JsonlReader,
     JsonlTraceSink,
-    OpaquePayload,
     TraceSink,
     event_from_dict,
     event_to_dict,
-    payload_type_name,
     read_jsonl,
 )
 from repro.obs.spans import HLC, SpanTracer, hlc_key, make_trace_id
@@ -60,14 +58,12 @@ __all__ = [
     "InMemorySink",
     "JsonlReader",
     "JsonlTraceSink",
-    "OpaquePayload",
     "SpanTracer",
     "TraceSink",
     "event_from_dict",
     "event_to_dict",
     "hlc_key",
     "make_trace_id",
-    "payload_type_name",
     "read_jsonl",
     "metrics_json_payload",
     "per_phase_series",

@@ -13,28 +13,20 @@ parallel fan-out scale.  A *sink* decouples recording from storage:
 Recording is off when the kernel's sink is ``None`` (the default): its
 single ``if record:`` guard then skips event construction entirely.
 
-The JSONL codec round-trips the protocol message payloads of
-:mod:`repro.core.messages` exactly, so a written trace can be read back
-with :func:`read_jsonl` and re-validated with
-:func:`repro.sim.trace_tools.validate_trace`.  Unknown payload types
-degrade to :class:`OpaquePayload` (type name + ``repr``), which still
-satisfies the validator's send/delivery matching because equal payloads
-encode to equal opaque forms.
+Payloads go through the one payload codec of :mod:`repro.core.messages`,
+so a written trace reads back with :func:`read_jsonl` to exactly the
+recorded events, of every message family, and re-validates with
+:func:`repro.sim.trace_tools.validate_trace`.  An unregistered payload
+type raises at encode; there is no opaque fallback.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import fields
 from typing import Any, Iterator, Optional
 
-from repro.core.messages import (
-    STAR,
-    EchoMessage,
-    FailStopMessage,
-    InitialMessage,
-    SimpleMessage,
-)
+from repro.core.messages import decode_payload, encode_payload
 from repro.errors import ConfigurationError
 from repro.sim.events import (
     CrashEvent,
@@ -107,26 +99,6 @@ class JsonlTraceSink(TraceSink):
 # ---------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True, slots=True)
-class OpaquePayload:
-    """Decoded stand-in for a payload type the codec does not know.
-
-    Equality is by (type name, repr), so send/delivery matching in
-    ``validate_trace`` still works on round-tripped traces; statistics
-    keyed by payload type see ``type_name`` via ``payload_type_name``.
-    """
-
-    type_name: str
-    text: str
-
-
-def payload_type_name(payload: Any) -> str:
-    """The payload's protocol-level type name (opaque-aware)."""
-    if isinstance(payload, OpaquePayload):
-        return payload.type_name
-    return type(payload).__name__
-
-
 _EVENT_TYPES: dict[str, type[TraceEvent]] = {
     "start": StartEvent,
     "deliver": DeliverEvent,
@@ -137,78 +109,11 @@ _EVENT_TYPES: dict[str, type[TraceEvent]] = {
     "exit": ExitEvent,
 }
 _EVENT_NAMES = {cls: name for name, cls in _EVENT_TYPES.items()}
-
-_MESSAGE_TYPES = {
-    "FailStopMessage": FailStopMessage,
-    "InitialMessage": InitialMessage,
-    "EchoMessage": EchoMessage,
-    "SimpleMessage": SimpleMessage,
+#: Each event's record is its name under ``"t"``, then its dataclass
+#: fields in order, a payload through the payload codec.
+_EVENT_FIELDS = {
+    cls: tuple(field.name for field in fields(cls)) for cls in _EVENT_NAMES
 }
-
-
-def _encode_phase(phase: Any) -> Any:
-    return "*" if phase is STAR else phase
-
-
-def _decode_phase(phase: Any) -> Any:
-    return STAR if phase == "*" else phase
-
-
-def encode_payload(payload: Any) -> Any:
-    """Encode a protocol payload as a JSON-safe value."""
-    if payload is None or isinstance(payload, (bool, int, float, str)):
-        return {"kind": "scalar", "value": payload}
-    kind = type(payload).__name__
-    if isinstance(payload, FailStopMessage):
-        return {
-            "kind": kind,
-            "phaseno": payload.phaseno,
-            "value": payload.value,
-            "cardinality": payload.cardinality,
-        }
-    if isinstance(payload, (InitialMessage, EchoMessage)):
-        return {
-            "kind": kind,
-            "origin": payload.origin,
-            "value": payload.value,
-            "phaseno": _encode_phase(payload.phaseno),
-        }
-    if isinstance(payload, SimpleMessage):
-        return {"kind": kind, "phaseno": payload.phaseno, "value": payload.value}
-    if isinstance(payload, OpaquePayload):
-        return {
-            "kind": "opaque",
-            "type": payload.type_name,
-            "repr": payload.text,
-        }
-    return {"kind": "opaque", "type": kind, "repr": repr(payload)}
-
-
-def decode_payload(encoded: Any) -> Any:
-    """Invert :func:`encode_payload`."""
-    if not isinstance(encoded, dict) or "kind" not in encoded:
-        raise ConfigurationError(f"malformed payload record: {encoded!r}")
-    kind = encoded["kind"]
-    if kind == "scalar":
-        return encoded["value"]
-    if kind == "opaque":
-        return OpaquePayload(type_name=encoded["type"], text=encoded["repr"])
-    message_type = _MESSAGE_TYPES.get(kind)
-    if message_type is None:
-        raise ConfigurationError(f"unknown payload kind {kind!r}")
-    if message_type is FailStopMessage:
-        return FailStopMessage(
-            phaseno=encoded["phaseno"],
-            value=encoded["value"],
-            cardinality=encoded["cardinality"],
-        )
-    if message_type is SimpleMessage:
-        return SimpleMessage(phaseno=encoded["phaseno"], value=encoded["value"])
-    return message_type(
-        origin=encoded["origin"],
-        value=encoded["value"],
-        phaseno=_decode_phase(encoded["phaseno"]),
-    )
 
 
 def event_to_dict(event: TraceEvent) -> dict:
@@ -218,15 +123,10 @@ def event_to_dict(event: TraceEvent) -> dict:
         raise ConfigurationError(
             f"cannot serialise unknown event type {type(event).__name__}"
         )
-    record: dict = {"t": name, "step": event.step, "pid": event.pid}
-    if isinstance(event, DeliverEvent):
-        record["sender"] = event.sender
-        record["payload"] = encode_payload(event.payload)
-    elif isinstance(event, SendEvent):
-        record["recipient"] = event.recipient
-        record["payload"] = encode_payload(event.payload)
-    elif isinstance(event, DecideEvent):
-        record["value"] = event.value
+    record: dict = {"t": name}
+    for field in _EVENT_FIELDS[type(event)]:
+        value = getattr(event, field)
+        record[field] = encode_payload(value) if field == "payload" else value
     return record
 
 
@@ -235,18 +135,12 @@ def event_from_dict(record: dict) -> TraceEvent:
     event_type = _EVENT_TYPES.get(record.get("t"))
     if event_type is None:
         raise ConfigurationError(f"unknown event record: {record!r}")
-    step, pid = record["step"], record["pid"]
-    if event_type is DeliverEvent:
-        return DeliverEvent(
-            step, pid, record["sender"], decode_payload(record["payload"])
+    return event_type(
+        *(
+            decode_payload(record[field]) if field == "payload" else record[field]
+            for field in _EVENT_FIELDS[event_type]
         )
-    if event_type is SendEvent:
-        return SendEvent(
-            step, pid, record["recipient"], decode_payload(record["payload"])
-        )
-    if event_type is DecideEvent:
-        return DecideEvent(step, pid, record["value"])
-    return event_type(step, pid)
+    )
 
 
 class JsonlReader:

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.errors import InvariantViolation
-from repro.obs.sinks import payload_type_name
 from repro.sim.events import (
     CrashEvent,
     DecideEvent,
@@ -107,20 +106,15 @@ def validate_trace(trace: Iterable[TraceEvent]) -> TraceAudit:
 
 
 def message_complexity(trace: Iterable[TraceEvent]) -> dict[str, dict[str, int]]:
-    """Sent/delivered/in-flight counts per payload type name.
-
-    Payloads round-tripped through JSONL as
-    :class:`~repro.obs.sinks.OpaquePayload` are grouped under their
-    original type name.
-    """
+    """Sent/delivered/in-flight counts per payload type name."""
     stats: dict[str, dict[str, int]] = defaultdict(
         lambda: {"sent": 0, "delivered": 0}
     )
     for event in trace:
         if isinstance(event, SendEvent):
-            stats[payload_type_name(event.payload)]["sent"] += 1
+            stats[type(event.payload).__name__]["sent"] += 1
         elif isinstance(event, DeliverEvent):
-            stats[payload_type_name(event.payload)]["delivered"] += 1
+            stats[type(event.payload).__name__]["delivered"] += 1
     for counts in stats.values():
         counts["in_flight"] = counts["sent"] - counts["delivered"]
     return dict(stats)

@@ -41,7 +41,6 @@ from repro.core.messages import (
     SimpleMessage,
 )
 from repro.net.message import Envelope
-from repro.obs.sinks import OpaquePayload
 
 pytestmark = pytest.mark.cluster
 
@@ -185,8 +184,7 @@ def header(kind: int, length: int, version: int = WIRE_VERSION) -> bytes:
     return struct.pack(">2sBBI", MAGIC, version, kind, length)
 
 
-#: One instance of every payload kind the protocols (or a trace of an
-#: unknown type) can put on the wire.
+#: One instance of every payload kind the protocols can put on the wire.
 PAYLOAD_KINDS = [
     FailStopMessage(phaseno=3, value=1, cardinality=5),
     InitialMessage(origin=2, value=0, phaseno=7),
@@ -199,7 +197,6 @@ PAYLOAD_KINDS = [
     17,
     2.5,
     "φ",
-    OpaquePayload(type_name="Mystery", text="Mystery(x=1)"),
 ]
 
 

@@ -14,7 +14,10 @@ import pytest
 from repro.cluster.chaos import ChaosConfig
 from repro.cluster.driver import ClusterSpec, run_cluster_sync
 from repro.cluster.trace import ClusterTraceReader
+from repro.core.messages import EchoMessage
 from repro.errors import ConfigurationError
+from repro.faults.byzantine import SilentByzantine
+from repro.procs.base import Send
 
 pytestmark = pytest.mark.cluster
 
@@ -153,3 +156,33 @@ class TestByzantineClusterUnderChaos:
         assert {e["instance"] for e in sends} == {0, 1}
         starts = [e for e in events if e["t"] == "instance-start"]
         assert sorted(e["instance"] for e in starts) == [0, 1]
+
+
+class TestIllTypedByzantinePayload:
+    def test_ill_typed_echo_aborts_only_its_link(self, monkeypatch):
+        """One within-bound Byzantine node sends an echo whose origin is
+        ``None``: decode rejects it, the receiving node aborts that
+        peer's connection and counts it, and every instance decides."""
+
+        def start(self):
+            self.exited = True
+            echo = EchoMessage(origin=None, value=1, phaseno=0)
+            return [Send(recipient, echo) for recipient in range(self.n)]
+
+        monkeypatch.setattr(SilentByzantine, "start", start)
+        report = run_cluster_sync(
+            ClusterSpec(
+                n=4,
+                k=1,
+                protocol="malicious",
+                byzantine_count=1,
+                byzantine_kind="silent",
+                seed=5,
+                instances=3,
+            ),
+            timeout=5.0,
+        )
+        assert report.ok, report.problems
+        correct = [r for r in report.records if r.is_correct]
+        assert len(correct) == 9  # 3 correct nodes x 3 instances
+        assert report.metrics.counters["cluster.transport.codec_errors"] > 0

@@ -35,6 +35,7 @@ from repro.cluster.smr import (
     run_smr,
     run_smr_load,
 )
+from repro.core.messages import decode_payload, encode_payload
 from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
 
@@ -49,7 +50,7 @@ pytestmark = pytest.mark.cluster
 class TestCommand:
     def test_wire_round_trip(self):
         command = Command("client-1", 7, "set", key="a", value=42)
-        assert Command.from_wire(command.to_wire()) == command
+        assert decode_payload(encode_payload(command)) == command
 
     def test_rejects_unknown_op(self):
         with pytest.raises(ConfigurationError, match="unknown SMR op"):

@@ -2,8 +2,16 @@
 
 import pytest
 
+from repro.baselines.initially_dead import (
+    InitiallyDeadConsensus,
+    InitiallyDeadProcess,
+)
+from repro.broadcast import BrachaAgreementProcess, ReliableBroadcastProcess
 from repro.core.messages import STAR, EchoMessage, FailStopMessage
+from repro.errors import ConfigurationError
 from repro.harness.builders import (
+    PROTOCOL_CORES,
+    build_ensemble,
     build_failstop_processes,
     build_malicious_processes,
 )
@@ -11,12 +19,10 @@ from repro.harness.workloads import balanced_inputs
 from repro.obs.sinks import (
     InMemorySink,
     JsonlTraceSink,
-    OpaquePayload,
     decode_payload,
     encode_payload,
     event_from_dict,
     event_to_dict,
-    payload_type_name,
     read_jsonl,
 )
 from repro.sim.events import DecideEvent, DeliverEvent, SendEvent, StartEvent
@@ -52,17 +58,13 @@ class TestJsonlRoundTrip:
         for payload in payloads:
             assert decode_payload(encode_payload(payload)) == payload
 
-    def test_unknown_payload_degrades_to_opaque(self):
+    def test_unregistered_payload_type_raises_at_encode(self):
         class Custom:
             def __repr__(self):
                 return "Custom(1)"
 
-        decoded = decode_payload(encode_payload(Custom()))
-        assert decoded == OpaquePayload("Custom", "Custom(1)")
-        assert payload_type_name(decoded) == "Custom"
-        # Equal payloads encode to equal opaque forms, so validator
-        # send/delivery matching still works post-round-trip.
-        assert decode_payload(encode_payload(Custom())) == decoded
+        with pytest.raises(ConfigurationError, match="unregistered .* Custom"):
+            encode_payload(Custom())
 
     def test_events_round_trip(self):
         events = [
@@ -130,3 +132,42 @@ class TestJsonlRoundTrip:
         ]
         assert all(line["seed"] == 7 for line in lines)
 
+
+
+#: One short seeded ensemble per message family: every protocol table
+#: row, Bracha '87 agreement, the single-shot RBC (a tuple value) and
+#: the initially-dead protocol (one member dead).
+FAMILIES = {
+    **{
+        protocol: lambda protocol=protocol: build_ensemble(
+            protocol, 4, 1, [0, 1, 1, 0]
+        )
+        for protocol in PROTOCOL_CORES
+    },
+    "bracha": lambda: [
+        BrachaAgreementProcess(pid, 4, 1, pid % 2) for pid in range(4)
+    ],
+    "rbc": lambda: [
+        ReliableBroadcastProcess(pid, 4, 1, 0, (1, "v")) for pid in range(4)
+    ],
+    "initially_dead": lambda: [
+        *(InitiallyDeadConsensus(pid, 4, pid % 2) for pid in range(3)),
+        InitiallyDeadProcess(3, 4),
+    ],
+}
+
+
+class TestEveryFamilyRoundTrips:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_jsonl_trace_equals_in_memory_trace(self, family, tmp_path):
+        """A JSONL trace reads back to exactly the recorded events, so
+        every family's payloads survive the codec unchanged."""
+        path = str(tmp_path / "trace.jsonl")
+        sinks = [InMemorySink(), JsonlTraceSink(path)]
+        for sink in sinks:
+            with sink:
+                sim = Simulation(FAMILIES[family](), seed=3, sink=sink)
+                sim.run(max_steps=3_000)
+        events = sinks[0].events
+        assert any(isinstance(event, SendEvent) for event in events)
+        assert list(read_jsonl(path)) == events

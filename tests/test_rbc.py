@@ -58,6 +58,11 @@ class TestParameters:
         with pytest.raises(ConfigurationError):
             ReliableBroadcastProcess(0, 4, 1, 9, 1)
 
+    def test_unhashable_value_rejected(self):
+        """RBC values are hashable: the engine counts senders per value."""
+        with pytest.raises(ConfigurationError, match="unhashable"):
+            ReliableBroadcastProcess(0, 4, 1, 0, ["x"])
+
 
 class TestHonestBroadcaster:
     @pytest.mark.parametrize("seed", range(5))
@@ -92,6 +97,19 @@ class TestHonestBroadcaster:
         for sender in range(3):
             out = process.step(
                 Envelope(sender=sender, recipient=1, payload=RbcReady("v", "x"))
+            )
+            assert out == []
+        assert not process.has_delivered
+
+
+    @pytest.mark.parametrize("kind", [RbcSend, RbcEcho, RbcReady])
+    def test_unhashable_value_dropped(self, kind):
+        """A Byzantine message carrying an unhashable value is dropped,
+        not counted (and never raises out of a correct process's step)."""
+        process = ReliableBroadcastProcess(1, 4, 1, 0, None)
+        for sender in range(4):
+            out = process.step(
+                Envelope(sender=sender, recipient=1, payload=kind(["x"]))
             )
             assert out == []
         assert not process.has_delivered
